@@ -114,7 +114,10 @@ def _edge_consumption(route: Route, inst: Instance):
 
 def suffix_requirements(route: Route, inst: Instance) -> list[float]:
     """Energy needed to finish the route after each edge with no further charging."""
-    cons, _ = _edge_consumption(route, inst)
+    return _suffix_sums(_edge_consumption(route, inst)[0])
+
+
+def _suffix_sums(cons) -> list[float]:
     m = len(cons)
     req = [0.0] * m
     acc = 0.0
@@ -132,14 +135,17 @@ def preprocess_route(route: Route, inst: Instance) -> RouteClass:
     whose net drain exceeds a full battery even while charging kills the
     route outright.
     """
-    cons, gain = _edge_consumption(route, inst)
+    return _screen(*_edge_consumption(route, inst), inst.P)
+
+
+def _screen(cons, gain, P: float) -> RouteClass:
     total = sum(cons)
     if len(cons) == 1:
-        return RouteClass.TRIVIAL_NO_CHARGE if cons[0] <= inst.P else RouteClass.INFEASIBLE
-    if total <= inst.P:
+        return RouteClass.TRIVIAL_NO_CHARGE if cons[0] <= P else RouteClass.INFEASIBLE
+    if total <= P:
         return RouteClass.TRIVIAL_NO_CHARGE
     for ce, ge in zip(cons, gain):
-        if ce - ge > inst.P:
+        if ce - ge > P:
             return RouteClass.INFEASIBLE
     return RouteClass.NEEDS_BDP
 
@@ -171,6 +177,47 @@ def _trivial_result(route: Route, inst: Instance) -> BdpResult:
         final -= ce
     return BdpResult(RouteClass.TRIVIAL_NO_CHARGE,
                      [(ChargePattern(0, len(cons)), final)])
+
+
+def _min_count_sweep(cons, gain, req, P: float) -> int | None:
+    """Fewest set bits over the masks that ``_enumerate_rolling`` marks terminal.
+
+    Keeps one state per charge count k: the highest battery level over the
+    still-active masks with k charges (the dominance rule of
+    resource-constrained shortest paths). Levels are updated with the very
+    float operations of the rolling sweep, and both updates are monotone
+    under rounding, so the best state for k turns terminal exactly when
+    some k-charge mask of the sweep does. O(m^2) instead of O(2^m).
+    """
+    levels = [P]          # levels[k]; negative marks "no active mask"
+    best = None
+    for ce, ge, r_e in zip(cons, gain, req):
+        width = len(levels) + 1 if best is None else best
+        nxt = [-1.0] * width
+        for k, base in enumerate(levels):
+            if base < 0.0:
+                continue
+            child = base - ce + ge
+            if child > P:
+                child = P
+            # req is nonnegative, so "terminal" implies "not depleted"
+            nc = base - ce
+            if nc >= r_e:
+                if best is None or k < best:
+                    best = k
+            elif nc >= 0.0 and k < width and nc > nxt[k]:
+                nxt[k] = nc
+            if child >= r_e:
+                if best is None or k + 1 < best:
+                    best = k + 1
+            elif child >= 0.0 and k + 1 < width and child > nxt[k + 1]:
+                nxt[k + 1] = child
+        if best is not None:
+            del nxt[best:]
+        if not any(level >= 0.0 for level in nxt):
+            break
+        levels = nxt
+    return best
 
 
 def greedy_fallback_pattern(route: Route, inst: Instance) -> BdpResult:
@@ -316,18 +363,38 @@ def enumerate_patterns(route: Route, inst: Instance,
     longer than ``max_edges`` get a single greedy pattern instead of the
     exponential sweep (flagged via ``fallback``).
     """
-    cls = preprocess_route(route, inst)
+    cons, gain = _edge_consumption(route, inst)
+    cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
         return _trivial_result(route, inst)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
-    cons, gain = _edge_consumption(route, inst)
     if len(cons) > max_edges:
         return greedy_fallback_pattern(route, inst)
-    req = suffix_requirements(route, inst)
+    req = _suffix_sums(cons)
     sweep = _enumerate_rolling if rolling else _enumerate_full_table
     terminal = sweep(cons, gain, req, inst.P)
     return _finish_enumeration(terminal, cons, gain, inst.P)
+
+
+def min_charge_count(route: Route, inst: Instance,
+                     max_edges: int = DEFAULT_MAX_EDGES) -> int | None:
+    """Fewest charged edges over the route's feasible patterns; None if infeasible.
+
+    Always equals ``enumerate_patterns(route, inst, max_edges).min_cardinality()``
+    (routes longer than ``max_edges`` count the greedy fallback pattern),
+    but runs a polynomial DP over charge counts instead of the 2^m sweep.
+    Callers that need the patterns themselves still enumerate.
+    """
+    cons, gain = _edge_consumption(route, inst)
+    cls = _screen(cons, gain, inst.P)
+    if cls is RouteClass.TRIVIAL_NO_CHARGE:
+        return 0
+    if cls is RouteClass.INFEASIBLE:
+        return None
+    if len(cons) > max_edges:
+        return greedy_fallback_pattern(route, inst).min_cardinality()
+    return _min_count_sweep(cons, gain, _suffix_sums(cons), inst.P)
 
 
 def sweep_table(route: Route, inst: Instance) -> BdpTable:

@@ -76,19 +76,13 @@ class OperatorStats:
         self.total_uses[idx] += 1
 
     def end_segment(self, reaction: float, floor: float) -> None:
+        """Close a segment: blend weights toward each operator's mean score."""
         for i in range(len(self.names)):
             if self.uses[i] > 0:
                 mean = self.scores[i] / self.uses[i]
                 self.weights[i] = max(floor, (1 - reaction) * self.weights[i] + reaction * mean)
         self.scores[:] = 0.0
         self.uses[:] = 0
-
-
-def update_weights(stats: OperatorStats, reaction: float = 0.5,
-                   floor: float = 1e-6) -> OperatorStats:
-    """Close a segment: blend weights toward each operator's mean score."""
-    stats.end_segment(reaction, floor)
-    return stats
 
 
 @dataclass
@@ -433,8 +427,7 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
 
 
 def _min_charge_cardinality(nodes, ctx):
-    res = ctx.patterns(nodes)
-    card = res.min_cardinality()
+    card = bdp.min_charge_count(Route(0, nodes), ctx.inst, ctx.cfg.bdp_max_edges)
     return math.inf if card is None else card
 
 
@@ -520,17 +513,20 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     than they split them, so some runs must start on the split side.
     Raises when even a dedicated vehicle cannot serve someone.
     """
-    ctx = _Context(inst, config or SolverConfig())
+    cfg = config or SolverConfig()
     charge_free_gate = rng.random() < 0.5
     unserved = set(inst.customers)
     routes: list[list[int]] = []
     current: list[int] = [0]
     load = 0
 
+    def chargeable(nodes: list[int]) -> bool:
+        return bdp.min_charge_count(Route(0, nodes), inst, cfg.bdp_max_edges) is not None
+
     def battery_ok(nodes: list[int]) -> bool:
         if charge_free_gate:
             return inst.rho_t * inst.route_distance(nodes) <= inst.P
-        return ctx.patterns(nodes).feasible
+        return chargeable(nodes)
 
     while unserved:
         last = current[-1]
@@ -556,7 +552,7 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
                 # serviceable customer a dedicated, possibly charged, vehicle
                 lone = next((u for u in candidates
                              if inst.demand_of(u) <= inst.Q
-                             and ctx.patterns([0, u, inst.depot_end]).feasible), None)
+                             and chargeable([0, u, inst.depot_end])), None)
                 if lone is None:
                     raise InfeasibleInstanceError(
                         f"customer {candidates[0]} cannot be served even by a dedicated vehicle"
@@ -678,8 +674,8 @@ def run(inst: Instance, config: SolverConfig | None = None,
         temp *= cfg.cooling
         log.append((it, DESTROY_OPS[d_idx], REPAIR_OPS[r_idx], inc_cost, best_cost, temp))
         if (it + 1) % cfg.segment_size == 0:
-            update_weights(d_stats, cfg.reaction, cfg.weight_floor)
-            update_weights(r_stats, cfg.reaction, cfg.weight_floor)
+            d_stats.end_segment(cfg.reaction, cfg.weight_floor)
+            r_stats.end_segment(cfg.reaction, cfg.weight_floor)
 
     runtime = time.perf_counter() - started
     if best_pack is None:

@@ -11,6 +11,7 @@ both roles).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,16 @@ INSTANCE_FIELDS = (
     "n", "dist", "demand", "P", "B", "Q", "rho_t", "rho_e", "rho_c",
     "gamma", "phi", "max_mtev", "max_mct",
 )
+
+
+def _is_int(value) -> bool:
+    """Python or numpy integer. A bool is an int subclass but neither an id
+    nor a count, so subclasses are rejected."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _is_node(u, lo: int, hi: int) -> bool:
+    return _is_int(u) and lo <= u <= hi
 
 
 class RouteStructureError(ValueError):
@@ -60,7 +71,6 @@ class Instance:
     phi: float                # MCT energy consumed per unit distance
     max_mtev: int
     max_mct: int
-    big_m: float = 1e5        # reporting constant only; no big-M reformulation here
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
@@ -89,6 +99,8 @@ class Instance:
         size = self.n + 2
         if self.dist.shape != (size, size):
             raise ValueError(f"dist must be {size}x{size}, got {self.dist.shape}")
+        if not np.isfinite(self.dist).all():
+            raise ValueError("dist entries must be finite")
         if not np.array_equal(self.dist, self.dist.T):
             raise ValueError("dist must be symmetric")
         if (self.dist < 0).any():
@@ -102,10 +114,17 @@ class Instance:
         if any(d < 1 for d in self.demand):
             raise ValueError("demands must be >= 1")
         for name in ("P", "B", "Q", "rho_t", "rho_e", "rho_c", "gamma", "phi"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.max_mtev < 0 or self.max_mct < 0:
-            raise ValueError("fleet caps must be >= 0")
+        for name in ("max_mtev", "max_mct"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError("fleet caps must be >= 0")
         if self.gamma <= self.rho_t:
             warnings.warn(
                 "gamma <= rho_t: in-motion charging yields no net energy gain",
@@ -383,11 +402,15 @@ def evaluate_cost(sol: Solution, inst: Instance) -> float:
     return total + inst.rho_e * used_e + inst.rho_c * used_c
 
 
-def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]]):
-    """Group charging obligations by serving MCT; drop entries with invalid ids."""
+def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]],
+                    skip: set[int] = frozenset()):
+    """Group charging obligations by serving MCT; set aside entries with invalid
+    truck ids. MTEV routes listed in ``skip`` contribute no duties."""
     per_mct = [[] for _ in sol.mct_routes]
     bad = []
     for r, route in enumerate(sol.mtev_routes):
+        if r in skip:
+            continue
         assign = sol.charge_assign[r] if r < len(sol.charge_assign) else []
         for e, (i, j) in enumerate(route.edges()):
             if e >= len(assign) or assign[e] is None:
@@ -399,7 +422,7 @@ def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]]
                 "start": mtev_times[r][e], "distance": dist,
                 "transfer": inst.gamma * dist,
             }
-            if not isinstance(c, int) or not (0 <= c < len(sol.mct_routes)):
+            if not (_is_int(c) and 0 <= c < len(sol.mct_routes)):
                 bad.append((c, duty))
             else:
                 per_mct[c].append(duty)
@@ -474,39 +497,55 @@ def finalize_solution(sol: Solution, inst: Instance, transfer_depletes: bool = T
     return out
 
 
-def _check_route_structure(sol: Solution, inst: Instance, out: list[Violation]) -> None:
+def _check_route_structure(sol: Solution, inst: Instance,
+                           out: list[Violation]) -> dict[str, set[int]]:
+    """Flow findings per route. Returns the indices of flagged routes per fleet;
+    the later checks skip them, since their node ids need not index dist."""
     n_end = inst.depot_end
+    broken: dict[str, set[int]] = {"mtev": set(), "mct": set()}
     for kind, routes in (("mtev", sol.mtev_routes), ("mct", sol.mct_routes)):
         for idx, route in enumerate(routes):
             tag = f"{kind}:{idx}"
             nodes = route.nodes
-            if len(nodes) < 2 or nodes[0] != 0 or nodes[-1] != n_end:
+            found = len(out)
+            if len(nodes) < 2 or not (_is_node(nodes[0], 0, 0)
+                                      and _is_node(nodes[-1], n_end, n_end)):
                 out.append(Violation("flow", tag, "route must run from depot 0 to the return depot"))
+                broken[kind].add(idx)
                 continue
             interior = nodes[1:-1]
-            if any(u in (0, n_end) for u in interior):
-                out.append(Violation("flow", tag, "depot appears mid-route"))
-            if any(not (1 <= u <= inst.n) for u in interior):
+            if not all(_is_node(u, 1, inst.n) for u in interior):
+                if any(u in (0, n_end) for u in interior):
+                    out.append(Violation("flow", tag, "depot appears mid-route"))
                 out.append(Violation("flow", tag, "unknown node in route"))
-            if kind == "mtev" and len(set(interior)) != len(interior):
+            elif kind == "mtev" and len(set(interior)) != len(interior):
                 out.append(Violation("flow", tag, "customer repeated within route"))
+            if len(out) > found:
+                broken[kind].add(idx)
+    return broken
 
 
-def _sanitized_copy(sol: Solution, inst: Instance) -> Solution:
-    """Copy whose charge assignments match each route's edge count, so the
-    checker can derive schedules from malformed inputs without raising."""
+def _sanitized_copy(sol: Solution, inst: Instance, broken: dict[str, set[int]]) -> Solution:
+    """Copy that build_schedule accepts: flagged routes become uncharged depot
+    stubs and charge assignments match each route's edge count."""
     out = sol.copy()
+    stub = [0, inst.depot_end]
+    for kind, routes in (("mtev", out.mtev_routes), ("mct", out.mct_routes)):
+        for idx in broken[kind]:
+            routes[idx] = Route(routes[idx].vehicle, list(stub))
     rows = []
     for idx, route in enumerate(out.mtev_routes):
         width = max(len(route.nodes) - 1, 0)
-        row = list(out.charge_assign[idx]) if idx < len(out.charge_assign) else []
+        row = []
+        if idx < len(out.charge_assign) and idx not in broken["mtev"]:
+            row = list(out.charge_assign[idx])
         row = (row + [None] * width)[:width]
         rows.append(row)
     out.charge_assign = rows
     return out
 
 
-def _stored_or_derived_times(sol: Solution, inst: Instance):
+def _stored_or_derived_times(sol: Solution, inst: Instance, broken: dict[str, set[int]]):
     """Use stored schedules when shapes line up, else derive earliest-arrival ones."""
     ok_mtev = len(sol.mtev_times) == len(sol.mtev_routes) and all(
         len(t) == len(r.nodes) for t, r in zip(sol.mtev_times, sol.mtev_routes)
@@ -516,7 +555,7 @@ def _stored_or_derived_times(sol: Solution, inst: Instance):
     )
     if ok_mtev and ok_mct:
         return sol.mtev_times, sol.mct_times
-    scheduled = build_schedule(_sanitized_copy(sol, inst), inst)
+    scheduled = build_schedule(_sanitized_copy(sol, inst, broken), inst)
     mtev = sol.mtev_times if ok_mtev else scheduled.mtev_times
     mct = sol.mct_times if ok_mct else scheduled.mct_times
     return mtev, mct
@@ -530,33 +569,37 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
     are returned in the report, nothing raises.
     """
     out: list[Violation] = []
-    _check_route_structure(sol, inst, out)
+    broken = _check_route_structure(sol, inst, out)
+
+    # customers per MTEV route; only flagged routes can hold other ids
+    served = [[u for u in route.interior if _is_node(u, 1, inst.n)]
+              if idx in broken["mtev"] else route.interior
+              for idx, route in enumerate(sol.mtev_routes)]
 
     # unique coverage of every customer
     count = {u: 0 for u in inst.customers}
-    for route in sol.mtev_routes:
-        for u in route.interior:
-            if u in count:
-                count[u] += 1
+    for customers in served:
+        for u in customers:
+            count[u] += 1
     for u, k in count.items():
         if k != 1:
             out.append(Violation("coverage", "", f"customer {u} served {k} times", abs(k - 1)))
 
     # load capacity per MTEV
-    for idx, route in enumerate(sol.mtev_routes):
-        load = sum(inst.demand_of(u) for u in route.interior if 1 <= u <= inst.n)
+    for idx, customers in enumerate(served):
+        load = sum(inst.demand_of(u) for u in customers)
         if load > inst.Q + EPS:
             out.append(Violation("capacity", f"mtev:{idx}",
                                  f"load {load} exceeds capacity {inst.Q}", load - inst.Q))
 
-    mtev_times, mct_times = _stored_or_derived_times(sol, inst)
+    mtev_times, mct_times = _stored_or_derived_times(sol, inst, broken)
 
     # time propagation along visited sequences
     for kind, routes, times in (("mtev", sol.mtev_routes, mtev_times),
                                 ("mct", sol.mct_routes, mct_times)):
         for idx, (route, t) in enumerate(zip(routes, times)):
             tag = f"{kind}:{idx}"
-            if not t:
+            if not t or idx in broken[kind]:
                 continue
             if abs(t[0]) > EPS:
                 out.append(Violation("timing", tag, "departure time at depot is not 0", abs(t[0])))
@@ -574,13 +617,15 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
             out.append(Violation("sync", f"mtev:{idx}",
                                  "charge assignment length does not match edge count"))
 
-    per_mct, bad_ids = _duties_per_mct(sol, inst, mtev_times)
+    per_mct, bad_ids = _duties_per_mct(sol, inst, mtev_times, broken["mtev"])
     for c, duty in bad_ids:
         out.append(Violation("sync", f"mtev:{duty['route']}",
                              f"edge ({duty['tail']},{duty['head']}) assigned to unknown truck {c}"))
 
     # MTEV battery recursion under the realized pattern
     for idx, route in enumerate(sol.mtev_routes):
+        if idx in broken["mtev"]:
+            continue
         if len(sol.charge_assign[idx] if idx < len(sol.charge_assign) else []) != len(route.nodes) - 1:
             continue
         trace = route_energy_profile(route, realized_bits(sol, idx), inst)
@@ -593,6 +638,8 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
 
     # MCT duties: co-traversal, synchronization, battery
     for c_idx, route in enumerate(sol.mct_routes):
+        if c_idx in broken["mct"]:
+            continue
         duties = per_mct[c_idx]
         matches, missing = _match_duties(route, duties)
         tag = f"mct:{c_idx}"

@@ -13,6 +13,7 @@ from wmcevrp.bdp import (
     dump_patterns,
     enumerate_patterns,
     greedy_fallback_pattern,
+    min_charge_count,
     preprocess_route,
     prune_supersets,
     suffix_requirements,
@@ -268,6 +269,47 @@ class TestSweepTable:
             res = enumerate_patterns(route, inst)
             if res.classification is RouteClass.ENUMERATED:
                 assert res.masks() <= terminals
+
+
+class TestMinChargeCount:
+    @settings(max_examples=300, deadline=None)
+    @given(costs=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+           gamma=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           frac=st.floats(0.05, 1.2))
+    def test_equals_enumeration_and_brute_force(self, costs, gamma, frac):
+        # P runs from below a single edge (infeasible) to above the whole
+        # route (trivially charge-free); integer edge lengths keep every
+        # battery update exact, so the brute-force replay agrees bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # gamma = rho_t warns
+            inst, route = edge_instance(costs, P=frac * sum(costs), gamma=gamma)
+        count = min_charge_count(route, inst)
+        brute = brute_force_patterns(route, inst)
+        assert count == brute.min_cardinality()
+        assert count == enumerate_patterns(route, inst).min_cardinality()
+        assert (count is None) == (not brute.feasible)
+
+    @settings(max_examples=200, deadline=None)
+    @given(costs=st.lists(st.floats(0.1, 50.0), min_size=2, max_size=12),
+           gamma=st.sampled_from([1.5, 2.0, 3.0]),
+           frac=st.floats(0.05, 1.2), rho_t=st.floats(0.3, 1.4))
+    def test_equals_enumeration_under_rounding(self, costs, gamma, frac, rho_t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst, route = edge_instance(costs, P=frac * rho_t * sum(costs),
+                                        gamma=gamma, rho_t=rho_t)
+        expect = enumerate_patterns(route, inst).min_cardinality()
+        assert min_charge_count(route, inst) == expect
+
+    def test_long_route_counts_the_fallback_pattern(self):
+        rng = np.random.default_rng(3)
+        costs = [float(c) for c in rng.uniform(3, 9, size=12)]
+        inst, route = edge_instance(costs, P=0.6 * sum(costs), gamma=2.0)
+        greedy = greedy_fallback_pattern(route, inst).min_cardinality()
+        assert greedy is not None and greedy > 0
+        assert min_charge_count(route, inst, max_edges=8) == greedy
+        assert min_charge_count(route, inst, max_edges=8) == \
+            enumerate_patterns(route, inst, max_edges=8).min_cardinality()
 
 
 def test_dump_format():

@@ -101,6 +101,17 @@ class TestCheck:
         out.write_text(json.dumps(data))
         assert run_cli("check", "--instance", instance_file, "--solution", out) == 2
 
+    def test_unknown_node_is_reported_not_raised(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        run_cli("solve", "--instance", instance_file, "--seed", 2, "--iters", 20,
+                "--out", out)
+        data = json.loads(out.read_text())
+        n = Instance.load(instance_file).n
+        data["mtev"][0]["nodes"].insert(1, n + 5)
+        out.write_text(json.dumps(data))
+        assert run_cli("check", "--instance", instance_file, "--solution", out) == 2
+        assert "[flow] mtev:0 unknown node in route" in capsys.readouterr().out
+
 
 class TestBenchAndSweep:
     @pytest.fixture

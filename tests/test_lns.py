@@ -216,14 +216,14 @@ class TestWeights:
     def test_unused_operator_keeps_weight(self):
         stats = lns.OperatorStats(("a", "b"))
         stats.record(0, 10.0)
-        lns.update_weights(stats, reaction=0.5)
+        stats.end_segment(reaction=0.5, floor=1e-6)
         assert stats.weights[1] == 1.0
 
     def test_full_reaction_equals_mean_score(self):
         stats = lns.OperatorStats(("a", "b"))
         for _ in range(4):
             stats.record(0, 12.0)
-        lns.update_weights(stats, reaction=1.0)
+        stats.end_segment(reaction=1.0, floor=1e-6)
         assert stats.weights[0] == pytest.approx(12.0)
 
     def test_better_scores_raise_selection_probability(self):
@@ -232,7 +232,7 @@ class TestWeights:
         for _ in range(3):
             stats.record(0, 33.0)
             stats.record(1, 9.0)
-        lns.update_weights(stats, reaction=0.5)
+        stats.end_segment(reaction=0.5, floor=1e-6)
         assert stats.probabilities()[0] > p_before
         assert stats.weights.sum() > 0
 
@@ -241,7 +241,7 @@ class TestWeights:
         for _ in range(5):
             stats.record(0, 0.0)
         for _ in range(40):
-            lns.update_weights(stats, reaction=0.5, floor=1e-6)
+            stats.end_segment(reaction=0.5, floor=1e-6)
             stats.record(0, 0.0)
         assert stats.weights[0] >= 1e-6
 

@@ -67,6 +67,35 @@ class TestInstance:
         with pytest.raises(ValueError, match="demands"):
             build_instance([[0, 5], [0, 0]], [1, 2])
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("P", float("nan"), "P must be finite"),
+        ("P", float("inf"), "P must be finite"),
+        ("B", float("inf"), "B must be finite"),
+        ("Q", float("nan"), "Q must be finite"),
+        ("rho_t", float("-inf"), "rho_t must be finite"),
+        ("gamma", float("nan"), "gamma must be finite"),
+        ("phi", float("inf"), "phi must be finite"),
+        ("max_mct", 2.5, "max_mct must be an integer"),
+        ("max_mtev", 2.0, "max_mtev must be an integer"),
+        ("max_mct", True, "max_mct must be an integer"),
+        ("max_mtev", False, "max_mtev must be an integer"),
+    ])
+    def test_rejects_bad_scalars(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            build_instance([[0, 5], [0, 0]], [1], **{field: value})
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_distances(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_instance([[0, 5, bad], [0, 0, 5], [0, 0, 0]], [1, 1])
+
+    def test_generated_instances_validate(self):
+        for seed in range(5):
+            inst = generate_instance(12, seed=seed)
+            inst.validate()
+            again = Instance.from_json(json.loads(json.dumps(inst.to_json())))
+            assert again.to_json() == inst.to_json()
+
 
 # ---------------------------------------------------------------------------
 # cost evaluation
@@ -315,6 +344,54 @@ class TestCheckFeasibility:
                                 one_customer)
         sol.used_mtev = [False]
         assert "usage" in check_feasibility(sol, one_customer).families()
+
+
+class TestCheckerTotality:
+    """Malformed solutions yield findings, never exceptions."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        inst = generate_instance(6, seed=3, P=900.0)
+        res = lns.run(inst, SolverConfig(iterations=60), rng=harness.run_seed(3, 0))
+        assert res.best.mct_routes and check_feasibility(res.best, inst).passed
+        return inst, res.best
+
+    @pytest.mark.parametrize("fleet", ["mtev", "mct"])
+    @pytest.mark.parametrize("offset", [5, None])
+    def test_node_id_out_of_range(self, solved, fleet, offset):
+        inst, best = solved
+        bad = -1 if offset is None else inst.n + offset
+        sol = best.copy()
+        routes = sol.mtev_routes if fleet == "mtev" else sol.mct_routes
+        routes[0].nodes.insert(1, bad)
+        report = check_feasibility(sol, inst)
+        assert any(v.family == "flow" and v.vehicle == f"{fleet}:0"
+                   for v in report.violations)
+
+    @pytest.mark.parametrize("truck", [True, False])
+    def test_bool_truck_id_is_unknown(self, solved, truck):
+        inst, best = solved
+        sol = best.copy()
+        # a second truck makes index 1 (== True) valid, so only the type can
+        # reject it
+        sol.mct_routes.append(sol.mct_routes[0].copy())
+        sol.mct_times.append(list(sol.mct_times[0]))
+        sol.mct_battery.append(list(sol.mct_battery[0]))
+        sol.used_mct.append(True)
+        row = sol.charge_assign[0]
+        e = next(k for k, a in enumerate(row) if a is not None)
+        row[e] = truck
+        report = check_feasibility(sol, inst)
+        assert any(v.family == "sync" and "unknown truck" in v.detail
+                   for v in report.violations)
+
+    def test_non_integer_node_ids(self, solved):
+        inst, best = solved
+        sol = best.copy()
+        sol.mtev_routes[0].nodes[1] = "x"
+        sol.mct_routes[0].nodes[0] = 0.0
+        report = check_feasibility(sol, inst)
+        assert {v.vehicle for v in report.violations if v.family == "flow"} == {"mtev:0", "mct:0"}
 
 
 # ---------------------------------------------------------------------------
