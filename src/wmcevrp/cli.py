@@ -1,7 +1,10 @@
-"""Command-line front end: gen / solve / oracle / bench / sweep.
+"""Command-line front end: gen / solve / oracle / bench / sweep / check.
 
-Exit codes: 0 success, 2 provably infeasible input, 3 budget exhausted
-without a feasible solution.
+Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
+solution that fails the checker), 3 budget exhausted without a feasible
+solution, 4 rejected input: an instance, solution or config file that cannot
+be parsed or fails validation, reported as one `invalid input:` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -15,11 +18,28 @@ from pathlib import Path
 from . import coordination, harness, lns, oracle
 from .config import SolverConfig
 from .generator import GenParams, generate_instance
-from .model import InfeasibleInstanceError, Instance, check_feasibility
+from .model import InfeasibleInstanceError, Instance, Solution, check_feasibility
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_NO_SOLUTION = 3
+EXIT_BAD_INPUT = 4
+
+
+class InputError(Exception):
+    """An input file that cannot be parsed or fails validation."""
+
+
+def _load(loader, path):
+    """loader(path), with the ValueError of a malformed file raised as InputError."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_solution(path) -> Solution:
+    return Solution.from_json(json.loads(Path(path).read_text()))
 
 
 def _add_gen(sub):
@@ -56,7 +76,7 @@ def _gen_params(args) -> GenParams:
 
 
 def _load_config(path) -> SolverConfig:
-    return SolverConfig.load(path) if path else SolverConfig()
+    return _load(SolverConfig.load, path) if path else SolverConfig()
 
 
 def cmd_gen(args) -> int:
@@ -67,7 +87,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = Instance.load(args.instance)
+    inst = _load(Instance.load, args.instance)
     cfg = _load_config(args.config)
     if args.iters is not None:
         cfg.iterations = args.iters
@@ -94,7 +114,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = Instance.load(args.instance)
+    inst = _load(Instance.load, args.instance)
     cfg = oracle.OracleConfig(max_customers=args.max_customers)
     res = oracle.solve_exact(inst, cfg)
     if args.certify:
@@ -110,7 +130,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    instances = harness.load_instances_dir(args.dir)
+    instances = _load(harness.load_instances_dir, args.dir)
     if not instances:
         print(f"no instances in {args.dir}", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -127,7 +147,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    instances = harness.load_instances_dir(args.dir)
+    instances = _load(harness.load_instances_dir, args.dir)
     if not instances:
         print(f"no instances in {args.dir}", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -144,10 +164,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .model import Solution
-    inst = Instance.load(args.instance)
-    sol = Solution.from_json(json.loads(Path(args.solution).read_text()))
-    report = check_feasibility(sol, inst)
+    inst = _load(Instance.load, args.instance)
+    sol = _load(_read_solution, args.solution)
+    cfg = _load_config(args.config)
+    report = check_feasibility(sol, inst, cfg.mct_transfer_depletes)
     print(report)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
@@ -196,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="feasibility-check a solution file")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
+    p.add_argument("--config", default=None,
+                   help="solver config; its mct_transfer_depletes applies")
     return parser
 
 
@@ -209,7 +231,11 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "check": cmd_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except InputError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

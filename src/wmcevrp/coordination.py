@@ -1,8 +1,10 @@
 """Charging coordination: pick one pattern per route and route the charging trucks.
 
 Routing fixes the travel-energy and MTEV acquisition terms of the objective,
-so this layer minimizes the MCT acquisition term (truck count), breaking ties
-by total deadhead distance. Deadhead distance itself carries no cost and is
+so this layer minimizes the MCT acquisition term, the truck count, and
+nothing else. The exact search is count-first: it looks only for plans with
+fewer trucks than the best so far and stops when no plan can use fewer.
+Deadhead distance carries no cost and is not minimized; `total_deadhead` is
 reported as a diagnostic only.
 """
 
@@ -80,33 +82,52 @@ class _TruckState:
     closed: bool         # parked at the return depot, takes no further duties
 
 
+def _pattern_duties(r_idx: int, edges: list[tuple[int, int]], times: list[float],
+                    pattern: ChargePattern, inst: Instance) -> list[ChargingDuty]:
+    """The duties of one route's pattern, in edge order."""
+    duties = []
+    for e in pattern.edges():
+        i, j = edges[e]
+        c = float(inst.dist[i, j])
+        duties.append(ChargingDuty(
+            mtev=r_idx, edge=e, tail=i, head=j,
+            start=times[e], end=times[e + 1],
+            distance=c, transfer=inst.gamma * c,
+        ))
+    return duties
+
+
+def _duty_order(duty: ChargingDuty) -> tuple[float, int, int]:
+    return duty.start, duty.mtev, duty.edge
+
+
 def duties_from_choice(routes: list[Route], choice: ConfigurationChoice,
                        inst: Instance) -> list[ChargingDuty]:
     duties = []
     for r_idx, (route, pattern) in enumerate(zip(routes, choice.patterns)):
-        times = mtev_arrival_times(route, inst)
-        for e in pattern.edges():
-            i, j = route.edges()[e]
-            c = float(inst.dist[i, j])
-            duties.append(ChargingDuty(
-                mtev=r_idx, edge=e, tail=i, head=j,
-                start=times[e], end=times[e + 1],
-                distance=c, transfer=inst.gamma * c,
-            ))
-    duties.sort(key=lambda d: (d.start, d.mtev, d.edge))
+        duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
+                                  pattern, inst)
+    duties.sort(key=_duty_order)
     return duties
 
 
 def mct_lower_bound(duties: list[ChargingDuty]) -> int:
-    """Interval-graph clique bound: max number of duties open at one instant."""
+    """Interval-graph clique bound: max number of duties open at one instant.
+
+    A truck may reach its next duty up to EPS late (`_try_serve`), so each
+    duty occupies its truck over [start, end - 2*EPS); the second EPS absorbs
+    rounding. Overlaps shorter than that are not counted, so the bound never
+    exceeds the truck count of a feasible assignment.
+    """
     if not duties:
         return 0
     events = []
     for d in duties:
-        if d.end > d.start:
+        end = d.end - 2 * EPS
+        if end > d.start:
             events.append((d.start, 1))
-            events.append((d.end, -1))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
+            events.append((end, -1))
+    events.sort()
     cur = best = 0
     for _, delta in events:
         cur += delta
@@ -154,46 +175,41 @@ def _fresh_truck(inst: Instance) -> _TruckState:
 
 def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
                   transfer_depletes: bool, node_budget: int):
-    """Minimum-truck duty assignment by chaining duties in start order.
+    """Fewest-truck duty assignment with at most max_mct trucks.
 
-    Full backtracking over existing-truck and new-truck choices, pruned by
-    the incumbent (count, deadhead). Returns (count, deadhead, assignment,
-    certified) or None when no assignment exists. When the node budget runs
-    out the best assignment found so far is returned uncertified.
+    Chains duties in start order, backtracking over existing-truck and
+    new-truck choices. Once an assignment is found, the search looks only
+    for one with strictly fewer trucks, and it stops when the count reaches
+    `mct_lower_bound(duties)`, which no assignment can beat. Deadhead is not
+    minimized: the first assignment found at the final count is kept.
+
+    Returns (found, complete). found is (count, assignment), or None when no
+    assignment was found. complete is False when the node budget ran out, so
+    a smaller count, or when found is None any assignment at all, may have
+    been missed; in that case the greedy assignment is tried before giving up.
     """
     if not duties:
-        return 0, 0.0, [], True
-    best: list = [None]     # (count, total deadhead, assignment tuple)
+        return (0, []), True
+    floor = mct_lower_bound(duties)
+    if floor > max_mct:
+        return None, True
+    beat = [max_mct + 1]        # truck count an assignment must stay below
+    found: list = [None]
     nodes = [0]
     exhausted = [False]
     assignment = [0] * len(duties)
 
-    def finish(trucks: list[_TruckState]) -> None:
-        total = 0.0
-        for t in trucks:
-            leg = _return_leg(t, inst)
-            if leg is None:
-                return
-            total += t.deadhead + leg
-        cand = (len(trucks), total, tuple(assignment))
-        if best[0] is None or cand[:2] < best[0][:2]:
-            best[0] = cand
-
     def rec(idx: int, trucks: list[_TruckState]) -> None:
-        if exhausted[0]:
+        if exhausted[0] or beat[0] == floor or len(trucks) >= beat[0]:
             return
         nodes[0] += 1
         if nodes[0] > node_budget:
             exhausted[0] = True
             return
-        if best[0] is not None:
-            count, dh = best[0][0], best[0][1]
-            if len(trucks) > count:
-                return
-            if len(trucks) == count and sum(t.deadhead for t in trucks) >= dh:
-                return
         if idx == len(duties):
-            finish(trucks)
+            if all(_return_leg(t, inst) is not None for t in trucks):
+                beat[0] = len(trucks)
+                found[0] = (len(trucks), list(assignment))
             return
         duty = duties[idx]
         for t_idx, state in enumerate(trucks):
@@ -204,7 +220,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             assignment[idx] = t_idx
             rec(idx + 1, trucks)
             trucks[t_idx] = state
-        if len(trucks) < max_mct:
+        if len(trucks) < beat[0] - 1:
             nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
             if nxt is not None:
                 trucks.append(nxt)
@@ -213,54 +229,47 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
                 trucks.pop()
 
     rec(0, [])
-    if best[0] is None:
-        if exhausted[0]:
-            greedy = _assign_greedy(duties, inst, max_mct, transfer_depletes)
-            if greedy is None:
-                return None
-            count, dh, assign = greedy
-            return count, dh, assign, False
-        return None
-    count, dh, assign = best[0]
-    return count, dh, list(assign), not exhausted[0]
+    if exhausted[0] and found[0] is None:
+        greedy, _ = _assign_greedy(duties, inst, max_mct, transfer_depletes)
+        if greedy is not None:
+            found[0] = (max(greedy) + 1, greedy)
+    return found[0], not exhausted[0]
 
 
 def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
                    transfer_depletes: bool):
     """First-feasible-cheapest chaining: each duty goes to the truck whose
-    added deadhead (plus acquisition when opening a new truck) is least."""
+    added deadhead (plus acquisition when opening a new truck) is least,
+    the lower truck index on ties.
+
+    Returns (assignment, None) or, when it fails, (None, route): the MTEV
+    route of the duty no truck could take, or of the first duty when a truck
+    cannot get home.
+    """
     trucks: list[_TruckState] = []
     assignment = []
     for duty in duties:
         options = []
         for t_idx, state in enumerate(trucks):
             nxt = _try_serve(state, duty, inst, transfer_depletes)
-            if nxt is None:
+            if nxt is None or _return_leg(nxt, inst) is None:
                 continue
-            if _return_leg(nxt, inst) is None:
-                continue
-            leg = nxt.deadhead - state.deadhead
-            options.append((leg, t_idx, nxt))
+            options.append((nxt.deadhead - state.deadhead, t_idx, nxt))
         if len(trucks) < max_mct:
             nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
             if nxt is not None and _return_leg(nxt, inst) is not None:
                 options.append((inst.rho_c + nxt.deadhead, len(trucks), nxt))
         if not options:
-            return None
-        options.sort(key=lambda o: (o[0], o[1]))
-        _, t_idx, nxt = options[0]
+            return None, duty.mtev
+        _, t_idx, nxt = min(options, key=lambda o: (o[0], o[1]))
         if t_idx == len(trucks):
             trucks.append(nxt)
         else:
             trucks[t_idx] = nxt
         assignment.append(t_idx)
-    total = 0.0
-    for t in trucks:
-        leg = _return_leg(t, inst)
-        if leg is None:
-            return None
-        total += t.deadhead + leg
-    return len(trucks), total, assignment
+    if any(_return_leg(t, inst) is None for t in trucks):
+        return None, duties[0].mtev
+    return assignment, None
 
 
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
@@ -270,7 +279,7 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
     for duty, t_idx in zip(duties, assignment):
         mct_duties[t_idx].append(duty)
     for lst in mct_duties:
-        lst.sort(key=lambda d: (d.start, d.mtev, d.edge))
+        lst.sort(key=_duty_order)
     routes = []
     total_deadhead = 0.0
     for t_idx, lst in enumerate(mct_duties):
@@ -297,7 +306,8 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
 
 
 def _sorted_patterns(result: BdpResult) -> list[ChargePattern]:
-    return [p for p, _ in result.patterns]
+    """A route's patterns by cardinality, then mask value."""
+    return sorted((p for p, _ in result.patterns), key=lambda p: (p.cardinality, p.mask))
 
 
 def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
@@ -305,11 +315,20 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      exact_cap: int = DEFAULT_EXACT_CAP,
                      node_budget: int = DEFAULT_NODE_BUDGET,
                      transfer_depletes: bool = True) -> CoordinationResult | None:
-    """Exhaustive search over per-route pattern choices and duty assignments.
+    """Fewest-truck coordination by exhaustive search over per-route pattern
+    choices and duty assignments.
 
-    Branches over configuration combinations depth first, pruning a prefix
-    when the truck count already forced by its duty overlaps cannot beat the
-    incumbent. Returns None when every combination is uncoordinatable.
+    Branches over pattern combinations depth first, each route's patterns in
+    (cardinality, mask) order. A prefix is pruned when the interval bound of
+    its duties reaches the best truck count found so far (or exceeds
+    `inst.max_mct`), and each leaf's assignment search looks only for
+    strictly fewer trucks. The search stops at the floor: one truck when
+    some route cannot avoid charging, else none. The first plan found at the
+    final count is kept; deadhead is not minimized.
+
+    The plan is certified when its count is proven minimal: no assignment
+    search ran out of `node_budget`, or the count equals the floor. Returns
+    None when no combination can be coordinated.
     """
     pattern_sets = [_sorted_patterns(res) for res in bdp_results]
     if any(not s for s in pattern_sets):
@@ -318,55 +337,44 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     if combos > exact_cap:
         raise ValueError(f"{combos} combinations exceed the exact cap {exact_cap}")
     fixed = routing_cost(routes, inst)
-    all_times = [mtev_arrival_times(r, inst) for r in routes]
-    all_edges = [r.edges() for r in routes]
-    best: list = [None]      # (count, deadhead, choice list, duties, assignment, certified)
-
-    def leaf(chosen: list[ChargePattern], duties_so_far: list[ChargingDuty]) -> None:
-        duties = sorted(duties_so_far, key=lambda d: (d.start, d.mtev, d.edge))
-        outcome = _assign_exact(duties, inst, inst.max_mct, transfer_depletes, node_budget)
-        if outcome is None:
-            return
-        count, dh, assignment, certified = outcome
-        cand = (count, dh)
-        if best[0] is None or cand < (best[0][0], best[0][1]):
-            best[0] = (count, dh, list(chosen), duties, assignment, certified)
-
+    duty_sets = []
+    for r_idx, (route, patterns) in enumerate(zip(routes, pattern_sets)):
+        edges, times = route.edges(), mtev_arrival_times(route, inst)
+        duty_sets.append([_pattern_duties(r_idx, edges, times, p, inst) for p in patterns])
+    floor = 1 if any(patterns[0].cardinality for patterns in pattern_sets) else 0
+    beat = [inst.max_mct + 1]   # truck count a plan must stay below
+    best: list = [None]         # (chosen patterns, duties, assignment)
+    complete = [True]
     chosen: list[ChargePattern] = []
 
-    def dfs(r_idx: int, duties_so_far: list[ChargingDuty]) -> None:
-        if best[0] is not None:
-            if best[0][0] == 0 and best[0][1] == 0.0:
-                return
-            bound = mct_lower_bound(duties_so_far)
-            if bound > best[0][0]:
-                return
-        if r_idx == len(routes):
-            leaf(chosen, duties_so_far)
+    def dfs(r_idx: int, duties: list[ChargingDuty], bound: int) -> None:
+        if beat[0] <= floor or bound >= beat[0]:
             return
-        times = all_times[r_idx]
-        edges = all_edges[r_idx]
-        for pattern in pattern_sets[r_idx]:
-            added = []
-            for e in pattern.edges():
-                i, j = edges[e]
-                c = float(inst.dist[i, j])
-                added.append(ChargingDuty(
-                    mtev=r_idx, edge=e, tail=i, head=j,
-                    start=times[e], end=times[e + 1],
-                    distance=c, transfer=inst.gamma * c,
-                ))
+        if r_idx == len(routes):
+            duties = sorted(duties, key=_duty_order)
+            found, done = _assign_exact(duties, inst, beat[0] - 1, transfer_depletes,
+                                        node_budget)
+            complete[0] = complete[0] and done
+            if found is not None:
+                beat[0], assignment = found
+                best[0] = (list(chosen), duties, assignment)
+            return
+        for pattern, added in zip(pattern_sets[r_idx], duty_sets[r_idx]):
             chosen.append(pattern)
-            dfs(r_idx + 1, duties_so_far + added)
+            if added:
+                grown = duties + added
+                dfs(r_idx + 1, grown, mct_lower_bound(grown))
+            else:
+                dfs(r_idx + 1, duties, bound)
             chosen.pop()
 
-    dfs(0, [])
+    dfs(0, [], 0)
     if best[0] is None:
         return None
-    count, _dh, patterns, duties, assignment, certified = best[0]
-    plan = _build_plan(duties, assignment, inst, certified)
-    cost = fixed + inst.rho_c * count
-    return CoordinationResult(ConfigurationChoice(patterns), plan, cost)
+    patterns, duties, assignment = best[0]
+    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor)
+    return CoordinationResult(ConfigurationChoice(patterns), plan,
+                              fixed + inst.rho_c * beat[0])
 
 
 def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
@@ -380,57 +388,19 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     back to its next pattern (sorted by cardinality, then mask value), with
     a bounded number of retries.
     """
-    ordered = []
-    for res in bdp_results:
-        pats = _sorted_patterns(res)
-        if not pats:
-            return None
-        ordered.append(sorted(pats, key=lambda p: (p.cardinality, p.mask)))
+    ordered = [_sorted_patterns(res) for res in bdp_results]
+    if any(not s for s in ordered):
+        return None
     idx = [0] * len(routes)
     fixed = routing_cost(routes, inst)
     for _ in range(max_retries + 1):
         choice = ConfigurationChoice([ordered[r][idx[r]] for r in range(len(routes))])
         duties = duties_from_choice(routes, choice, inst)
-        trucks: list[_TruckState] = []
-        assignment: list[int] = []
-        failed_route = None
-        for duty in duties:
-            options = []
-            for t_idx, state in enumerate(trucks):
-                nxt = _try_serve(state, duty, inst, transfer_depletes)
-                if nxt is None or _return_leg(nxt, inst) is None:
-                    continue
-                options.append((nxt.deadhead - state.deadhead, t_idx, nxt))
-            if len(trucks) < inst.max_mct:
-                nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
-                if nxt is not None and _return_leg(nxt, inst) is not None:
-                    options.append((inst.rho_c + nxt.deadhead, len(trucks), nxt))
-            if not options:
-                failed_route = duty.mtev
-                break
-            options.sort(key=lambda o: (o[0], o[1]))
-            _, t_idx, nxt = options[0]
-            if t_idx == len(trucks):
-                trucks.append(nxt)
-            else:
-                trucks[t_idx] = nxt
-            assignment.append(t_idx)
-        if failed_route is None:
-            total = 0.0
-            feasible = True
-            for t in trucks:
-                leg = _return_leg(t, inst)
-                if leg is None:
-                    feasible = False
-                    break
-                total += t.deadhead + leg
-            if feasible:
-                plan = _build_plan(duties, assignment, inst, certified=False)
-                cost = fixed + inst.rho_c * len(trucks)
-                return CoordinationResult(choice, plan, cost)
-            failed_route = duties[0].mtev if duties else None
-        if failed_route is None:
-            return None
+        assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
+                                                  transfer_depletes)
+        if assignment is not None:
+            plan = _build_plan(duties, assignment, inst, certified=False)
+            return CoordinationResult(choice, plan, fixed + inst.rho_c * plan.mct_count)
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None
         idx[failed_route] += 1

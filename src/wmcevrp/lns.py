@@ -157,14 +157,6 @@ def _drop_empty(routes: list[list[int]]) -> list[list[int]]:
     return [r for r in routes if len(r) > 2]
 
 
-def _locate(routes: list[list[int]]) -> dict[int, tuple[int, int]]:
-    where = {}
-    for r_idx, nodes in enumerate(routes):
-        for pos in range(1, len(nodes) - 1):
-            where[nodes[pos]] = (r_idx, pos)
-    return where
-
-
 # ---------------------------------------------------------------------------
 # removal operators: take raw node lists, return (routes, removed customers)
 # ---------------------------------------------------------------------------

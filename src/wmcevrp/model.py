@@ -74,8 +74,9 @@ class Instance:
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
-        self.demand = [int(d) for d in self.demand]
+        self.demand = list(self.demand)
         self.validate()
+        self.demand = [int(d) for d in self.demand]
 
     @property
     def depot_end(self) -> int:
@@ -111,6 +112,9 @@ class Instance:
             raise ValueError("row for node n+1 must equal row for node 0")
         if len(self.demand) != self.n:
             raise ValueError(f"expected {self.n} demands, got {len(self.demand)}")
+        for d in self.demand:
+            if not _is_int(d):
+                raise ValueError(f"demands must be integers, got {d!r}")
         if any(d < 1 for d in self.demand):
             raise ValueError("demands must be >= 1")
         for name in ("P", "B", "Q", "rho_t", "rho_e", "rho_c", "gamma", "phi"):

@@ -113,6 +113,65 @@ class TestCheck:
         assert "[flow] mtev:0 unknown node in route" in capsys.readouterr().out
 
 
+class TestRejectedInput:
+    @pytest.fixture
+    def nan_instance(self, instance_file, tmp_path):
+        data = json.loads(instance_file.read_text())
+        data["P"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_nan_battery_exits_4_with_one_line(self, nan_instance, command, capsys):
+        assert run_cli(command, "--instance", nan_instance) == cli.EXIT_BAD_INPUT == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid input: ")
+        assert "P must be finite" in err[0]
+
+    def test_check_rejects_nan_instance(self, instance_file, nan_instance, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        run_cli("solve", "--instance", instance_file, "--seed", 2, "--iters", 5,
+                "--out", out)
+        capsys.readouterr()
+        assert run_cli("check", "--instance", nan_instance, "--solution", out) == 4
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_unparsable_solution_exits_4(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        out.write_text("{not json")
+        assert run_cli("check", "--instance", instance_file, "--solution", out) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_bench_rejects_a_nan_instance_in_its_directory(self, nan_instance, tmp_path):
+        assert run_cli("bench", "--dir", nan_instance.parent, "--runs", 1,
+                       "--out", tmp_path / "bench.csv") == 4
+
+    def test_unknown_config_key_exits_4(self, instance_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"no_such_key": 1}))
+        assert run_cli("solve", "--instance", instance_file, "--config", cfg) == 4
+
+
+class TestCheckConfig:
+    def test_transfer_depletion_setting_is_honoured(self, tmp_path):
+        # one charged arc of 900 transfers 1800; a truck with B = 2000 covers
+        # its 1800 of travel only when the transfer does not drain it
+        inst = build_instance([[0, 900], [0, 0]], [1], P=1000.0, B=2000.0)
+        path = tmp_path / "inst.json"
+        inst.save(path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mct_transfer_depletes": False}))
+        out = tmp_path / "sol.json"
+        assert run_cli("solve", "--instance", path, "--iters", 5, "--config", cfg,
+                       "--out", out) == 0
+        assert json.loads(out.read_text())["mct"]
+        assert run_cli("check", "--instance", path, "--solution", out,
+                       "--config", cfg) == 0
+        assert run_cli("check", "--instance", path, "--solution", out) == 2
+
+
 class TestBenchAndSweep:
     @pytest.fixture
     def instance_dir(self, tmp_path):

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmcevrp import bdp, lns
+from wmcevrp import bdp, coordination, lns
 from wmcevrp.config import SolverConfig
 from wmcevrp.coordination import (
     ChargingDuty,
@@ -25,39 +27,51 @@ from wmcevrp.model import Route, check_feasibility, make_route, mtev_arrival_tim
 from conftest import build_instance
 
 
+def chains_feasible(duties, assign, inst):
+    """Simulate every truck's chain of duties in start order. A truck that
+    reaches the return depot is parked there and takes no further duty."""
+    for t in set(assign):
+        pos, ready, battery = 0, 0.0, inst.B
+        for d_idx, duty in enumerate(duties):
+            if assign[d_idx] != t:
+                continue
+            if pos == inst.depot_end:
+                return False
+            leg = float(inst.dist[pos, duty.tail])
+            if ready + leg > duty.start + 1e-9:
+                return False
+            battery -= inst.phi * (leg + duty.distance) + duty.transfer
+            if battery < -1e-9:
+                return False
+            pos, ready = duty.head, duty.end
+        if pos != inst.depot_end:
+            battery -= inst.phi * float(inst.dist[pos, inst.depot_end])
+            if battery < -1e-9:
+                return False
+    return True
+
+
+def truck_partitions(m, max_trucks):
+    """Every assignment of m duties to at most max_trucks trucks, up to
+    relabeling: truck t first appears after trucks 0..t-1."""
+    def grow(prefix, used):
+        if len(prefix) == m:
+            yield tuple(prefix)
+            return
+        for t in range(min(used + 1, max_trucks)):
+            prefix.append(t)
+            yield from grow(prefix, max(used, t + 1))
+            prefix.pop()
+    yield from grow([], 0)
+
+
 def oracle_min_trucks(duties, inst, max_trucks=4):
     """Brute force over every duty-to-truck assignment, simulating each chain."""
     if not duties:
         return 0
-    best = None
-    for assign in itertools.product(range(max_trucks), repeat=len(duties)):
-        used = sorted(set(assign))
-        if used != list(range(len(used))):
-            continue
-        ok = True
-        for t in used:
-            pos, ready, battery = 0, 0.0, inst.B
-            for d_idx, duty in enumerate(duties):
-                if assign[d_idx] != t:
-                    continue
-                leg = float(inst.dist[pos, duty.tail])
-                if ready + leg > duty.start + 1e-9:
-                    ok = False
-                    break
-                battery -= inst.phi * (leg + duty.distance) + duty.transfer
-                if battery < -1e-9:
-                    ok = False
-                    break
-                pos, ready = duty.head, duty.end
-            if ok and pos != inst.depot_end:
-                battery -= inst.phi * float(inst.dist[pos, inst.depot_end])
-                if battery < -1e-9:
-                    ok = False
-            if not ok:
-                break
-        if ok and (best is None or len(used) < best):
-            best = len(used)
-    return best
+    counts = [len(set(assign)) for assign in truck_partitions(len(duties), max_trucks)
+              if chains_feasible(duties, assign, inst)]
+    return min(counts, default=None)
 
 
 def chainable_two_duty_case():
@@ -90,6 +104,12 @@ class TestDutiesAndBounds:
         assert mct_lower_bound([mk(0, 5), mk(5, 9)]) == 1      # touching is fine
         assert mct_lower_bound([mk(0, 5), mk(4, 9), mk(1, 2)]) == 2
         assert mct_lower_bound([mk(0, 5), mk(4, 9), mk(4.2, 4.8)]) == 3
+
+    def test_clique_bound_allows_the_chaining_tolerance(self):
+        # 0.1 + 0.2 ends 5.6e-17 after 0.3 starts, well inside the EPS by
+        # which a truck may be late, so one truck can chain both duties
+        mk = lambda s, e: ChargingDuty(0, 0, 0, 1, s, e, e - s, 1.0)
+        assert mct_lower_bound([mk(0.0, 0.1 + 0.2), mk(0.3, 1.0)]) == 1
 
 
 class TestCoordinateExact:
@@ -139,6 +159,100 @@ class TestCoordinateExact:
         inst.max_mct = 0
         results = [bdp.enumerate_patterns(route, inst)]
         assert coordinate_exact([route], results, inst) is None
+
+
+def overlapping_pair_case():
+    """Two routes whose only charging choices overlap in time or lie too far
+    apart for one truck to chain: the fewest trucks is 2, the floor is 1."""
+    core = [[0, 900, 900], [0, 0, 500], [0, 0, 0]]
+    inst = build_instance(core, [1, 1], P=1000.0, gamma=2.0)
+    routes = [make_route(0, [1], inst), make_route(1, [2], inst)]
+    return inst, routes
+
+
+class TestCertified:
+    def test_complete_search_is_certified(self):
+        inst, routes = overlapping_pair_case()
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        out = coordinate_exact(routes, results, inst)
+        assert out.plan.mct_count == 2
+        assert out.plan.certified
+
+    def test_exhausted_node_budget_is_uncertified(self):
+        # the first leaf finds 2 trucks only through the greedy fallback and
+        # a later leaf runs out of budget looking for 1, so 2 is not proven
+        inst, routes = overlapping_pair_case()
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        out = coordinate_exact(routes, results, inst, node_budget=1)
+        assert out.plan.mct_count == 2
+        assert not out.plan.certified
+
+    def test_count_at_the_floor_is_certified_despite_budget(self):
+        inst, route = chainable_two_duty_case()
+        results = [bdp.enumerate_patterns(route, inst)]
+        out = coordinate_exact([route], results, inst, node_budget=1)
+        assert out.plan.mct_count == 1
+        assert out.plan.certified
+
+
+def generated_shells(count, seed):
+    """(instance, routes, pattern results) of the initial solutions of
+    generated instances with 3..6 customers, as criterion 7 draws them."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        inst = generate_instance(int(rng.integers(3, 7)), seed=seed + k, P=900.0)
+        routes = lns.initial_solution(inst, rng).mtev_routes
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        if all(r.feasible for r in results):
+            yield inst, routes, results
+
+
+class TestExactAgainstBruteForce:
+    def test_count_is_minimum_over_all_pattern_combinations(self):
+        compared = 0
+        for inst, routes, results in generated_shells(150, 4100):
+            out = coordinate_exact(routes, results, inst)
+            counts = []
+            for combo in itertools.product(*[[p for p, _ in r.patterns] for r in results]):
+                duties = duties_from_choice(routes, ConfigurationChoice(list(combo)), inst)
+                cap = min(inst.max_mct, len(duties))
+                found = oracle_min_trucks(duties, inst, max_trucks=cap)
+                if found is not None:
+                    counts.append(found)
+            if not counts:
+                assert out is None
+                continue
+            compared += 1
+            assert out.plan.mct_count == min(counts)
+            assert out.plan.certified
+            sol = assemble_solution(routes, out, inst)
+            assert validate_sync(out.plan, sol, inst).passed
+            assert check_feasibility(sol, inst).passed
+        assert compared >= 80
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 50), B=st.sampled_from([2500.0, 6000.0, 20000.0]),
+           max_mct=st.integers(1, 4),
+           arcs=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6),
+                                   st.floats(0.0, 4000.0)),
+                         min_size=1, max_size=6))
+    def test_assign_exact_matches_brute_force(self, seed, B, max_mct, arcs):
+        inst = generate_instance(5, seed=seed, B=B)
+        duties = []
+        for k, (tail, head, start) in enumerate(arcs):
+            if head == tail:
+                continue
+            c = float(inst.dist[tail, head])
+            duties.append(ChargingDuty(mtev=k, edge=0, tail=tail, head=head,
+                                       start=start, end=start + c,
+                                       distance=c, transfer=inst.gamma * c))
+        duties.sort(key=lambda d: (d.start, d.mtev, d.edge))
+        found, complete = coordination._assign_exact(duties, inst, max_mct, True, 10**6)
+        assert complete
+        expect = oracle_min_trucks(duties, inst, max_trucks=max_mct)
+        assert (None if found is None else found[0]) == expect
+        if found is not None:
+            assert chains_feasible(duties, found[1], inst)
 
 
 class TestCoordinateHeuristic:

@@ -84,6 +84,16 @@ class TestInstance:
         with pytest.raises(ValueError, match=match):
             build_instance([[0, 5], [0, 0]], [1], **{field: value})
 
+    @pytest.mark.parametrize("demand", [1.7, 2.0, True, float("nan"), "2"])
+    def test_rejects_non_integer_demands(self, demand):
+        with pytest.raises(ValueError, match="demands must be integers"):
+            build_instance([[0, 5, 5], [0, 0, 5], [0, 0, 0]], [1, demand])
+
+    def test_numpy_integer_demands_become_ints(self):
+        inst = build_instance([[0, 5, 5], [0, 0, 5], [0, 0, 0]], np.array([1, 3]))
+        assert inst.demand == [1, 3]
+        assert all(type(d) is int for d in inst.demand)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_rejects_non_finite_distances(self, bad):
         with pytest.raises(ValueError, match="finite"):
