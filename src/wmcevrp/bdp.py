@@ -64,18 +64,6 @@ class ChargePattern:
 
 
 @dataclass
-class BdpTable:
-    """Final sweep state: battery level g and mark v per bitmask.
-
-    Marks: -1 infeasible or unreached, 0 still active, 1 terminal feasible.
-    Storage is a single 2^m row regardless of route length.
-    """
-
-    g: list[float]
-    v: list[int]
-
-
-@dataclass
 class BdpResult:
     """Outcome of pattern enumeration for one route.
 
@@ -180,14 +168,14 @@ def _trivial_result(route: Route, inst: Instance) -> BdpResult:
 
 
 def _min_count_sweep(cons, gain, req, P: float) -> int | None:
-    """Fewest set bits over the masks that ``_enumerate_rolling`` marks terminal.
+    """Fewest set bits over the masks that ``_sweep`` marks terminal.
 
     Keeps one state per charge count k: the highest battery level over the
     still-active masks with k charges (the dominance rule of
     resource-constrained shortest paths). Levels are updated with the very
-    float operations of the rolling sweep, and both updates are monotone
-    under rounding, so the best state for k turns terminal exactly when
-    some k-charge mask of the sweep does. O(m^2) instead of O(2^m).
+    float operations of ``_sweep``, and both updates are monotone under
+    rounding, so the best state for k turns terminal exactly when some
+    k-charge mask of the sweep does. O(m^2) instead of O(2^m).
     """
     levels = [P]          # levels[k]; negative marks "no active mask"
     best = None
@@ -256,8 +244,7 @@ def _finish_enumeration(terminal: dict[int, float], cons, gain, P: float) -> Bdp
     return BdpResult(RouteClass.ENUMERATED, patterns)
 
 
-def _enumerate_rolling(cons, gain, req, P: float,
-                       table_out: BdpTable | None = None) -> dict[int, float]:
+def _sweep(cons, gain, req, P: float) -> dict[int, float]:
     """Sweep edges with a single 2^m battery table updated in place.
 
     At each edge the charging child is evaluated first, then the no-charging
@@ -270,9 +257,6 @@ def _enumerate_rolling(cons, gain, req, P: float,
     v = [-1] * size
     g[0] = P
     v[0] = 0
-    if table_out is not None:
-        table_out.g = g
-        table_out.v = v
     terminal: dict[int, float] = {}
     for e in range(m):
         ce = cons[e]
@@ -307,56 +291,8 @@ def _enumerate_rolling(cons, gain, req, P: float,
     return terminal
 
 
-def _enumerate_full_table(cons, gain, req, P: float) -> dict[int, float]:
-    """Reference sweep keeping one battery layer per edge (m * 2^m storage).
-
-    Kept for cross-checking the rolling update; results must be identical.
-    """
-    m = len(cons)
-    size = 1 << m
-    g_layers = [[0.0] * size for _ in range(m + 1)]
-    v_layers = [[-1] * size for _ in range(m + 1)]
-    g_layers[0][0] = P
-    v_layers[0][0] = 0
-    terminal: dict[int, float] = {}
-    for e in range(m):
-        ce = cons[e]
-        ge = gain[e]
-        r_e = req[e]
-        bit = 1 << e
-        g_prev, v_prev = g_layers[e], v_layers[e]
-        g_cur, v_cur = g_layers[e + 1], v_layers[e + 1]
-        for s in range(1 << e):
-            if v_prev[s] != 0:
-                continue
-            base = g_prev[s]
-            child = min(base - ce + ge, P)
-            s2 = s | bit
-            g_cur[s2] = child
-            if child < 0.0:
-                v_cur[s2] = -1
-            elif child >= r_e:
-                v_cur[s2] = 1
-                if s2 not in terminal:
-                    terminal[s2] = child - r_e
-            else:
-                v_cur[s2] = 0
-            nc = base - ce
-            g_cur[s] = nc
-            if nc < 0.0:
-                v_cur[s] = -1
-            elif nc >= r_e:
-                v_cur[s] = 1
-                if s not in terminal:
-                    terminal[s] = nc - r_e
-            else:
-                v_cur[s] = 0
-    return terminal
-
-
 def enumerate_patterns(route: Route, inst: Instance,
-                       max_edges: int = DEFAULT_MAX_EDGES,
-                       rolling: bool = True) -> BdpResult:
+                       max_edges: int = DEFAULT_MAX_EDGES) -> BdpResult:
     """Minimal feasible charging patterns for one route.
 
     Trivial and hopeless routes are classified without any search. Routes
@@ -371,9 +307,7 @@ def enumerate_patterns(route: Route, inst: Instance,
         return BdpResult(RouteClass.INFEASIBLE, [])
     if len(cons) > max_edges:
         return greedy_fallback_pattern(route, inst)
-    req = _suffix_sums(cons)
-    sweep = _enumerate_rolling if rolling else _enumerate_full_table
-    terminal = sweep(cons, gain, req, inst.P)
+    terminal = _sweep(cons, gain, _suffix_sums(cons), inst.P)
     return _finish_enumeration(terminal, cons, gain, inst.P)
 
 
@@ -395,19 +329,6 @@ def min_charge_count(route: Route, inst: Instance,
     if len(cons) > max_edges:
         return greedy_fallback_pattern(route, inst).min_cardinality()
     return _min_count_sweep(cons, gain, _suffix_sums(cons), inst.P)
-
-
-def sweep_table(route: Route, inst: Instance) -> BdpTable:
-    """Run the rolling sweep and expose its final battery/mark arrays.
-
-    Diagnostic hook; routes must be small enough for the exact sweep
-    (callers guard the edge count themselves).
-    """
-    cons, gain = _edge_consumption(route, inst)
-    req = suffix_requirements(route, inst)
-    table = BdpTable([], [])
-    _enumerate_rolling(cons, gain, req, inst.P, table_out=table)
-    return table
 
 
 def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
@@ -444,7 +365,3 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     patterns = [(ChargePattern(s, m), by_mask[s]) for s in sorted(kept)]
     return BdpResult(RouteClass.ENUMERATED, patterns)
 
-
-def dump_patterns(result: BdpResult) -> str:
-    """Debug dump: one '<bitstring> <final_battery>' line per retained pattern."""
-    return "\n".join(f"{p.bitstring()} {b:g}" for p, b in result.patterns)

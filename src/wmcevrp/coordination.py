@@ -10,8 +10,7 @@ reported as a diagnostic only.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from .bdp import BdpResult, ChargePattern
@@ -135,21 +134,23 @@ def mct_lower_bound(duties: list[ChargingDuty]) -> int:
     return max(best, 1)
 
 
-def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
-               transfer_depletes: bool):
-    """Next truck state after deadheading to and co-traveling a duty arc, or None."""
-    if state.closed:
-        return None
+def _step(state: _TruckState, duty: ChargingDuty, inst: Instance,
+          transfer_depletes: bool) -> tuple[float, float, float, float]:
+    """Deadhead to a duty's tail, then co-travel its arc, with no feasibility test.
+
+    Returns (leg, arrive, stored, battery): the deadhead distance, the arrival
+    time and stored energy at the tail, and the battery after the arc.
+    """
     leg = float(inst.dist[state.position, duty.tail])
-    if state.ready + leg > duty.start + EPS:
-        return None
     battery = state.battery - inst.phi * (leg + duty.distance)
     if transfer_depletes:
         battery -= duty.transfer
-    if battery < -EPS:
-        return None
-    if state.battery - inst.phi * leg < duty.transfer - EPS:
-        return None
+    return leg, state.ready + leg, state.battery - inst.phi * leg, battery
+
+
+def _after(state: _TruckState, duty: ChargingDuty, leg: float, battery: float,
+           inst: Instance) -> _TruckState:
+    """Truck state once `_step` is taken: ready again when the MTEV reaches the head."""
     return _TruckState(
         position=duty.head,
         ready=duty.end,
@@ -159,12 +160,33 @@ def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
     )
 
 
+def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
+               transfer_depletes: bool):
+    """Next truck state after deadheading to and co-traveling a duty arc, or None."""
+    if state.closed:
+        return None
+    leg, arrive, stored, battery = _step(state, duty, inst, transfer_depletes)
+    if arrive > duty.start + EPS:
+        return None
+    if battery < -EPS:
+        return None
+    if stored < duty.transfer - EPS:
+        return None
+    return _after(state, duty, leg, battery, inst)
+
+
+def _home(state: _TruckState, inst: Instance) -> tuple[float, float]:
+    """Deadhead distance to the return depot and the battery on arrival, unchecked."""
+    leg = float(inst.dist[state.position, inst.depot_end])
+    return leg, state.battery - inst.phi * leg
+
+
 def _return_leg(state: _TruckState, inst: Instance) -> float | None:
     """Deadhead distance home, or None when the battery cannot cover it."""
     if state.closed:
         return 0.0
-    leg = float(inst.dist[state.position, inst.depot_end])
-    if state.battery - inst.phi * leg < -EPS:
+    leg, battery = _home(state, inst)
+    if battery < -EPS:
         return None
     return leg
 
@@ -272,8 +294,33 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     return assignment, None
 
 
+def _truck_route(duties: list[ChargingDuty], inst: Instance, transfer_depletes: bool):
+    """Route of one truck serving duties in order, depot to depot.
+
+    Returns (nodes, battery, deadhead): the route nodes, the battery on
+    arrival at each node and the total deadhead distance. A duty whose tail
+    is where the truck stands adds no deadhead node.
+    """
+    state = _fresh_truck(inst)
+    nodes, trace = [0], [state.battery]
+    for duty in duties:
+        leg, _, stored, battery = _step(state, duty, inst, transfer_depletes)
+        if duty.tail != state.position:
+            nodes.append(duty.tail)
+            trace.append(stored)
+        nodes.append(duty.head)
+        trace.append(battery)
+        state = _after(state, duty, leg, battery, inst)
+    leg, home = _home(state, inst)
+    if state.position != inst.depot_end:
+        nodes.append(inst.depot_end)
+        trace.append(home)
+    return nodes, trace, state.deadhead + leg
+
+
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
-                inst: Instance, certified: bool) -> CoordinationPlan:
+                inst: Instance, certified: bool,
+                transfer_depletes: bool = True) -> CoordinationPlan:
     count = max(assignment) + 1 if assignment else 0
     mct_duties: list[list[ChargingDuty]] = [[] for _ in range(count)]
     for duty, t_idx in zip(duties, assignment):
@@ -283,18 +330,9 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
     routes = []
     total_deadhead = 0.0
     for t_idx, lst in enumerate(mct_duties):
-        nodes = [0]
-        pos = 0
-        for duty in lst:
-            if duty.tail != pos:
-                total_deadhead += float(inst.dist[pos, duty.tail])
-                nodes.append(duty.tail)
-            nodes.append(duty.head)
-            pos = duty.head
-        if pos != inst.depot_end:
-            total_deadhead += float(inst.dist[pos, inst.depot_end])
-            nodes.append(inst.depot_end)
+        nodes, _, deadhead = _truck_route(lst, inst, transfer_depletes)
         routes.append(Route(t_idx, nodes))
+        total_deadhead += deadhead
     return CoordinationPlan(
         duties=list(duties),
         assignment=list(assignment),
@@ -372,7 +410,8 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     if best[0] is None:
         return None
     patterns, duties, assignment = best[0]
-    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor)
+    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor,
+                       transfer_depletes)
     return CoordinationResult(ConfigurationChoice(patterns), plan,
                               fixed + inst.rho_c * beat[0])
 
@@ -399,7 +438,8 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
-            plan = _build_plan(duties, assignment, inst, certified=False)
+            plan = _build_plan(duties, assignment, inst, certified=False,
+                               transfer_depletes=transfer_depletes)
             return CoordinationResult(choice, plan, fixed + inst.rho_c * plan.mct_count)
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None
@@ -446,28 +486,21 @@ def validate_sync(plan: CoordinationPlan, sol: Solution, inst: Instance,
             if (duty.tail, duty.head) not in route_arcs:
                 out.append(Violation("sync", tag,
                                      f"assigned arc ({duty.tail},{duty.head}) missing from truck route"))
-            leg = float(inst.dist[state.position, duty.tail])
-            arrive = state.ready + leg
+            leg, arrive, stored, battery = _step(state, duty, inst, transfer_depletes)
             if arrive > duty.start + EPS:
                 out.append(Violation("sync", tag,
                                      f"reaches node {duty.tail} at {arrive:g}, after its MTEV at {duty.start:g}",
                                      arrive - duty.start))
-            if state.battery - inst.phi * leg < duty.transfer - EPS:
+            if stored < duty.transfer - EPS:
                 out.append(Violation("energy-mct", tag,
                                      f"stored energy below transfer {duty.transfer:g} at node {duty.tail}",
-                                     duty.transfer - (state.battery - inst.phi * leg)))
-            battery = state.battery - inst.phi * (leg + duty.distance)
-            if transfer_depletes:
-                battery -= duty.transfer
+                                     duty.transfer - stored))
             if battery < -EPS:
                 out.append(Violation("energy-mct", tag,
                                      f"battery {battery:.6g} after arc ({duty.tail},{duty.head})",
                                      -battery))
-            state = _TruckState(duty.head, max(arrive, duty.start) + duty.distance,
-                                battery, state.deadhead + leg,
-                                duty.head == inst.depot_end)
-        leg = _return_leg(state, inst)
-        if leg is None:
+            state = _after(state, duty, leg, battery, inst)
+        if _return_leg(state, inst) is None:
             out.append(Violation("energy-mct", tag, "battery cannot cover the return leg"))
     return FeasibilityReport(out)
 
@@ -485,30 +518,15 @@ def assemble_solution(routes: list[Route], result: CoordinationResult,
 def plan_to_json(plan: CoordinationPlan, inst: Instance,
                  transfer_depletes: bool = True) -> dict:
     """Plan dump: per truck, the ordered duty list with times, transfers and
-    the battery trace along its route."""
+    the battery trace, one entry per node of its route."""
     mcts = []
     for t_idx, lst in enumerate(plan.mct_duties):
-        state = _fresh_truck(inst)
-        trace = [state.battery]
-        duties = []
-        for duty in lst:
-            leg = float(inst.dist[state.position, duty.tail])
-            battery = state.battery - inst.phi * (leg + duty.distance)
-            if transfer_depletes:
-                battery -= duty.transfer
-            if leg > 0:
-                trace.append(state.battery - inst.phi * leg)
-            trace.append(battery)
-            duties.append({
-                "mtev": duty.mtev, "tail": duty.tail, "head": duty.head,
-                "start": duty.start, "end": duty.end,
-                "distance": duty.distance, "transfer": duty.transfer,
-            })
-            state = _TruckState(duty.head, duty.end, battery,
-                                state.deadhead + leg, duty.head == inst.depot_end)
-        leg = _return_leg(state, inst)
-        if leg:
-            trace.append(state.battery - inst.phi * leg)
+        _, trace, _ = _truck_route(lst, inst, transfer_depletes)
+        duties = [{
+            "mtev": duty.mtev, "tail": duty.tail, "head": duty.head,
+            "start": duty.start, "end": duty.end,
+            "distance": duty.distance, "transfer": duty.transfer,
+        } for duty in lst]
         mcts.append({
             "vehicle": t_idx,
             "route": list(plan.mct_routes[t_idx].nodes),
@@ -521,10 +539,6 @@ def plan_to_json(plan: CoordinationPlan, inst: Instance,
         "certified": plan.certified,
         "mcts": mcts,
     }
-
-
-def plan_to_json_str(plan: CoordinationPlan, inst: Instance) -> str:
-    return json.dumps(plan_to_json(plan, inst), sort_keys=True)
 
 
 def summary_line(mtev_count: int, mct_count: int, cost: float) -> str:

@@ -298,21 +298,65 @@ class Solution:
         return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, data: dict) -> "Solution":
+    def from_json(cls, data) -> "Solution":
+        """Solution from its JSON form; ValueError when the form is malformed.
+
+        Node ids and truck ids (`mct_id`) pass through unchecked: a bad id is
+        a finding of `check_feasibility`, not a parse error.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("solution JSON must be an object")
         sol = cls()
-        for entry in data.get("mtev", []):
-            sol.mtev_routes.append(Route(entry["vehicle"], list(entry["nodes"])))
-            sol.charge_assign.append([e.get("mct_id") for e in entry.get("edges", [])])
-            sol.mtev_times.append(list(entry.get("arrival_times", [])))
-            sol.mtev_battery.append(list(entry.get("battery", [])))
-        for entry in data.get("mct", []):
-            sol.mct_routes.append(Route(entry["vehicle"], list(entry["nodes"])))
-            sol.mct_times.append(list(entry.get("arrival_times", [])))
-            sol.mct_battery.append(list(entry.get("battery", [])))
-        sol.used_mtev = [bool(u) for u in data.get("used_mtev", [])]
-        sol.used_mct = [bool(u) for u in data.get("used_mct", [])]
-        sol.total_cost = float(data.get("total_cost", 0.0))
+        for idx, entry in enumerate(_json_list(data.get("mtev", []), "mtev")):
+            where = f"mtev[{idx}]"
+            route, times, battery = _json_route(entry, where)
+            edges = _json_list(entry.get("edges", []), f"{where}.edges")
+            if not all(isinstance(e, dict) for e in edges):
+                raise ValueError(f"{where}.edges must hold objects")
+            sol.mtev_routes.append(route)
+            sol.charge_assign.append([e.get("mct_id") for e in edges])
+            sol.mtev_times.append(times)
+            sol.mtev_battery.append(battery)
+        for idx, entry in enumerate(_json_list(data.get("mct", []), "mct")):
+            route, times, battery = _json_route(entry, f"mct[{idx}]")
+            sol.mct_routes.append(route)
+            sol.mct_times.append(times)
+            sol.mct_battery.append(battery)
+        sol.used_mtev = [bool(u) for u in _json_list(data.get("used_mtev", []), "used_mtev")]
+        sol.used_mct = [bool(u) for u in _json_list(data.get("used_mct", []), "used_mct")]
+        sol.total_cost = _json_number(data.get("total_cost", 0.0), "total_cost")
         return sol
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list")
+    return value
+
+
+def _json_number(x, where: str) -> float:
+    """A finite number as a float; a bool is not a number here."""
+    try:
+        ok = (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:                # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{where} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _json_numbers(value, where: str) -> list[float]:
+    return [_json_number(x, f"{where}[{k}]") for k, x in enumerate(_json_list(value, where))]
+
+
+def _json_route(entry, where: str) -> tuple[Route, list[float], list[float]]:
+    """Route, arrival times and battery trace of one vehicle entry."""
+    if not isinstance(entry, dict) or "vehicle" not in entry or "nodes" not in entry:
+        raise ValueError(f"{where} must be an object with vehicle and nodes")
+    nodes = list(_json_list(entry["nodes"], f"{where}.nodes"))
+    return (Route(entry["vehicle"], nodes),
+            _json_numbers(entry.get("arrival_times", []), f"{where}.arrival_times"),
+            _json_numbers(entry.get("battery", []), f"{where}.battery"))
 
 
 def _require_anchors(route: Route, inst: Instance) -> None:

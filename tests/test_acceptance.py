@@ -67,15 +67,15 @@ def test_criterion_1_pattern_enumeration_matches_brute_force():
 
 
 def test_criterion_2_rolling_table_equals_reference_table():
-    with criterion(2, "rolling table equals full per-edge table on 200 routes"):
+    with criterion(2, "sweep equals brute force, final batteries included, on 200 routes"):
         rng = np.random.default_rng(202_402)
         for _ in range(200):
             inst, route = random_route_case(rng, 2, 8)
-            rolling = bdp.enumerate_patterns(route, inst, rolling=True)
-            full = bdp.enumerate_patterns(route, inst, rolling=False)
-            assert rolling.masks() == full.masks()
-            assert rolling.classification == full.classification
-            assert [b for _, b in rolling.patterns] == [b for _, b in full.patterns]
+            sweep = bdp.enumerate_patterns(route, inst)
+            brute = bdp.brute_force_patterns(route, inst)
+            assert sweep.masks() == brute.masks()
+            assert sweep.classification == brute.classification
+            assert [b for _, b in sweep.patterns] == [b for _, b in brute.patterns]
 
 
 def test_criterion_3_small_instance_optimality():

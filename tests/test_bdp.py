@@ -10,14 +10,12 @@ from wmcevrp.bdp import (
     ChargePattern,
     RouteClass,
     brute_force_patterns,
-    dump_patterns,
     enumerate_patterns,
     greedy_fallback_pattern,
     min_charge_count,
     preprocess_route,
     prune_supersets,
     suffix_requirements,
-    sweep_table,
 )
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import Route, make_route, route_energy_profile
@@ -188,20 +186,6 @@ class TestEnumerate:
             res = enumerate_patterns(route, inst)
             assert res.masks() == oracle_minimal_patterns(route, inst)
 
-    def test_rolling_equals_full_table(self):
-        rng = np.random.default_rng(77)
-        for _ in range(40):
-            m = int(rng.integers(2, 9))
-            inst = generate_instance(max(m - 1, 1), seed=int(rng.integers(100_000)))
-            perm = [int(u) for u in rng.permutation(inst.n) + 1]
-            route = make_route(0, perm, inst)
-            inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
-            a = enumerate_patterns(route, inst, rolling=True)
-            b = enumerate_patterns(route, inst, rolling=False)
-            assert a.masks() == b.masks()
-            assert a.classification == b.classification
-            assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
-
     def test_retained_batteries_match_profile_replay(self):
         inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
         res = enumerate_patterns(route, inst)
@@ -251,24 +235,7 @@ class TestBruteForce:
             b = brute_force_patterns(route, inst)
             assert a.masks() == b.masks()
             assert a.classification == b.classification
-
-
-class TestSweepTable:
-    def test_marks_settle_and_terminals_are_sound(self):
-        rng = np.random.default_rng(55)
-        for _ in range(20):
-            m = int(rng.integers(2, 7))
-            costs = [float(c) for c in rng.uniform(2, 10, size=m)]
-            inst, route = edge_instance(costs, P=float(rng.uniform(6, 22)), gamma=2.0)
-            table = sweep_table(route, inst)
-            assert set(table.v) <= {-1, 1}       # nothing stays active
-            terminals = {s for s, mark in enumerate(table.v) if mark == 1}
-            for mask in terminals:
-                bits = [(mask >> e) & 1 for e in range(m)]
-                assert min(route_energy_profile(route, bits, inst)) >= 0
-            res = enumerate_patterns(route, inst)
-            if res.classification is RouteClass.ENUMERATED:
-                assert res.masks() <= terminals
+            assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
 
 
 class TestMinChargeCount:
@@ -310,10 +277,3 @@ class TestMinChargeCount:
         assert min_charge_count(route, inst, max_edges=8) == greedy
         assert min_charge_count(route, inst, max_edges=8) == \
             enumerate_patterns(route, inst, max_edges=8).min_cardinality()
-
-
-def test_dump_format():
-    inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
-    res = enumerate_patterns(route, inst)
-    lines = dump_patterns(res).splitlines()
-    assert lines == ["100 2", "010 6", "001 6"]

@@ -144,6 +144,36 @@ class TestRejectedInput:
         assert run_cli("check", "--instance", instance_file, "--solution", out) == 4
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("path, value", [
+        ((), [1]),
+        (("mtev",), [{}]),
+        (("mct",), {}),
+        (("mtev", 0, "nodes"), 7),
+        (("mtev", 0, "edges", 0), None),
+        (("mtev", 0, "arrival_times", 1), "a"),
+        (("mtev", 0, "arrival_times", 1), None),
+        (("mtev", 0, "arrival_times", 1), True),
+        (("mct", 0, "battery", 0), float("nan")),
+        (("total_cost",), None),
+    ])
+    def test_malformed_solution_exits_4(self, instance_file, tmp_path, capsys, path, value):
+        out = tmp_path / "sol.json"
+        run_cli("solve", "--instance", instance_file, "--seed", 2, "--iters", 5,
+                "--out", out)
+        capsys.readouterr()
+        data = json.loads(out.read_text())
+        if path:
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            data = value
+        out.write_text(json.dumps(data))
+        assert run_cli("check", "--instance", instance_file, "--solution", out) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input: ")
+
     def test_bench_rejects_a_nan_instance_in_its_directory(self, nan_instance, tmp_path):
         assert run_cli("bench", "--dir", nan_instance.parent, "--runs", 1,
                        "--out", tmp_path / "bench.csv") == 4

@@ -363,5 +363,43 @@ def test_plan_json_shape():
         assert set(duty) == {"mtev", "tail", "head", "start", "end", "distance", "transfer"}
 
 
+class TestPlanJsonTrace:
+    """plan_to_json's battery trace has one entry per truck route node and
+    agrees with the schedule that build_schedule derives for that route."""
+
+    @staticmethod
+    def assert_trace_matches(routes, out, inst, transfer_depletes):
+        data = plan_to_json(out.plan, inst, transfer_depletes)
+        sol = assemble_solution(routes, out, inst, transfer_depletes)
+        assert len(data["mcts"]) == len(sol.mct_battery)
+        for mct, route, expect in zip(data["mcts"], out.plan.mct_routes, sol.mct_battery):
+            assert mct["route"] == route.nodes
+            assert len(mct["battery"]) == len(route.nodes)
+            assert mct["battery"] == pytest.approx(expect)
+
+    @pytest.mark.parametrize("transfer_depletes", [True, False])
+    def test_generated_exact_and_heuristic_plans(self, transfer_depletes):
+        trucks = 0
+        for inst, routes, results in generated_shells(40, 5300):
+            for coordinate in (coordinate_exact, coordinate_heuristic):
+                out = coordinate(routes, results, inst, transfer_depletes=transfer_depletes)
+                if out is not None:
+                    self.assert_trace_matches(routes, out, inst, transfer_depletes)
+                    trucks += out.plan.mct_count
+        assert trucks >= 20
+
+    def test_zero_length_deadhead_between_distinct_nodes(self):
+        # customers 1 and 2 share a location; the truck charges arcs (0,1)
+        # and (2,3), so its route deadheads 1 -> 2 over distance zero
+        core = [[0, 50, 50, 60], [0, 0, 0, 40], [0, 0, 0, 40], [0, 0, 0, 0]]
+        inst = build_instance(core, [1, 1, 1], P=100.0, gamma=2.0, B=1000.0)
+        route = make_route(0, [1, 2, 3], inst)
+        pattern = bdp.ChargePattern.from_bitstring("1010")
+        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [(pattern, 0.0)])]
+        out = coordinate_heuristic([route], results, inst)
+        assert out.plan.mct_routes[0].nodes == [0, 1, 2, 3, inst.depot_end]
+        self.assert_trace_matches([route], out, inst, True)
+
+
 def test_summary_line_format():
     assert summary_line(2, 1, 7215.0) == "E=2 C=1 cost=7215.00"

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -24,6 +25,17 @@ from wmcevrp.model import (
 )
 
 from conftest import build_instance
+
+
+def json_paths(value, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            yield from json_paths(item, path + (idx,))
 
 
 def replay_profile(P, rho_t, gamma, costs, bits):
@@ -394,6 +406,41 @@ class TestCheckerTotality:
         report = check_feasibility(sol, inst)
         assert any(v.family == "sync" and "unknown truck" in v.detail
                    for v in report.violations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_solution_json_is_rejected_or_checked(self, solved, data):
+        # drop keys, swap types, wrong list lengths, odd ids and numbers: the
+        # parser raises ValueError or the checker reports, nothing else
+        inst, best = solved
+        doc = best.to_json()
+        odd = st.sampled_from([None, True, False, -1, 0, inst.n + 1, inst.n + 5, 1.0, 2.5,
+                               "x", [], {}, [0], float("nan"), float("inf"),
+                               -float("inf"), 10**30, 10**400]).map(copy.deepcopy)
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(doc))))
+            op = data.draw(st.sampled_from(["replace", "drop", "shorten", "extend"]))
+            if not path:
+                doc = data.draw(odd)
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            target = parent[path[-1]]
+            if op == "drop":
+                del parent[path[-1]]
+            elif op == "shorten" and isinstance(target, list):
+                del target[-1:]
+            elif op == "extend" and isinstance(target, list):
+                target.append(data.draw(odd))
+            else:
+                parent[path[-1]] = data.draw(odd)
+        try:
+            sol = Solution.from_json(doc)
+        except ValueError:
+            return
+        for depletes in (True, False):
+            str(check_feasibility(sol, inst, depletes))
 
     def test_non_integer_node_ids(self, solved):
         inst, best = solved

@@ -18,6 +18,12 @@ class TestSolveExact:
         assert res.cost == 1.0 * (5 + 5) + 100.0
         assert res.mtev_used == 1 and res.mct_used == 0
 
+    def test_no_customers_costs_nothing(self):
+        inst = build_instance([[0]], [])
+        res = solve_exact(inst)
+        assert res.optimal and res.feasible
+        assert res.cost == 0.0 and res.mtev_used == 0 and res.mct_used == 0
+
     def test_split_beats_charged_consolidation(self):
         # one combined route would need a charging truck (950 > P = 900);
         # hand enumeration: combined 950 + 1000 + 2000 = 3950,
