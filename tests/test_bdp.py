@@ -186,6 +186,21 @@ class TestEnumerate:
             res = enumerate_patterns(route, inst)
             assert res.masks() == oracle_minimal_patterns(route, inst)
 
+    def test_rolling_equals_full_table(self):
+        # the rolling sweep against the full table over every mask
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            m = int(rng.integers(2, 9))
+            inst = generate_instance(max(m - 1, 1), seed=int(rng.integers(100_000)))
+            perm = [int(u) for u in rng.permutation(inst.n) + 1]
+            route = make_route(0, perm, inst)
+            inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
+            a = enumerate_patterns(route, inst)
+            b = brute_force_patterns(route, inst)
+            assert a.masks() == b.masks()
+            assert a.classification == b.classification
+            assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
+
     def test_retained_batteries_match_profile_replay(self):
         inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
         res = enumerate_patterns(route, inst)
