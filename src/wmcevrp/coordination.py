@@ -319,8 +319,7 @@ def _truck_route(duties: list[ChargingDuty], inst: Instance, transfer_depletes: 
 
 
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
-                inst: Instance, certified: bool,
-                transfer_depletes: bool = True) -> CoordinationPlan:
+                inst: Instance, certified: bool) -> CoordinationPlan:
     count = max(assignment) + 1 if assignment else 0
     mct_duties: list[list[ChargingDuty]] = [[] for _ in range(count)]
     for duty, t_idx in zip(duties, assignment):
@@ -330,7 +329,8 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
     routes = []
     total_deadhead = 0.0
     for t_idx, lst in enumerate(mct_duties):
-        nodes, _, deadhead = _truck_route(lst, inst, transfer_depletes)
+        # nodes and deadhead do not depend on depletion; the trace is unused
+        nodes, _, deadhead = _truck_route(lst, inst, True)
         routes.append(Route(t_idx, nodes))
         total_deadhead += deadhead
     return CoordinationPlan(
@@ -410,8 +410,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     if best[0] is None:
         return None
     patterns, duties, assignment = best[0]
-    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor,
-                       transfer_depletes)
+    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor)
     return CoordinationResult(ConfigurationChoice(patterns), plan,
                               fixed + inst.rho_c * beat[0])
 
@@ -438,8 +437,7 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
-            plan = _build_plan(duties, assignment, inst, certified=False,
-                               transfer_depletes=transfer_depletes)
+            plan = _build_plan(duties, assignment, inst, certified=False)
             return CoordinationResult(choice, plan, fixed + inst.rho_c * plan.mct_count)
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None

@@ -57,6 +57,23 @@ def oracle_minimal_patterns(route, inst):
     return minimal
 
 
+def assert_sweep_matches_brute_force(seed: int, m_hi: int) -> None:
+    """enumerate_patterns equals brute_force_patterns on 40 generated routes
+    of 2 to m_hi - 1 edges: masks, classification and final batteries."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        m = int(rng.integers(2, m_hi))
+        inst = generate_instance(max(m - 1, 1), seed=int(rng.integers(100_000)))
+        perm = [int(u) for u in rng.permutation(inst.n) + 1]
+        route = make_route(0, perm, inst)
+        inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
+        a = enumerate_patterns(route, inst)
+        b = brute_force_patterns(route, inst)
+        assert a.masks() == b.masks()
+        assert a.classification == b.classification
+        assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
+
+
 class TestChargePattern:
     def test_bitstring_runs_edge_one_first(self):
         p = ChargePattern.from_bitstring("10010")
@@ -187,19 +204,8 @@ class TestEnumerate:
             assert res.masks() == oracle_minimal_patterns(route, inst)
 
     def test_rolling_equals_full_table(self):
-        # the rolling sweep against the full table over every mask
-        rng = np.random.default_rng(77)
-        for _ in range(40):
-            m = int(rng.integers(2, 9))
-            inst = generate_instance(max(m - 1, 1), seed=int(rng.integers(100_000)))
-            perm = [int(u) for u in rng.permutation(inst.n) + 1]
-            route = make_route(0, perm, inst)
-            inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
-            a = enumerate_patterns(route, inst)
-            b = brute_force_patterns(route, inst)
-            assert a.masks() == b.masks()
-            assert a.classification == b.classification
-            assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
+        # a second seed and a shorter m range of TestBruteForce's comparison
+        assert_sweep_matches_brute_force(seed=77, m_hi=9)
 
     def test_retained_batteries_match_profile_replay(self):
         inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
@@ -239,18 +245,7 @@ class TestEnumerate:
 
 class TestBruteForce:
     def test_agrees_with_sweep_and_classification(self):
-        rng = np.random.default_rng(44)
-        for _ in range(40):
-            m = int(rng.integers(2, 10))
-            inst = generate_instance(max(m - 1, 1), seed=int(rng.integers(100_000)))
-            perm = [int(u) for u in rng.permutation(inst.n) + 1]
-            route = make_route(0, perm, inst)
-            inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
-            a = enumerate_patterns(route, inst)
-            b = brute_force_patterns(route, inst)
-            assert a.masks() == b.masks()
-            assert a.classification == b.classification
-            assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
+        assert_sweep_matches_brute_force(seed=44, m_hi=10)
 
 
 class TestMinChargeCount:
