@@ -141,7 +141,10 @@ def cmd_bench(args) -> int:
                                  jobs=args.jobs)
     harness.write_benchmark_csv(rows, args.out)
     for row in rows:
-        status = "FAILED" if row.failed else f"W_best={row.w_best:.2f} W_avg={row.w_avg:.2f} E={row.e} C={row.c}"
+        if row.failed:
+            status = f"FAILED ({row.status_reason})"
+        else:
+            status = f"W_best={row.w_best:.2f} W_avg={row.w_avg:.2f} E={row.e} C={row.c}"
         print(f"{row.instance}: {status}")
     return EXIT_OK
 

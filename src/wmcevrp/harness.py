@@ -20,7 +20,8 @@ from . import lns
 from .config import SolverConfig
 from .model import Instance
 
-BENCH_HEADER = ("instance", "status", "w_best", "w_avg", "e", "c", "runtime_s", "gap_pct")
+BENCH_HEADER = ("instance", "status", "w_best", "w_avg", "e", "c", "runtime_s", "gap_pct",
+                "status_reason")
 SWEEP_HEADER = ("value", "w_best", "e", "c")
 
 
@@ -34,6 +35,7 @@ class BenchmarkRow:
     runtime_s: float = 0.0
     gap_pct: float | None = None
     failed: bool = False
+    status_reason: str = ""           # "<ExceptionType>: <text>" of a failed row
 
 
 @dataclass
@@ -85,9 +87,9 @@ def _bench_one(name: str, inst: Instance, runs: int, config: SolverConfig,
         if reference and name in reference:
             row.gap_pct = gap_percent(row.w_best, float(reference[name]))
         return row
-    except Exception:
+    except Exception as exc:
         return BenchmarkRow(instance=name, runtime_s=time.perf_counter() - started,
-                            failed=True)
+                            failed=True, status_reason=f"{type(exc).__name__}: {exc}")
 
 
 def run_benchmark(instances: list[tuple[str, Instance]], runs: int = 10,
@@ -122,6 +124,7 @@ def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
                 "" if r.failed else r.c,
                 repr(round(r.runtime_s, 3)),
                 "" if r.gap_pct is None else f"{r.gap_pct:.4f}",
+                r.status_reason,
             ])
 
 

@@ -175,70 +175,69 @@ def _random_removal(routes, ctx, rng, k):
     return _remove_customers(routes, victims), victims
 
 
-def _greedy_metric_removal(routes, ctx, rng, k, metric):
-    """Remove k customers one at a time, always the current max of `metric`."""
+def _route_best(nodes, metric):
+    """((-score, node), pos) of the highest-scoring interior node; None when empty."""
+    best = None
+    for pos in range(1, len(nodes) - 1):
+        key = (-metric(nodes, pos), nodes[pos])
+        if best is None or key < best[0]:
+            best = (key, pos)
+    return best
+
+
+def _greedy_metric_removal(routes, k, metric, over_battery=None):
+    """Remove k customers one at a time, always the current max of `metric`.
+
+    metric(nodes, pos) scores the interior node at pos of one route. With
+    `over_battery`, only the nonempty routes it flags compete while there
+    are any. A removal changes one route, so only that route is scored again.
+    """
+    def flag(nodes):
+        return over_battery is not None and len(nodes) > 2 and over_battery(nodes)
+
     routes = [list(r) for r in routes]
+    best = [_route_best(nodes, metric) for nodes in routes]
+    flagged = [flag(nodes) for nodes in routes]
     removed = []
     for _ in range(k):
-        best = None
-        for r_idx, nodes in enumerate(routes):
-            for pos in range(1, len(nodes) - 1):
-                score = metric(routes, r_idx, pos)
-                key = (-score, nodes[pos])
-                if best is None or key < best[0]:
-                    best = (key, r_idx, pos)
-        if best is None:
+        pool = [r_idx for r_idx, over in enumerate(flagged) if over] or range(len(routes))
+        choice = None
+        for r_idx in pool:
+            if best[r_idx] is not None and (choice is None or best[r_idx][0] < best[choice][0]):
+                choice = r_idx
+        if choice is None:
             break
-        _, r_idx, pos = best
-        removed.append(routes[r_idx].pop(pos))
+        nodes = routes[choice]
+        removed.append(nodes.pop(best[choice][1]))
+        best[choice] = _route_best(nodes, metric)
+        flagged[choice] = flag(nodes)
     return routes, removed
 
 
 def _distance_removal(routes, ctx, rng, k):
     inst = ctx.inst
-
-    def metric(rs, r_idx, pos):
-        return _detour(rs[r_idx], pos, inst)
-
-    return _greedy_metric_removal(routes, ctx, rng, k, metric)
+    return _greedy_metric_removal(routes, k, lambda nodes, pos: _detour(nodes, pos, inst))
 
 
 def _worst_removal(routes, ctx, rng, k):
     inst = ctx.inst
 
-    def metric(rs, r_idx, pos):
-        saving = inst.rho_t * _detour(rs[r_idx], pos, inst)
-        if len(rs[r_idx]) == 3:   # removal would empty the route
+    def metric(nodes, pos):
+        saving = inst.rho_t * _detour(nodes, pos, inst)
+        if len(nodes) == 3:   # removal would empty the route
             saving += inst.rho_e
         return saving
 
-    return _greedy_metric_removal(routes, ctx, rng, k, metric)
+    return _greedy_metric_removal(routes, k, metric)
 
 
 def _charge_removal(routes, ctx, rng, k):
     """Target routes whose energy need exceeds the battery; drop the customer
     whose removal saves the most energy."""
     inst = ctx.inst
-    routes = [list(r) for r in routes]
-    removed = []
-    for _ in range(k):
-        over = [r_idx for r_idx, nodes in enumerate(routes)
-                if inst.rho_t * inst.route_distance(nodes) > inst.P and len(nodes) > 2]
-        candidates = over if over else [r_idx for r_idx, nodes in enumerate(routes)
-                                        if len(nodes) > 2]
-        best = None
-        for r_idx in candidates:
-            nodes = routes[r_idx]
-            for pos in range(1, len(nodes) - 1):
-                saving = inst.rho_t * _detour(nodes, pos, inst)
-                key = (-saving, nodes[pos])
-                if best is None or key < best[0]:
-                    best = (key, r_idx, pos)
-        if best is None:
-            break
-        _, r_idx, pos = best
-        removed.append(routes[r_idx].pop(pos))
-    return routes, removed
+    return _greedy_metric_removal(
+        routes, k, lambda nodes, pos: inst.rho_t * _detour(nodes, pos, inst),
+        over_battery=lambda nodes: inst.rho_t * inst.route_distance(nodes) > inst.P)
 
 
 def _string_removal(routes, ctx, rng, k):
@@ -308,25 +307,36 @@ def destroy(op_id: str, sol: Solution, inst: Instance, rng: np.random.Generator,
 # insertion operators
 # ---------------------------------------------------------------------------
 
+def _route_options(nodes, u, r_idx, inst):
+    """(delta_cost, route_idx, pos) of inserting u at every position of one route."""
+    d = inst.dist
+    return [(inst.rho_t * float(d[prev, u] + d[u, nxt] - d[prev, nxt]), r_idx, pos)
+            for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]), start=1)]
+
+
+def _fresh_route_delta(u, inst):
+    """Cost of serving u alone on a newly acquired vehicle."""
+    d = inst.dist
+    return inst.rho_t * float(d[0, u] + d[u, inst.depot_end]) + inst.rho_e
+
+
+def _can_open(routes, u, inst):
+    return len(routes) < inst.max_mtev and inst.demand_of(u) <= inst.Q
+
+
 def _insertion_options(routes, u, inst, loads):
     """All capacity-feasible positions for u, as (delta_cost, route_idx, pos).
 
     route_idx == len(routes) denotes opening a fresh route, priced with the
     vehicle acquisition cost.
     """
-    d = inst.dist
     du = inst.demand_of(u)
     options = []
     for r_idx, nodes in enumerate(routes):
-        if loads[r_idx] + du > inst.Q:
-            continue
-        for pos in range(1, len(nodes)):
-            prev, nxt = nodes[pos - 1], nodes[pos]
-            delta = inst.rho_t * float(d[prev, u] + d[u, nxt] - d[prev, nxt])
-            options.append((delta, r_idx, pos))
-    if len(routes) < inst.max_mtev and du <= inst.Q:
-        delta = inst.rho_t * float(d[0, u] + d[u, inst.depot_end]) + inst.rho_e
-        options.append((delta, len(routes), 1))
+        if loads[r_idx] + du <= inst.Q:
+            options += _route_options(nodes, u, r_idx, inst)
+    if _can_open(routes, u, inst):
+        options.append((_fresh_route_delta(u, inst), len(routes), 1))
     return options
 
 
@@ -347,8 +357,7 @@ def _insert_each_best(routes, order, ctx):
         options = _insertion_options(routes, u, inst, loads)
         if not options:
             return None
-        options.sort(key=lambda o: (o[0], o[1], o[2]))
-        _, r_idx, pos = options[0]
+        _, r_idx, pos = min(options)
         _apply_insertion(routes, loads, u, r_idx, pos, inst)
     return routes
 
@@ -364,45 +373,41 @@ def _sequential_insertion(routes, removed, ctx, rng):
 
 def _greedy_insertion(routes, removed, ctx, rng):
     """Globally cheapest insertion first."""
-    inst = ctx.inst
-    routes = [list(r) for r in routes]
-    loads = [_route_load(nodes, inst) for nodes in routes]
-    pending = list(removed)
-    while pending:
-        best = None
-        for u in pending:
-            options = _insertion_options(routes, u, inst, loads)
-            if not options:
-                continue
-            options.sort(key=lambda o: (o[0], o[1], o[2]))
-            cand = (options[0][0], u, options[0][1], options[0][2])
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            return None
-        _, u, r_idx, pos = best
-        _apply_insertion(routes, loads, u, r_idx, pos, inst)
-        pending.remove(u)
-    return routes
+    return _regret_insertion(routes, removed, ctx, rng, 1)
 
 
 def _regret_insertion(routes, removed, ctx, rng, depth):
     """Insert the customer with the largest regret over its best k positions.
 
     Customers with fewer than `depth` feasible positions get infinite regret
-    and therefore go first.
+    and therefore go first. At depth 1 every regret is 0, so the cheapest
+    insertion goes first: greedy insertion.
+
+    Every pending customer keeps, per route, its `depth` cheapest positions.
+    An insertion changes one route, so only that route is priced again.
     """
     inst = ctx.inst
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
     pending = list(removed)
+
+    def cheapest(r_idx, u):
+        if loads[r_idx] + inst.demand_of(u) > inst.Q:
+            return []
+        options = _route_options(routes[r_idx], u, r_idx, inst)
+        return [min(options)] if depth == 1 else sorted(options)[:depth]
+
+    fresh = {u: _fresh_route_delta(u, inst) for u in pending}
+    cached = {u: [cheapest(r_idx, u) for r_idx in range(len(routes))] for u in pending}
     while pending:
         best = None
         for u in pending:
-            options = _insertion_options(routes, u, inst, loads)
+            options = [o for per_route in cached[u] for o in per_route]
+            if _can_open(routes, u, inst):
+                options.append((fresh[u], len(routes), 1))
             if not options:
                 continue
-            options.sort(key=lambda o: (o[0], o[1], o[2]))
+            options.sort()
             if len(options) < depth:
                 regret = math.inf
             else:
@@ -413,8 +418,15 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         if best is None:
             return None
         _, u, r_idx, pos = best
+        opened = r_idx == len(routes)
         _apply_insertion(routes, loads, u, r_idx, pos, inst)
         pending.remove(u)
+        del cached[u]
+        for v in pending:
+            if opened:
+                cached[v].append(cheapest(r_idx, v))
+            else:
+                cached[v][r_idx] = cheapest(r_idx, v)
     return routes
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,6 +41,30 @@ def _is_int(value) -> bool:
     """Python or numpy integer. A bool is an int subclass but neither an id
     nor a count, so subclasses are rejected."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _is_real(value) -> bool:
+    """Python or numpy real number; a bool is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:                # an int beyond the float range
+        return False
+
+
+def _number_matrix(value) -> np.ndarray:
+    """A float array from a nested list or array of numbers; ValueError for
+    ragged nesting, strings, bools, None or ints beyond the int64 range."""
+    try:
+        raw = np.asarray(value)
+    except ValueError as exc:            # ragged nesting
+        raise ValueError(f"dist must be a matrix of numbers: {exc}") from None
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"dist must be a matrix of numbers, got {raw.dtype} entries")
+    return np.asarray(raw, dtype=float)
 
 
 def _is_node(u, lo: int, hi: int) -> bool:
@@ -73,7 +98,9 @@ class Instance:
     max_mct: int
 
     def __post_init__(self):
-        self.dist = np.asarray(self.dist, dtype=float)
+        self.dist = _number_matrix(self.dist)
+        if not isinstance(self.demand, (list, tuple, np.ndarray)):
+            raise ValueError(f"demand must be a list, got {self.demand!r}")
         self.demand = list(self.demand)
         self.validate()
         self.demand = [int(d) for d in self.demand]
@@ -97,6 +124,16 @@ class Instance:
         return float(total)
 
     def validate(self) -> None:
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"n must be an integer >= 0, got {self.n!r}")
+        for name in ("P", "B", "Q", "rho_t", "rho_e", "rho_c", "gamma", "phi"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0")
         size = self.n + 2
         if self.dist.shape != (size, size):
             raise ValueError(f"dist must be {size}x{size}, got {self.dist.shape}")
@@ -117,12 +154,6 @@ class Instance:
                 raise ValueError(f"demands must be integers, got {d!r}")
         if any(d < 1 for d in self.demand):
             raise ValueError("demands must be >= 1")
-        for name in ("P", "B", "Q", "rho_t", "rho_e", "rho_c", "gamma", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0")
         for name in ("max_mtev", "max_mct"):
             value = getattr(self, name)
             if not _is_int(value):
@@ -154,6 +185,8 @@ class Instance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
+        if not isinstance(data, dict):
+            raise ValueError("instance JSON must be an object")
         missing = [k for k in INSTANCE_FIELDS if k not in data]
         if missing:
             raise ValueError(f"instance JSON missing fields: {missing}")
@@ -336,11 +369,7 @@ def _json_list(value, where: str) -> list:
 
 def _json_number(x, where: str) -> float:
     """A finite number as a float; a bool is not a number here."""
-    try:
-        ok = (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
-    except OverflowError:                # an int beyond the float range
-        ok = False
-    if not ok:
+    if not ((_is_int(x) or isinstance(x, float)) and _is_finite(x)):
         raise ValueError(f"{where} must be a finite number, got {x!r}")
     return float(x)
 

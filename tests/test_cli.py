@@ -138,6 +138,24 @@ class TestRejectedInput:
         assert run_cli("check", "--instance", nan_instance, "--solution", out) == 4
         assert capsys.readouterr().err.startswith("invalid input: ")
 
+    @pytest.mark.parametrize("field, value", [("n", "3"), ("P", "x"), ("demand", 5)])
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_mistyped_instance_field_exits_4(self, instance_file, tmp_path, capsys,
+                                             command, field, value):
+        out = tmp_path / "sol.json"
+        run_cli("solve", "--instance", instance_file, "--seed", 2, "--iters", 5,
+                "--out", out)
+        capsys.readouterr()
+        data = json.loads(instance_file.read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        args = ["--solution", out] if command == "check" else []
+        assert run_cli(command, "--instance", bad, *args) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input: ")
+        assert field in err[0]
+
     def test_unparsable_solution_exits_4(self, instance_file, tmp_path, capsys):
         out = tmp_path / "sol.json"
         out.write_text("{not json")
@@ -226,7 +244,8 @@ class TestBenchAndSweep:
         assert run_cli("bench", "--dir", instance_dir, "--runs", 1,
                        "--ref", ref, "--out", out, "--seed", 1) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
-        assert all(r[-1] != "" for r in rows[1:])
+        gap = rows[0].index("gap_pct")
+        assert all(r[gap] != "" for r in rows[1:])
 
     def test_sweep_csv(self, instance_dir, tmp_path):
         out = tmp_path / "sweep.csv"

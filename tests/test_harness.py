@@ -54,13 +54,23 @@ class TestRunBenchmark:
         rows = run_benchmark(insts, runs=1, config=FAST, seed=7, reference=ref)
         assert rows[0].gap_pct == pytest.approx(0.0)
 
-    def test_crashing_instance_marked_failed(self):
+    def test_crashing_instance_marked_failed(self, tmp_path):
         bad = build_instance([[0, 5], [0, 0]], [9], Q=5.0)   # demand exceeds capacity
         rows = run_benchmark([("bad", bad)] + tiny_instances(1), runs=1,
                              config=FAST, seed=7)
         by_name = {r.instance: r for r in rows}
         assert by_name["bad"].failed
         assert not by_name["inst0"].failed
+        reason = "InfeasibleInstanceError: customer 1 cannot be served even by a dedicated vehicle"
+        assert by_name["bad"].status_reason == reason
+        assert by_name["inst0"].status_reason == ""
+        out = tmp_path / "bench.csv"
+        write_benchmark_csv(rows, out)
+        parsed = {row[0]: dict(zip(BENCH_HEADER, row))
+                  for row in csv.reader(out.read_text().splitlines()[1:])}
+        assert parsed["bad"]["status"] == "failed"
+        assert parsed["bad"]["status_reason"] == reason
+        assert parsed["inst0"]["status_reason"] == ""
 
     def test_deterministic(self):
         a = run_benchmark(tiny_instances(2), runs=2, config=FAST, seed=3)

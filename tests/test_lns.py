@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmcevrp import bdp, harness, lns
 from wmcevrp.config import SolverConfig
@@ -206,6 +209,193 @@ class TestRepair:
                 out = lns.repair(r_op, partial, removed, inst, rng_at(9))
                 assert out is not None
                 assert served_customers(out) == list(inst.customers)
+
+
+# ---------------------------------------------------------------------------
+# route-local operators against full rescans
+# ---------------------------------------------------------------------------
+#
+# The reference operators below price every position of every route afresh
+# before each move. The operators in lns re-score only the route a move
+# touched and must make exactly the same moves. `seen` collects the
+# branches a case exercised.
+
+def ref_options(routes, u, inst, loads, seen):
+    d = inst.dist
+    du = inst.demand_of(u)
+    options = []
+    for r_idx, nodes in enumerate(routes):
+        if loads[r_idx] + du > inst.Q:
+            seen.add("capacity")
+            continue
+        for pos in range(1, len(nodes)):
+            prev, nxt = nodes[pos - 1], nodes[pos]
+            delta = inst.rho_t * float(d[prev, u] + d[u, nxt] - d[prev, nxt])
+            options.append((delta, r_idx, pos))
+    if len(routes) < inst.max_mtev and du <= inst.Q:
+        delta = inst.rho_t * float(d[0, u] + d[u, inst.depot_end]) + inst.rho_e
+        options.append((delta, len(routes), 1))
+    elif du <= inst.Q:
+        seen.add("fleet_cap")
+    return options
+
+
+def ref_greedy_insertion(routes, removed, inst, seen):
+    routes = [list(r) for r in routes]
+    loads = [lns._route_load(nodes, inst) for nodes in routes]
+    pending = list(removed)
+    while pending:
+        best = None
+        for u in pending:
+            options = ref_options(routes, u, inst, loads, seen)
+            if not options:
+                continue
+            options.sort(key=lambda o: (o[0], o[1], o[2]))
+            cand = (options[0][0], u, options[0][1], options[0][2])
+            if best is None or cand < best:
+                best = cand
+        if best is None:
+            seen.add("none")
+            return None
+        _, u, r_idx, pos = best
+        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        pending.remove(u)
+    return routes
+
+
+def ref_regret_insertion(routes, removed, inst, depth, seen):
+    routes = [list(r) for r in routes]
+    loads = [lns._route_load(nodes, inst) for nodes in routes]
+    pending = list(removed)
+    while pending:
+        best = None
+        for u in pending:
+            options = ref_options(routes, u, inst, loads, seen)
+            if not options:
+                continue
+            options.sort(key=lambda o: (o[0], o[1], o[2]))
+            if len(options) < depth:
+                seen.add("few_options")
+                regret = math.inf
+            else:
+                regret = sum(options[i][0] - options[0][0] for i in range(1, depth))
+            cand = (-regret, options[0][0], u)
+            if best is None or cand < best[0]:
+                best = (cand, u, options[0][1], options[0][2])
+        if best is None:
+            seen.add("none")
+            return None
+        _, u, r_idx, pos = best
+        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        pending.remove(u)
+    return routes
+
+
+def ref_metric_removal(routes, k, metric, candidates):
+    routes = [list(r) for r in routes]
+    removed = []
+    for _ in range(k):
+        best = None
+        for r_idx in candidates(routes):
+            nodes = routes[r_idx]
+            for pos in range(1, len(nodes) - 1):
+                key = (-metric(nodes, pos), nodes[pos])
+                if best is None or key < best[0]:
+                    best = (key, r_idx, pos)
+        if best is None:
+            break
+        _, r_idx, pos = best
+        removed.append(routes[r_idx].pop(pos))
+    return routes, removed
+
+
+def ref_removals(inst, seen):
+    """Reference distance, worst and charge removal as op -> f(routes, k)."""
+    def every_route(routes):
+        return range(len(routes))
+
+    def over_battery_first(routes):
+        over = [r_idx for r_idx, nodes in enumerate(routes)
+                if inst.rho_t * inst.route_distance(nodes) > inst.P and len(nodes) > 2]
+        seen.add("over" if over else "not_over")
+        return over if over else [r_idx for r_idx, nodes in enumerate(routes)
+                                  if len(nodes) > 2]
+
+    def detour(nodes, pos):
+        return lns._detour(nodes, pos, inst)
+
+    def worst(nodes, pos):
+        saving = inst.rho_t * detour(nodes, pos)
+        return saving + inst.rho_e if len(nodes) == 3 else saving
+
+    return {
+        "distance_removal": lambda rs, k: ref_metric_removal(rs, k, detour, every_route),
+        "worst_removal": lambda rs, k: ref_metric_removal(rs, k, worst, every_route),
+        "charge_removal": lambda rs, k: ref_metric_removal(
+            rs, k, lambda nodes, pos: inst.rho_t * detour(nodes, pos), over_battery_first),
+    }
+
+
+def operator_case(n, seed, Q, P, slack):
+    """A generated instance, a full solution and a partial one with its
+    removed customers in random order.
+
+    Customers join a random route with room, or open one. A customer whose
+    demand exceeds Q rides alone, over capacity. The fleet cap is the
+    partial route count plus `slack`.
+    """
+    rng = np.random.default_rng(seed)
+    inst = generate_instance(n, seed, Q=Q, P=P)
+    full, loads = [], []
+    for u in rng.permutation(inst.customers):
+        du = inst.demand_of(u)
+        room = [r for r, load in enumerate(loads) if load + du <= Q]
+        if room and rng.random() < 0.8:
+            r = int(rng.choice(room))
+            full[r].insert(-1, int(u))
+            loads[r] += du
+        else:
+            full.append([0, int(u), inst.depot_end])
+            loads.append(du)
+    served = [u for nodes in full for u in nodes[1:-1]]
+    removed = [int(u) for u in rng.choice(served, size=int(rng.integers(1, n + 1)),
+                                          replace=False)]
+    partial = lns._drop_empty(lns._remove_customers(full, removed))
+    inst = dataclasses.replace(inst, max_mtev=len(partial) + slack)
+    return inst, full, partial, removed
+
+
+def compare_operators(inst, full, partial, removed, seen):
+    ctx = lns._Context(inst, SolverConfig())
+    want = {
+        "greedy_insertion": ref_greedy_insertion(partial, removed, inst, seen),
+        "regret2_insertion": ref_regret_insertion(partial, removed, inst, 2, seen),
+        "regret3_insertion": ref_regret_insertion(partial, removed, inst, 3, seen),
+    }
+    for op, routes in want.items():
+        got = lns._REPAIR_FUNCS[op]([list(r) for r in partial], list(removed), ctx, None)
+        assert got == routes, op
+    for op, ref in ref_removals(inst, seen).items():
+        for k in (1, len(removed), inst.n + 1):
+            got = lns._DESTROY_FUNCS[op]([list(r) for r in full], ctx, None, k)
+            assert got == ref(full, k), (op, k)
+
+
+class TestRouteLocalOperators:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+           Q=st.sampled_from([2.0, 3.0, 4.0, 6.0, 10.0]),
+           P=st.sampled_from([900.0, 1500.0, 4000.0, 15000.0]),
+           slack=st.integers(0, 3))
+    def test_same_moves_as_full_rescan(self, n, seed, Q, P, slack):
+        compare_operators(*operator_case(n, seed, Q, P, slack), set())
+
+    def test_every_branch_is_exercised(self):
+        seen = set()
+        for seed in range(40):
+            compare_operators(*operator_case(3 + seed % 28, seed, (2.0, 3.0, 4.0, 6.0, 10.0)[seed % 5],
+                                             (900.0, 15000.0)[seed % 2], seed % 3), seen)
+        assert seen == {"capacity", "fleet_cap", "few_options", "none", "over", "not_over"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,37 @@ def json_paths(value, path=()):
     elif isinstance(value, list):
         for idx, item in enumerate(value):
             yield from json_paths(item, path + (idx,))
+
+
+def odd_values(*ids):
+    """Strategy over values of the wrong type, size or finiteness."""
+    return st.sampled_from([None, True, False, -1, 0, *ids, 1.0, 2.5, "x", "3", [], {}, [0],
+                            [[0]], float("nan"), float("inf"), -float("inf"), 10**30,
+                            10**400]).map(copy.deepcopy)
+
+
+def mutate_json(doc, data, odd):
+    """Apply one to three random edits to a JSON document: replace a value,
+    drop a key or item, shorten or extend a list. Returns the new document."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        op = data.draw(st.sampled_from(["replace", "drop", "shorten", "extend"]))
+        if not path:
+            doc = data.draw(odd)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "shorten" and isinstance(target, list):
+            del target[-1:]
+        elif op == "extend" and isinstance(target, list):
+            target.append(data.draw(odd))
+        else:
+            parent[path[-1]] = data.draw(odd)
+    return doc
 
 
 def replay_profile(P, rho_t, gamma, costs, bits):
@@ -110,6 +142,49 @@ class TestInstance:
     def test_rejects_non_finite_distances(self, bad):
         with pytest.raises(ValueError, match="finite"):
             build_instance([[0, 5, bad], [0, 0, 5], [0, 0, 0]], [1, 1])
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", "3", "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("n", 3.0, "n must be an integer"),
+        ("n", -1, "n must be an integer >= 0"),
+        ("P", "x", "P must be a number"),
+        ("rho_e", True, "rho_e must be a number"),
+        ("B", None, "B must be a number"),
+        ("Q", 10**400, "Q must be finite"),
+        ("demand", 5, "demand must be a list"),
+        ("demand", {"1": 1}, "demand must be a list"),
+        ("dist", [[0, 1], [1]], "dist must be a matrix of numbers"),
+        ("dist", [["0", "1"], ["1", "0"]], "dist must be a matrix of numbers"),
+        ("dist", None, "dist must be a matrix of numbers"),
+        ("dist", [[True, False], [False, True]], "dist must be a matrix of numbers"),
+    ])
+    def test_rejects_mistyped_json_fields(self, field, value, match):
+        data = generate_instance(3, seed=1).to_json()
+        data[field] = value
+        with pytest.raises(ValueError, match=match):
+            Instance.from_json(data)
+
+    @pytest.mark.parametrize("data", [[], 5, None, "instance"])
+    def test_rejects_non_object_json(self, data):
+        with pytest.raises(ValueError, match="must be an object"):
+            Instance.from_json(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_instance_json_is_rejected_or_valid(self, data):
+        # drop keys, swap types, NaN/inf, huge ints and bools, wrong matrix
+        # shapes: from_json raises ValueError or returns a valid instance
+        doc = mutate_json(generate_instance(3, seed=5).to_json(), data, odd_values(3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # gamma <= rho_t is legal
+            try:
+                inst = Instance.from_json(doc)
+            except ValueError:
+                return
+            inst.validate()
+        assert inst.dist.shape == (inst.n + 2, inst.n + 2)
+        assert all(type(d) is int for d in inst.demand)
 
     def test_generated_instances_validate(self):
         for seed in range(5):
@@ -413,28 +488,7 @@ class TestCheckerTotality:
         # drop keys, swap types, wrong list lengths, odd ids and numbers: the
         # parser raises ValueError or the checker reports, nothing else
         inst, best = solved
-        doc = best.to_json()
-        odd = st.sampled_from([None, True, False, -1, 0, inst.n + 1, inst.n + 5, 1.0, 2.5,
-                               "x", [], {}, [0], float("nan"), float("inf"),
-                               -float("inf"), 10**30, 10**400]).map(copy.deepcopy)
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from(list(json_paths(doc))))
-            op = data.draw(st.sampled_from(["replace", "drop", "shorten", "extend"]))
-            if not path:
-                doc = data.draw(odd)
-                continue
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            target = parent[path[-1]]
-            if op == "drop":
-                del parent[path[-1]]
-            elif op == "shorten" and isinstance(target, list):
-                del target[-1:]
-            elif op == "extend" and isinstance(target, list):
-                target.append(data.draw(odd))
-            else:
-                parent[path[-1]] = data.draw(odd)
+        doc = mutate_json(best.to_json(), data, odd_values(inst.n + 1, inst.n + 5))
         try:
             sol = Solution.from_json(doc)
         except ValueError:
