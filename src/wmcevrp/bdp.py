@@ -38,9 +38,6 @@ class ChargePattern:
     def bit(self, e: int) -> int:
         return (self.mask >> e) & 1
 
-    def bits(self) -> list[int]:
-        return [(self.mask >> e) & 1 for e in range(self.width)]
-
     def edges(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.width) if (self.mask >> e) & 1)
 
@@ -58,9 +55,6 @@ class ChargePattern:
             if ch == "1":
                 mask |= 1 << e
         return cls(mask, len(s))
-
-    def is_subset_of(self, other: "ChargePattern") -> bool:
-        return (self.mask & other.mask) == self.mask
 
 
 @dataclass
@@ -100,12 +94,8 @@ def _edge_consumption(route: Route, inst: Instance):
     return cons, gain
 
 
-def suffix_requirements(route: Route, inst: Instance) -> list[float]:
-    """Energy needed to finish the route after each edge with no further charging."""
-    return _suffix_sums(_edge_consumption(route, inst)[0])
-
-
 def _suffix_sums(cons) -> list[float]:
+    """Energy needed to finish the route after each edge with no further charging."""
     m = len(cons)
     req = [0.0] * m
     acc = 0.0

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
-solution, 4 rejected input: an instance, solution or config file that cannot
-be parsed or fails validation, reported as one `invalid input:` line on
-stderr.
+solution, 4 rejected input: a missing or unreadable file, an instance,
+solution, config or reference file that cannot be parsed or fails
+validation, or a bad `sweep --values` list, reported as one
+`invalid input:` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ class InputError(Exception):
 
 
 def _load(loader, path):
-    """loader(path), with the ValueError of a malformed file raised as InputError."""
+    """loader(path), with the ValueError of a malformed file or the OSError
+    of an unreadable one raised as InputError."""
     try:
         return loader(path)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -115,8 +117,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = _load(Instance.load, args.instance)
-    cfg = oracle.OracleConfig(max_customers=args.max_customers)
-    res = oracle.solve_exact(inst, cfg)
+    res = oracle.solve_exact(inst, max_customers=args.max_customers)
     if args.certify:
         print(json.dumps(res.counts, sort_keys=True))
         print(f"optimal={res.optimal}")
@@ -134,7 +135,7 @@ def cmd_bench(args) -> int:
     if not instances:
         print(f"no instances in {args.dir}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    reference = harness.load_reference(args.ref) if args.ref else None
+    reference = _load(harness.load_reference, args.ref) if args.ref else None
     rows = harness.run_benchmark(instances, runs=args.runs,
                                  config=_load_config(args.config),
                                  seed=args.seed, reference=reference,
@@ -150,13 +151,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    instances = _load(harness.load_instances_dir, args.dir)
-    if not instances:
+    try:
+        spec = harness.SweepSpec(param=args.param,
+                                 values=[float(v) for v in args.values.split(",")],
+                                 instances=[], runs=args.runs)
+        spec.validate()
+    except ValueError as exc:
+        raise InputError(f"--values {args.values}: {exc}") from exc
+    spec.instances = _load(harness.load_instances_dir, args.dir)
+    if not spec.instances:
         print(f"no instances in {args.dir}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    values = [float(v) for v in args.values.split(",")]
-    spec = harness.SweepSpec(param=args.param, values=values,
-                             instances=instances, runs=args.runs)
     rows = harness.run_sweep(spec, config=_load_config(args.config),
                              seed=args.seed, jobs=args.jobs)
     harness.write_sweep_csv(rows, args.out)

@@ -6,6 +6,11 @@ nothing else. The exact search is count-first: it looks only for plans with
 fewer trucks than the best so far and stops when no plan can use fewer.
 Deadhead distance carries no cost and is not minimized; `total_deadhead` is
 reported as a diagnostic only.
+
+`_step` and `_home` hold the only truck arithmetic: deadhead legs, arrival
+times and battery levels. This layer does not check its own plans;
+`model.check_feasibility` re-derives the truck schedules and is the single
+independent check of synchronization and truck energy.
 """
 
 from __future__ import annotations
@@ -16,11 +21,9 @@ from math import prod
 from .bdp import BdpResult, ChargePattern
 from .model import (
     EPS,
-    FeasibilityReport,
     Instance,
     Route,
     Solution,
-    Violation,
     finalize_solution,
     mtev_arrival_times,
     routing_cost,
@@ -45,17 +48,9 @@ class ChargingDuty:
 
 
 @dataclass
-class ConfigurationChoice:
-    """Exactly one charging pattern per MTEV route, index aligned."""
-
-    patterns: list[ChargePattern]
-
-
-@dataclass
 class CoordinationPlan:
     duties: list[ChargingDuty]
     assignment: list[int]                    # duty index -> MCT index
-    mct_duties: list[list[ChargingDuty]]
     mct_routes: list[Route]
     total_deadhead: float
     certified: bool
@@ -67,7 +62,7 @@ class CoordinationPlan:
 
 @dataclass
 class CoordinationResult:
-    choice: ConfigurationChoice
+    choice: list[ChargePattern]              # one pattern per MTEV route, index aligned
     plan: CoordinationPlan
     cost: float
 
@@ -100,10 +95,10 @@ def _duty_order(duty: ChargingDuty) -> tuple[float, int, int]:
     return duty.start, duty.mtev, duty.edge
 
 
-def duties_from_choice(routes: list[Route], choice: ConfigurationChoice,
+def duties_from_choice(routes: list[Route], choice: list[ChargePattern],
                        inst: Instance) -> list[ChargingDuty]:
     duties = []
-    for r_idx, (route, pattern) in enumerate(zip(routes, choice.patterns)):
+    for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
         duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
                                   pattern, inst)
     duties.sort(key=_duty_order)
@@ -196,14 +191,15 @@ def _fresh_truck(inst: Instance) -> _TruckState:
 
 
 def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
-                  transfer_depletes: bool, node_budget: int):
+                  transfer_depletes: bool, node_budget: int, floor: int):
     """Fewest-truck duty assignment with at most max_mct trucks.
 
     Chains duties in start order, backtracking over existing-truck and
     new-truck choices. Once an assignment is found, the search looks only
     for one with strictly fewer trucks, and it stops when the count reaches
-    `mct_lower_bound(duties)`, which no assignment can beat. Deadhead is not
-    minimized: the first assignment found at the final count is kept.
+    `floor`, which must be `mct_lower_bound(duties)`: no assignment can beat
+    it. Deadhead is not minimized: the first assignment found at the final
+    count is kept.
 
     Returns (found, complete). found is (count, assignment), or None when no
     assignment was found. complete is False when the node budget ran out, so
@@ -212,7 +208,6 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     """
     if not duties:
         return (0, []), True
-    floor = mct_lower_bound(duties)
     if floor > max_mct:
         return None, True
     beat = [max_mct + 1]        # truck count an assignment must stay below
@@ -294,28 +289,23 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     return assignment, None
 
 
-def _truck_route(duties: list[ChargingDuty], inst: Instance, transfer_depletes: bool):
-    """Route of one truck serving duties in order, depot to depot.
-
-    Returns (nodes, battery, deadhead): the route nodes, the battery on
-    arrival at each node and the total deadhead distance. A duty whose tail
-    is where the truck stands adds no deadhead node.
-    """
+def _truck_route(duties: list[ChargingDuty], inst: Instance) -> tuple[list[int], float]:
+    """Route nodes and total deadhead of one truck serving duties in order,
+    depot to depot. A duty whose tail is where the truck stands adds no
+    deadhead node."""
     state = _fresh_truck(inst)
-    nodes, trace = [0], [state.battery]
+    nodes = [0]
     for duty in duties:
-        leg, _, stored, battery = _step(state, duty, inst, transfer_depletes)
+        # nodes and deadhead do not depend on depletion
+        leg, _, _, battery = _step(state, duty, inst, True)
         if duty.tail != state.position:
             nodes.append(duty.tail)
-            trace.append(stored)
         nodes.append(duty.head)
-        trace.append(battery)
         state = _after(state, duty, leg, battery, inst)
-    leg, home = _home(state, inst)
+    leg, _ = _home(state, inst)
     if state.position != inst.depot_end:
         nodes.append(inst.depot_end)
-        trace.append(home)
-    return nodes, trace, state.deadhead + leg
+    return nodes, state.deadhead + leg
 
 
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
@@ -329,14 +319,12 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
     routes = []
     total_deadhead = 0.0
     for t_idx, lst in enumerate(mct_duties):
-        # nodes and deadhead do not depend on depletion; the trace is unused
-        nodes, _, deadhead = _truck_route(lst, inst, True)
+        nodes, deadhead = _truck_route(lst, inst)
         routes.append(Route(t_idx, nodes))
         total_deadhead += deadhead
     return CoordinationPlan(
         duties=list(duties),
         assignment=list(assignment),
-        mct_duties=mct_duties,
         mct_routes=routes,
         total_deadhead=total_deadhead,
         certified=certified,
@@ -391,7 +379,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         if r_idx == len(routes):
             duties = sorted(duties, key=_duty_order)
             found, done = _assign_exact(duties, inst, beat[0] - 1, transfer_depletes,
-                                        node_budget)
+                                        node_budget, bound)
             complete[0] = complete[0] and done
             if found is not None:
                 beat[0], assignment = found
@@ -411,8 +399,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         return None
     patterns, duties, assignment = best[0]
     plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor)
-    return CoordinationResult(ConfigurationChoice(patterns), plan,
-                              fixed + inst.rho_c * beat[0])
+    return CoordinationResult(patterns, plan, fixed + inst.rho_c * beat[0])
 
 
 def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
@@ -432,7 +419,7 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     idx = [0] * len(routes)
     fixed = routing_cost(routes, inst)
     for _ in range(max_retries + 1):
-        choice = ConfigurationChoice([ordered[r][idx[r]] for r in range(len(routes))])
+        choice = [ordered[r][idx[r]] for r in range(len(routes))]
         duties = duties_from_choice(routes, choice, inst)
         assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
                                                   transfer_depletes)
@@ -445,64 +432,6 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     return None
 
 
-def validate_sync(plan: CoordinationPlan, sol: Solution, inst: Instance,
-                  transfer_depletes: bool = True) -> FeasibilityReport:
-    """Re-check every duty of a plan against the MTEV schedule from scratch:
-    arc co-traversal on both fleets, arrive-no-later timing, truck battery
-    under travel and transfer depletion, depot anchoring of truck routes."""
-    out: list[Violation] = []
-    mtev_times = (sol.mtev_times if len(sol.mtev_times) == len(sol.mtev_routes)
-                  else [mtev_arrival_times(r, inst) for r in sol.mtev_routes])
-    for t_idx, route in enumerate(plan.mct_routes):
-        tag = f"mct:{t_idx}"
-        nodes = route.nodes
-        if len(nodes) < 2 or nodes[0] != 0 or nodes[-1] != inst.depot_end:
-            out.append(Violation("flow", tag, "truck route must run depot to depot"))
-        elif any(u in (0, inst.depot_end) for u in nodes[1:-1]):
-            out.append(Violation("flow", tag, "depot appears mid-route"))
-    for d_idx, duty in enumerate(plan.duties):
-        t_idx = plan.assignment[d_idx]
-        tag = f"mct:{t_idx}"
-        if not (0 <= duty.mtev < len(sol.mtev_routes)):
-            out.append(Violation("sync", tag, f"duty references unknown MTEV route {duty.mtev}"))
-            continue
-        route = sol.mtev_routes[duty.mtev]
-        edges = route.edges()
-        if duty.edge >= len(edges) or edges[duty.edge] != (duty.tail, duty.head):
-            out.append(Violation("sync", tag,
-                                 f"arc ({duty.tail},{duty.head}) is not edge {duty.edge} of mtev:{duty.mtev}"))
-        start = mtev_times[duty.mtev][duty.edge]
-        if abs(start - duty.start) > EPS:
-            out.append(Violation("sync", tag,
-                                 f"duty start {duty.start:g} disagrees with MTEV schedule {start:g}",
-                                 abs(start - duty.start)))
-    for t_idx, lst in enumerate(plan.mct_duties):
-        tag = f"mct:{t_idx}"
-        route_arcs = plan.mct_routes[t_idx].edges() if t_idx < len(plan.mct_routes) else []
-        state = _fresh_truck(inst)
-        for duty in lst:
-            if (duty.tail, duty.head) not in route_arcs:
-                out.append(Violation("sync", tag,
-                                     f"assigned arc ({duty.tail},{duty.head}) missing from truck route"))
-            leg, arrive, stored, battery = _step(state, duty, inst, transfer_depletes)
-            if arrive > duty.start + EPS:
-                out.append(Violation("sync", tag,
-                                     f"reaches node {duty.tail} at {arrive:g}, after its MTEV at {duty.start:g}",
-                                     arrive - duty.start))
-            if stored < duty.transfer - EPS:
-                out.append(Violation("energy-mct", tag,
-                                     f"stored energy below transfer {duty.transfer:g} at node {duty.tail}",
-                                     duty.transfer - stored))
-            if battery < -EPS:
-                out.append(Violation("energy-mct", tag,
-                                     f"battery {battery:.6g} after arc ({duty.tail},{duty.head})",
-                                     -battery))
-            state = _after(state, duty, leg, battery, inst)
-        if _return_leg(state, inst) is None:
-            out.append(Violation("energy-mct", tag, "battery cannot cover the return leg"))
-    return FeasibilityReport(out)
-
-
 def assemble_solution(routes: list[Route], result: CoordinationResult,
                       inst: Instance, transfer_depletes: bool = True) -> Solution:
     """Full solution from MTEV routes plus a coordination result."""
@@ -511,32 +440,6 @@ def assemble_solution(routes: list[Route], result: CoordinationResult,
         sol.charge_assign[duty.mtev][duty.edge] = result.plan.assignment[d_idx]
     sol.mct_routes = [r.copy() for r in result.plan.mct_routes]
     return finalize_solution(sol, inst, transfer_depletes)
-
-
-def plan_to_json(plan: CoordinationPlan, inst: Instance,
-                 transfer_depletes: bool = True) -> dict:
-    """Plan dump: per truck, the ordered duty list with times, transfers and
-    the battery trace, one entry per node of its route."""
-    mcts = []
-    for t_idx, lst in enumerate(plan.mct_duties):
-        _, trace, _ = _truck_route(lst, inst, transfer_depletes)
-        duties = [{
-            "mtev": duty.mtev, "tail": duty.tail, "head": duty.head,
-            "start": duty.start, "end": duty.end,
-            "distance": duty.distance, "transfer": duty.transfer,
-        } for duty in lst]
-        mcts.append({
-            "vehicle": t_idx,
-            "route": list(plan.mct_routes[t_idx].nodes),
-            "duties": duties,
-            "battery": trace,
-        })
-    return {
-        "mct_count": plan.mct_count,
-        "total_deadhead": plan.total_deadhead,
-        "certified": plan.certified,
-        "mcts": mcts,
-    }
 
 
 def summary_line(mtev_count: int, mct_count: int, cost: float) -> str:

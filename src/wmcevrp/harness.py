@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ class SweepSpec:
     def validate(self) -> None:
         if self.param not in ("P", "rho_c"):
             raise ValueError(f"sweep parameter must be P or rho_c, got {self.param}")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("sweep values must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.values):
+            raise ValueError("sweep values must be finite and positive")
         if list(self.values) != sorted(set(self.values)):
             raise ValueError("sweep values must be strictly increasing")
 
@@ -170,17 +171,37 @@ def write_sweep_csv(rows: list[dict], path) -> None:
             writer.writerow([repr(r["value"]), repr(r["w_best"]), repr(r["e"]), repr(r["c"])])
 
 
+def _reference_cost(name: str, value) -> float:
+    try:
+        cost = float(value)
+    except (TypeError, ValueError, OverflowError):
+        cost = math.nan
+    if isinstance(value, bool) or not (math.isfinite(cost) and cost > 0):
+        raise ValueError(f"reference cost of {name} must be a finite positive number, "
+                         f"got {value!r}")
+    return cost
+
+
 def load_reference(path) -> dict:
-    """Reference upper bounds: JSON mapping or two-column CSV (name, value)."""
+    """Reference upper bounds: JSON object or two-column CSV (name, value).
+
+    Raises ValueError for any other layout and for a cost that is not a
+    finite positive number.
+    """
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json":
-        return {str(k): float(v) for k, v in json.loads(text).items()}
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("reference JSON must be an object mapping names to costs")
+        return {str(k): _reference_cost(str(k), v) for k, v in data.items()}
     ref = {}
     for row in csv.reader(text.splitlines()):
         if not row or row[0].lower() in ("instance", "name"):
             continue
-        ref[row[0]] = float(row[1])
+        if len(row) < 2:
+            raise ValueError(f"reference CSV row {row} needs a name and a cost")
+        ref[row[0]] = _reference_cost(row[0], row[1])
     return ref
 
 

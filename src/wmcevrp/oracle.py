@@ -8,29 +8,20 @@ ordered set partitions, so this is only viable for a handful of customers.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 
 from . import bdp, coordination
 from .model import Instance, Route, Solution, routing_cost
 
-
-@dataclass
-class OracleConfig:
-    max_customers: int = 6
-    max_mtev: int | None = None       # None: take the instance cap
-    max_mct: int | None = None
-    node_budget: int = 5_000_000      # partition-tree nodes
-    time_budget: float | None = None
+NODE_BUDGET = 5_000_000               # partition-tree nodes
 
 
 @dataclass
 class OracleResult:
     solution: Solution | None
     cost: float
-    optimal: bool                     # enumeration completed within budgets
+    optimal: bool                     # enumeration completed within NODE_BUDGET
     feasible: bool
     counts: dict = field(default_factory=dict)
 
@@ -43,30 +34,23 @@ class OracleResult:
         return sum(self.solution.used_mct) if self.solution else 0
 
 
-def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> OracleResult:
-    """Provable optimum by complete enumeration; refuses oversized instances."""
-    cfg = cfg or OracleConfig()
-    if inst.n > cfg.max_customers:
+def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
+    """Provable optimum by complete enumeration; refuses instances with more
+    than max_customers customers."""
+    if inst.n > max_customers:
         raise ValueError(
-            f"instance has {inst.n} customers, oracle limit is {cfg.max_customers}"
+            f"instance has {inst.n} customers, oracle limit is {max_customers}"
         )
-    max_mtev = inst.max_mtev if cfg.max_mtev is None else min(cfg.max_mtev, inst.max_mtev)
-    max_mct = inst.max_mct if cfg.max_mct is None else min(cfg.max_mct, inst.max_mct)
     customers = list(inst.customers)
     total_demand = sum(inst.demand)
-    started = time.perf_counter()
 
     best: list = [None]               # (cost, routes, CoordinationResult)
     counts = {"partition_nodes": 0, "leaves": 0, "coordinated": 0, "pattern_calls": 0}
     truncated = [False]
     pattern_memo: dict[tuple[int, ...], bdp.BdpResult] = {}
 
-    if any(d > inst.Q for d in inst.demand) or (max_mtev == 0 and customers):
+    if any(d > inst.Q for d in inst.demand) or (inst.max_mtev == 0 and customers):
         return OracleResult(None, float("inf"), True, False, counts)
-
-    coord_inst = inst
-    if max_mct != inst.max_mct:
-        coord_inst = dataclasses.replace(inst, max_mct=max_mct)
 
     def patterns_of(nodes: tuple[int, ...]) -> bdp.BdpResult:
         hit = pattern_memo.get(nodes)
@@ -90,7 +74,7 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> OracleResult
             results.append(res)
         counts["coordinated"] += 1
         outcome = coordination.coordinate_exact(
-            routes, results, coord_inst,
+            routes, results, inst,
             exact_cap=10**9, node_budget=10**9,
         )
         if outcome is None:
@@ -98,18 +82,11 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> OracleResult
         if best[0] is None or outcome.cost < best[0][0] - 1e-9:
             best[0] = (outcome.cost, routes, outcome)
 
-    def out_of_budget() -> bool:
-        if counts["partition_nodes"] > cfg.node_budget:
-            return True
-        if cfg.time_budget is not None and time.perf_counter() - started > cfg.time_budget:
-            return True
-        return False
-
     def rec(idx: int, parts: list[list[int]], loads: list[int], target_k: int) -> None:
         if truncated[0]:
             return
         counts["partition_nodes"] += 1
-        if out_of_budget():
+        if counts["partition_nodes"] > NODE_BUDGET:
             truncated[0] = True
             return
         if idx == len(customers):
@@ -136,12 +113,11 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> OracleResult
 
     if not customers:
         empty = coordination.CoordinationResult(
-            coordination.ConfigurationChoice([]),
-            coordination._build_plan([], [], inst, certified=True), 0.0)
+            [], coordination._build_plan([], [], inst, certified=True), 0.0)
         best[0] = (0.0, [], empty)
     else:
         k_min = max(1, math.ceil(total_demand / inst.Q))
-        for k in range(k_min, max_mtev + 1):
+        for k in range(k_min, inst.max_mtev + 1):
             if best[0] is not None and inst.rho_e * k >= best[0][0]:
                 break
             rec(0, [], [], k)

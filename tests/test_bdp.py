@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmcevrp import bdp
 from wmcevrp.bdp import (
     BdpResult,
     ChargePattern,
@@ -15,7 +16,6 @@ from wmcevrp.bdp import (
     min_charge_count,
     preprocess_route,
     prune_supersets,
-    suffix_requirements,
 )
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import Route, make_route, route_energy_profile
@@ -82,12 +82,6 @@ class TestChargePattern:
         assert p.edges() == (0, 3)
         assert p.cardinality == 2
 
-    def test_subset(self):
-        small = ChargePattern.from_bitstring("00101")
-        big = ChargePattern.from_bitstring("10101")
-        assert small.is_subset_of(big)
-        assert not big.is_subset_of(small)
-
 
 class TestPreprocess:
     def test_single_edge_within_capacity(self):
@@ -115,17 +109,21 @@ class TestPreprocess:
 
 
 class TestSuffixRequirements:
+    @staticmethod
+    def requirements(route, inst):
+        return bdp._suffix_sums(bdp._edge_consumption(route, inst)[0])
+
     def test_three_edges(self):
         inst, route = edge_instance([4, 4, 4], P=10.0)
-        assert suffix_requirements(route, inst) == [8.0, 4.0, 0.0]
+        assert self.requirements(route, inst) == [8.0, 4.0, 0.0]
 
     def test_single_edge(self):
         inst, route = edge_instance([7.0], P=10.0)
-        assert suffix_requirements(route, inst) == [0.0]
+        assert self.requirements(route, inst) == [0.0]
 
     def test_mixed_lengths(self):
         inst, route = edge_instance([1, 2, 3, 4], P=100.0)
-        assert suffix_requirements(route, inst) == [9.0, 7.0, 4.0, 0.0]
+        assert self.requirements(route, inst) == [9.0, 7.0, 4.0, 0.0]
 
 
 class TestPruneSupersets:

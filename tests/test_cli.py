@@ -201,6 +201,48 @@ class TestRejectedInput:
         cfg.write_text(json.dumps({"no_such_key": 1}))
         assert run_cli("solve", "--instance", instance_file, "--config", cfg) == 4
 
+    @staticmethod
+    def assert_one_line_rejection(capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input: ")
+
+    @pytest.mark.parametrize("name, text", [
+        ("ref.json", '{"a": "x"}'),
+        ("ref.json", "{not json"),
+        ("ref.json", "[6173]"),
+        ("ref.json", '{"inst": -5}'),
+        ("ref.json", '{"inst": null}'),
+        ("ref.csv", "inst,NaN\n"),
+        ("ref.csv", "inst\n"),
+    ])
+    def test_bad_reference_exits_4(self, instance_file, tmp_path, capsys, name, text):
+        ref = tmp_path / "refs" / name
+        ref.parent.mkdir()
+        ref.write_text(text)
+        assert run_cli("bench", "--dir", instance_file.parent, "--runs", 1,
+                       "--ref", ref, "--out", tmp_path / "bench.csv") == 4
+        self.assert_one_line_rejection(capsys)
+
+    @pytest.mark.parametrize("values", ["800,400", "800,800", "400,x", "-1", "nan", "400,inf"])
+    def test_bad_sweep_values_exit_4(self, instance_file, tmp_path, capsys, values):
+        assert run_cli("sweep", "--param", "P", "--values", values, "--runs", 1,
+                       "--dir", instance_file.parent, "--out", tmp_path / "sweep.csv") == 4
+        self.assert_one_line_rejection(capsys)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "check", "bench"])
+    def test_missing_file_exits_4(self, instance_file, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        args = {
+            "solve": ["--instance", missing],
+            "oracle": ["--instance", missing],
+            "check": ["--instance", missing, "--solution", missing],
+            "bench": ["--dir", instance_file.parent, "--ref", missing,
+                      "--out", tmp_path / "bench.csv"],
+        }[command]
+        assert run_cli(command, *args) == 4
+        self.assert_one_line_rejection(capsys)
+
 
 class TestCheckConfig:
     def test_transfer_depletion_setting_is_honoured(self, tmp_path):

@@ -9,7 +9,6 @@ from wmcevrp import bdp, coordination, lns
 from wmcevrp.config import SolverConfig
 from wmcevrp.coordination import (
     ChargingDuty,
-    ConfigurationChoice,
     CoordinationPlan,
     CoordinationResult,
     assemble_solution,
@@ -17,9 +16,7 @@ from wmcevrp.coordination import (
     coordinate_heuristic,
     duties_from_choice,
     mct_lower_bound,
-    plan_to_json,
     summary_line,
-    validate_sync,
 )
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import Route, check_feasibility, make_route, mtev_arrival_times
@@ -88,7 +85,7 @@ class TestDutiesAndBounds:
         inst, route = chainable_two_duty_case()
         res = bdp.enumerate_patterns(route, inst)
         for pattern, _ in res.patterns:
-            duties = duties_from_choice([route], ConfigurationChoice([pattern]), inst)
+            duties = duties_from_choice([route], [pattern], inst)
             assert {(d.tail, d.head) for d in duties} == \
                 {route.edges()[e] for e in pattern.edges()}
             times = mtev_arrival_times(route, inst)
@@ -137,10 +134,10 @@ class TestCoordinateExact:
         inst, route = chainable_two_duty_case()
         results = [bdp.enumerate_patterns(route, inst)]
         out = coordinate_exact([route], results, inst)
-        assert len(out.choice.patterns) == 1
-        assert out.choice.patterns[0].mask in results[0].masks()
+        assert len(out.choice) == 1
+        assert out.choice[0].mask in results[0].masks()
         # selected duties are exactly the set bits of the chosen pattern
-        chosen = out.choice.patterns[0]
+        chosen = out.choice[0]
         assert {d.edge for d in out.plan.duties} == set(chosen.edges())
 
     def test_infeasible_when_no_pattern_set(self):
@@ -214,7 +211,7 @@ class TestExactAgainstBruteForce:
             out = coordinate_exact(routes, results, inst)
             counts = []
             for combo in itertools.product(*[[p for p, _ in r.patterns] for r in results]):
-                duties = duties_from_choice(routes, ConfigurationChoice(list(combo)), inst)
+                duties = duties_from_choice(routes, list(combo), inst)
                 cap = min(inst.max_mct, len(duties))
                 found = oracle_min_trucks(duties, inst, max_trucks=cap)
                 if found is not None:
@@ -226,7 +223,6 @@ class TestExactAgainstBruteForce:
             assert out.plan.mct_count == min(counts)
             assert out.plan.certified
             sol = assemble_solution(routes, out, inst)
-            assert validate_sync(out.plan, sol, inst).passed
             assert check_feasibility(sol, inst).passed
         assert compared >= 80
 
@@ -247,7 +243,8 @@ class TestExactAgainstBruteForce:
                                        start=start, end=start + c,
                                        distance=c, transfer=inst.gamma * c))
         duties.sort(key=lambda d: (d.start, d.mtev, d.edge))
-        found, complete = coordination._assign_exact(duties, inst, max_mct, True, 10**6)
+        found, complete = coordination._assign_exact(duties, inst, max_mct, True, 10**6,
+                                                     mct_lower_bound(duties))
         assert complete
         expect = oracle_min_trucks(duties, inst, max_trucks=max_mct)
         assert (None if found is None else found[0]) == expect
@@ -299,6 +296,9 @@ class TestCoordinateHeuristic:
 
 
 class TestValidateSync:
+    """The independent checker catches truck plans that break synchronization
+    or truck energy; coordination does not check its own plans."""
+
     def test_exact_plans_always_validate(self):
         rng = np.random.default_rng(23)
         validated = 0
@@ -313,7 +313,6 @@ class TestValidateSync:
             if out is None:
                 continue
             sol = assemble_solution(routes, out, inst)
-            assert validate_sync(out.plan, sol, inst).passed
             assert check_feasibility(sol, inst).passed
             assert out.plan.mct_count >= mct_lower_bound(out.plan.duties)
             assert sol.total_cost == pytest.approx(out.cost)
@@ -330,52 +329,31 @@ class TestValidateSync:
                             distance=float(inst.dist[2, inst.depot_end]),
                             transfer=inst.gamma * float(inst.dist[2, inst.depot_end]))
         plan = CoordinationPlan(
-            duties=[duty], assignment=[0], mct_duties=[[duty]],
+            duties=[duty], assignment=[0],
             mct_routes=[Route(0, [0, 2, inst.depot_end])],
             total_deadhead=11.0, certified=False,
         )
-        fake = CoordinationResult(ConfigurationChoice([bdp.ChargePattern(4, 3)]), plan, 0.0)
+        fake = CoordinationResult([bdp.ChargePattern(4, 3)], plan, 0.0)
         sol = assemble_solution([route], fake, inst)
-        return inst, plan, sol
+        return inst, sol
 
     def test_late_truck_reported(self):
-        inst, plan, sol = self._late_plan()
-        report = validate_sync(plan, sol, inst)
+        inst, sol = self._late_plan()
+        report = check_feasibility(sol, inst)
         assert not report.passed
         sync = [v for v in report.violations if v.family == "sync"]
         assert sync and sync[0].magnitude == pytest.approx(1.0)
 
     def test_transfer_beyond_battery_reported(self):
-        inst, plan, sol = self._late_plan()
+        inst, sol = self._late_plan()
         inst.B = 1.0
-        report = validate_sync(plan, sol, inst)
+        report = check_feasibility(sol, inst)
         assert "energy-mct" in report.families()
 
 
-def test_plan_json_shape():
-    inst, route = chainable_two_duty_case()
-    results = [bdp.enumerate_patterns(route, inst)]
-    out = coordinate_exact([route], results, inst)
-    data = plan_to_json(out.plan, inst)
-    assert data["mct_count"] == 1
-    assert len(data["mcts"][0]["duties"]) == 2
-    for duty in data["mcts"][0]["duties"]:
-        assert set(duty) == {"mtev", "tail", "head", "start", "end", "distance", "transfer"}
-
-
 class TestPlanJsonTrace:
-    """plan_to_json's battery trace has one entry per truck route node and
-    agrees with the schedule that build_schedule derives for that route."""
-
-    @staticmethod
-    def assert_trace_matches(routes, out, inst, transfer_depletes):
-        data = plan_to_json(out.plan, inst, transfer_depletes)
-        sol = assemble_solution(routes, out, inst, transfer_depletes)
-        assert len(data["mcts"]) == len(sol.mct_battery)
-        for mct, route, expect in zip(data["mcts"], out.plan.mct_routes, sol.mct_battery):
-            assert mct["route"] == route.nodes
-            assert len(mct["battery"]) == len(route.nodes)
-            assert mct["battery"] == pytest.approx(expect)
+    """Exact and heuristic plans pass the checker under either depletion
+    setting, and truck routes list a deadhead node even over distance zero."""
 
     @pytest.mark.parametrize("transfer_depletes", [True, False])
     def test_generated_exact_and_heuristic_plans(self, transfer_depletes):
@@ -384,7 +362,8 @@ class TestPlanJsonTrace:
             for coordinate in (coordinate_exact, coordinate_heuristic):
                 out = coordinate(routes, results, inst, transfer_depletes=transfer_depletes)
                 if out is not None:
-                    self.assert_trace_matches(routes, out, inst, transfer_depletes)
+                    sol = assemble_solution(routes, out, inst, transfer_depletes)
+                    assert check_feasibility(sol, inst, transfer_depletes).passed
                     trucks += out.plan.mct_count
         assert trucks >= 20
 
@@ -398,7 +377,7 @@ class TestPlanJsonTrace:
         results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [(pattern, 0.0)])]
         out = coordinate_heuristic([route], results, inst)
         assert out.plan.mct_routes[0].nodes == [0, 1, 2, 3, inst.depot_end]
-        self.assert_trace_matches([route], out, inst, True)
+        assert check_feasibility(assemble_solution([route], out, inst), inst).passed
 
 
 def test_summary_line_format():

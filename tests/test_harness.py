@@ -150,3 +150,22 @@ class TestLoadReference:
         path = tmp_path / "ref.csv"
         path.write_text("instance,ub\n4A,6173\n8C,6708\n")
         assert load_reference(path) == {"4A": 6173.0, "8C": 6708.0}
+
+    @pytest.mark.parametrize("name, text", [
+        ("ref.json", "[1, 2]"),
+        ("ref.json", '{"4A": "x"}'),
+        ("ref.json", '{"4A": true}'),
+        ("ref.json", '{"4A": 0}'),
+        ("ref.json", '{"4A": 1e400}'),
+        ("ref.json", '{"4A": ' + "9" * 400 + "}"),
+        ("ref.json", '{"4A": [6173]}'),
+        ("ref.csv", "4A,6173\n8C\n"),
+        ("ref.csv", "4A,-6173\n"),
+        ("ref.csv", "4A,inf\n"),
+    ], ids=["list", "text", "bool", "zero", "float-overflow", "huge-int", "nested",
+            "short-row", "negative", "inf"])
+    def test_rejects_bad_layout_or_cost(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_reference(path)

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wmcevrp import harness, lns
 from wmcevrp.config import SolverConfig
-from wmcevrp.coordination import validate_sync
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import Instance, check_feasibility
-from wmcevrp.oracle import OracleConfig, solve_exact
+from wmcevrp.oracle import solve_exact
 
 from conftest import build_instance
 
@@ -69,7 +70,7 @@ class TestSolveExact:
             P=900.0, rho_e=1000.0, rho_c=2000.0, gamma=2.0,
         )
         free = solve_exact(inst)
-        banned = solve_exact(inst, OracleConfig(max_mct=0))
+        banned = solve_exact(dataclasses.replace(inst, max_mct=0))
         assert free.mct_used == 0
         assert banned.cost == pytest.approx(free.cost)
 
@@ -84,7 +85,7 @@ class TestSolveExact:
         inst = generate_instance(7, seed=1)
         with pytest.raises(ValueError, match="oracle limit"):
             solve_exact(inst)
-        assert solve_exact(inst, OracleConfig(max_customers=7)).feasible
+        assert solve_exact(inst, max_customers=7).feasible
 
     def test_detects_impossible_demand(self):
         inst = build_instance([[0, 5], [0, 0]], [9], Q=5.0)
