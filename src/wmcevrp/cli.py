@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
 solution, 4 rejected input: a missing or unreadable file, an instance,
 solution, config or reference file that cannot be parsed or fails
-validation, or a bad `sweep --values` list, reported as one
-`invalid input:` line on stderr.
+validation, a missing `--dir`, an output path (`--out`, `solve --log`)
+in a missing directory or that names a directory, or a bad
+`sweep --values` list, reported as one `invalid input:` line on stderr.
+Output paths are checked before any run starts.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import coordination, harness, lns, oracle
@@ -37,6 +40,24 @@ def _load(loader, path):
     try:
         return loader(path)
     except (ValueError, OSError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _check_outputs(*paths) -> None:
+    """Refuse output paths that cannot be written, before any work is done."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise InputError(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise InputError(f"{path}: no such directory {Path(path).parent}")
+
+
+@contextmanager
+def _writing(path):
+    """Raise the OSError of a failed write to path as InputError."""
+    try:
+        yield
+    except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -83,7 +104,8 @@ def _load_config(path) -> SolverConfig:
 
 def cmd_gen(args) -> int:
     inst = generate_instance(args.n, args.seed, _gen_params(args))
-    inst.save(args.out)
+    with _writing(args.out):
+        inst.save(args.out)
     print(f"wrote {args.out} (n={args.n}, seed={args.seed})")
     return EXIT_OK
 
@@ -104,9 +126,10 @@ def cmd_solve(args) -> int:
         print("no feasible solution within budget", file=sys.stderr)
         return EXIT_NO_SOLUTION
     if args.out:
-        Path(args.out).write_text(result.best.to_json_str())
+        with _writing(args.out):
+            Path(args.out).write_text(result.best.to_json_str())
     if args.log:
-        with open(args.log, "w", newline="") as f:
+        with _writing(args.log), open(args.log, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(("iteration", "destroy_op", "repair_op",
                              "incumbent_cost", "best_cost", "temperature"))
@@ -125,7 +148,8 @@ def cmd_oracle(args) -> int:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if args.out:
-        Path(args.out).write_text(res.solution.to_json_str())
+        with _writing(args.out):
+            Path(args.out).write_text(res.solution.to_json_str())
     print(coordination.summary_line(res.mtev_used, res.mct_used, res.cost))
     return EXIT_OK
 
@@ -140,7 +164,8 @@ def cmd_bench(args) -> int:
                                  config=_load_config(args.config),
                                  seed=args.seed, reference=reference,
                                  jobs=args.jobs)
-    harness.write_benchmark_csv(rows, args.out)
+    with _writing(args.out):
+        harness.write_benchmark_csv(rows, args.out)
     for row in rows:
         if row.failed:
             status = f"FAILED ({row.status_reason})"
@@ -164,7 +189,8 @@ def cmd_sweep(args) -> int:
         return EXIT_NO_SOLUTION
     rows = harness.run_sweep(spec, config=_load_config(args.config),
                              seed=args.seed, jobs=args.jobs)
-    harness.write_sweep_csv(rows, args.out)
+    with _writing(args.out):
+        harness.write_sweep_csv(rows, args.out)
     for row in rows:
         print(f"{args.param}={row['value']}: W_best={row['w_best']:.2f} "
               f"E={row['e']:.2f} C={row['c']:.2f}")
@@ -240,6 +266,7 @@ def main(argv=None) -> int:
         "check": cmd_check,
     }
     try:
+        _check_outputs(getattr(args, "out", None), getattr(args, "log", None))
         return handlers[args.command](args)
     except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -108,11 +108,18 @@ class RunResult:
 
 
 class _Context:
-    """Per-run caches shared by operators: pattern memo and relatedness."""
+    """Per-run caches shared by operators: distance rows, pattern memo and
+    relatedness.
+
+    `d` holds `inst.dist` as nested lists of floats: operators index it in
+    their inner loops, where a plain-float lookup costs far less than a
+    numpy scalar and gives the same IEEE arithmetic.
+    """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
         self.inst = inst
         self.cfg = cfg
+        self.d = inst.dist.tolist()
         self._bdp_memo: dict[tuple[int, ...], bdp.BdpResult] = {}
         self._relatedness = None
 
@@ -146,11 +153,10 @@ def _route_load(nodes: list[int], inst: Instance) -> int:
     return sum(inst.demand_of(u) for u in nodes[1:-1])
 
 
-def _detour(nodes: list[int], pos: int, inst: Instance) -> float:
+def _detour(nodes: list[int], pos: int, d: list[list[float]]) -> float:
     """Distance saved by removing the interior node at position pos (1-based)."""
     prev, u, nxt = nodes[pos - 1], nodes[pos], nodes[pos + 1]
-    d = inst.dist
-    return float(d[prev, u] + d[u, nxt] - d[prev, nxt])
+    return d[prev][u] + d[u][nxt] - d[prev][nxt]
 
 
 def _drop_empty(routes: list[list[int]]) -> list[list[int]]:
@@ -215,15 +221,15 @@ def _greedy_metric_removal(routes, k, metric, over_battery=None):
 
 
 def _distance_removal(routes, ctx, rng, k):
-    inst = ctx.inst
-    return _greedy_metric_removal(routes, k, lambda nodes, pos: _detour(nodes, pos, inst))
+    d = ctx.d
+    return _greedy_metric_removal(routes, k, lambda nodes, pos: _detour(nodes, pos, d))
 
 
 def _worst_removal(routes, ctx, rng, k):
-    inst = ctx.inst
+    inst, d = ctx.inst, ctx.d
 
     def metric(nodes, pos):
-        saving = inst.rho_t * _detour(nodes, pos, inst)
+        saving = inst.rho_t * _detour(nodes, pos, d)
         if len(nodes) == 3:   # removal would empty the route
             saving += inst.rho_e
         return saving
@@ -234,9 +240,9 @@ def _worst_removal(routes, ctx, rng, k):
 def _charge_removal(routes, ctx, rng, k):
     """Target routes whose energy need exceeds the battery; drop the customer
     whose removal saves the most energy."""
-    inst = ctx.inst
+    inst, d = ctx.inst, ctx.d
     return _greedy_metric_removal(
-        routes, k, lambda nodes, pos: inst.rho_t * _detour(nodes, pos, inst),
+        routes, k, lambda nodes, pos: inst.rho_t * _detour(nodes, pos, d),
         over_battery=lambda nodes: inst.rho_t * inst.route_distance(nodes) > inst.P)
 
 
@@ -307,36 +313,38 @@ def destroy(op_id: str, sol: Solution, inst: Instance, rng: np.random.Generator,
 # insertion operators
 # ---------------------------------------------------------------------------
 
-def _route_options(nodes, u, r_idx, inst):
+def _route_options(nodes, u, r_idx, ctx):
     """(delta_cost, route_idx, pos) of inserting u at every position of one route."""
-    d = inst.dist
-    return [(inst.rho_t * float(d[prev, u] + d[u, nxt] - d[prev, nxt]), r_idx, pos)
+    d, rho_t = ctx.d, ctx.inst.rho_t
+    du = d[u]
+    return [(rho_t * (d[prev][u] + du[nxt] - d[prev][nxt]), r_idx, pos)
             for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]), start=1)]
 
 
-def _fresh_route_delta(u, inst):
+def _fresh_route_delta(u, ctx):
     """Cost of serving u alone on a newly acquired vehicle."""
-    d = inst.dist
-    return inst.rho_t * float(d[0, u] + d[u, inst.depot_end]) + inst.rho_e
+    inst, d = ctx.inst, ctx.d
+    return inst.rho_t * (d[0][u] + d[u][inst.depot_end]) + inst.rho_e
 
 
 def _can_open(routes, u, inst):
     return len(routes) < inst.max_mtev and inst.demand_of(u) <= inst.Q
 
 
-def _insertion_options(routes, u, inst, loads):
+def _insertion_options(routes, u, ctx, loads):
     """All capacity-feasible positions for u, as (delta_cost, route_idx, pos).
 
     route_idx == len(routes) denotes opening a fresh route, priced with the
     vehicle acquisition cost.
     """
+    inst = ctx.inst
     du = inst.demand_of(u)
     options = []
     for r_idx, nodes in enumerate(routes):
         if loads[r_idx] + du <= inst.Q:
-            options += _route_options(nodes, u, r_idx, inst)
+            options += _route_options(nodes, u, r_idx, ctx)
     if _can_open(routes, u, inst):
-        options.append((_fresh_route_delta(u, inst), len(routes), 1))
+        options.append((_fresh_route_delta(u, ctx), len(routes), 1))
     return options
 
 
@@ -354,7 +362,7 @@ def _insert_each_best(routes, order, ctx):
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
     for u in order:
-        options = _insertion_options(routes, u, inst, loads)
+        options = _insertion_options(routes, u, ctx, loads)
         if not options:
             return None
         _, r_idx, pos = min(options)
@@ -394,10 +402,10 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     def cheapest(r_idx, u):
         if loads[r_idx] + inst.demand_of(u) > inst.Q:
             return []
-        options = _route_options(routes[r_idx], u, r_idx, inst)
+        options = _route_options(routes[r_idx], u, r_idx, ctx)
         return [min(options)] if depth == 1 else sorted(options)[:depth]
 
-    fresh = {u: _fresh_route_delta(u, inst) for u in pending}
+    fresh = {u: _fresh_route_delta(u, ctx) for u in pending}
     cached = {u: [cheapest(r_idx, u) for r_idx in range(len(routes))] for u in pending}
     while pending:
         best = None
@@ -441,15 +449,22 @@ def _charge_insertion(routes, removed, ctx, rng):
     A position is welcome while the receiving route keeps a pattern with no
     more charging arcs than before. When every placement would force extra
     charging, a fresh route is preferred over burdening an existing one.
+
+    Options rank by (increase, keep_existing, delta, r_idx, pos). Every
+    option with increase 0 has keep_existing 2, so the first one in
+    (delta, r_idx, pos) order wins outright: options are priced in that
+    order up to it, and all of them are ranked only when each one adds
+    charging.
     """
     inst = ctx.inst
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
     base_card = [_min_charge_cardinality(nodes, ctx) for nodes in routes]
     for u in removed:
-        options = _insertion_options(routes, u, inst, loads)
+        options = _insertion_options(routes, u, ctx, loads)
         if not options:
             return None
+        options.sort()
         ranked = []
         for delta, r_idx, pos in options:
             fresh = r_idx == len(routes)
@@ -463,8 +478,9 @@ def _charge_insertion(routes, removed, ctx, rng):
             increase = max(0.0, after - before) if after != math.inf else math.inf
             keep_existing = 1 if (increase > 0 and fresh) else 2
             ranked.append((increase, keep_existing, delta, r_idx, pos, after))
-        ranked.sort(key=lambda o: o[:5])
-        increase, _, delta, r_idx, pos, after = ranked[0]
+            if increase == 0:
+                break
+        increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
         _apply_insertion(routes, loads, u, r_idx, pos, inst)
@@ -519,6 +535,9 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     """
     cfg = config or SolverConfig()
     charge_free_gate = rng.random() < 0.5
+    # customers of every row by distance; a stable sort breaks ties by index
+    nearest = (np.argsort(inst.dist[:inst.n + 1, 1:inst.n + 1], axis=1, kind="stable")
+               + 1).tolist()
     unserved = set(inst.customers)
     routes: list[list[int]] = []
     current: list[int] = [0]
@@ -534,7 +553,7 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
 
     while unserved:
         last = current[-1]
-        candidates = sorted(unserved, key=lambda u: (float(inst.dist[last, u]), u))
+        candidates = [u for u in nearest[last] if u in unserved]
         if len(current) == 1 and len(candidates) > 1:
             shortlist = candidates[:3]
             pick = shortlist.pop(int(rng.integers(len(shortlist))))

@@ -243,6 +243,58 @@ class TestRejectedInput:
         assert run_cli(command, *args) == 4
         self.assert_one_line_rejection(capsys)
 
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    @pytest.mark.parametrize("kind, code", [("missing", 4), ("file", 4), ("empty", 3)])
+    def test_instance_dir(self, instance_file, tmp_path, capsys, command, kind, code):
+        path = {"missing": tmp_path / "nodir", "file": instance_file,
+                "empty": tmp_path / "empty"}[kind]
+        if kind == "empty":
+            path.mkdir()
+        sweep = ["--param", "P", "--values", "900"] if command == "sweep" else []
+        assert run_cli(command, *sweep, "--dir", path, "--runs", 1,
+                       "--out", tmp_path / "out.csv") == code
+        if code == 4:
+            self.assert_one_line_rejection(capsys)
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Every command's work fails the test if it starts."""
+        def ran(*args, **kwargs):
+            raise AssertionError("the run started")
+        for owner, name in ((cli, "generate_instance"), (cli.lns, "run"),
+                            (cli.oracle, "solve_exact"), (cli.harness, "run_benchmark"),
+                            (cli.harness, "run_sweep")):
+            monkeypatch.setattr(owner, name, ran)
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "solve --log", "oracle", "bench",
+                                         "sweep"])
+    @pytest.mark.parametrize("target", ["nodir/out", "."])
+    def test_unwritable_output_exits_4_before_the_run(self, instance_file, tmp_path, capsys,
+                                                      no_run, command, target):
+        bad = tmp_path / target
+        good = tmp_path / "good.json"
+        args = {
+            "gen": ["gen", "--n", 3, "--out", bad],
+            "solve": ["solve", "--instance", instance_file, "--out", bad],
+            "solve --log": ["solve", "--instance", instance_file, "--out", good, "--log", bad],
+            "oracle": ["oracle", "--instance", instance_file, "--out", bad],
+            "bench": ["bench", "--dir", instance_file.parent, "--out", bad],
+            "sweep": ["sweep", "--param", "P", "--values", "900", "--dir",
+                      instance_file.parent, "--out", bad],
+        }[command]
+        assert run_cli(*args) == 4
+        self.assert_one_line_rejection(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [instance_file.name]
+
+    def test_failed_write_exits_4(self, instance_file, tmp_path, capsys, monkeypatch):
+        def refuse(rows, path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli.harness, "write_benchmark_csv", refuse)
+        assert run_cli("bench", "--dir", instance_file.parent, "--runs", 1,
+                       "--out", tmp_path / "bench.csv") == 4
+        self.assert_one_line_rejection(capsys)
+
 
 class TestCheckConfig:
     def test_transfer_depletion_setting_is_honoured(self, tmp_path):

@@ -322,7 +322,9 @@ def ref_removals(inst, seen):
                                   if len(nodes) > 2]
 
     def detour(nodes, pos):
-        return lns._detour(nodes, pos, inst)
+        prev, u, nxt = nodes[pos - 1], nodes[pos], nodes[pos + 1]
+        d = inst.dist
+        return float(d[prev, u] + d[u, nxt] - d[prev, nxt])
 
     def worst(nodes, pos):
         saving = inst.rho_t * detour(nodes, pos)
@@ -396,6 +398,175 @@ class TestRouteLocalOperators:
             compare_operators(*operator_case(3 + seed % 28, seed, (2.0, 3.0, 4.0, 6.0, 10.0)[seed % 5],
                                              (900.0, 15000.0)[seed % 2], seed % 3), seen)
         assert seen == {"capacity", "fleet_cap", "few_options", "none", "over", "not_over"}
+
+
+# ---------------------------------------------------------------------------
+# lazy charge insertion and the construction order against full scans
+# ---------------------------------------------------------------------------
+
+def ref_min_card(nodes, inst, calls):
+    calls.append(1)
+    card = bdp.min_charge_count(make_route(0, nodes[1:-1], inst), inst,
+                                SolverConfig().bdp_max_edges)
+    return math.inf if card is None else card
+
+
+def ref_charge_insertion(routes, removed, inst, seen, calls):
+    """Charge insertion that prices every option before ranking them."""
+    routes = [list(r) for r in routes]
+    loads = [lns._route_load(nodes, inst) for nodes in routes]
+    base_card = [ref_min_card(nodes, inst, calls) for nodes in routes]
+    if math.inf in base_card:
+        seen.add("inf_base")
+    for u in removed:
+        options = ref_options(routes, u, inst, loads, seen)
+        if not options:
+            seen.add("none")
+            return None
+        if min(options)[0] < 0:
+            seen.add("negative_delta")
+        ranked = []
+        for delta, r_idx, pos in options:
+            fresh = r_idx == len(routes)
+            if fresh:
+                nodes = [0, u, inst.depot_end]
+                before = 0.0
+            else:
+                nodes = routes[r_idx][:pos] + [u] + routes[r_idx][pos:]
+                before = base_card[r_idx]
+            after = ref_min_card(nodes, inst, calls)
+            increase = max(0.0, after - before) if after != math.inf else math.inf
+            keep_existing = 1 if (increase > 0 and fresh) else 2
+            ranked.append((increase, keep_existing, delta, r_idx, pos, after))
+        ranked.sort(key=lambda o: o[:5])
+        increase, _, delta, r_idx, pos, after = ranked[0]
+        seen.add("early_exit" if increase == 0 else "full_scan")
+        if increase == math.inf:
+            seen.add("none")
+            return None
+        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        if r_idx == len(base_card):
+            base_card.append(after)
+        else:
+            base_card[r_idx] = after
+    return routes
+
+
+def compare_charge_insertion(n, seed, Q, P, slack, gamma, seen, calls):
+    inst, _, partial, removed = operator_case(n, seed, Q, P, slack)
+    inst = dataclasses.replace(inst, gamma=gamma)
+    want = ref_charge_insertion(partial, removed, inst, seen, calls)
+    got = lns._charge_insertion([list(r) for r in partial], list(removed),
+                                lns._Context(inst, SolverConfig()), None)
+    assert got == want
+
+
+def ref_initial_solution(inst, rng):
+    """The construction with a keyed sort of the unserved customers per step."""
+    charge_free_gate = rng.random() < 0.5
+    unserved = set(inst.customers)
+    routes, current, load = [], [0], 0
+
+    def chargeable(nodes):
+        return bdp.min_charge_count(make_route(0, nodes[1:-1], inst), inst) is not None
+
+    def battery_ok(nodes):
+        if charge_free_gate:
+            return inst.rho_t * inst.route_distance(nodes) <= inst.P
+        return chargeable(nodes)
+
+    while unserved:
+        last = current[-1]
+        candidates = sorted(unserved, key=lambda u: (float(inst.dist[last, u]), u))
+        if len(current) == 1 and len(candidates) > 1:
+            shortlist = candidates[:3]
+            pick = shortlist.pop(int(rng.integers(len(shortlist))))
+            candidates = [pick] + [u for u in candidates if u != pick]
+        for u in candidates:
+            if load + inst.demand_of(u) <= inst.Q and battery_ok(current + [u, inst.depot_end]):
+                current.append(u)
+                load += inst.demand_of(u)
+                unserved.remove(u)
+                break
+        else:
+            if len(current) == 1:
+                lone = next((u for u in candidates if inst.demand_of(u) <= inst.Q
+                             and chargeable([0, u, inst.depot_end])), None)
+                if lone is None:
+                    raise InfeasibleInstanceError(f"customer {candidates[0]} unservable")
+                unserved.remove(lone)
+                current = [0, lone]
+            routes.append(current + [inst.depot_end])
+            if len(routes) >= inst.max_mtev and unserved:
+                raise InfeasibleInstanceError("vehicle cap reached")
+            current, load = [0], 0
+    if len(current) > 1:
+        routes.append(current + [inst.depot_end])
+    return routes
+
+
+def tied_instance(n, seed, top, P, Q):
+    """Integer distances in 1..top, so most rows hold ties."""
+    rng = np.random.default_rng(seed)
+    core = rng.integers(1, top + 1, size=(n + 1, n + 1))
+    demand = [int(q) for q in rng.integers(1, 4, size=n)]
+    return build_instance(core, demand, P=P, Q=Q, gamma=float(rng.choice([0.5, 2.0])))
+
+
+def gate_seed(charge_free, start):
+    """The first rng seed from start whose first draw picks the given gate."""
+    seed = start
+    while (rng_at(seed).random() < 0.5) != charge_free:
+        seed += 1
+    return seed
+
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestLazyPricing:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+           Q=st.sampled_from([2.0, 4.0, 10.0]),
+           P=st.sampled_from([300.0, 900.0, 1500.0, 15000.0]),
+           slack=st.integers(0, 2), gamma=st.sampled_from([0.5, 2.0]))
+    def test_charge_insertion_same_as_full_scan(self, n, seed, Q, P, slack, gamma):
+        compare_charge_insertion(n, seed, Q, P, slack, gamma, set(), [])
+
+    def test_charge_insertion_branches(self, monkeypatch):
+        lazy_calls = []
+        priced = lns._min_charge_cardinality
+
+        def counted(nodes, ctx):
+            lazy_calls.append(1)
+            return priced(nodes, ctx)
+
+        monkeypatch.setattr(lns, "_min_charge_cardinality", counted)
+        seen, ref_calls = set(), []
+        for seed in range(40):
+            compare_charge_insertion(3 + seed % 28, seed, (2.0, 4.0, 10.0)[seed % 3],
+                                     (300.0, 900.0, 1500.0, 15000.0)[seed % 4], seed % 3,
+                                     (0.5, 2.0)[seed // 4 % 2], seen, ref_calls)
+        assert seen >= {"early_exit", "full_scan", "inf_base", "fleet_cap",
+                        "negative_delta", "none"}
+        assert len(lazy_calls) < len(ref_calls)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
+           top=st.integers(1, 6), P=st.sampled_from([4.0, 8.0, 15.0, 100.0]),
+           Q=st.sampled_from([3.0, 5.0, 10.0]), rng_start=st.integers(0, 10**6))
+    def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start):
+        inst = tied_instance(n, seed, top, P, Q)
+        for charge_free in (True, False):
+            rng_seed = gate_seed(charge_free, rng_start)
+            ref_rng, rng = rng_at(rng_seed), rng_at(rng_seed)
+            try:
+                want = ref_initial_solution(inst, ref_rng)
+            except InfeasibleInstanceError:
+                with pytest.raises(InfeasibleInstanceError):
+                    lns.initial_solution(inst, rng)
+                continue
+            got = lns.initial_solution(inst, rng)
+            assert [r.nodes for r in got.mtev_routes] == want
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
