@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Instance, Route
+from .model import Instance, Route, route_energy_profile
 
 DEFAULT_MAX_EDGES = 20
 
@@ -62,8 +62,9 @@ class BdpResult:
     """Outcome of pattern enumeration for one route.
 
     ``patterns`` holds (pattern, final battery) pairs sorted by increasing
-    mask value. ``fallback`` marks results produced by the greedy long-route
-    fallback instead of the exact sweep.
+    mask value. ``fallback`` marks a route longer than ``max_edges``: its one
+    pattern is the charge-count DP's minimum-count witness, not the full
+    antichain of the 2^m sweep.
     """
 
     classification: RouteClass
@@ -148,17 +149,19 @@ def prune_supersets(patterns) -> list[ChargePattern]:
     return [ChargePattern(m, width) for m in sorted(kept)]
 
 
-def _trivial_result(route: Route, inst: Instance) -> BdpResult:
-    cons, _ = _edge_consumption(route, inst)
-    final = inst.P
-    for ce in cons:
-        final -= ce
-    return BdpResult(RouteClass.TRIVIAL_NO_CHARGE,
-                     [(ChargePattern(0, len(cons)), final)])
+def _result(route: Route, inst: Instance, patterns,
+            cls: RouteClass = RouteClass.ENUMERATED, fallback: bool = False) -> BdpResult:
+    """``patterns`` with the final battery of the checker's own replay;
+    INFEASIBLE when there are none."""
+    if not patterns:
+        return BdpResult(RouteClass.INFEASIBLE, [], fallback)
+    return BdpResult(cls, [(p, route_energy_profile(route, p, inst)[-1]) for p in patterns],
+                     fallback)
 
 
-def _min_count_sweep(cons, gain, req, P: float) -> int | None:
-    """Fewest set bits over the masks that ``_sweep`` marks terminal.
+def _min_count_sweep(cons, gain, req, P: float) -> tuple[int, int] | None:
+    """Fewest set bits over the masks that ``_sweep`` marks terminal, and one
+    such mask; None when no mask is terminal.
 
     Keeps one state per charge count k: the highest battery level over the
     still-active masks with k charges (the dominance rule of
@@ -168,8 +171,11 @@ def _min_count_sweep(cons, gain, req, P: float) -> int | None:
     k-charge mask of the sweep does. O(m^2) instead of O(2^m).
     """
     levels = [P]          # levels[k]; negative marks "no active mask"
+    history = []          # levels before each edge
+    end = None            # (edge, count before it, bit) where best turned terminal
     best = None
-    for ce, ge, r_e in zip(cons, gain, req):
+    for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
+        history.append(levels)
         width = len(levels) + 1 if best is None else best
         nxt = [-1.0] * width
         for k, base in enumerate(levels):
@@ -182,12 +188,12 @@ def _min_count_sweep(cons, gain, req, P: float) -> int | None:
             nc = base - ce
             if nc >= r_e:
                 if best is None or k < best:
-                    best = k
+                    best, end = k, (e, k, 0)
             elif nc >= 0.0 and k < width and nc > nxt[k]:
                 nxt[k] = nc
             if child >= r_e:
                 if best is None or k + 1 < best:
-                    best = k + 1
+                    best, end = k + 1, (e, k, 1)
             elif child >= 0.0 and k + 1 < width and child > nxt[k + 1]:
                 nxt[k + 1] = child
         if best is not None:
@@ -195,46 +201,27 @@ def _min_count_sweep(cons, gain, req, P: float) -> int | None:
         if not any(level >= 0.0 for level in nxt):
             break
         levels = nxt
-    return best
+    return None if best is None else (best, _witness(history, cons, end))
 
 
-def greedy_fallback_pattern(route: Route, inst: Instance) -> BdpResult:
-    """Single pattern for long routes: charge on the earliest edge whenever the
-    battery would otherwise go negative."""
-    cons, gain = _edge_consumption(route, inst)
-    level = inst.P
-    mask = 0
-    for e, (ce, ge) in enumerate(zip(cons, gain)):
-        if level - ce < 0.0:
-            mask |= 1 << e
-            level = min(level - ce + ge, inst.P)
-            if level < 0.0:
-                return BdpResult(RouteClass.INFEASIBLE, [], fallback=True)
-        else:
-            level -= ce
-    return BdpResult(RouteClass.ENUMERATED,
-                     [(ChargePattern(mask, len(cons)), level)], fallback=True)
+def _witness(history, cons, end) -> int:
+    """The mask of the path that ends at ``end`` = (edge, count, bit), read back
+    from the levels kept before each edge: a level came over edge f uncharged
+    exactly when the level at the same count before f, minus cons[f] (the
+    DP's own float operation), equals it; otherwise f was charged."""
+    e, k, bit = end
+    mask = bit << e
+    level = history[e][k]
+    for f in range(e - 1, -1, -1):
+        prev = history[f]
+        if k >= len(prev) or prev[k] - cons[f] != level:
+            k -= 1
+            mask |= 1 << f
+        level = prev[k]
+    return mask
 
 
-def _replay_final(mask: int, cons, gain, P: float) -> float:
-    level = P
-    for e, (ce, ge) in enumerate(zip(cons, gain)):
-        level = min(level - ce + ge * ((mask >> e) & 1), P)
-    return level
-
-
-def _finish_enumeration(terminal: dict[int, float], cons, gain, P: float) -> BdpResult:
-    if not terminal:
-        return BdpResult(RouteClass.INFEASIBLE, [])
-    width = len(cons)
-    minimal = prune_supersets(ChargePattern(m, width) for m in terminal)
-    # final battery by full replay so values agree bit for bit with the
-    # route energy profile
-    patterns = [(p, _replay_final(p.mask, cons, gain, P)) for p in minimal]
-    return BdpResult(RouteClass.ENUMERATED, patterns)
-
-
-def _sweep(cons, gain, req, P: float) -> dict[int, float]:
+def _sweep(cons, gain, req, P: float) -> set[int]:
     """Sweep edges with a single 2^m battery table updated in place.
 
     At each edge the charging child is evaluated first, then the no-charging
@@ -247,7 +234,7 @@ def _sweep(cons, gain, req, P: float) -> dict[int, float]:
     v = [-1] * size
     g[0] = P
     v[0] = 0
-    terminal: dict[int, float] = {}
+    terminal: set[int] = set()
     for e in range(m):
         ce = cons[e]
         ge = gain[e]
@@ -266,7 +253,7 @@ def _sweep(cons, gain, req, P: float) -> dict[int, float]:
                 v[s2] = -1
             elif child >= r_e:
                 v[s2] = 1
-                terminal[s2] = child - r_e
+                terminal.add(s2)
             else:
                 v[s2] = 0
             nc = base - ce
@@ -275,7 +262,7 @@ def _sweep(cons, gain, req, P: float) -> dict[int, float]:
                 v[s] = -1
             elif nc >= r_e:
                 v[s] = 1
-                terminal[s] = nc - r_e
+                terminal.add(s)
             else:
                 v[s] = 0
     return terminal
@@ -286,29 +273,33 @@ def enumerate_patterns(route: Route, inst: Instance,
     """Minimal feasible charging patterns for one route.
 
     Trivial and hopeless routes are classified without any search. Routes
-    longer than ``max_edges`` get a single greedy pattern instead of the
-    exponential sweep (flagged via ``fallback``).
+    longer than ``max_edges`` get the charge-count DP's minimum-count witness
+    as their single pattern instead of the exponential sweep (flagged via
+    ``fallback``).
     """
     cons, gain = _edge_consumption(route, inst)
+    m = len(cons)
     cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _trivial_result(route, inst)
+        return _result(route, inst, [ChargePattern(0, m)], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
-    if len(cons) > max_edges:
-        return greedy_fallback_pattern(route, inst)
-    terminal = _sweep(cons, gain, _suffix_sums(cons), inst.P)
-    return _finish_enumeration(terminal, cons, gain, inst.P)
+    req = _suffix_sums(cons)
+    if m > max_edges:
+        found = _min_count_sweep(cons, gain, req, inst.P)
+        return _result(route, inst, [ChargePattern(found[1], m)] if found else [],
+                       fallback=True)
+    terminal = _sweep(cons, gain, req, inst.P)
+    return _result(route, inst, prune_supersets(ChargePattern(s, m) for s in terminal))
 
 
-def min_charge_count(route: Route, inst: Instance,
-                     max_edges: int = DEFAULT_MAX_EDGES) -> int | None:
+def min_charge_count(route: Route, inst: Instance) -> int | None:
     """Fewest charged edges over the route's feasible patterns; None if infeasible.
 
-    Always equals ``enumerate_patterns(route, inst, max_edges).min_cardinality()``
-    (routes longer than ``max_edges`` count the greedy fallback pattern),
-    but runs a polynomial DP over charge counts instead of the 2^m sweep.
-    Callers that need the patterns themselves still enumerate.
+    Exact at any route length: equals ``enumerate_patterns(route, inst,
+    max_edges).min_cardinality()`` for every ``max_edges``, but runs a
+    polynomial DP over charge counts instead of the 2^m sweep. Callers that
+    need the patterns themselves still enumerate.
     """
     cons, gain = _edge_consumption(route, inst)
     cls = _screen(cons, gain, inst.P)
@@ -316,20 +307,20 @@ def min_charge_count(route: Route, inst: Instance,
         return 0
     if cls is RouteClass.INFEASIBLE:
         return None
-    if len(cons) > max_edges:
-        return greedy_fallback_pattern(route, inst).min_cardinality()
-    return _min_count_sweep(cons, gain, _suffix_sums(cons), inst.P)
+    found = _min_count_sweep(cons, gain, _suffix_sums(cons), inst.P)
+    return None if found is None else found[0]
 
 
 def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     """Ground-truth enumeration: replay all 2^m patterns, keep the minimal antichain.
 
     Feasibility of a pattern means its full-route battery replay never drops
-    below zero. Shares only the preprocessing shortcuts with the sweep.
+    below zero. Shares only the preprocessing shortcuts and the final-battery
+    replay with the sweep.
     """
     cls = preprocess_route(route, inst)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _trivial_result(route, inst)
+        return _result(route, inst, [ChargePattern(0, len(route.nodes) - 1)], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
     cons, gain = _edge_consumption(route, inst)
@@ -342,16 +333,10 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
         bits = ((masks >> e) & 1).astype(np.float64)
         level = np.minimum(level - cons[e] + gain[e] * bits, inst.P)
         ok &= level >= 0.0
-    feasible = masks[ok]
-    finals = level[ok]
-    if feasible.size == 0:
-        return BdpResult(RouteClass.INFEASIBLE, [])
-    by_mask = {int(s): float(b) for s, b in zip(feasible, finals)}
-    order = sorted(by_mask, key=lambda s: (s.bit_count(), s))
+    order = sorted((int(s) for s in masks[ok]), key=lambda s: (s.bit_count(), s))
     kept: list[int] = []
     for mask in order:
         if not any((k & mask) == k for k in kept):
             kept.append(mask)
-    patterns = [(ChargePattern(s, m), by_mask[s]) for s in sorted(kept)]
-    return BdpResult(RouteClass.ENUMERATED, patterns)
+    return _result(route, inst, [ChargePattern(s, m) for s in sorted(kept)])
 

@@ -4,16 +4,22 @@ Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
 solution, 4 rejected input: a missing or unreadable file, an instance,
 solution, config or reference file that cannot be parsed or fails
-validation, a missing `--dir`, an output path (`--out`, `solve --log`)
-in a missing directory or that names a directory, or a bad
-`sweep --values` list, reported as one `invalid input:` line on stderr.
-Output paths are checked before any run starts.
+validation (a config setting of the wrong type, or `iterations` < 0,
+`time_limit` not finite and >= 0, `segment_size` or `string_min` < 1,
+`string_min` > `string_max`), a missing `--dir`, an output path (`--out`,
+`solve --log`) in a missing directory or that names a directory, a bad
+`sweep --values` list, `gen` parameters that generation or instance
+validation refuses, a negative `--seed`, `--runs` < 1, `solve --iters` or
+`--time-limit` out of the config's range, or an `oracle` instance above
+`--max-customers`, reported as one `invalid input:` line on stderr.
+Flags and output paths are checked before any run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -41,6 +47,14 @@ def _load(loader, path):
         return loader(path)
     except (ValueError, OSError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _check_flags(args) -> None:
+    """Refuse a negative --seed or a --runs below 1, before any work is done."""
+    for flag, low in (("seed", 0), ("runs", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise InputError(f"--{flag} must be at least {low}, got {value}")
 
 
 def _check_outputs(*paths) -> None:
@@ -94,16 +108,24 @@ def _gen_params(args) -> GenParams:
         "max_mtev": args.max_mtev, "max_mct": args.max_mct,
     }
     overrides = {k: v for k, v in mapping.items() if v is not None}
-    import dataclasses
     return dataclasses.replace(params, **overrides)
 
 
-def _load_config(path) -> SolverConfig:
-    return _load(SolverConfig.load, path) if path else SolverConfig()
+def _load_config(path, **flags) -> SolverConfig:
+    """The config file (or the defaults) with every flag that was given,
+    validated as one config."""
+    cfg = _load(SolverConfig.load, path) if path else SolverConfig()
+    try:
+        return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_gen(args) -> int:
-    inst = generate_instance(args.n, args.seed, _gen_params(args))
+    try:
+        inst = generate_instance(args.n, args.seed, _gen_params(args))
+    except ValueError as exc:
+        raise InputError(f"gen parameters: {exc}") from exc
     with _writing(args.out):
         inst.save(args.out)
     print(f"wrote {args.out} (n={args.n}, seed={args.seed})")
@@ -112,11 +134,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load(Instance.load, args.instance)
-    cfg = _load_config(args.config)
-    if args.iters is not None:
-        cfg.iterations = args.iters
-    if args.time_limit is not None:
-        cfg.time_limit = args.time_limit
+    cfg = _load_config(args.config, iterations=args.iters, time_limit=args.time_limit)
     try:
         result = lns.run(inst, cfg, rng=harness.run_seed(args.seed, 0))
     except InfeasibleInstanceError as exc:
@@ -140,6 +158,9 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = _load(Instance.load, args.instance)
+    if inst.n > args.max_customers:
+        raise InputError(f"{args.instance}: {inst.n} customers, "
+                         f"--max-customers is {args.max_customers}")
     res = oracle.solve_exact(inst, max_customers=args.max_customers)
     if args.certify:
         print(json.dumps(res.counts, sort_keys=True))
@@ -266,6 +287,7 @@ def main(argv=None) -> int:
         "check": cmd_check,
     }
     try:
+        _check_flags(args)
         _check_outputs(getattr(args, "out", None), getattr(args, "log", None))
         return handlers[args.command](args)
     except InputError as exc:

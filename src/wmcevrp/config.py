@@ -3,7 +3,24 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# accepted values per annotated field type: (description, test)
+_KINDS = {
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _finite),
+    "float | None": ("a finite number or null", lambda v: v is None or _finite(v)),
+}
+# smallest usable value of the settings that have one
+_LOWER_BOUNDS = {"iterations": 0, "time_limit": 0, "segment_size": 1, "string_min": 1}
 
 
 @dataclass
@@ -45,11 +62,27 @@ class SolverConfig:
     lns_exact_combos: int = 256
     lns_exact_duties: int = 12
 
+    def __post_init__(self):
+        """Reject a mistyped or unusable setting with ValueError."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, accepts = _KINDS[f.type]
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            low = _LOWER_BOUNDS.get(f.name)
+            if low is not None and value is not None and value < low:
+                raise ValueError(f"{f.name} must be at least {low}, got {value!r}")
+        if self.string_min > self.string_max:
+            raise ValueError(f"string_min {self.string_min} exceeds "
+                             f"string_max {self.string_max}")
+
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SolverConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -439,7 +439,7 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
 
 
 def _min_charge_cardinality(nodes, ctx):
-    card = bdp.min_charge_count(Route(0, nodes), ctx.inst, ctx.cfg.bdp_max_edges)
+    card = bdp.min_charge_count(Route(0, nodes), ctx.inst)
     return math.inf if card is None else card
 
 
@@ -519,8 +519,7 @@ def repair(op_id: str, partial: Solution, removed: list[int], inst: Instance,
 # construction and the main loop
 # ---------------------------------------------------------------------------
 
-def initial_solution(inst: Instance, rng: np.random.Generator,
-                     config: SolverConfig | None = None) -> Solution:
+def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     """Nearest-neighbor construction from the depot.
 
     Every route starts at one of the few depot-closest unserved customers
@@ -533,7 +532,6 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     than they split them, so some runs must start on the split side.
     Raises when even a dedicated vehicle cannot serve someone.
     """
-    cfg = config or SolverConfig()
     charge_free_gate = rng.random() < 0.5
     # customers of every row by distance; a stable sort breaks ties by index
     nearest = (np.argsort(inst.dist[:inst.n + 1, 1:inst.n + 1], axis=1, kind="stable")
@@ -544,7 +542,7 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     load = 0
 
     def chargeable(nodes: list[int]) -> bool:
-        return bdp.min_charge_count(Route(0, nodes), inst, cfg.bdp_max_edges) is not None
+        return bdp.min_charge_count(Route(0, nodes), inst) is not None
 
     def battery_ok(nodes: list[int]) -> bool:
         if charge_free_gate:
@@ -631,7 +629,7 @@ def run(inst: Instance, config: SolverConfig | None = None,
     started = time.perf_counter()
     ctx = _Context(inst, cfg)
 
-    shell = initial_solution(inst, rng, cfg)
+    shell = initial_solution(inst, rng)
     inc_routes = [r.copy() for r in shell.mtev_routes]
     outcome = _coordinate_routes(inc_routes, ctx)
     if outcome is None:

@@ -12,13 +12,12 @@ from wmcevrp.bdp import (
     RouteClass,
     brute_force_patterns,
     enumerate_patterns,
-    greedy_fallback_pattern,
     min_charge_count,
     preprocess_route,
     prune_supersets,
 )
 from wmcevrp.generator import generate_instance
-from wmcevrp.model import Route, make_route, route_energy_profile
+from wmcevrp.model import Instance, Route, make_route, route_energy_profile
 
 from conftest import build_instance
 
@@ -40,6 +39,25 @@ def edge_instance(costs, **params):
     actual = [float(inst.dist[i, j]) for i, j in route.edges()]
     assert actual == [float(c) for c in costs]
     return inst, route
+
+
+def assert_min_count_witness(res, route, inst):
+    """res holds one feasible pattern of the fewest charges brute force finds,
+    with the final battery of the profile replay."""
+    brute = brute_force_patterns(route, inst)
+    assert res.classification == brute.classification
+    assert res.min_cardinality() == brute.min_cardinality() == min_charge_count(route, inst)
+    if brute.feasible:
+        [(pattern, final)] = res.patterns
+        trace = route_energy_profile(route, pattern, inst)
+        assert min(trace) >= 0
+        assert final == trace[-1]
+
+
+def long_route_case():
+    rng = np.random.default_rng(3)
+    costs = [float(c) for c in rng.uniform(3, 9, size=12)]
+    return edge_instance(costs, P=0.6 * sum(costs), gamma=2.0)
 
 
 def oracle_minimal_patterns(route, inst):
@@ -228,17 +246,42 @@ class TestEnumerate:
                 sup_trace = route_energy_profile(route, sup, inst)
                 assert all(s >= b for s, b in zip(sup_trace, base_trace))
 
-    def test_long_route_uses_greedy_fallback(self):
-        rng = np.random.default_rng(3)
-        costs = [float(c) for c in rng.uniform(3, 9, size=12)]
-        inst, route = edge_instance(costs, P=0.6 * sum(costs), gamma=2.0)
+    def test_long_route_gets_the_min_count_witness(self):
+        inst, route = long_route_case()
         res = enumerate_patterns(route, inst, max_edges=8)
         assert res.fallback
-        assert len(res.patterns) == 1
-        pattern, final = res.patterns[0]
-        assert min(route_energy_profile(route, pattern, inst)) >= 0
-        direct = greedy_fallback_pattern(route, inst)
-        assert direct.patterns[0][0] == pattern
+        assert res.min_cardinality() > 0
+        assert_min_count_witness(res, route, inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(costs=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+           gamma=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+           frac=st.floats(0.05, 1.2))
+    def test_witness_has_the_fewest_charges(self, costs, gamma, frac):
+        # max_edges=0 sends every route that needs a search to the witness;
+        # integer edge lengths keep every battery update exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # gamma <= rho_t warns
+            inst, route = edge_instance(costs, P=frac * sum(costs), gamma=gamma)
+        res = enumerate_patterns(route, inst, max_edges=0)
+        assert res.fallback == (preprocess_route(route, inst) is RouteClass.NEEDS_BDP)
+        assert_min_count_witness(res, route, inst)
+
+    def test_witness_charges_where_greedy_runs_dry(self):
+        # gamma < rho_t: charging only slows the drain. Charging the last arc
+        # alone, when the battery first runs short, leaves 2 - 12 + 6 < 0;
+        # the one feasible pattern charges all three arcs.
+        dist = [[0, 4, 12, 0], [4, 0, 4, 4], [12, 4, 0, 12], [0, 4, 12, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = Instance(n=2, dist=dist, demand=[1, 1], P=10.0, B=1e6, Q=100.0,
+                            rho_t=1.0, rho_e=100.0, rho_c=200.0, gamma=0.5, phi=1.0,
+                            max_mtev=2, max_mct=2)
+        route = Route(0, [0, 1, 2, 3])
+        res = enumerate_patterns(route, inst, max_edges=2)
+        assert res.fallback
+        assert [(p.bitstring(), final) for p, final in res.patterns] == [("111", 0.0)]
+        assert min_charge_count(route, inst) == 3
 
 
 class TestBruteForce:
@@ -276,12 +319,9 @@ class TestMinChargeCount:
         expect = enumerate_patterns(route, inst).min_cardinality()
         assert min_charge_count(route, inst) == expect
 
-    def test_long_route_counts_the_fallback_pattern(self):
-        rng = np.random.default_rng(3)
-        costs = [float(c) for c in rng.uniform(3, 9, size=12)]
-        inst, route = edge_instance(costs, P=0.6 * sum(costs), gamma=2.0)
-        greedy = greedy_fallback_pattern(route, inst).min_cardinality()
-        assert greedy is not None and greedy > 0
-        assert min_charge_count(route, inst, max_edges=8) == greedy
-        assert min_charge_count(route, inst, max_edges=8) == \
-            enumerate_patterns(route, inst, max_edges=8).min_cardinality()
+    def test_long_route_count_is_exact(self):
+        inst, route = long_route_case()
+        count = min_charge_count(route, inst)
+        assert count is not None and count > 0
+        assert count == brute_force_patterns(route, inst).min_cardinality()
+        assert count == enumerate_patterns(route, inst, max_edges=8).min_cardinality()

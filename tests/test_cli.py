@@ -287,6 +287,46 @@ class TestRejectedInput:
         self.assert_one_line_rejection(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == [instance_file.name]
 
+    @pytest.mark.parametrize("flag, value", [("--n", 0), ("--seed", -1), ("--P", "nan"),
+                                             ("--Q", 0), ("--max-mct", -1)])
+    def test_bad_gen_parameters_exit_4(self, tmp_path, capsys, flag, value):
+        args = {"--n": 3, "--seed": 0, flag: value}
+        assert run_cli("gen", *[x for kv in args.items() for x in kv],
+                       "--out", tmp_path / "inst.json") == 4
+        self.assert_one_line_rejection(capsys)
+        assert not (tmp_path / "inst.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"string_min": 0, "string_max": 0},
+        {"string_min": 4, "string_max": 3},
+        {"segment_size": 0},
+        {"iterations": "x"},
+        {"iterations": -3},
+        {"time_limit": "1"},
+        {"time_limit": -1.0},
+        {"mct_transfer_depletes": "no"},
+        [1],
+    ])
+    def test_bad_config_exits_4(self, instance_file, tmp_path, capsys, no_run, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("solve", "--instance", instance_file, "--config", cfg) == 4
+        self.assert_one_line_rejection(capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--iters", -3],
+        ["solve", "--time-limit", "nan"],
+        ["solve", "--seed", -1],
+        ["oracle", "--max-customers", 2],
+        ["bench", "--runs", 0],
+    ])
+    def test_bad_run_flags_exit_4(self, instance_file, tmp_path, capsys, no_run, args):
+        command, *flags = args
+        where = ["--dir", instance_file.parent, "--out", tmp_path / "bench.csv"] \
+            if command == "bench" else ["--instance", instance_file]
+        assert run_cli(command, *where, *flags) == 4
+        self.assert_one_line_rejection(capsys)
+
     def test_failed_write_exits_4(self, instance_file, tmp_path, capsys, monkeypatch):
         def refuse(rows, path):
             raise PermissionError(13, "Permission denied", str(path))

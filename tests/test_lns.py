@@ -406,8 +406,7 @@ class TestRouteLocalOperators:
 
 def ref_min_card(nodes, inst, calls):
     calls.append(1)
-    card = bdp.min_charge_count(make_route(0, nodes[1:-1], inst), inst,
-                                SolverConfig().bdp_max_edges)
+    card = bdp.min_charge_count(make_route(0, nodes[1:-1], inst), inst)
     return math.inf if card is None else card
 
 
@@ -632,6 +631,27 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             SolverConfig.from_json({"iterations": 5, "typo": 1})
+
+    @pytest.mark.parametrize("data, match", [
+        ({"string_min": 0, "string_max": 0}, "string_min must be at least 1"),
+        ({"string_min": 7}, "exceeds string_max"),
+        ({"segment_size": 0}, "segment_size must be at least 1"),
+        ({"iterations": 2.0}, "iterations must be an integer"),
+        ({"iterations": True}, "iterations must be an integer"),
+        ({"cooling": float("nan")}, "cooling must be a finite number"),
+        ({"time_limit": float("inf")}, "time_limit must be a finite number or null"),
+        ({"mct_transfer_depletes": 1}, "mct_transfer_depletes must be a boolean"),
+        ([["iterations", 5]], "config must be a JSON object"),
+    ])
+    def test_invalid_settings_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig.from_json(data)
+
+    def test_valid_settings_accepted(self):
+        cfg = SolverConfig.from_json({"iterations": 0, "time_limit": 0, "cooling": 1,
+                                      "string_min": 1, "string_max": 1})
+        assert (cfg.iterations, cfg.time_limit, cfg.string_max) == (0, 0, 1)
+        assert SolverConfig.from_json({"time_limit": None}) == SolverConfig()
 
 
 # ---------------------------------------------------------------------------
