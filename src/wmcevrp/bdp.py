@@ -3,7 +3,9 @@
 A pattern is a bitmask over the route's m edges: bit e set means the vehicle
 is charged in motion across edge e+1. The enumerator returns the minimal
 antichain of feasible patterns (no retained pattern is a superset of another)
-together with the battery level on route completion.
+in the order coordination branches over them: by cardinality, then mask
+value. A caller that needs a pattern's battery levels replays it with
+`model.route_energy_profile`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Instance, Route, route_energy_profile
+from .model import Instance, Route
 
 DEFAULT_MAX_EDGES = 20
 
@@ -61,23 +63,22 @@ class ChargePattern:
 class BdpResult:
     """Outcome of pattern enumeration for one route.
 
-    ``patterns`` holds (pattern, final battery) pairs sorted by increasing
-    mask value. ``fallback`` marks a route longer than ``max_edges``: its one
-    pattern is the charge-count DP's minimum-count witness, not the full
-    antichain of the 2^m sweep.
+    ``patterns`` holds the retained patterns sorted by cardinality, then
+    mask value, so the first one has the fewest charged arcs. ``fallback``
+    marks a route longer than ``max_edges``: its one pattern is the
+    charge-count DP's minimum-count witness, not the full antichain of the
+    2^m sweep.
     """
 
     classification: RouteClass
-    patterns: list[tuple[ChargePattern, float]] = field(default_factory=list)
+    patterns: list[ChargePattern] = field(default_factory=list)
     fallback: bool = False
 
     def masks(self) -> set[int]:
-        return {p.mask for p, _ in self.patterns}
+        return {p.mask for p in self.patterns}
 
     def min_cardinality(self) -> int | None:
-        if not self.patterns:
-            return None
-        return min(p.cardinality for p, _ in self.patterns)
+        return self.patterns[0].cardinality if self.patterns else None
 
     @property
     def feasible(self) -> bool:
@@ -149,19 +150,19 @@ def prune_supersets(patterns) -> list[ChargePattern]:
     return [ChargePattern(m, width) for m in sorted(kept)]
 
 
-def _result(route: Route, inst: Instance, patterns,
-            cls: RouteClass = RouteClass.ENUMERATED, fallback: bool = False) -> BdpResult:
-    """``patterns`` with the final battery of the checker's own replay;
-    INFEASIBLE when there are none."""
+def _result(patterns, cls: RouteClass = RouteClass.ENUMERATED,
+            fallback: bool = False) -> BdpResult:
+    """``patterns``, already in (cardinality, mask) order; INFEASIBLE when
+    there are none."""
     if not patterns:
         return BdpResult(RouteClass.INFEASIBLE, [], fallback)
-    return BdpResult(cls, [(p, route_energy_profile(route, p, inst)[-1]) for p in patterns],
-                     fallback)
+    return BdpResult(cls, patterns, fallback)
 
 
-def _min_count_sweep(cons, gain, req, P: float) -> tuple[int, int] | None:
-    """Fewest set bits over the masks that ``_sweep`` marks terminal, and one
-    such mask; None when no mask is terminal.
+def _min_count_sweep(cons, gain, req, P: float,
+                     history: list | None = None) -> tuple[int, tuple[int, int, int]] | None:
+    """(fewest set bits, end) over the masks that ``_sweep`` marks terminal;
+    None when no mask is terminal.
 
     Keeps one state per charge count k: the highest battery level over the
     still-active masks with k charges (the dominance rule of
@@ -169,13 +170,17 @@ def _min_count_sweep(cons, gain, req, P: float) -> tuple[int, int] | None:
     float operations of ``_sweep``, and both updates are monotone under
     rounding, so the best state for k turns terminal exactly when some
     k-charge mask of the sweep does. O(m^2) instead of O(2^m).
+
+    ``end`` = (edge, count before it, bit) is where the best state turned
+    terminal. When a ``history`` list is given, the levels before each edge
+    are appended to it, so that ``_witness`` can read one such mask back.
     """
     levels = [P]          # levels[k]; negative marks "no active mask"
-    history = []          # levels before each edge
-    end = None            # (edge, count before it, bit) where best turned terminal
+    end = None
     best = None
     for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
-        history.append(levels)
+        if history is not None:
+            history.append(levels)
         width = len(levels) + 1 if best is None else best
         nxt = [-1.0] * width
         for k, base in enumerate(levels):
@@ -201,7 +206,7 @@ def _min_count_sweep(cons, gain, req, P: float) -> tuple[int, int] | None:
         if not any(level >= 0.0 for level in nxt):
             break
         levels = nxt
-    return None if best is None else (best, _witness(history, cons, end))
+    return None if best is None else (best, end)
 
 
 def _witness(history, cons, end) -> int:
@@ -281,16 +286,18 @@ def enumerate_patterns(route: Route, inst: Instance,
     m = len(cons)
     cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result(route, inst, [ChargePattern(0, m)], cls)
+        return _result([ChargePattern(0, m)], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
     req = _suffix_sums(cons)
     if m > max_edges:
-        found = _min_count_sweep(cons, gain, req, inst.P)
-        return _result(route, inst, [ChargePattern(found[1], m)] if found else [],
-                       fallback=True)
+        history: list = []
+        found = _min_count_sweep(cons, gain, req, inst.P, history)
+        witness = [ChargePattern(_witness(history, cons, found[1]), m)] if found else []
+        return _result(witness, fallback=True)
     terminal = _sweep(cons, gain, req, inst.P)
-    return _result(route, inst, prune_supersets(ChargePattern(s, m) for s in terminal))
+    kept = prune_supersets(ChargePattern(s, m) for s in terminal)
+    return _result(sorted(kept, key=lambda p: (p.cardinality, p.mask)))
 
 
 def min_charge_count(route: Route, inst: Instance) -> int | None:
@@ -315,12 +322,11 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     """Ground-truth enumeration: replay all 2^m patterns, keep the minimal antichain.
 
     Feasibility of a pattern means its full-route battery replay never drops
-    below zero. Shares only the preprocessing shortcuts and the final-battery
-    replay with the sweep.
+    below zero. Shares only the preprocessing shortcuts with the sweep.
     """
     cls = preprocess_route(route, inst)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result(route, inst, [ChargePattern(0, len(route.nodes) - 1)], cls)
+        return _result([ChargePattern(0, len(route.nodes) - 1)], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
     cons, gain = _edge_consumption(route, inst)
@@ -338,5 +344,5 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     for mask in order:
         if not any((k & mask) == k for k in kept):
             kept.append(mask)
-    return _result(route, inst, [ChargePattern(s, m) for s in sorted(kept)])
+    return _result([ChargePattern(s, m) for s in kept])
 

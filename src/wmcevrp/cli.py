@@ -9,9 +9,10 @@ validation (a config setting of the wrong type, or `iterations` < 0,
 `string_min` > `string_max`), a missing `--dir`, an output path (`--out`,
 `solve --log`) in a missing directory or that names a directory, a bad
 `sweep --values` list, `gen` parameters that generation or instance
-validation refuses, a negative `--seed`, `--runs` < 1, `solve --iters` or
-`--time-limit` out of the config's range, or an `oracle` instance above
-`--max-customers`, reported as one `invalid input:` line on stderr.
+validation refuses, a negative `--seed`, `--runs` or `--jobs` < 1,
+`solve --iters` or `--time-limit` out of the config's range, or an `oracle`
+instance above `--max-customers`, reported as one `invalid input:` line on
+stderr.
 Flags and output paths are checked before any run starts.
 """
 
@@ -50,8 +51,9 @@ def _load(loader, path):
 
 
 def _check_flags(args) -> None:
-    """Refuse a negative --seed or a --runs below 1, before any work is done."""
-    for flag, low in (("seed", 0), ("runs", 1)):
+    """Refuse a negative --seed or a --runs or --jobs below 1, before any
+    work is done."""
+    for flag, low in (("seed", 0), ("runs", 1), ("jobs", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise InputError(f"--{flag} must be at least {low}, got {value}")

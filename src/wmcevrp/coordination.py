@@ -331,11 +331,6 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
     )
 
 
-def _sorted_patterns(result: BdpResult) -> list[ChargePattern]:
-    """A route's patterns by cardinality, then mask value."""
-    return sorted((p for p, _ in result.patterns), key=lambda p: (p.cardinality, p.mask))
-
-
 def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      inst: Instance, *,
                      exact_cap: int = DEFAULT_EXACT_CAP,
@@ -345,8 +340,10 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     choices and duty assignments.
 
     Branches over pattern combinations depth first, each route's patterns in
-    (cardinality, mask) order. A prefix is pruned when the interval bound of
-    its duties reaches the best truck count found so far (or exceeds
+    their `BdpResult` order, (cardinality, mask). A route whose only pattern
+    charges nothing adds no duties and no branch, so it gets no DFS level
+    and no arrival times. A prefix is pruned when the interval bound of its
+    duties reaches the best truck count found so far (or exceeds
     `inst.max_mct`), and each leaf's assignment search looks only for
     strictly fewer trucks. The search stops at the floor: one truck when
     some route cannot avoid charging, else none. The first plan found at the
@@ -356,27 +353,30 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     search ran out of `node_budget`, or the count equals the floor. Returns
     None when no combination can be coordinated.
     """
-    pattern_sets = [_sorted_patterns(res) for res in bdp_results]
+    pattern_sets = [res.patterns for res in bdp_results]
     if any(not s for s in pattern_sets):
         return None
     combos = prod(len(s) for s in pattern_sets)
     if combos > exact_cap:
         raise ValueError(f"{combos} combinations exceed the exact cap {exact_cap}")
     fixed = routing_cost(routes, inst)
-    duty_sets = []
+    chosen = [patterns[0] for patterns in pattern_sets]
+    levels = []                 # (route index, its patterns, their duties)
     for r_idx, (route, patterns) in enumerate(zip(routes, pattern_sets)):
+        if len(patterns) == 1 and not patterns[0].mask:
+            continue
         edges, times = route.edges(), mtev_arrival_times(route, inst)
-        duty_sets.append([_pattern_duties(r_idx, edges, times, p, inst) for p in patterns])
-    floor = 1 if any(patterns[0].cardinality for patterns in pattern_sets) else 0
+        levels.append((r_idx, patterns,
+                       [_pattern_duties(r_idx, edges, times, p, inst) for p in patterns]))
+    floor = 1 if any(patterns[0].cardinality for _, patterns, _ in levels) else 0
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (chosen patterns, duties, assignment)
     complete = [True]
-    chosen: list[ChargePattern] = []
 
-    def dfs(r_idx: int, duties: list[ChargingDuty], bound: int) -> None:
+    def dfs(level: int, duties: list[ChargingDuty], bound: int) -> None:
         if beat[0] <= floor or bound >= beat[0]:
             return
-        if r_idx == len(routes):
+        if level == len(levels):
             duties = sorted(duties, key=_duty_order)
             found, done = _assign_exact(duties, inst, beat[0] - 1, transfer_depletes,
                                         node_budget, bound)
@@ -385,14 +385,14 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 beat[0], assignment = found
                 best[0] = (list(chosen), duties, assignment)
             return
-        for pattern, added in zip(pattern_sets[r_idx], duty_sets[r_idx]):
-            chosen.append(pattern)
+        r_idx, patterns, duty_sets = levels[level]
+        for pattern, added in zip(patterns, duty_sets):
+            chosen[r_idx] = pattern
             if added:
                 grown = duties + added
-                dfs(r_idx + 1, grown, mct_lower_bound(grown))
+                dfs(level + 1, grown, mct_lower_bound(grown))
             else:
-                dfs(r_idx + 1, duties, bound)
-            chosen.pop()
+                dfs(level + 1, duties, bound)
 
     dfs(0, [], 0)
     if best[0] is None:
@@ -410,10 +410,10 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
 
     Starts from the fewest-charging-arcs pattern of every route and assigns
     duties greedily; when a duty cannot be served, the offending route falls
-    back to its next pattern (sorted by cardinality, then mask value), with
-    a bounded number of retries.
+    back to its next pattern in `BdpResult` order (cardinality, then mask
+    value), with a bounded number of retries.
     """
-    ordered = [_sorted_patterns(res) for res in bdp_results]
+    ordered = [res.patterns for res in bdp_results]
     if any(not s for s in ordered):
         return None
     idx = [0] * len(routes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,10 @@ REPAIR_OPS = (
     "regret3_insertion",
     "charge_insertion",
 )
+
+# distinct candidates whose coordination outcome a run remembers; repeats
+# are nearly always among the last few candidates
+COORDINATION_MEMO_SIZE = 16
 
 
 @dataclass
@@ -108,12 +113,20 @@ class RunResult:
 
 
 class _Context:
-    """Per-run caches shared by operators: distance rows, pattern memo and
-    relatedness.
+    """Per-run caches shared by operators: distance rows, pattern memo,
+    coordination memo and relatedness.
 
     `d` holds `inst.dist` as nested lists of floats: operators index it in
     their inner loops, where a plain-float lookup costs far less than a
     numpy scalar and gives the same IEEE arithmetic.
+
+    `coordinated` maps the node lists of the last `COORDINATION_MEMO_SIZE`
+    distinct candidates, in route order, to their `_coordinate_routes`
+    outcome, least recently used first. Within one run that outcome depends
+    on the key alone: `inst` and `cfg` are fixed, patterns are
+    deterministic and coordination draws no random numbers. Route order is
+    part of the key because duty tie-breaks use the route index. Outcomes
+    are shared, so nothing may mutate one.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -121,6 +134,8 @@ class _Context:
         self.cfg = cfg
         self.d = inst.dist.tolist()
         self._bdp_memo: dict[tuple[int, ...], bdp.BdpResult] = {}
+        self.coordinated: OrderedDict[tuple[tuple[int, ...], ...],
+                                      coordination.CoordinationResult | None] = OrderedDict()
         self._relatedness = None
 
     def patterns(self, nodes: list[int]) -> bdp.BdpResult:
@@ -592,6 +607,24 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
 
 def _coordinate_routes(routes: list[Route], ctx: _Context):
     """Pattern enumeration plus truck coordination; None when uncoordinatable.
+
+    A candidate among the run's last `COORDINATION_MEMO_SIZE` distinct ones
+    gets its remembered outcome back; any other is coordinated afresh.
+    """
+    key = tuple(tuple(r.nodes) for r in routes)
+    memo = ctx.coordinated
+    if key in memo:
+        memo.move_to_end(key)
+        return memo[key]
+    outcome = _coordinate_afresh(routes, ctx)
+    memo[key] = outcome
+    if len(memo) > COORDINATION_MEMO_SIZE:
+        memo.popitem(last=False)
+    return outcome
+
+
+def _coordinate_afresh(routes: list[Route], ctx: _Context):
+    """`_coordinate_routes` without the memo.
 
     Exhaustive coordination runs only while the combination count and the
     minimum duty count stay small; larger candidates go to the greedy

@@ -42,16 +42,19 @@ def edge_instance(costs, **params):
 
 
 def assert_min_count_witness(res, route, inst):
-    """res holds one feasible pattern of the fewest charges brute force finds,
-    with the final battery of the profile replay."""
+    """res holds one feasible pattern of the fewest charges brute force finds."""
     brute = brute_force_patterns(route, inst)
     assert res.classification == brute.classification
     assert res.min_cardinality() == brute.min_cardinality() == min_charge_count(route, inst)
     if brute.feasible:
-        [(pattern, final)] = res.patterns
-        trace = route_energy_profile(route, pattern, inst)
-        assert min(trace) >= 0
-        assert final == trace[-1]
+        [pattern] = res.patterns
+        assert min(route_energy_profile(route, pattern, inst)) >= 0
+
+
+def assert_never_runs_dry(res, route, inst):
+    """Every retained pattern's battery replay stays at or above zero."""
+    for pattern in res.patterns:
+        assert min(route_energy_profile(route, pattern, inst)) >= 0
 
 
 def long_route_case():
@@ -77,7 +80,8 @@ def oracle_minimal_patterns(route, inst):
 
 def assert_sweep_matches_brute_force(seed: int, m_hi: int) -> None:
     """enumerate_patterns equals brute_force_patterns on 40 generated routes
-    of 2 to m_hi - 1 edges: masks, classification and final batteries."""
+    of 2 to m_hi - 1 edges: patterns in (cardinality, mask) order and
+    classification; every retained pattern replays without running dry."""
     rng = np.random.default_rng(seed)
     for _ in range(40):
         m = int(rng.integers(2, m_hi))
@@ -87,9 +91,11 @@ def assert_sweep_matches_brute_force(seed: int, m_hi: int) -> None:
         inst.P = float(rng.uniform(0.3, 1.1) * inst.rho_t * inst.route_distance(route.nodes))
         a = enumerate_patterns(route, inst)
         b = brute_force_patterns(route, inst)
-        assert a.masks() == b.masks()
+        assert a.patterns == b.patterns
+        assert [(p.cardinality, p.mask) for p in a.patterns] == \
+            sorted((p.cardinality, p.mask) for p in a.patterns)
         assert a.classification == b.classification
-        assert [x[1] for x in a.patterns] == [x[1] for x in b.patterns]
+        assert_never_runs_dry(a, route, inst)
 
 
 class TestChargePattern:
@@ -188,15 +194,17 @@ class TestEnumerate:
         res = enumerate_patterns(route, inst)
         assert res.classification is RouteClass.ENUMERATED
         assert res.masks() == oracle_minimal_patterns(route, inst) == {0b001, 0b010, 0b100}
-        finals = {p.bitstring(): b for p, b in res.patterns}
+        assert [p.bitstring() for p in res.patterns] == ["100", "010", "001"]
+        finals = {p.bitstring(): route_energy_profile(route, p, inst)[-1]
+                  for p in res.patterns}
         assert finals == {"100": 2.0, "010": 6.0, "001": 6.0}
 
     def test_trivial_records_single_no_charge(self):
         inst, route = edge_instance([4, 4, 4], P=20.0)
         res = enumerate_patterns(route, inst)
         assert res.classification is RouteClass.TRIVIAL_NO_CHARGE
-        assert res.masks() == {0}
-        assert res.patterns[0][1] == 8.0
+        assert res.patterns == [ChargePattern(0, 3)]
+        assert route_energy_profile(route, res.patterns[0], inst)[-1] == 8.0
 
     def test_hopeless_route_has_empty_set(self):
         with warnings.catch_warnings():
@@ -223,13 +231,11 @@ class TestEnumerate:
         # a second seed and a shorter m range of TestBruteForce's comparison
         assert_sweep_matches_brute_force(seed=77, m_hi=9)
 
-    def test_retained_batteries_match_profile_replay(self):
+    def test_retained_patterns_never_run_dry(self):
         inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
         res = enumerate_patterns(route, inst)
-        for pattern, final in res.patterns:
-            trace = route_energy_profile(route, pattern, inst)
-            assert min(trace) >= 0
-            assert trace[-1] == final
+        assert len(res.patterns) == 3
+        assert_never_runs_dry(res, route, inst)
 
     def test_superset_of_feasible_stays_feasible(self):
         # justification for the antichain pruning
@@ -239,7 +245,7 @@ class TestEnumerate:
             costs = [float(c) for c in rng.uniform(2, 10, size=m)]
             inst, route = edge_instance(costs, P=float(rng.uniform(5, 25)), gamma=2.0)
             res = enumerate_patterns(route, inst)
-            for pattern, _ in res.patterns:
+            for pattern in res.patterns:
                 extra = int(rng.integers(0, 1 << pattern.width))
                 sup = ChargePattern(pattern.mask | extra, pattern.width)
                 base_trace = route_energy_profile(route, pattern, inst)
@@ -280,7 +286,9 @@ class TestEnumerate:
         route = Route(0, [0, 1, 2, 3])
         res = enumerate_patterns(route, inst, max_edges=2)
         assert res.fallback
-        assert [(p.bitstring(), final) for p, final in res.patterns] == [("111", 0.0)]
+        assert [p.bitstring() for p in res.patterns] == ["111"]
+        trace = route_energy_profile(route, res.patterns[0], inst)
+        assert min(trace) >= 0 and trace[-1] == 0.0
         assert min_charge_count(route, inst) == 3
 
 
@@ -325,3 +333,15 @@ class TestMinChargeCount:
         assert count is not None and count > 0
         assert count == brute_force_patterns(route, inst).min_cardinality()
         assert count == enumerate_patterns(route, inst, max_edges=8).min_cardinality()
+
+    def test_count_reads_back_no_witness(self, monkeypatch):
+        # only the long-route fallback of enumerate_patterns needs the mask
+        inst, route = long_route_case()
+        witnesses = []
+        read_back = bdp._witness
+        monkeypatch.setattr(bdp, "_witness",
+                            lambda *args: witnesses.append(args) or read_back(*args))
+        assert min_charge_count(route, inst) > 0
+        assert witnesses == []
+        assert enumerate_patterns(route, inst, max_edges=8).fallback
+        assert len(witnesses) == 1

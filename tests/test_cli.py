@@ -319,11 +319,17 @@ class TestRejectedInput:
         ["solve", "--seed", -1],
         ["oracle", "--max-customers", 2],
         ["bench", "--runs", 0],
+        ["bench", "--jobs", 0],
+        ["bench", "--jobs", -3],
+        ["sweep", "--jobs", 0],
     ])
     def test_bad_run_flags_exit_4(self, instance_file, tmp_path, capsys, no_run, args):
         command, *flags = args
-        where = ["--dir", instance_file.parent, "--out", tmp_path / "bench.csv"] \
-            if command == "bench" else ["--instance", instance_file]
+        where = {
+            "bench": ["--dir", instance_file.parent, "--out", tmp_path / "bench.csv"],
+            "sweep": ["--param", "P", "--values", "900", "--dir", instance_file.parent,
+                      "--out", tmp_path / "sweep.csv"],
+        }.get(command, ["--instance", instance_file])
         assert run_cli(command, *where, *flags) == 4
         self.assert_one_line_rejection(capsys)
 

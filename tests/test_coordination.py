@@ -19,7 +19,13 @@ from wmcevrp.coordination import (
     summary_line,
 )
 from wmcevrp.generator import generate_instance
-from wmcevrp.model import Route, check_feasibility, make_route, mtev_arrival_times
+from wmcevrp.model import (
+    Route,
+    check_feasibility,
+    make_route,
+    mtev_arrival_times,
+    routing_cost,
+)
 
 from conftest import build_instance
 
@@ -84,7 +90,7 @@ class TestDutiesAndBounds:
     def test_duty_arcs_mirror_pattern_bits(self):
         inst, route = chainable_two_duty_case()
         res = bdp.enumerate_patterns(route, inst)
-        for pattern, _ in res.patterns:
+        for pattern in res.patterns:
             duties = duties_from_choice([route], [pattern], inst)
             assert {(d.tail, d.head) for d in duties} == \
                 {route.edges()[e] for e in pattern.edges()}
@@ -157,6 +163,63 @@ class TestCoordinateExact:
         results = [bdp.enumerate_patterns(route, inst)]
         assert coordinate_exact([route], results, inst) is None
 
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The duty list of every `_assign_exact` leaf and the nodes of every
+        route whose arrival times coordination computes."""
+        leaves, timed = [], []
+        assign, arrivals = coordination._assign_exact, coordination.mtev_arrival_times
+
+        def leaf(duties, *args, **kwargs):
+            leaves.append(list(duties))
+            return assign(duties, *args, **kwargs)
+
+        def times(route, inst):
+            timed.append(route.nodes)
+            return arrivals(route, inst)
+
+        monkeypatch.setattr(coordination, "_assign_exact", leaf)
+        monkeypatch.setattr(coordination, "mtev_arrival_times", times)
+        return leaves, timed
+
+    def test_charge_free_routes_get_one_empty_leaf(self, spies):
+        leaves, timed = spies
+        inst = generate_instance(6, seed=71, P=1e5)
+        routes = [make_route(0, [1, 2, 3], inst), make_route(1, [4, 5], inst),
+                  make_route(2, [6], inst)]
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        assert all(res.classification is bdp.RouteClass.TRIVIAL_NO_CHARGE for res in results)
+        out = coordinate_exact(routes, results, inst)
+        assert leaves == [[]]
+        assert timed == []
+        assert out.plan.mct_count == 0
+        assert out.plan.duties == [] and out.plan.assignment == []
+        assert out.plan.certified
+        assert [p.mask for p in out.choice] == [0, 0, 0]
+        assert out.cost == routing_cost(routes, inst)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_charge_free_route_beside_a_charging_one(self, spies, order):
+        # customer 1 sits 10 from the depot and needs no charging; the route
+        # over customers 2 and 3 drives 180 on a battery of 100
+        leaves, timed = spies
+        core = np.full((4, 4), 60.0)
+        core[0, 1] = 10.0
+        np.fill_diagonal(core, 0.0)
+        inst = build_instance(core, [1, 1, 1], P=100.0, gamma=2.0, B=1000.0)
+        pair = [[1], [2, 3]]
+        routes = [make_route(i, pair[k], inst) for i, k in enumerate(order)]
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        free = order.index(0)
+        assert results[free].patterns == [bdp.ChargePattern(0, 2)]
+        out = coordinate_exact(routes, results, inst)
+        assert timed == [routes[1 - free].nodes]
+        assert out.choice[free].mask == 0
+        assert out.plan.mct_count == 1 and out.plan.certified
+        assert {d.mtev for d in out.plan.duties} == {1 - free}
+        assert leaves and all(d.mtev == 1 - free for duties in leaves for d in duties)
+        assert check_feasibility(assemble_solution(routes, out, inst), inst).passed
+
 
 def overlapping_pair_case():
     """Two routes whose only charging choices overlap in time or lie too far
@@ -210,7 +273,7 @@ class TestExactAgainstBruteForce:
         for inst, routes, results in generated_shells(150, 4100):
             out = coordinate_exact(routes, results, inst)
             counts = []
-            for combo in itertools.product(*[[p for p, _ in r.patterns] for r in results]):
+            for combo in itertools.product(*[r.patterns for r in results]):
                 duties = duties_from_choice(routes, list(combo), inst)
                 cap = min(inst.max_mct, len(duties))
                 found = oracle_min_trucks(duties, inst, max_trucks=cap)
@@ -225,6 +288,18 @@ class TestExactAgainstBruteForce:
             sol = assemble_solution(routes, out, inst)
             assert check_feasibility(sol, inst).passed
         assert compared >= 80
+
+    def test_choice_names_the_plan_duties(self):
+        # the chosen patterns are the ones whose duties the plan serves
+        branched = 0
+        for inst, routes, results in generated_shells(150, 4100):
+            for coordinate in (coordinate_exact, coordinate_heuristic):
+                out = coordinate(routes, results, inst)
+                if out is None:
+                    continue
+                assert out.plan.duties == duties_from_choice(routes, out.choice, inst)
+                branched += any(p != res.patterns[0] for p, res in zip(out.choice, results))
+        assert branched > 0
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 50), B=st.sampled_from([2500.0, 6000.0, 20000.0]),
@@ -374,7 +449,7 @@ class TestPlanJsonTrace:
         inst = build_instance(core, [1, 1, 1], P=100.0, gamma=2.0, B=1000.0)
         route = make_route(0, [1, 2, 3], inst)
         pattern = bdp.ChargePattern.from_bitstring("1010")
-        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [(pattern, 0.0)])]
+        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [pattern])]
         out = coordinate_heuristic([route], results, inst)
         assert out.plan.mct_routes[0].nodes == [0, 1, 2, 3, inst.depot_end]
         assert check_feasibility(assemble_solution([route], out, inst), inst).passed

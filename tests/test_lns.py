@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmcevrp import bdp, harness, lns
+from wmcevrp import bdp, coordination, harness, lns
 from wmcevrp.config import SolverConfig
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     InfeasibleInstanceError,
+    Route,
     Solution,
     check_feasibility,
     make_route,
@@ -727,3 +728,119 @@ class TestRun:
         assert r_op in lns.REPAIR_OPS
         assert best <= inc + 1e-9
         assert temp > 0
+
+
+# ---------------------------------------------------------------------------
+# coordination memo
+# ---------------------------------------------------------------------------
+
+def ref_coordinate(routes, inst, cfg):
+    """One candidate coordinated afresh, with freshly enumerated
+    patterns: exact while the combination count and the minimum duty count
+    stay small, greedy otherwise. Returns (outcome, coordinator name)."""
+    results = [bdp.enumerate_patterns(r, inst, max_edges=cfg.bdp_max_edges) for r in routes]
+    if any(not res.feasible for res in results):
+        return None, "infeasible"
+    combos = math.prod(len(res.patterns) for res in results)
+    duties = sum(res.min_cardinality() for res in results)
+    if combos <= min(cfg.exact_cap, cfg.lns_exact_combos) and duties <= cfg.lns_exact_duties:
+        return coordination.coordinate_exact(
+            routes, results, inst, exact_cap=cfg.exact_cap,
+            node_budget=cfg.assign_node_budget,
+            transfer_depletes=cfg.mct_transfer_depletes), "exact"
+    return coordination.coordinate_heuristic(
+        routes, results, inst, max_retries=cfg.heuristic_retries,
+        transfer_depletes=cfg.mct_transfer_depletes), "heuristic"
+
+
+def outcome_summary(out):
+    """Everything a caller reads from a coordination outcome."""
+    if out is None:
+        return None
+    plan = out.plan
+    return (out.cost, [p.mask for p in out.choice], plan.assignment, plan.certified,
+            [(d.mtev, d.edge) for d in plan.duties], [r.nodes for r in plan.mct_routes])
+
+
+def candidate_sequence(inst, cfg, seed, steps):
+    """LNS-shaped candidates: seeded destroy/repair moves from a current
+    solution that follows some of them, mixed with exact repeats and route
+    reorderings of earlier candidates."""
+    rng = np.random.default_rng(seed)
+    ctx = lns._Context(inst, cfg)
+    current = [list(r.nodes) for r in lns.initial_solution(inst, rng).mtev_routes]
+    seen = [current]
+    yield current
+    for _ in range(steps):
+        draw = rng.random()
+        if draw < 0.25:
+            cand = seen[int(rng.integers(len(seen)))]
+        elif draw < 0.4:
+            base = seen[int(rng.integers(len(seen)))]
+            cand = [base[i] for i in rng.permutation(len(base))]
+        else:
+            d_op = lns.DESTROY_OPS[int(rng.integers(len(lns.DESTROY_OPS)))]
+            r_op = lns.REPAIR_OPS[int(rng.integers(len(lns.REPAIR_OPS)))]
+            k = int(rng.integers(1, max(2, inst.n // 3) + 1))
+            partial, removed = lns._DESTROY_FUNCS[d_op](current, ctx, rng, k)
+            rebuilt = lns._REPAIR_FUNCS[r_op](lns._drop_empty(partial), removed, ctx, rng)
+            if rebuilt is None:
+                continue
+            cand = lns._drop_empty(rebuilt)
+            if rng.random() < 0.5:
+                current = cand
+        seen.append(cand)
+        yield cand
+
+
+class TestCoordinationMemo:
+    def test_memo_returns_the_fresh_outcome(self):
+        # P and max_mct vary so that charge-free, charging and
+        # uncoordinatable candidates all occur
+        cfg = SolverConfig()
+        seen = {"hit": 0, "miss": 0, "none": 0, "exact": 0, "heuristic": 0}
+        for case in range(24):
+            rng = np.random.default_rng(900 + case)
+            n = int(rng.integers(5, 21))
+            inst = generate_instance(n, seed=7000 + case,
+                                     P=float(rng.choice([700.0, 1500.0, 4000.0])),
+                                     max_mct=[0, 1, 2, n][case % 4])
+            ctx = lns._Context(inst, cfg)
+            for cand in candidate_sequence(inst, cfg, seed=case, steps=30):
+                routes = [Route(i, list(nodes)) for i, nodes in enumerate(cand)]
+                hit = tuple(map(tuple, cand)) in ctx.coordinated
+                got = lns._coordinate_routes(routes, ctx)
+                want, kind = ref_coordinate(routes, inst, cfg)
+                assert outcome_summary(got) == outcome_summary(want)
+                assert len(ctx.coordinated) <= lns.COORDINATION_MEMO_SIZE
+                seen["hit" if hit else "miss"] += 1
+                seen[kind] += 1
+                seen["none"] += got is None
+        assert all(count > 0 for count in seen.values()), seen
+
+    def test_memo_stays_bounded_over_a_long_run(self, monkeypatch):
+        inst = generate_instance(12, seed=61)
+        lengths = []
+        original = lns._coordinate_routes
+
+        def spy(routes, ctx):
+            out = original(routes, ctx)
+            lengths.append(len(ctx.coordinated))
+            return out
+
+        monkeypatch.setattr(lns, "_coordinate_routes", spy)
+        res = lns.run(inst, SolverConfig(iterations=300), rng=harness.run_seed(61, 0))
+        assert res.iterations == 300
+        assert len(lengths) > lns.COORDINATION_MEMO_SIZE
+        assert max(lengths) == lns.COORDINATION_MEMO_SIZE
+
+    @pytest.mark.parametrize("n, seed, P", [(8, 62, 1500.0), (15, 63, 900.0),
+                                            (20, 64, 1500.0)])
+    def test_run_is_unchanged_without_the_memo(self, monkeypatch, n, seed, P):
+        inst = generate_instance(n, seed=seed, P=P)
+        cfg = SolverConfig(iterations=120)
+        memo = lns.run(inst, cfg, rng=harness.run_seed(seed, 0))
+        monkeypatch.setattr(lns, "COORDINATION_MEMO_SIZE", 0)
+        plain = lns.run(inst, cfg, rng=harness.run_seed(seed, 0))
+        assert memo.log == plain.log
+        assert memo.best.to_json_str() == plain.best.to_json_str()
