@@ -72,6 +72,8 @@ class SolverConfig:
             low = _LOWER_BOUNDS.get(f.name)
             if low is not None and value is not None and value < low:
                 raise ValueError(f"{f.name} must be at least {low}, got {value!r}")
+        if self.weight_floor <= 0:
+            raise ValueError(f"weight_floor must be > 0, got {self.weight_floor!r}")
         if self.string_min > self.string_max:
             raise ValueError(f"string_min {self.string_min} exceeds "
                              f"string_max {self.string_max}")

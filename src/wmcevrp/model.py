@@ -6,6 +6,11 @@ both drive the same arc. Node 0 is the departure depot and node n+1 is its
 physical copy acting as the return depot, so the distance matrix is
 (n+2) x (n+2). Travel time equals distance throughout (one matrix serves
 both roles).
+
+`build_schedule` and `check_feasibility` replay each MCT with the same
+function, `_replay_truck`. The checker recomputes every battery level and
+never reads stored battery traces; it uses a fleet's stored arrival times
+when every route of that fleet has one per node, and derives them otherwise.
 """
 
 from __future__ import annotations
@@ -464,19 +469,10 @@ def evaluate_cost(sol: Solution, inst: Instance) -> float:
     A vehicle counts as deployed iff its route serves at least one customer.
     MCT travel distance carries no cost term.
     """
-    total = 0.0
-    used_e = 0
-    for route in sol.mtev_routes:
+    for route in (*sol.mtev_routes, *sol.mct_routes):
         _require_anchors(route, inst)
-        total += inst.rho_t * inst.route_distance(route.nodes)
-        if route.serves_customers():
-            used_e += 1
-    used_c = 0
-    for route in sol.mct_routes:
-        _require_anchors(route, inst)
-        if route.serves_customers():
-            used_c += 1
-    return total + inst.rho_e * used_e + inst.rho_c * used_c
+    used_c = sum(route.serves_customers() for route in sol.mct_routes)
+    return routing_cost(sol.mtev_routes, inst) + inst.rho_c * used_c
 
 
 def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]],
@@ -508,23 +504,36 @@ def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]]
     return per_mct, bad
 
 
-def _match_duties(route: Route, duties: list[dict]):
-    """Match an MCT's duties to its route edges in order of duty start time.
+def _replay_truck(route: Route, duties: list[dict], inst: Instance, transfer_depletes: bool):
+    """Earliest-arrival replay of one MCT route, for `build_schedule` and
+    `check_feasibility` alike.
 
-    Returns (per-edge duty or None, unmatched duties).
+    Each edge takes the earliest-starting pending duty on the same arc, and
+    the truck departs at the later of its arrival and the duty start.
+    Returns the duty of each edge (or None), the duties no edge took, and
+    the arrival time and battery level at every node.
     """
     pending = list(duties)
-    matches: list[dict | None] = [None] * (len(route.nodes) - 1)
-    for k, (i, j) in enumerate(route.edges()):
-        hit = None
-        for duty in pending:
-            if duty["tail"] == i and duty["head"] == j:
-                hit = duty
-                break
-        if hit is not None:
-            matches[k] = hit
-            pending.remove(hit)
-    return matches, pending
+    matches: list[dict | None] = []
+    now = 0.0
+    level = inst.B
+    times = [now]
+    levels = [level]
+    for i, j in route.edges():
+        duty = next((d for d in pending if d["tail"] == i and d["head"] == j), None)
+        c = float(inst.dist[i, j])
+        depart = now
+        level -= inst.phi * c
+        if duty is not None:
+            pending.remove(duty)
+            depart = max(now, duty["start"])
+            if transfer_depletes:
+                level -= duty["transfer"]
+        now = depart + c
+        matches.append(duty)
+        times.append(now)
+        levels.append(level)
+    return matches, pending, times, levels
 
 
 def build_schedule(sol: Solution, inst: Instance, transfer_depletes: bool = True) -> Solution:
@@ -544,24 +553,10 @@ def build_schedule(sol: Solution, inst: Instance, transfer_depletes: bool = True
     per_mct, _bad = _duties_per_mct(out, inst, out.mtev_times)
     out.mct_times = []
     out.mct_battery = []
-    for c_idx, route in enumerate(out.mct_routes):
-        matches, _missing = _match_duties(route, per_mct[c_idx])
-        times = [0.0]
-        level = inst.B
-        trace = [level]
-        now = 0.0
-        for k, (i, j) in enumerate(route.edges()):
-            duty = matches[k]
-            depart = now if duty is None else max(now, duty["start"])
-            c = float(inst.dist[i, j])
-            now = depart + c
-            times.append(now)
-            level -= inst.phi * c
-            if duty is not None and transfer_depletes:
-                level -= duty["transfer"]
-            trace.append(level)
+    for route, duties in zip(out.mct_routes, per_mct):
+        _, _, times, levels = _replay_truck(route, duties, inst, transfer_depletes)
         out.mct_times.append(times)
-        out.mct_battery.append(trace)
+        out.mct_battery.append(levels)
     return out
 
 
@@ -602,48 +597,19 @@ def _check_route_structure(sol: Solution, inst: Instance,
     return broken
 
 
-def _sanitized_copy(sol: Solution, inst: Instance, broken: dict[str, set[int]]) -> Solution:
-    """Copy that build_schedule accepts: flagged routes become uncharged depot
-    stubs and charge assignments match each route's edge count."""
-    out = sol.copy()
-    stub = [0, inst.depot_end]
-    for kind, routes in (("mtev", out.mtev_routes), ("mct", out.mct_routes)):
-        for idx in broken[kind]:
-            routes[idx] = Route(routes[idx].vehicle, list(stub))
-    rows = []
-    for idx, route in enumerate(out.mtev_routes):
-        width = max(len(route.nodes) - 1, 0)
-        row = []
-        if idx < len(out.charge_assign) and idx not in broken["mtev"]:
-            row = list(out.charge_assign[idx])
-        row = (row + [None] * width)[:width]
-        rows.append(row)
-    out.charge_assign = rows
-    return out
-
-
-def _stored_or_derived_times(sol: Solution, inst: Instance, broken: dict[str, set[int]]):
-    """Use stored schedules when shapes line up, else derive earliest-arrival ones."""
-    ok_mtev = len(sol.mtev_times) == len(sol.mtev_routes) and all(
-        len(t) == len(r.nodes) for t, r in zip(sol.mtev_times, sol.mtev_routes)
-    )
-    ok_mct = len(sol.mct_times) == len(sol.mct_routes) and all(
-        len(t) == len(r.nodes) for t, r in zip(sol.mct_times, sol.mct_routes)
-    )
-    if ok_mtev and ok_mct:
-        return sol.mtev_times, sol.mct_times
-    scheduled = build_schedule(_sanitized_copy(sol, inst, broken), inst)
-    mtev = sol.mtev_times if ok_mtev else scheduled.mtev_times
-    mct = sol.mct_times if ok_mct else scheduled.mct_times
-    return mtev, mct
+def _one_time_per_node(times: list[list[float]], routes: list[Route]) -> bool:
+    return len(times) == len(routes) and all(
+        len(t) == len(r.nodes) for t, r in zip(times, routes))
 
 
 def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = True) -> FeasibilityReport:
     """Path-wise verification of every model constraint family.
 
-    Battery and time quantities are recomputed along the visited sequences;
-    stored traces are presentation data and are not trusted. All findings
-    are returned in the report, nothing raises.
+    Battery levels are recomputed along the visited sequences; stored battery
+    traces are never read. Stored arrival times are used per fleet when every
+    route of that fleet has one per node; otherwise that fleet's times are
+    derived with earliest-arrival semantics, trucks waiting on the MTEV times
+    in use. All findings are returned in the report, nothing raises.
     """
     out: list[Violation] = []
     broken = _check_route_structure(sol, inst, out)
@@ -669,7 +635,19 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
             out.append(Violation("capacity", f"mtev:{idx}",
                                  f"load {load} exceeds capacity {inst.Q}", load - inst.Q))
 
-    mtev_times, mct_times = _stored_or_derived_times(sol, inst, broken)
+    if _one_time_per_node(sol.mtev_times, sol.mtev_routes):
+        mtev_times = sol.mtev_times
+    else:
+        mtev_times = [[] if idx in broken["mtev"] else mtev_arrival_times(route, inst)
+                      for idx, route in enumerate(sol.mtev_routes)]
+    per_mct, bad_ids = _duties_per_mct(sol, inst, mtev_times, broken["mtev"])
+    replays = {c_idx: _replay_truck(route, per_mct[c_idx], inst, transfer_depletes)
+               for c_idx, route in enumerate(sol.mct_routes) if c_idx not in broken["mct"]}
+    if _one_time_per_node(sol.mct_times, sol.mct_routes):
+        mct_times = sol.mct_times
+    else:
+        mct_times = [replays[c_idx][2] if c_idx in replays else []
+                     for c_idx in range(len(sol.mct_routes))]
 
     # time propagation along visited sequences
     for kind, routes, times in (("mtev", sol.mtev_routes, mtev_times),
@@ -694,7 +672,6 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
             out.append(Violation("sync", f"mtev:{idx}",
                                  "charge assignment length does not match edge count"))
 
-    per_mct, bad_ids = _duties_per_mct(sol, inst, mtev_times, broken["mtev"])
     for c, duty in bad_ids:
         out.append(Violation("sync", f"mtev:{duty['route']}",
                              f"edge ({duty['tail']},{duty['head']}) assigned to unknown truck {c}"))
@@ -714,35 +691,31 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
                 break
 
     # MCT duties: co-traversal, synchronization, battery
-    for c_idx, route in enumerate(sol.mct_routes):
-        if c_idx in broken["mct"]:
-            continue
-        duties = per_mct[c_idx]
-        matches, missing = _match_duties(route, duties)
+    for c_idx, (matches, missing, _, levels) in replays.items():
+        route = sol.mct_routes[c_idx]
         tag = f"mct:{c_idx}"
         for duty in missing:
             out.append(Violation("sync", tag,
                                  f"assigned arc ({duty['tail']},{duty['head']}) is never traversed"))
-        times = mct_times[c_idx] if c_idx < len(mct_times) else []
-        level = inst.B
-        for k, (i, j) in enumerate(route.edges()):
-            duty = matches[k]
-            c = float(inst.dist[i, j])
+        times = mct_times[c_idx]
+        for k, ((i, j), duty) in enumerate(zip(route.edges(), matches)):
             if duty is not None:
-                if times and times[k] > duty["start"] + EPS:
+                if times[k] > duty["start"] + EPS:
                     out.append(Violation("sync", tag,
                                          f"arrives at node {i} after its MTEV (arc ({i},{j}))",
                                          times[k] - duty["start"]))
-                if level < duty["transfer"] - EPS:
+                finish = duty["start"] + duty["distance"]
+                if times[k + 1] < finish - EPS:
+                    out.append(Violation("sync", tag,
+                                         f"reaches node {j} before its MTEV (arc ({i},{j}))",
+                                         finish - times[k + 1]))
+                if levels[k] < duty["transfer"] - EPS:
                     out.append(Violation("energy-mct", tag,
-                                         f"stored energy {level:.6g} below transfer {duty['transfer']:.6g} at node {i}",
-                                         duty["transfer"] - level))
-            level -= inst.phi * c
-            if duty is not None and transfer_depletes:
-                level -= duty["transfer"]
-            if level < -EPS:
+                                         f"stored energy {levels[k]:.6g} below transfer {duty['transfer']:.6g} at node {i}",
+                                         duty["transfer"] - levels[k]))
+            if levels[k + 1] < -EPS:
                 out.append(Violation("energy-mct", tag,
-                                     f"battery {level:.6g} after arc ({i},{j})", -level))
+                                     f"battery {levels[k + 1]:.6g} after arc ({i},{j})", -levels[k + 1]))
                 break
 
     # stored usage flags must agree with served customers

@@ -201,6 +201,19 @@ class TestRejectedInput:
         cfg.write_text(json.dumps({"no_such_key": 1}))
         assert run_cli("solve", "--instance", instance_file, "--config", cfg) == 4
 
+    def test_zero_weight_floor_exits_4(self, tmp_path, capsys):
+        # zero scores with full reaction drive every operator weight to a
+        # zero floor after one segment; roulette selection then divides 0 by 0
+        inst = tmp_path / "inst.json"
+        assert run_cli("gen", "--n", 6, "--seed", 3, "--out", inst) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reaction": 1.0, "weight_floor": 0.0, "segment_size": 1,
+                                   "score_best": 0.0, "score_improve": 0.0,
+                                   "score_accept_worse": 0.0}))
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", inst, "--iters", 300, "--config", cfg) == 4
+        self.assert_one_line_rejection(capsys)
+
     @staticmethod
     def assert_one_line_rejection(capsys):
         err = capsys.readouterr().err.splitlines()
@@ -306,6 +319,8 @@ class TestRejectedInput:
         {"time_limit": -1.0},
         {"mct_transfer_depletes": "no"},
         [1],
+        {"weight_floor": 0.0},
+        {"weight_floor": -1.0},
     ])
     def test_bad_config_exits_4(self, instance_file, tmp_path, capsys, no_run, config):
         cfg = tmp_path / "cfg.json"

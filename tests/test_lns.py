@@ -643,6 +643,8 @@ class TestConfig:
         ({"time_limit": float("inf")}, "time_limit must be a finite number or null"),
         ({"mct_transfer_depletes": 1}, "mct_transfer_depletes must be a boolean"),
         ([["iterations", 5]], "config must be a JSON object"),
+        ({"weight_floor": 0.0}, "weight_floor must be > 0"),
+        ({"weight_floor": -1.0}, "weight_floor must be > 0"),
     ])
     def test_invalid_settings_rejected(self, data, match):
         with pytest.raises(ValueError, match=match):

@@ -505,6 +505,96 @@ class TestCheckerTotality:
         assert {v.vehicle for v in report.violations if v.family == "flow"} == {"mtev:0", "mct:0"}
 
 
+def _alignment_case():
+    """Two MTEVs charge on the path 0-1-2-3-depot of one truck: MTEV 0 on
+    1->2 and MTEV 1 on 3->depot. MTEV 0 is stored as reaching node 1 at
+    t = 2, one unit after its earliest arrival."""
+    inst = build_instance([[0, 1, 2, 3.5], [0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0]],
+                          [1, 1, 1], P=100.0, B=1000.0, Q=10.0, rho_t=1.0, rho_e=1.0,
+                          rho_c=1.0, gamma=2.0, phi=1.0)
+    end = inst.depot_end
+    sol = Solution.from_routes([Route(0, [0, 1, 2, end]), Route(1, [0, 3, end])])
+    sol.charge_assign[0][1] = 0
+    sol.charge_assign[1][1] = 0
+    sol.mct_routes = [Route(0, [0, 1, 2, 3, end])]
+    sol.mtev_times = [[0.0, 2.0, 3.0, 5.0], [0.0, 3.5, 7.0]]
+    return inst, sol
+
+
+def _findings(report):
+    return [(v.family, v.vehicle, v.detail, v.magnitude) for v in report.violations]
+
+
+class TestTruckAlignment:
+    def test_derived_truck_waits_on_stored_mtev_times(self):
+        # the truck cannot leave node 1 before its MTEV reaches it at t = 2,
+        # so it reaches node 3 at t = 4, after the other MTEV's t = 3.5
+        inst, sol = _alignment_case()
+        assert _findings(check_feasibility(sol, inst)) == [
+            ("sync", "mct:0", "arrives at node 3 after its MTEV (arc (3,4))", 0.5)]
+
+    def test_truck_may_not_leave_a_charging_arc_early(self):
+        # on time at both tails, but ahead of its MTEV at both heads
+        inst, sol = _alignment_case()
+        sol.mct_times = [[0.0, 1.0, 2.0, 3.0, 6.5]]
+        assert _findings(check_feasibility(sol, inst)) == [
+            ("sync", "mct:0", "reaches node 2 before its MTEV (arc (1,2))", 1.0),
+            ("sync", "mct:0", "reaches node 4 before its MTEV (arc (3,4))", 0.5)]
+
+    def test_waiting_truck_passes(self):
+        inst, sol = _alignment_case()
+        sol.mct_times = [[0.0, 1.0, 3.0, 4.0, 7.5]]
+        sol.mtev_times[1] = [0.0, 4.0, 7.5]
+        assert check_feasibility(sol, inst).passed
+
+
+def _strip_times(sol, fleets):
+    doc = sol.to_json()
+    for fleet in fleets:
+        for entry in doc[fleet]:
+            del entry["arrival_times"]
+    return Solution.from_json(doc)
+
+
+class TestDerivedTimes:
+    """Stored and derived schedules of solver output give one verdict."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        cases = []
+        for seed in range(10):
+            inst = generate_instance(6 + seed, seed=seed, P=900.0)
+            res = lns.run(inst, SolverConfig(iterations=40), rng=harness.run_seed(seed, 0))
+            cases.append((inst, res.best))
+        assert sum(bool(best.mct_routes) for _, best in cases) >= 5
+        return cases
+
+    def test_stripped_times_keep_the_findings(self, solved):
+        for inst, best in solved:
+            # without its charging the same routes have energy findings too
+            uncharged = best.copy()
+            uncharged.charge_assign = [[None] * len(a) for a in uncharged.charge_assign]
+            for sol in (best, uncharged):
+                for depletes in (True, False):
+                    stored = _findings(check_feasibility(sol, inst, depletes))
+                    for fleets in (["mct"], ["mtev"], ["mtev", "mct"]):
+                        bare = _strip_times(sol, fleets)
+                        assert _findings(check_feasibility(bare, inst, depletes)) == stored
+            assert _findings(check_feasibility(best, inst)) == []
+
+    def test_schedule_matches_independent_simulation(self, solved):
+        for inst, best in solved:
+            out = build_schedule(best, inst)
+            for c_idx, route in enumerate(best.mct_routes):
+                duty_edges = {
+                    (i, j): best.mtev_times[r][e]
+                    for r, (mtev, row) in enumerate(zip(best.mtev_routes, best.charge_assign))
+                    for e, ((i, j), a) in enumerate(zip(mtev.edges(), row)) if a == c_idx
+                }
+                oracle = _simulate_mct(inst, best.mtev_times, route.nodes, duty_edges)
+                assert out.mct_times[c_idx] == oracle == best.mct_times[c_idx]
+
+
 # ---------------------------------------------------------------------------
 # solution serialization
 # ---------------------------------------------------------------------------
