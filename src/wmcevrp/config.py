@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 
@@ -21,6 +22,16 @@ _KINDS = {
 }
 # smallest usable value of the settings that have one
 _LOWER_BOUNDS = {"iterations": 0, "time_limit": 0, "segment_size": 1, "string_min": 1}
+# an operator's segment score sums up to segment_size scores, and an operator
+# weight never exceeds the largest score or the weight floor; capping both
+# keeps the segment sums and the weight sum of a family of up to this many
+# operators finite
+_MAX_OPERATORS = 64
+
+
+def score_cap(segment_size: int) -> float:
+    """Largest usable operator score, or weight floor, for a segment size."""
+    return sys.float_info.max / (segment_size + _MAX_OPERATORS)
 
 
 @dataclass
@@ -72,8 +83,18 @@ class SolverConfig:
             low = _LOWER_BOUNDS.get(f.name)
             if low is not None and value is not None and value < low:
                 raise ValueError(f"{f.name} must be at least {low}, got {value!r}")
+        if not 0 <= self.reaction <= 1:
+            raise ValueError(f"reaction must be in [0, 1], got {self.reaction!r}")
+        if not 0 < self.cooling <= 1:
+            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
         if self.weight_floor <= 0:
             raise ValueError(f"weight_floor must be > 0, got {self.weight_floor!r}")
+        cap = score_cap(self.segment_size)
+        for name in ("score_best", "score_improve", "score_accept_worse", "weight_floor"):
+            value = getattr(self, name)
+            if not 0 <= value <= cap:
+                raise ValueError(f"{name} must be in [0, {cap:.6g}] for segment_size "
+                                 f"{self.segment_size}, got {value!r}")
         if self.string_min > self.string_max:
             raise ValueError(f"string_min {self.string_min} exceeds "
                              f"string_max {self.string_max}")

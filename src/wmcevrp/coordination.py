@@ -7,6 +7,15 @@ fewer trucks than the best so far and stops when no plan can use fewer.
 Deadhead distance carries no cost and is not minimized; `total_deadhead` is
 reported as a diagnostic only.
 
+The exact search prunes with an interval-graph clique bound, kept
+incrementally. `_segment_covers` cuts the time line at the ends of every
+duty's occupied interval and gives each duty a bitmask of the segments it
+occupies; a pattern's cover is the union of its duties' masks, which never
+overlap. The search carries `depth`, where depth[k] is the segments occupied
+by at least k+1 chosen duties, and `_deepen` adds a pattern's cover with one
+integer operation per level; the bound is len(depth). `mct_lower_bound`
+folds the same step over single duties.
+
 `_step` and `_home` hold the only truck arithmetic: deadhead legs, arrival
 times and battery levels. This layer does not check its own plans;
 `model.check_feasibility` re-derives the truck schedules and is the single
@@ -77,17 +86,17 @@ class _TruckState:
 
 
 def _pattern_duties(r_idx: int, edges: list[tuple[int, int]], times: list[float],
-                    pattern: ChargePattern, inst: Instance) -> list[ChargingDuty]:
-    """The duties of one route's pattern, in edge order."""
+                    mask: int, inst: Instance) -> list[ChargingDuty]:
+    """The duties of the edges set in one route's charge mask, in edge order."""
     duties = []
-    for e in pattern.edges():
-        i, j = edges[e]
-        c = float(inst.dist[i, j])
-        duties.append(ChargingDuty(
-            mtev=r_idx, edge=e, tail=i, head=j,
-            start=times[e], end=times[e + 1],
-            distance=c, transfer=inst.gamma * c,
-        ))
+    for e, (i, j) in enumerate(edges):
+        if (mask >> e) & 1:
+            c = float(inst.dist[i, j])
+            duties.append(ChargingDuty(
+                mtev=r_idx, edge=e, tail=i, head=j,
+                start=times[e], end=times[e + 1],
+                distance=c, transfer=inst.gamma * c,
+            ))
     return duties
 
 
@@ -100,33 +109,57 @@ def duties_from_choice(routes: list[Route], choice: list[ChargePattern],
     duties = []
     for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
         duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
-                                  pattern, inst)
+                                  pattern.mask, inst)
     duties.sort(key=_duty_order)
     return duties
 
 
-def mct_lower_bound(duties: list[ChargingDuty]) -> int:
-    """Interval-graph clique bound: max number of duties open at one instant.
+def _segment_covers(duties: list[ChargingDuty]) -> list[int]:
+    """Each duty's occupied time segments as a bitmask.
 
     A truck may reach its next duty up to EPS late (`_try_serve`), so each
     duty occupies its truck over [start, end - 2*EPS); the second EPS absorbs
-    rounding. Overlaps shorter than that are not counted, so the bound never
-    exceeds the truck count of a feasible assignment.
+    rounding. The time line is cut at the distinct endpoints of these
+    intervals; bit k stands for the k-th segment between them. Two duties
+    overlap exactly when their covers share a bit, so touching intervals and
+    overlaps shorter than 2*EPS share none. A duty shorter than 2*EPS
+    occupies nothing.
     """
+    spans = [(d.start, d.end - 2 * EPS) for d in duties]
+    cuts = sorted({t for span in spans if span[1] > span[0] for t in span})
+    index = {t: k for k, t in enumerate(cuts)}
+    return [(1 << index[b]) - (1 << index[a]) if b > a else 0 for a, b in spans]
+
+
+def _deepen(depth: tuple[int, ...], cover: int) -> tuple[int, ...]:
+    """Segment counters after adding duties that occupy `cover` and do not
+    overlap one another: depth[k] holds the segments occupied by at least
+    k+1 duties, so len(depth) is the peak overlap."""
+    if not cover:
+        return depth
+    out = []
+    carry = cover               # new segments reaching level k: depth[k-1] & cover
+    for k, level in enumerate(depth):
+        if not carry:
+            return tuple(out) + depth[k:]
+        out.append(level | carry)
+        carry = level & cover
+    if carry:
+        out.append(carry)
+    return tuple(out)
+
+
+def mct_lower_bound(duties: list[ChargingDuty]) -> int:
+    """Interval-graph clique bound: max number of duties occupying one
+    segment of `_segment_covers`, and at least one truck for any duty.
+    Overlaps shorter than 2*EPS are not counted, so the bound never exceeds
+    the truck count of a feasible assignment."""
     if not duties:
         return 0
-    events = []
-    for d in duties:
-        end = d.end - 2 * EPS
-        if end > d.start:
-            events.append((d.start, 1))
-            events.append((end, -1))
-    events.sort()
-    cur = best = 0
-    for _, delta in events:
-        cur += delta
-        best = max(best, cur)
-    return max(best, 1)
+    depth: tuple[int, ...] = ()
+    for cover in _segment_covers(duties):
+        depth = _deepen(depth, cover)
+    return max(len(depth), 1)
 
 
 def _step(state: _TruckState, duty: ChargingDuty, inst: Instance,
@@ -215,6 +248,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     nodes = [0]
     exhausted = [False]
     assignment = [0] * len(duties)
+    fresh = _fresh_truck(inst)
 
     def rec(idx: int, trucks: list[_TruckState]) -> None:
         if exhausted[0] or beat[0] == floor or len(trucks) >= beat[0]:
@@ -238,7 +272,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             rec(idx + 1, trucks)
             trucks[t_idx] = state
         if len(trucks) < beat[0] - 1:
-            nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
+            nxt = _try_serve(fresh, duty, inst, transfer_depletes)
             if nxt is not None:
                 trucks.append(nxt)
                 assignment[idx] = len(trucks) - 1
@@ -342,12 +376,13 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     Branches over pattern combinations depth first, each route's patterns in
     their `BdpResult` order, (cardinality, mask). A route whose only pattern
     charges nothing adds no duties and no branch, so it gets no DFS level
-    and no arrival times. A prefix is pruned when the interval bound of its
-    duties reaches the best truck count found so far (or exceeds
-    `inst.max_mct`), and each leaf's assignment search looks only for
-    strictly fewer trucks. The search stops at the floor: one truck when
-    some route cannot avoid charging, else none. The first plan found at the
-    final count is kept; deadhead is not minimized.
+    and no arrival times; every other route builds its duties once, shared
+    by its patterns. A prefix is pruned when the interval bound of its
+    duties, read from the segment counters, reaches the best truck count
+    found so far (or exceeds `inst.max_mct`), and each leaf's assignment
+    search looks only for strictly fewer trucks. The search stops at the
+    floor: one truck when some route cannot avoid charging, else none. The
+    first plan found at the final count is kept; deadhead is not minimized.
 
     The plan is certified when its count is proven minimal: no assignment
     search ran out of `node_budget`, or the count equals the floor. Returns
@@ -361,21 +396,37 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         raise ValueError(f"{combos} combinations exceed the exact cap {exact_cap}")
     fixed = routing_cost(routes, inst)
     chosen = [patterns[0] for patterns in pattern_sets]
-    levels = []                 # (route index, its patterns, their duties)
+    branching = []              # (route index, its patterns, the duties of all of them)
     for r_idx, (route, patterns) in enumerate(zip(routes, pattern_sets)):
         if len(patterns) == 1 and not patterns[0].mask:
             continue
-        edges, times = route.edges(), mtev_arrival_times(route, inst)
-        levels.append((r_idx, patterns,
-                       [_pattern_duties(r_idx, edges, times, p, inst) for p in patterns]))
-    floor = 1 if any(patterns[0].cardinality for _, patterns, _ in levels) else 0
+        union = 0
+        for p in patterns:
+            union |= p.mask
+        branching.append((r_idx, patterns, _pattern_duties(
+            r_idx, route.edges(), mtev_arrival_times(route, inst), union, inst)))
+    covers = iter(_segment_covers([d for _, _, duties in branching for d in duties]))
+    levels = []                 # (route index, [(pattern, its duties, their cover)])
+    for r_idx, patterns, duties in branching:
+        by_edge = {d.edge: (d, next(covers)) for d in duties}
+        options = []
+        for p in patterns:
+            added, cover = [], 0
+            for e in p.edges():
+                duty, occupied = by_edge[e]
+                added.append(duty)
+                cover |= occupied
+            options.append((p, added, cover))
+        levels.append((r_idx, options))
+    floor = 1 if any(options[0][0].cardinality for _, options in levels) else 0
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (chosen patterns, duties, assignment)
     complete = [True]
 
-    def dfs(level: int, duties: list[ChargingDuty], bound: int) -> None:
-        if beat[0] <= floor or bound >= beat[0]:
-            return
+    def dfs(level: int, duties: list[ChargingDuty], depth: tuple[int, ...],
+            bound: int) -> None:
+        """Extend the prefix `duties`, whose segment counters are `depth`
+        and whose clique bound is `bound`, below `beat[0]`."""
         if level == len(levels):
             duties = sorted(duties, key=_duty_order)
             found, done = _assign_exact(duties, inst, beat[0] - 1, transfer_depletes,
@@ -385,16 +436,20 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 beat[0], assignment = found
                 best[0] = (list(chosen), duties, assignment)
             return
-        r_idx, patterns, duty_sets = levels[level]
-        for pattern, added in zip(patterns, duty_sets):
-            chosen[r_idx] = pattern
+        r_idx, options = levels[level]
+        for pattern, added, cover in options:
+            if beat[0] <= floor:
+                return
+            grown, grown_bound = depth, bound
             if added:
-                grown = duties + added
-                dfs(level + 1, grown, mct_lower_bound(grown))
-            else:
-                dfs(level + 1, duties, bound)
+                grown = _deepen(depth, cover)
+                grown_bound = max(len(grown), 1)
+            if grown_bound < beat[0]:
+                chosen[r_idx] = pattern
+                dfs(level + 1, duties + added, grown, grown_bound)
 
-    dfs(0, [], 0)
+    if floor < beat[0]:
+        dfs(0, [], (), 0)
     if best[0] is None:
         return None
     patterns, duties, assignment = best[0]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import errno
 import json
 import math
 import time
@@ -208,8 +207,10 @@ def load_reference(path) -> dict:
 
 def load_instances_dir(path) -> list[tuple[str, Instance]]:
     """(stem, instance) of every *.json file in path; OSError when path is
-    not a directory. An empty directory gives an empty list."""
+    missing or not a directory. An empty directory gives an empty list."""
+    if not Path(path).exists():
+        raise FileNotFoundError("no such directory")
     if not Path(path).is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(path))
+        raise NotADirectoryError("not a directory")
     files = sorted(Path(path).glob("*.json"))
     return [(f.stem, Instance.load(f)) for f in files]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -60,6 +61,7 @@ class OperatorStats:
     scores: np.ndarray = None
     uses: np.ndarray = None
     total_uses: np.ndarray = None
+    _cdf: list[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.names)
@@ -68,12 +70,26 @@ class OperatorStats:
         self.scores = np.zeros(k)
         self.uses = np.zeros(k, dtype=int)
         self.total_uses = np.zeros(k, dtype=int)
+        self._rebuild_cdf()
 
     def probabilities(self) -> np.ndarray:
         return self.weights / self.weights.sum()
 
+    def _rebuild_cdf(self) -> None:
+        """The cumulative probabilities exactly as `Generator.choice` builds
+        them, so `select` draws what `rng.choice(k, p=probabilities())` would.
+        ValueError unless the weights are non-negative with a finite positive
+        sum, so that every probability is finite and non-negative."""
+        total = self.weights.sum()
+        if not (np.isfinite(total) and total > 0 and (self.weights >= 0).all()):
+            raise ValueError(f"operator weights {self.weights} give no probabilities")
+        cdf = self.probabilities().cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+
     def select(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(len(self.names), p=self.probabilities()))
+        """Roulette-wheel pick from one uniform draw."""
+        return bisect_right(self._cdf, rng.random())
 
     def record(self, idx: int, score: float) -> None:
         self.scores[idx] += score
@@ -88,6 +104,7 @@ class OperatorStats:
                 self.weights[i] = max(floor, (1 - reaction) * self.weights[i] + reaction * mean)
         self.scores[:] = 0.0
         self.uses[:] = 0
+        self._rebuild_cdf()
 
 
 @dataclass

@@ -214,6 +214,17 @@ class TestRejectedInput:
         assert run_cli("solve", "--instance", inst, "--iters", 300, "--config", cfg) == 4
         self.assert_one_line_rejection(capsys)
 
+    def test_negative_reaction_exits_4(self, tmp_path, capsys):
+        # a negative reaction grows the operator weights geometrically until
+        # roulette selection divides inf by inf
+        inst = tmp_path / "inst.json"
+        assert run_cli("gen", "--n", 6, "--seed", 3, "--out", inst) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reaction": -5.0, "segment_size": 1}))
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", inst, "--iters", 3000, "--config", cfg) == 4
+        self.assert_one_line_rejection(capsys)
+
     @staticmethod
     def assert_one_line_rejection(capsys):
         err = capsys.readouterr().err.splitlines()
@@ -267,7 +278,9 @@ class TestRejectedInput:
         assert run_cli(command, *sweep, "--dir", path, "--runs", 1,
                        "--out", tmp_path / "out.csv") == code
         if code == 4:
-            self.assert_one_line_rejection(capsys)
+            err = capsys.readouterr().err.splitlines()
+            reason = {"missing": "no such directory", "file": "not a directory"}[kind]
+            assert err == [f"invalid input: {path}: {reason}"]
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.fixture

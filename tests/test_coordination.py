@@ -20,6 +20,7 @@ from wmcevrp.coordination import (
 )
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
+    EPS,
     Route,
     check_feasibility,
     make_route,
@@ -113,6 +114,131 @@ class TestDutiesAndBounds:
         # which a truck may be late, so one truck can chain both duties
         mk = lambda s, e: ChargingDuty(0, 0, 0, 1, s, e, e - s, 1.0)
         assert mct_lower_bound([mk(0.0, 0.1 + 0.2), mk(0.3, 1.0)]) == 1
+
+
+def brute_force_bound(duties):
+    """The most duties occupying one instant: each duty occupies
+    [start, end - 2*EPS), the peak is reached at some duty's start, and any
+    duty at all needs one truck."""
+    if not duties:
+        return 0
+    return max(max(sum(d.start <= s < d.end - 2 * EPS for d in duties)
+                   for s in (d.start for d in duties)), 1)
+
+
+# interval ends on a coarse grid touch one another; the offsets add
+# overlaps shorter than, equal to and longer than the 2*EPS tolerance
+_grid_times = st.builds(lambda k, off: k + off, st.integers(0, 12),
+                        st.sampled_from([0.0, 0.5 * EPS, EPS, 2 * EPS, 3 * EPS, -EPS]))
+
+
+class TestSegmentCoverBound:
+    @settings(max_examples=300, deadline=None)
+    @given(spans=st.lists(st.tuples(_grid_times, st.integers(0, 6),
+                                    st.sampled_from([0.0, EPS, 1.5 * EPS, 2 * EPS, 4 * EPS])),
+                          max_size=9))
+    def test_bound_matches_brute_force(self, spans):
+        duties = [ChargingDuty(k, 0, 0, 1, start, start + length + extra,
+                               length + extra, 1.0)
+                  for k, (start, length, extra) in enumerate(spans)]
+        assert mct_lower_bound(duties) == brute_force_bound(duties)
+
+    def test_deepen_counts_each_level(self):
+        depth = coordination._deepen((), 0b0110)
+        assert depth == (0b0110,)
+        depth = coordination._deepen(depth, 0b0011)
+        assert depth == (0b0111, 0b0010)
+        assert coordination._deepen(depth, 0) is depth
+        assert coordination._deepen(depth, 0b1010) == (0b1111, 0b0010, 0b0010)
+
+
+def reference_exact(routes, results, inst, node_budget, transfer_depletes):
+    """The exact coordination search as it was before segment covers: every
+    node that adds duties re-computes `mct_lower_bound` over the whole grown
+    duty list. Returns the (duties, floor) of every assignment leaf in order
+    and the (masks, duties, assignment, certified) of the kept plan."""
+    leaves = []
+    pattern_sets = [res.patterns for res in results]
+    if any(not s for s in pattern_sets):
+        return leaves, None
+    chosen = [patterns[0] for patterns in pattern_sets]
+    levels = []
+    for r_idx, patterns in enumerate(pattern_sets):
+        if len(patterns) == 1 and not patterns[0].mask:
+            continue
+        alone = [bdp.ChargePattern(0, 0)] * len(routes)
+        duty_sets = []
+        for p in patterns:
+            alone[r_idx] = p
+            duty_sets.append(duties_from_choice(routes, alone, inst))
+        levels.append((r_idx, patterns, duty_sets))
+    floor = 1 if any(patterns[0].cardinality for _, patterns, _ in levels) else 0
+    beat, best, complete = [inst.max_mct + 1], [None], [True]
+
+    def dfs(level, duties, bound):
+        if beat[0] <= floor or bound >= beat[0]:
+            return
+        if level == len(levels):
+            duties = sorted(duties, key=lambda d: (d.start, d.mtev, d.edge))
+            leaves.append((duties, bound))
+            found, done = coordination._assign_exact(
+                duties, inst, beat[0] - 1, transfer_depletes, node_budget, bound)
+            complete[0] = complete[0] and done
+            if found is not None:
+                beat[0], assignment = found
+                best[0] = ([p.mask for p in chosen], duties, assignment)
+            return
+        r_idx, patterns, duty_sets = levels[level]
+        for pattern, added in zip(patterns, duty_sets):
+            chosen[r_idx] = pattern
+            if added:
+                grown = duties + added
+                dfs(level + 1, grown, mct_lower_bound(grown))
+            else:
+                dfs(level + 1, duties, bound)
+
+    dfs(0, [], 0)
+    if best[0] is None:
+        return leaves, None
+    return leaves, (*best[0], complete[0] or beat[0] == floor)
+
+
+class TestIncrementalSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+           P=st.sampled_from([300.0, 600.0, 900.0]), max_routes=st.integers(1, 4),
+           node_budget=st.sampled_from([50, 5000]), transfer_depletes=st.booleans())
+    def test_leaves_match_the_per_node_bound_search(self, seed, n, P, max_routes,
+                                                    node_budget, transfer_depletes):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(n, seed=seed, P=P)
+        order = [int(u) for u in rng.permutation(n) + 1]
+        k = int(rng.integers(1, min(n, max_routes) + 1))
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), k - 1, replace=False))
+        parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        routes = [make_route(v, part, inst) for v, part in enumerate(parts)]
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        expect_leaves, expect = reference_exact(routes, results, inst, node_budget,
+                                                transfer_depletes)
+        leaves, assign = [], coordination._assign_exact
+
+        def leaf(duties, inst, max_mct, transfer_depletes, node_budget, floor):
+            leaves.append((list(duties), floor))
+            return assign(duties, inst, max_mct, transfer_depletes, node_budget, floor)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(coordination, "_assign_exact", leaf)
+            out = coordinate_exact(routes, results, inst, node_budget=node_budget,
+                                   transfer_depletes=transfer_depletes)
+        assert leaves == expect_leaves
+        if expect is None:
+            assert out is None
+            return
+        masks, duties, assignment, certified = expect
+        assert [p.mask for p in out.choice] == masks
+        assert out.plan.duties == duties
+        assert out.plan.assignment == assignment
+        assert out.plan.certified == certified
 
 
 class TestCoordinateExact:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmcevrp import bdp, coordination, harness, lns
-from wmcevrp.config import SolverConfig
+from wmcevrp.config import SolverConfig, score_cap
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     InfeasibleInstanceError,
@@ -597,6 +598,34 @@ class TestWeights:
         assert stats.probabilities()[0] > p_before
         assert stats.weights.sum() > 0
 
+    def test_select_draws_as_generator_choice(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            k = int(rng.integers(1, 8))
+            weights = 10.0 ** rng.uniform(-6, 0, k)
+            if trial % 3 == 0:
+                weights[int(rng.integers(k))] = 1e-6
+            stats = lns.OperatorStats(tuple(map(str, range(k))), weights=weights)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(25):
+                assert stats.select(ours) == int(theirs.choice(k, p=stats.probabilities()))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_select_follows_segment_updates(self):
+        stats = lns.OperatorStats(("a", "b"))
+        for _ in range(3):
+            stats.record(1, 50.0)
+        stats.end_segment(reaction=1.0, floor=1e-6)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        picks = [stats.select(ours) for _ in range(200)]
+        assert picks == [int(theirs.choice(2, p=stats.probabilities())) for _ in range(200)]
+
+    @pytest.mark.parametrize("weights", [[np.inf, 1.0], [np.nan, 1.0], [0.0, 0.0],
+                                         [-1.0, 3.0]])
+    def test_unusable_weights_raise(self, weights):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="probabilities"):
+            lns.OperatorStats(("a", "b"), weights=np.array(weights))
+
     def test_floor_prevents_starvation(self):
         stats = lns.OperatorStats(("a",))
         for _ in range(5):
@@ -645,10 +674,36 @@ class TestConfig:
         ([["iterations", 5]], "config must be a JSON object"),
         ({"weight_floor": 0.0}, "weight_floor must be > 0"),
         ({"weight_floor": -1.0}, "weight_floor must be > 0"),
+        ({"reaction": -5.0}, r"reaction must be in \[0, 1\]"),
+        ({"reaction": 1.5}, r"reaction must be in \[0, 1\]"),
+        ({"cooling": 0.0}, r"cooling must be in \(0, 1\]"),
+        ({"cooling": 1.01}, r"cooling must be in \(0, 1\]"),
+        ({"score_improve": -1.0}, "score_improve must be in"),
+        ({"score_best": 1e308, "segment_size": 5}, "score_best must be in"),
+        ({"score_accept_worse": sys.float_info.max}, "score_accept_worse must be in"),
+        ({"weight_floor": 1e308}, "weight_floor must be in"),
     ])
     def test_invalid_settings_rejected(self, data, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig.from_json(data)
+
+    def test_huge_scores_rejected_before_the_run(self):
+        inst = generate_instance(8, seed=3, P=900.0)
+        with pytest.raises(ValueError, match="score_best must be in"):
+            lns.run(inst, SolverConfig(iterations=200, segment_size=5, score_best=1e308,
+                                       score_improve=1e308, score_accept_worse=1e308),
+                    rng=harness.run_seed(3, 0))
+
+    def test_largest_floor_keeps_the_weights_finite(self):
+        # every used operator's weight rises to the floor; the sum of the
+        # weights must stay finite for roulette selection
+        cap = score_cap(6)
+        cfg = SolverConfig(iterations=300, segment_size=6, reaction=1.0, weight_floor=cap,
+                           score_best=cap, score_improve=cap, score_accept_worse=cap)
+        res = lns.run(generate_instance(8, seed=3, P=900.0), cfg, rng=harness.run_seed(3, 0))
+        for stats in (res.destroy_stats, res.repair_stats):
+            assert (stats.weights == cap).sum() >= 3
+            assert np.isfinite(stats.weights.sum())
 
     def test_valid_settings_accepted(self):
         cfg = SolverConfig.from_json({"iterations": 0, "time_limit": 0, "cooling": 1,
