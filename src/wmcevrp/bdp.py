@@ -130,6 +130,19 @@ def _screen(cons, gain, P: float) -> RouteClass:
     return RouteClass.NEEDS_BDP
 
 
+def _minimal_masks(masks) -> list[int]:
+    """The masks of ``masks`` that contain no other one, duplicates
+    collapsed, sorted by (cardinality, mask)."""
+    kept: list[int] = []
+    for mask in sorted(masks, key=lambda s: (s.bit_count(), s)):
+        for k in kept:
+            if k & mask == k:
+                break
+        else:
+            kept.append(mask)
+    return kept
+
+
 def prune_supersets(patterns) -> list[ChargePattern]:
     """Minimal antichain: drop any pattern that is a strict superset of another.
 
@@ -141,13 +154,7 @@ def prune_supersets(patterns) -> list[ChargePattern]:
     width = items[0].width
     if any(p.width != width for p in items):
         raise ValueError("patterns must share one bit width")
-    unique = sorted({p.mask for p in items})
-    unique.sort(key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for mask in unique:
-        if not any((k & mask) == k for k in kept):
-            kept.append(mask)
-    return [ChargePattern(m, width) for m in sorted(kept)]
+    return [ChargePattern(m, width) for m in sorted(_minimal_masks({p.mask for p in items}))]
 
 
 def _result(patterns, cls: RouteClass = RouteClass.ENUMERATED,
@@ -295,9 +302,10 @@ def enumerate_patterns(route: Route, inst: Instance,
         found = _min_count_sweep(cons, gain, req, inst.P, history)
         witness = [ChargePattern(_witness(history, cons, found[1]), m)] if found else []
         return _result(witness, fallback=True)
+    # charging never lowers a level, so feasibility is upward-closed and the
+    # minimal terminal masks are the minimal feasible patterns
     terminal = _sweep(cons, gain, req, inst.P)
-    kept = prune_supersets(ChargePattern(s, m) for s in terminal)
-    return _result(sorted(kept, key=lambda p: (p.cardinality, p.mask)))
+    return _result([ChargePattern(s, m) for s in _minimal_masks(terminal)])
 
 
 def min_charge_count(route: Route, inst: Instance) -> int | None:

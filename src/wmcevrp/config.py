@@ -21,7 +21,8 @@ _KINDS = {
     "float | None": ("a finite number or null", lambda v: v is None or _finite(v)),
 }
 # smallest usable value of the settings that have one
-_LOWER_BOUNDS = {"iterations": 0, "time_limit": 0, "segment_size": 1, "string_min": 1}
+_LOWER_BOUNDS = {"iterations": 0, "time_limit": 0, "segment_size": 1, "string_min": 1,
+                 "init_temp_factor": 0, "assign_node_budget": 1, "heuristic_retries": 0}
 # an operator's segment score sums up to segment_size scores, and an operator
 # weight never exceeds the largest score or the weight floor; capping both
 # keeps the segment sums and the weight sum of a family of up to this many
@@ -95,6 +96,13 @@ class SolverConfig:
             if not 0 <= value <= cap:
                 raise ValueError(f"{name} must be in [0, {cap:.6g}] for segment_size "
                                  f"{self.segment_size}, got {value!r}")
+        for name in ("removal_min_frac", "removal_max_frac"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if self.removal_min_frac > self.removal_max_frac:
+            raise ValueError(f"removal_min_frac {self.removal_min_frac} exceeds "
+                             f"removal_max_frac {self.removal_max_frac}")
         if self.string_min > self.string_max:
             raise ValueError(f"string_min {self.string_min} exceeds "
                              f"string_max {self.string_max}")

@@ -16,16 +16,24 @@ by at least k+1 chosen duties, and `_deepen` adds a pattern's cover with one
 integer operation per level; the bound is len(depth). `mct_lower_bound`
 folds the same step over single duties.
 
-`_step` and `_home` hold the only truck arithmetic: deadhead legs, arrival
-times and battery levels. This layer does not check its own plans;
-`model.check_feasibility` re-derives the truck schedules and is the single
-independent check of synchronization and truck energy.
+The duties are ranked once in `_duty_order`, the order a truck serves them,
+and the search carries its selection as a bitmask of ranks. Once it looks
+for a one-truck plan, `_follow_closure` links the duties that one truck
+could serve in sequence, and a prefix with an unlinked pair is pruned.
+
+`_step` and `_home` hold the truck arithmetic: deadhead legs, arrival times
+and battery levels; `_follow_closure` repeats only the arrival test of
+`_try_serve`, as one float comparison per duty pair. This layer does not
+check its own plans; `model.check_feasibility` re-derives the truck
+schedules and is the single independent check of synchronization and truck
+energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .bdp import BdpResult, ChargePattern
 from .model import (
@@ -42,8 +50,7 @@ DEFAULT_EXACT_CAP = 1_000_000
 DEFAULT_NODE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class ChargingDuty:
+class ChargingDuty(NamedTuple):
     """One charging obligation: an MCT must co-travel this arc with this MTEV."""
 
     mtev: int            # index of the MTEV route
@@ -76,7 +83,7 @@ class CoordinationResult:
     cost: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _TruckState:
     position: int
     ready: float
@@ -217,6 +224,59 @@ def _return_leg(state: _TruckState, inst: Instance) -> float | None:
     if battery < -EPS:
         return None
     return leg
+
+
+def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
+    """Which duties may share one truck, as far as arrival times tell.
+
+    `duties` are in `_duty_order`, the order in which a truck serves them.
+    Duty b follows duty a when a comes first, a does not end at the return
+    depot and a.end + dist[a.head][b.tail] <= b.start + EPS, the arrival
+    test of `_try_serve`. Mask k has bit j set when j == k or a chain of
+    follows through `duties` links k and j, in either direction. The duties
+    of one truck are pairwise linked, so a set with an unlinked pair needs
+    two trucks. This holds without the triangle inequality; battery is
+    ignored.
+    """
+    n = len(duties)
+    after = [0] * n             # duties reachable from k by follows
+    for i in range(n - 1, -1, -1):
+        a = duties[i]
+        if a.head == inst.depot_end:
+            continue
+        row = inst.dist[a.head].tolist()
+        reach = 0
+        for j in range(i + 1, n):
+            b = duties[j]
+            # a duty already reached brings its own reach along
+            if not reach >> j & 1 and a.end + row[b.tail] <= b.start + EPS:
+                reach |= 1 << j | after[j]
+        after[i] = reach
+    linked = [1 << k | after[k] for k in range(n)]
+    for i, reach in enumerate(after):
+        while reach:
+            low = reach & -reach
+            linked[low.bit_length() - 1] |= 1 << i
+            reach ^= low
+    return linked
+
+
+def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance) -> list[list[int]]:
+    """Per level of `coordinate_exact` and per option: the rank bits of the
+    duties linked to every duty the option adds."""
+    linked = _follow_closure(ranked, inst)
+    fits = []
+    for _, options in levels:
+        row = []
+        for _, added, _ in options:
+            fit = -1
+            while added:
+                low = added & -added
+                fit &= linked[low.bit_length() - 1]
+                added ^= low
+            row.append(fit)
+        fits.append(row)
+    return fits
 
 
 def _fresh_truck(inst: Instance) -> _TruckState:
@@ -380,7 +440,9 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     by its patterns. A prefix is pruned when the interval bound of its
     duties, read from the segment counters, reaches the best truck count
     found so far (or exceeds `inst.max_mct`), and each leaf's assignment
-    search looks only for strictly fewer trucks. The search stops at the
+    search looks only for strictly fewer trucks. While it looks for one
+    truck, a prefix is also pruned when two of its duties are not linked by
+    `_follow_closure`: no single truck serves both. The search stops at the
     floor: one truck when some route cannot avoid charging, else none. The
     first plan found at the final count is kept; deadhead is not minimized.
 
@@ -396,25 +458,28 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         raise ValueError(f"{combos} combinations exceed the exact cap {exact_cap}")
     fixed = routing_cost(routes, inst)
     chosen = [patterns[0] for patterns in pattern_sets]
-    branching = []              # (route index, its patterns, the duties of all of them)
+    branching = []              # (route index, its patterns)
+    duties = []                 # the duties of all patterns of branching routes
     for r_idx, (route, patterns) in enumerate(zip(routes, pattern_sets)):
         if len(patterns) == 1 and not patterns[0].mask:
             continue
         union = 0
         for p in patterns:
             union |= p.mask
-        branching.append((r_idx, patterns, _pattern_duties(
-            r_idx, route.edges(), mtev_arrival_times(route, inst), union, inst)))
-    covers = iter(_segment_covers([d for _, _, duties in branching for d in duties]))
-    levels = []                 # (route index, [(pattern, its duties, their cover)])
-    for r_idx, patterns, duties in branching:
-        by_edge = {d.edge: (d, next(covers)) for d in duties}
+        branching.append((r_idx, patterns))
+        duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
+                                  union, inst)
+    ranked = sorted(duties, key=_duty_order)
+    slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
+             for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
+    levels = []                 # (route index, [(pattern, its duties' rank bits, cover)])
+    for r_idx, patterns in branching:
         options = []
         for p in patterns:
-            added, cover = [], 0
+            added, cover = 0, 0
             for e in p.edges():
-                duty, occupied = by_edge[e]
-                added.append(duty)
+                bit, occupied = slots[r_idx, e]
+                added |= bit
                 cover |= occupied
             options.append((p, added, cover))
         levels.append((r_idx, options))
@@ -422,34 +487,45 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (chosen patterns, duties, assignment)
     complete = [True]
+    fits: list[list[int]] = []  # per level and option, once one truck is sought
 
-    def dfs(level: int, duties: list[ChargingDuty], depth: tuple[int, ...],
-            bound: int) -> None:
-        """Extend the prefix `duties`, whose segment counters are `depth`
-        and whose clique bound is `bound`, below `beat[0]`."""
+    def dfs(level: int, selected: int, depth: tuple[int, ...], bound: int) -> None:
+        """Extend the prefix whose duties are the rank bits `selected`, whose
+        segment counters are `depth` and whose clique bound is `bound`,
+        below `beat[0]`."""
         if level == len(levels):
-            duties = sorted(duties, key=_duty_order)
-            found, done = _assign_exact(duties, inst, beat[0] - 1, transfer_depletes,
+            leaf = []
+            while selected:     # lowest rank first: `_duty_order`
+                low = selected & -selected
+                leaf.append(ranked[low.bit_length() - 1])
+                selected ^= low
+            found, done = _assign_exact(leaf, inst, beat[0] - 1, transfer_depletes,
                                         node_budget, bound)
             complete[0] = complete[0] and done
             if found is not None:
                 beat[0], assignment = found
-                best[0] = (list(chosen), duties, assignment)
+                best[0] = (list(chosen), leaf, assignment)
             return
         r_idx, options = levels[level]
-        for pattern, added, cover in options:
+        for k, (pattern, added, cover) in enumerate(options):
             if beat[0] <= floor:
                 return
             grown, grown_bound = depth, bound
             if added:
                 grown = _deepen(depth, cover)
                 grown_bound = max(len(grown), 1)
-            if grown_bound < beat[0]:
-                chosen[r_idx] = pattern
-                dfs(level + 1, duties + added, grown, grown_bound)
+            if grown_bound >= beat[0]:
+                continue
+            if added and beat[0] == 2:      # one truck: every pair must be linked
+                if not fits:
+                    fits.extend(_chain_fits(levels, ranked, inst))
+                if (selected | added) & ~fits[level][k]:
+                    continue
+            chosen[r_idx] = pattern
+            dfs(level + 1, selected | added, grown, grown_bound)
 
     if floor < beat[0]:
-        dfs(0, [], (), 0)
+        dfs(0, 0, (), 0)
     if best[0] is None:
         return None
     patterns, duties, assignment = best[0]

@@ -165,7 +165,9 @@ class _Context:
                 self._bdp_memo[key] = hit
         return hit
 
-    def relatedness(self) -> np.ndarray:
+    def relatedness(self) -> list[list[float]]:
+        """Shaw relatedness of customers u and v at [u - 1][v - 1], as nested
+        float lists like `d`."""
         if self._relatedness is None:
             inst = self.inst
             n = inst.n
@@ -177,7 +179,7 @@ class _Context:
             dspan = dd.max() - dd.min()
             dem_hat = (dd - dd.min()) / dspan if dspan > 0 else np.zeros_like(dd)
             self._relatedness = (self.cfg.shaw_distance_weight * dist_hat
-                                 + self.cfg.shaw_demand_weight * dem_hat)
+                                 + self.cfg.shaw_demand_weight * dem_hat).tolist()
         return self._relatedness
 
 
@@ -311,8 +313,8 @@ def _shaw_removal(routes, ctx, rng, k):
     removed = [seed]
     remaining = [u for u in served if u != seed]
     while len(removed) < k and remaining:
-        ref = removed[int(rng.integers(len(removed)))]
-        pick = min(remaining, key=lambda u: (rel[ref - 1, u - 1], u))
+        row = rel[removed[int(rng.integers(len(removed)))] - 1]
+        pick = min(remaining, key=lambda u: (row[u - 1], u))
         removed.append(pick)
         remaining.remove(pick)
     return _remove_customers(routes, removed), removed

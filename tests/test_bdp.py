@@ -227,6 +227,26 @@ class TestEnumerate:
             res = enumerate_patterns(route, inst)
             assert res.masks() == oracle_minimal_patterns(route, inst)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 10),
+           frac=st.floats(0.3, 1.1), gamma=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_patterns_are_the_pruned_terminal_masks(self, seed, n, frac, gamma):
+        """The int-mask filter keeps what `prune_supersets` keeps of the
+        sweep's terminal masks, in (cardinality, mask) order."""
+        inst = generate_instance(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        route = make_route(0, [int(u) for u in rng.permutation(n) + 1], inst)
+        inst.P = frac * inst.rho_t * inst.route_distance(route.nodes)
+        inst.gamma = gamma
+        if preprocess_route(route, inst) is not RouteClass.NEEDS_BDP:
+            return
+        cons, gain = bdp._edge_consumption(route, inst)
+        terminal = bdp._sweep(cons, gain, bdp._suffix_sums(cons), inst.P)
+        m = len(cons)
+        pruned = prune_supersets(ChargePattern(s, m) for s in terminal)
+        assert enumerate_patterns(route, inst).patterns == \
+            sorted(pruned, key=lambda p: (p.cardinality, p.mask))
+
     def test_rolling_equals_full_table(self):
         # a second seed and a shorter m range of TestBruteForce's comparison
         assert_sweep_matches_brute_force(seed=77, m_hi=9)

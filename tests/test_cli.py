@@ -334,6 +334,12 @@ class TestRejectedInput:
         [1],
         {"weight_floor": 0.0},
         {"weight_floor": -1.0},
+        {"removal_min_frac": -0.1},
+        {"removal_max_frac": 1.5},
+        {"removal_min_frac": 0.4, "removal_max_frac": 0.2},
+        {"init_temp_factor": -1.0},
+        {"assign_node_budget": 0},
+        {"heuristic_retries": -1},
     ])
     def test_bad_config_exits_4(self, instance_file, tmp_path, capsys, no_run, config):
         cfg = tmp_path / "cfg.json"

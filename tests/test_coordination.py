@@ -153,10 +153,11 @@ class TestSegmentCoverBound:
 
 
 def reference_exact(routes, results, inst, node_budget, transfer_depletes):
-    """The exact coordination search as it was before segment covers: every
-    node that adds duties re-computes `mct_lower_bound` over the whole grown
-    duty list. Returns the (duties, floor) of every assignment leaf in order
-    and the (masks, duties, assignment, certified) of the kept plan."""
+    """The exact coordination search as it was before segment covers and
+    one-truck chain pruning: every node that adds duties re-computes
+    `mct_lower_bound` over the whole grown duty list. Returns the (duties,
+    floor, max_mct, complete) of every assignment leaf in order and the
+    (masks, duties, assignment, certified) of the kept plan."""
     leaves = []
     pattern_sets = [res.patterns for res in results]
     if any(not s for s in pattern_sets):
@@ -180,9 +181,9 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
             return
         if level == len(levels):
             duties = sorted(duties, key=lambda d: (d.start, d.mtev, d.edge))
-            leaves.append((duties, bound))
             found, done = coordination._assign_exact(
                 duties, inst, beat[0] - 1, transfer_depletes, node_budget, bound)
+            leaves.append((duties, bound, beat[0] - 1, done))
             complete[0] = complete[0] and done
             if found is not None:
                 beat[0], assignment = found
@@ -203,6 +204,58 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
     return leaves, (*best[0], complete[0] or beat[0] == floor)
 
 
+def random_routes(inst, rng, max_routes):
+    """The customers in random order, cut into 1 to max_routes routes."""
+    n = inst.n
+    order = [int(u) for u in rng.permutation(n) + 1]
+    k = int(rng.integers(1, min(n, max_routes) + 1))
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), k - 1, replace=False))
+    parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    return [make_route(v, part, inst) for v, part in enumerate(parts)]
+
+
+def check_against_reference(routes, results, inst, node_budget, transfer_depletes):
+    """`coordinate_exact` visits the reference's leaves, minus leaves that
+    sought one truck where none can serve the duties, and keeps the same
+    plan. Certified may turn True only where a removed leaf ran out of node
+    budget in the reference. Returns the number of removed leaves."""
+    expect_leaves, expect = reference_exact(routes, results, inst, node_budget,
+                                            transfer_depletes)
+    leaves, assign = [], coordination._assign_exact
+
+    def leaf(duties, inst, max_mct, transfer_depletes, node_budget, floor):
+        leaves.append((list(duties), floor, max_mct))
+        return assign(duties, inst, max_mct, transfer_depletes, node_budget, floor)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(coordination, "_assign_exact", leaf)
+        out = coordinate_exact(routes, results, inst, node_budget=node_budget,
+                               transfer_depletes=transfer_depletes)
+    kept = iter(leaves)
+    pending = next(kept, None)
+    removed = []                # whether each removed leaf completed in the reference
+    for duties, floor, max_mct, done in expect_leaves:
+        if pending == (duties, floor, max_mct):
+            pending = next(kept, None)
+            continue
+        assert max_mct == 1
+        found, _ = coordination._assign_exact(duties, inst, 1, transfer_depletes,
+                                              10**9, floor)
+        assert found is None
+        removed.append(done)
+    assert pending is None, "a leaf the reference never visited"
+    if expect is None:
+        assert out is None
+        return len(removed)
+    masks, duties, assignment, certified = expect
+    assert [p.mask for p in out.choice] == masks
+    assert out.plan.duties == duties
+    assert out.plan.assignment == assignment
+    if out.plan.certified != certified:
+        assert out.plan.certified and not all(removed)
+    return len(removed)
+
+
 class TestIncrementalSearch:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
@@ -210,35 +263,54 @@ class TestIncrementalSearch:
            node_budget=st.sampled_from([50, 5000]), transfer_depletes=st.booleans())
     def test_leaves_match_the_per_node_bound_search(self, seed, n, P, max_routes,
                                                     node_budget, transfer_depletes):
+        inst = generate_instance(n, seed=seed, P=P)
+        routes = random_routes(inst, np.random.default_rng(seed), max_routes)
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        check_against_reference(routes, results, inst, node_budget, transfer_depletes)
+
+    @pytest.mark.parametrize("transfer_depletes", [True, False])
+    def test_one_truck_search_skips_unlinked_combinations(self, transfer_depletes):
+        """The first leaf finds two trucks. Each of the 8 remaining pattern
+        combinations has a duty pair that no chain of follows links, so the
+        one-truck search visits none of them."""
+        inst = generate_instance(10, seed=161, P=900.0)
+        routes = [make_route(0, [10, 3], inst),
+                  make_route(1, [1, 6, 2, 9, 4, 7, 8, 5], inst)]
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        assert [len(res.patterns) for res in results] == [3, 8]
+        assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 8
+
+
+class TestFollowClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+           P=st.sampled_from([300.0, 600.0, 900.0]), max_routes=st.integers(1, 4),
+           transfer_depletes=st.booleans())
+    def test_one_truck_duties_are_pairwise_linked(self, seed, n, P, max_routes,
+                                                  transfer_depletes):
+        """On generated instances, which break the triangle inequality, every
+        set of up to 8 duties that `_assign_exact` serves with one truck is
+        pairwise linked by the closure."""
         rng = np.random.default_rng(seed)
         inst = generate_instance(n, seed=seed, P=P)
-        order = [int(u) for u in rng.permutation(n) + 1]
-        k = int(rng.integers(1, min(n, max_routes) + 1))
-        cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), k - 1, replace=False))
-        parts = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
-        routes = [make_route(v, part, inst) for v, part in enumerate(parts)]
-        results = [bdp.enumerate_patterns(r, inst) for r in routes]
-        expect_leaves, expect = reference_exact(routes, results, inst, node_budget,
-                                                transfer_depletes)
-        leaves, assign = [], coordination._assign_exact
-
-        def leaf(duties, inst, max_mct, transfer_depletes, node_budget, floor):
-            leaves.append((list(duties), floor))
-            return assign(duties, inst, max_mct, transfer_depletes, node_budget, floor)
-
-        with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(coordination, "_assign_exact", leaf)
-            out = coordinate_exact(routes, results, inst, node_budget=node_budget,
-                                   transfer_depletes=transfer_depletes)
-        assert leaves == expect_leaves
-        if expect is None:
-            assert out is None
-            return
-        masks, duties, assignment, certified = expect
-        assert [p.mask for p in out.choice] == masks
-        assert out.plan.duties == duties
-        assert out.plan.assignment == assignment
-        assert out.plan.certified == certified
+        routes = random_routes(inst, rng, max_routes)
+        duties = []
+        for r_idx, route in enumerate(routes):
+            union = 0
+            for p in bdp.enumerate_patterns(route, inst).patterns:
+                union |= p.mask
+            duties += coordination._pattern_duties(
+                r_idx, route.edges(), mtev_arrival_times(route, inst), union, inst)
+        duties.sort(key=coordination._duty_order)
+        linked = coordination._follow_closure(duties, inst)
+        picked = sorted(rng.permutation(len(duties))[:8].tolist())
+        for subset in range(1, 1 << len(picked)):
+            chosen = [picked[b] for b in range(len(picked)) if subset >> b & 1]
+            served = [duties[k] for k in chosen]
+            found, _ = coordination._assign_exact(served, inst, 1, transfer_depletes,
+                                                  10**9, mct_lower_bound(served))
+            if found is not None:
+                assert all(linked[a] >> b & 1 for a in chosen for b in chosen)
 
 
 class TestCoordinateExact:

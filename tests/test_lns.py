@@ -682,6 +682,12 @@ class TestConfig:
         ({"score_best": 1e308, "segment_size": 5}, "score_best must be in"),
         ({"score_accept_worse": sys.float_info.max}, "score_accept_worse must be in"),
         ({"weight_floor": 1e308}, "weight_floor must be in"),
+        ({"removal_min_frac": -0.1}, r"removal_min_frac must be in \[0, 1\]"),
+        ({"removal_max_frac": 1.5}, r"removal_max_frac must be in \[0, 1\]"),
+        ({"removal_min_frac": 0.4, "removal_max_frac": 0.2}, "exceeds removal_max_frac"),
+        ({"init_temp_factor": -1.0}, "init_temp_factor must be at least 0"),
+        ({"assign_node_budget": 0}, "assign_node_budget must be at least 1"),
+        ({"heuristic_retries": -1}, "heuristic_retries must be at least 0"),
     ])
     def test_invalid_settings_rejected(self, data, match):
         with pytest.raises(ValueError, match=match):
