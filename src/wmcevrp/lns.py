@@ -15,6 +15,7 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -347,12 +348,29 @@ def destroy(op_id: str, sol: Solution, inst: Instance, rng: np.random.Generator,
 # insertion operators
 # ---------------------------------------------------------------------------
 
-def _route_options(nodes, u, r_idx, ctx):
-    """(delta_cost, route_idx, pos) of inserting u at every position of one route."""
-    d, rho_t = ctx.d, ctx.inst.rho_t
-    du = d[u]
-    return [(rho_t * (d[prev][u] + du[nxt] - d[prev][nxt]), r_idx, pos)
-            for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]), start=1)]
+def _edge_table(edges, routes, r_idx, ctx):
+    """The edge table of route r_idx: one (d[prev] row, nxt, d[prev][nxt],
+    pos) entry per edge, all that pricing an insertion on the edge reads, pos
+    being the position the inserted customer would take.
+
+    `edges` maps route indices to tables. A table is built when the route is
+    first priced and dropped when an insertion changes the route.
+    """
+    table = edges.get(r_idx)
+    if table is None:
+        nodes, d = routes[r_idx], ctx.d
+        table = edges[r_idx] = [(d[prev], nxt, d[prev][nxt], pos)
+                                for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]),
+                                                                  start=1)]
+    return table
+
+
+def _route_options(table, u, r_idx, ctx):
+    """(delta_cost, route_idx, pos) of inserting u on every edge of one route,
+    priced from the route's edge table."""
+    du, rho_t = ctx.d[u], ctx.inst.rho_t
+    return [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
+            for dprev, nxt, dprev_nxt, pos in table]
 
 
 def _fresh_route_delta(u, ctx):
@@ -361,11 +379,7 @@ def _fresh_route_delta(u, ctx):
     return inst.rho_t * (d[0][u] + d[u][inst.depot_end]) + inst.rho_e
 
 
-def _can_open(routes, u, inst):
-    return len(routes) < inst.max_mtev and inst.demand_of(u) <= inst.Q
-
-
-def _insertion_options(routes, u, ctx, loads):
+def _insertion_options(routes, loads, edges, u, ctx):
     """All capacity-feasible positions for u, as (delta_cost, route_idx, pos).
 
     route_idx == len(routes) denotes opening a fresh route, priced with the
@@ -374,10 +388,10 @@ def _insertion_options(routes, u, ctx, loads):
     inst = ctx.inst
     du = inst.demand_of(u)
     options = []
-    for r_idx, nodes in enumerate(routes):
-        if loads[r_idx] + du <= inst.Q:
-            options += _route_options(nodes, u, r_idx, ctx)
-    if _can_open(routes, u, inst):
+    for r_idx, load in enumerate(loads):
+        if load + du <= inst.Q:
+            options += _route_options(_edge_table(edges, routes, r_idx, ctx), u, r_idx, ctx)
+    if len(routes) < inst.max_mtev and du <= inst.Q:
         options.append((_fresh_route_delta(u, ctx), len(routes), 1))
     return options
 
@@ -391,16 +405,24 @@ def _apply_insertion(routes, loads, u, r_idx, pos, inst):
         loads[r_idx] += inst.demand_of(u)
 
 
+def _insert(routes, loads, edges, u, r_idx, pos, ctx):
+    """`_apply_insertion` that also drops the edge table of the route it
+    changed, the only table an insertion invalidates."""
+    _apply_insertion(routes, loads, u, r_idx, pos, ctx.inst)
+    edges.pop(r_idx, None)
+
+
 def _insert_each_best(routes, order, ctx):
     inst = ctx.inst
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
+    edges = {}
     for u in order:
-        options = _insertion_options(routes, u, ctx, loads)
+        options = _insertion_options(routes, loads, edges, u, ctx)
         if not options:
             return None
         _, r_idx, pos = min(options)
-        _apply_insertion(routes, loads, u, r_idx, pos, inst)
+        _insert(routes, loads, edges, u, r_idx, pos, ctx)
     return routes
 
 
@@ -418,6 +440,23 @@ def _greedy_insertion(routes, removed, ctx, rng):
     return _regret_insertion(routes, removed, ctx, rng, 1)
 
 
+_delta = itemgetter(0)   # the delta_cost of an option
+
+
+def _rank_head(per_route, depth):
+    """The `depth` cheapest of a customer's per-route option lists."""
+    options = [o for opts in per_route for o in opts]
+    if depth == 1:
+        return [min(options)] if options else []
+    options.sort()
+    return options[:depth]
+
+
+def _merge_head(head, new, depth):
+    """`head` with the options of a route it holds none of merged in."""
+    return sorted(head + new)[:depth]
+
+
 def _regret_insertion(routes, removed, ctx, rng, depth):
     """Insert the customer with the largest regret over its best k positions.
 
@@ -425,50 +464,89 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     and therefore go first. At depth 1 every regret is 0, so the cheapest
     insertion goes first: greedy insertion.
 
-    Every pending customer keeps, per route, its `depth` cheapest positions.
-    An insertion changes one route, so only that route is priced again.
+    Every pending customer keeps, per route, its `depth` cheapest positions,
+    and a head: its `depth` cheapest positions over all routes. An insertion
+    changes one route, so only that route is priced again. A head is ranked
+    again from the per-route lists only when it held an option of that
+    route, that is when the route's old cheapest option does not come after
+    the head's last one; otherwise the route's new options are merged in.
+    The fresh-route option joins the head when the customer is scored: its
+    route index exceeds every route's, so it sorts after each route option
+    of equal cost, as in one sorted list of all options. A score changes
+    only with the head or the route count, so only those customers are
+    scored again.
     """
     inst = ctx.inst
+    Q = inst.Q
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
+    edges = {}
     pending = list(removed)
+    demand = {u: inst.demand_of(u) for u in pending}
+    fresh = {u: _fresh_route_delta(u, ctx) for u in pending if demand[u] <= Q}
 
     def cheapest(r_idx, u):
-        if loads[r_idx] + inst.demand_of(u) > inst.Q:
-            return []
-        options = _route_options(routes[r_idx], u, r_idx, ctx)
-        return [min(options)] if depth == 1 else sorted(options)[:depth]
+        options = _route_options(_edge_table(edges, routes, r_idx, ctx), u, r_idx, ctx)
+        if depth == 1:
+            return [min(options)]
+        options.sort()
+        return options[:depth]
 
-    fresh = {u: _fresh_route_delta(u, ctx) for u in pending}
-    cached = {u: [cheapest(r_idx, u) for r_idx in range(len(routes))] for u in pending}
+    cached = {u: [cheapest(r_idx, u) if load + demand[u] <= Q else []
+                  for r_idx, load in enumerate(loads)] for u in pending}
+    heads = {u: _rank_head(cached[u], depth) for u in pending}
+    # (-regret, cheapest delta, u, r_idx, pos) of each customer with an option;
+    # the fresh route, when there is room for one, has index `opening`
+    scores = {}
+    opening = len(routes) if len(routes) < inst.max_mtev else None
+
+    def score(u):
+        options = heads[u]
+        if opening is not None and u in fresh:
+            # after every option of equal cost, where the tuples sort it
+            fd = fresh[u]
+            k = bisect_right(options, fd, key=_delta)
+            if k < depth:
+                options = options[:k] + [(fd, opening, 1)] + options[k:depth - 1]
+        if not options:
+            scores.pop(u, None)
+            return
+        if len(options) < depth:
+            regret = math.inf
+        else:
+            regret = sum(options[i][0] - options[0][0] for i in range(1, depth))
+        scores[u] = (-regret, options[0][0], u, options[0][1], options[0][2])
+
+    for u in pending:
+        score(u)
     while pending:
-        best = None
-        for u in pending:
-            options = [o for per_route in cached[u] for o in per_route]
-            if _can_open(routes, u, inst):
-                options.append((fresh[u], len(routes), 1))
-            if not options:
-                continue
-            options.sort()
-            if len(options) < depth:
-                regret = math.inf
-            else:
-                regret = sum(options[i][0] - options[0][0] for i in range(1, depth))
-            cand = (-regret, options[0][0], u)
-            if best is None or cand < best[0]:
-                best = (cand, u, options[0][1], options[0][2])
-        if best is None:
+        if not scores:
             return None
-        _, u, r_idx, pos = best
+        _, _, u, r_idx, pos = min(scores.values())
         opened = r_idx == len(routes)
-        _apply_insertion(routes, loads, u, r_idx, pos, inst)
+        _insert(routes, loads, edges, u, r_idx, pos, ctx)
         pending.remove(u)
-        del cached[u]
+        del cached[u], heads[u], scores[u]
+        if opened:
+            opening = len(routes) if len(routes) < inst.max_mtev else None
+        load = loads[r_idx]
         for v in pending:
+            new = cheapest(r_idx, v) if load + demand[v] <= Q else []
+            per_route = cached[v]
             if opened:
-                cached[v].append(cheapest(r_idx, v))
+                per_route.append(new)
+                old = None
             else:
-                cached[v][r_idx] = cheapest(r_idx, v)
+                old = per_route[r_idx]
+                per_route[r_idx] = new
+            head = heads[v]
+            if old and old[0] <= head[-1]:
+                heads[v] = _rank_head(per_route, depth)
+            elif new and (len(head) < depth or new[0] < head[-1]):
+                heads[v] = _merge_head(head, new, depth)
+            elif not opened:   # an opened route moves every fresh option
+                continue
+            score(v)
     return routes
 
 
@@ -493,9 +571,10 @@ def _charge_insertion(routes, removed, ctx, rng):
     inst = ctx.inst
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
+    edges = {}
     base_card = [_min_charge_cardinality(nodes, ctx) for nodes in routes]
     for u in removed:
-        options = _insertion_options(routes, u, ctx, loads)
+        options = _insertion_options(routes, loads, edges, u, ctx)
         if not options:
             return None
         options.sort()
@@ -517,7 +596,7 @@ def _charge_insertion(routes, removed, ctx, rng):
         increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
-        _apply_insertion(routes, loads, u, r_idx, pos, inst)
+        _insert(routes, loads, edges, u, r_idx, pos, ctx)
         if r_idx == len(base_card):
             base_card.append(after)
         else:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from wmcevrp import bdp, coordination, harness, lns
@@ -340,16 +340,20 @@ def ref_removals(inst, seen):
     }
 
 
-def operator_case(n, seed, Q, P, slack):
+def operator_case(n, seed, Q, P, slack, top=None):
     """A generated instance, a full solution and a partial one with its
     removed customers in random order.
 
     Customers join a random route with room, or open one. A customer whose
     demand exceeds Q rides alone, over capacity. The fleet cap is the
-    partial route count plus `slack`.
+    partial route count plus `slack`. With `top`, the instance is a
+    `tied_instance`, whose integer distances in 1..top make tied costs common.
     """
     rng = np.random.default_rng(seed)
-    inst = generate_instance(n, seed, Q=Q, P=P)
+    if top is None:
+        inst = generate_instance(n, seed, Q=Q, P=P)
+    else:
+        inst = tied_instance(n, seed, top, P, Q)
     full, loads = [], []
     for u in rng.permutation(inst.customers):
         du = inst.demand_of(u)
@@ -571,6 +575,63 @@ class TestLazyPricing:
 
 
 # ---------------------------------------------------------------------------
+# regret insertion heads: tied costs and every way a head is updated
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestRegretHeads:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1), top=st.integers(1, 4),
+           Q=st.sampled_from([2.0, 3.0, 4.0, 10.0]),
+           P=st.sampled_from([4.0, 8.0, 15.0, 100.0]), slack=st.integers(0, 3),
+           rho_e=st.sampled_from([1.0, 3.0, 6.0, 100.0]))
+    def test_same_moves_as_full_rescan_on_ties(self, n, seed, top, Q, P, slack, rho_e):
+        # a small acquisition cost lets the fresh-route option tie with
+        # route options too
+        inst, full, partial, removed = operator_case(n, seed, Q, P, slack, top)
+        compare_operators(dataclasses.replace(inst, rho_e=rho_e), full, partial, removed, set())
+
+    def test_every_head_update_is_exercised(self, monkeypatch):
+        calls = {"_rank_head": 0, "_merge_head": 0}
+        for name in calls:
+            def counted(*args, name=name, helper=getattr(lns, name)):
+                calls[name] += 1
+                return helper(*args)
+            monkeypatch.setattr(lns, name, counted)
+        opens = []   # per insertion of one call: (opens a route, fills the fleet)
+        insert = lns._insert
+
+        def spy(routes, loads, edges, u, r_idx, pos, ctx):
+            opened = r_idx == len(routes)
+            opens.append((opened, opened and len(routes) + 1 == ctx.inst.max_mtev))
+            insert(routes, loads, edges, u, r_idx, pos, ctx)
+
+        monkeypatch.setattr(lns, "_insert", spy)
+        seen = set()
+        for seed in range(40):
+            inst, _, partial, removed = operator_case(
+                3 + seed % 28, seed, (2.0, 3.0, 4.0, 6.0, 10.0)[seed % 5],
+                (900.0, 15000.0)[seed % 2], seed % 3)
+            ctx = lns._Context(inst, SolverConfig())
+            for depth in (1, 2, 3):
+                want = ref_regret_insertion(partial, removed, inst, depth, set())
+                calls["_rank_head"] -= len(removed)   # every customer's first head
+                opens.clear()
+                got = lns._regret_insertion([list(r) for r in partial], list(removed),
+                                            ctx, None, depth)
+                assert got == want
+                # a customer is still pending after every insertion but the last
+                for opened, filled in opens[:len(removed) - 1]:
+                    if opened:
+                        seen.add("opened")
+                    if filled:
+                        seen.add("fleet_filled")
+        assert calls["_rank_head"] > 0, "no head was ranked again"
+        assert calls["_merge_head"] > 0, "no route's options were merged into a head"
+        assert seen == {"opened", "fleet_filled"}
+
+
+# ---------------------------------------------------------------------------
 # adaptive weights
 # ---------------------------------------------------------------------------
 
@@ -639,6 +700,21 @@ class TestWeights:
 # ---------------------------------------------------------------------------
 # configuration file
 # ---------------------------------------------------------------------------
+
+FLOAT_EXTREMES = [0.0, -0.0, 5e-324, sys.float_info.min, 0.5,
+                   1.0 - sys.float_info.epsilon / 2, 1.0, sys.float_info.max]
+TYPE_EXTREMES = {
+    "int": st.sampled_from([0, 1, 2, 2**31 - 1, 2**63 - 1]),
+    "float": st.sampled_from(FLOAT_EXTREMES),
+    "float | None": st.none() | st.sampled_from(FLOAT_EXTREMES),
+    "bool": st.booleans(),
+}
+# one settings field other than the iteration budget, with an extreme value
+# of its annotated type
+CONFIG_OVERRIDE = st.sampled_from(
+    [f for f in dataclasses.fields(SolverConfig) if f.name != "iterations"]).flatmap(
+    lambda f: st.tuples(st.just(f.name), TYPE_EXTREMES[f.type]))
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
@@ -710,6 +786,18 @@ class TestConfig:
         for stats in (res.destroy_stats, res.repair_stats):
             assert (stats.weights == cap).sum() >= 3
             assert np.isfinite(stats.weights.sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(overrides=st.lists(CONFIG_OVERRIDE, max_size=8).map(dict),
+           iterations=st.sampled_from([0, 1, 40]), seed=st.integers(0, 2**32 - 1),
+           P=st.sampled_from([900.0, 1500.0, 15000.0]))
+    def test_every_accepted_config_runs(self, overrides, iterations, seed, P):
+        try:
+            cfg = SolverConfig(**overrides, iterations=iterations)
+        except ValueError:
+            reject()
+        res = lns.run(generate_instance(8, seed, P=P), cfg, rng=harness.run_seed(seed, 0))
+        assert res.iterations <= iterations
 
     def test_valid_settings_accepted(self):
         cfg = SolverConfig.from_json({"iterations": 0, "time_limit": 0, "cooling": 1,
