@@ -15,9 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .config import SolverConfig
 from .model import Instance, Route
-
-DEFAULT_MAX_EDGES = 20
 
 
 class RouteClass(Enum):
@@ -36,9 +35,6 @@ class ChargePattern:
 
     mask: int
     width: int
-
-    def bit(self, e: int) -> int:
-        return (self.mask >> e) & 1
 
     def edges(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.width) if (self.mask >> e) & 1)
@@ -281,7 +277,7 @@ def _sweep(cons, gain, req, P: float) -> set[int]:
 
 
 def enumerate_patterns(route: Route, inst: Instance,
-                       max_edges: int = DEFAULT_MAX_EDGES) -> BdpResult:
+                       max_edges: int = SolverConfig.bdp_max_edges) -> BdpResult:
     """Minimal feasible charging patterns for one route.
 
     Trivial and hopeless routes are classified without any search. Routes

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
+from .model import _is_finite
+
 
 def _finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and _is_finite(value)
 
 
 # accepted values per annotated field type: (description, test)
@@ -28,11 +28,14 @@ _LOWER_BOUNDS = {"iterations": 0, "time_limit": 0, "segment_size": 1, "string_mi
 # keeps the segment sums and the weight sum of a family of up to this many
 # operators finite
 _MAX_OPERATORS = 64
+# float max as an exact int: int / int divides any segment size without
+# converting it to a float first
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def score_cap(segment_size: int) -> float:
     """Largest usable operator score, or weight floor, for a segment size."""
-    return sys.float_info.max / (segment_size + _MAX_OPERATORS)
+    return _FLOAT_MAX / (segment_size + _MAX_OPERATORS)
 
 
 @dataclass
@@ -65,12 +68,11 @@ class SolverConfig:
 
     # charging layer
     bdp_max_edges: int = 20
-    exact_cap: int = 1_000_000
     assign_node_budget: int = 50_000
     heuristic_retries: int = 50
     mct_transfer_depletes: bool = True
-    # in-loop coordination stays exact only while cheap; the standalone
-    # coordinator keeps the full exact_cap
+    # coordination is exact only while the pattern combinations and the
+    # fewest duties stay this small, greedy otherwise
     lns_exact_combos: int = 256
     lns_exact_duties: int = 12
 

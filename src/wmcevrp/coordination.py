@@ -32,10 +32,10 @@ energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import NamedTuple
 
 from .bdp import BdpResult, ChargePattern
+from .config import SolverConfig
 from .model import (
     EPS,
     Instance,
@@ -45,9 +45,6 @@ from .model import (
     mtev_arrival_times,
     routing_cost,
 )
-
-DEFAULT_EXACT_CAP = 1_000_000
-DEFAULT_NODE_BUDGET = 200_000
 
 
 class ChargingDuty(NamedTuple):
@@ -404,12 +401,12 @@ def _truck_route(duties: list[ChargingDuty], inst: Instance) -> tuple[list[int],
 
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
                 inst: Instance, certified: bool) -> CoordinationPlan:
+    """The plan of an assignment; `duties` must be in `_duty_order`, the
+    order in which each truck serves its duties."""
     count = max(assignment) + 1 if assignment else 0
     mct_duties: list[list[ChargingDuty]] = [[] for _ in range(count)]
     for duty, t_idx in zip(duties, assignment):
         mct_duties[t_idx].append(duty)
-    for lst in mct_duties:
-        lst.sort(key=_duty_order)
     routes = []
     total_deadhead = 0.0
     for t_idx, lst in enumerate(mct_duties):
@@ -427,8 +424,7 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
 
 def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      inst: Instance, *,
-                     exact_cap: int = DEFAULT_EXACT_CAP,
-                     node_budget: int = DEFAULT_NODE_BUDGET,
+                     node_budget: int = SolverConfig.assign_node_budget,
                      transfer_depletes: bool = True) -> CoordinationResult | None:
     """Fewest-truck coordination by exhaustive search over per-route pattern
     choices and duty assignments.
@@ -453,9 +449,6 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     pattern_sets = [res.patterns for res in bdp_results]
     if any(not s for s in pattern_sets):
         return None
-    combos = prod(len(s) for s in pattern_sets)
-    if combos > exact_cap:
-        raise ValueError(f"{combos} combinations exceed the exact cap {exact_cap}")
     fixed = routing_cost(routes, inst)
     chosen = [patterns[0] for patterns in pattern_sets]
     branching = []              # (route index, its patterns)
@@ -535,7 +528,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
 
 def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
                          inst: Instance, *,
-                         max_retries: int = 50,
+                         max_retries: int = SolverConfig.heuristic_retries,
                          transfer_depletes: bool = True) -> CoordinationResult | None:
     """Greedy coordination for scales beyond exhaustive search.
 

@@ -735,12 +735,11 @@ def _coordinate_afresh(routes: list[Route], ctx: _Context):
     combos = 1
     duties = 0
     for res in results:
-        combos *= max(1, len(res.patterns))
-        duties += res.min_cardinality() or 0
-    if combos <= min(cfg.exact_cap, cfg.lns_exact_combos) and duties <= cfg.lns_exact_duties:
+        combos *= len(res.patterns)
+        duties += res.min_cardinality()
+    if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
         return coordination.coordinate_exact(
             routes, results, inst,
-            exact_cap=cfg.exact_cap,
             node_budget=cfg.assign_node_budget,
             transfer_depletes=cfg.mct_transfer_depletes,
         )

@@ -73,10 +73,7 @@ def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
                 return
             results.append(res)
         counts["coordinated"] += 1
-        outcome = coordination.coordinate_exact(
-            routes, results, inst,
-            exact_cap=10**9, node_budget=10**9,
-        )
+        outcome = coordination.coordinate_exact(routes, results, inst, node_budget=10**9)
         if outcome is None:
             return
         if best[0] is None or outcome.cost < best[0][0] - 1e-9:
@@ -112,9 +109,7 @@ def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
             loads.pop()
 
     if not customers:
-        empty = coordination.CoordinationResult(
-            [], coordination._build_plan([], [], inst, certified=True), 0.0)
-        best[0] = (0.0, [], empty)
+        evaluate([])
     else:
         k_min = max(1, math.ceil(total_demand / inst.Q))
         for k in range(k_min, inst.max_mtev + 1):

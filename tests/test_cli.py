@@ -340,6 +340,12 @@ class TestRejectedInput:
         {"init_temp_factor": -1.0},
         {"assign_node_budget": 0},
         {"heuristic_retries": -1},
+        # integers beyond the float range: not a finite number, and a segment
+        # size whose score cap is below the default scores
+        {"cooling": 10**400},
+        {"segment_size": 10**400},
+        # removed setting: exact coordination is gated by lns_exact_combos
+        {"exact_cap": 1000},
     ])
     def test_bad_config_exits_4(self, instance_file, tmp_path, capsys, no_run, config):
         cfg = tmp_path / "cfg.json"

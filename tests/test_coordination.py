@@ -349,12 +349,6 @@ class TestCoordinateExact:
         empty = bdp.BdpResult(bdp.RouteClass.INFEASIBLE, [])
         assert coordinate_exact([route], [empty], inst) is None
 
-    def test_combo_cap_enforced(self):
-        inst, route = chainable_two_duty_case()
-        results = [bdp.enumerate_patterns(route, inst)]
-        with pytest.raises(ValueError):
-            coordinate_exact([route], results, inst, exact_cap=1)
-
     def test_fleet_cap_blocks_plans(self):
         inst, route = chainable_two_duty_case()
         inst.max_mct = 0

@@ -701,10 +701,11 @@ class TestWeights:
 # configuration file
 # ---------------------------------------------------------------------------
 
+# 10**400 is a JSON integer beyond the float range
 FLOAT_EXTREMES = [0.0, -0.0, 5e-324, sys.float_info.min, 0.5,
-                   1.0 - sys.float_info.epsilon / 2, 1.0, sys.float_info.max]
+                   1.0 - sys.float_info.epsilon / 2, 1.0, sys.float_info.max, 10**400]
 TYPE_EXTREMES = {
-    "int": st.sampled_from([0, 1, 2, 2**31 - 1, 2**63 - 1]),
+    "int": st.sampled_from([0, 1, 2, 2**31 - 1, 2**63 - 1, 10**400]),
     "float": st.sampled_from(FLOAT_EXTREMES),
     "float | None": st.none() | st.sampled_from(FLOAT_EXTREMES),
     "bool": st.booleans(),
@@ -731,7 +732,7 @@ class TestConfig:
                     "init_temp_factor", "cooling", "removal_min_frac",
                     "removal_max_frac", "string_min", "string_max",
                     "shaw_distance_weight", "shaw_demand_weight",
-                    "bdp_max_edges", "exact_cap", "mct_transfer_depletes"):
+                    "bdp_max_edges", "mct_transfer_depletes"):
             assert key in data
 
     def test_unknown_keys_rejected(self):
@@ -764,6 +765,8 @@ class TestConfig:
         ({"init_temp_factor": -1.0}, "init_temp_factor must be at least 0"),
         ({"assign_node_budget": 0}, "assign_node_budget must be at least 1"),
         ({"heuristic_retries": -1}, "heuristic_retries must be at least 0"),
+        # removed: lns_exact_combos and lns_exact_duties are the only exact gate
+        ({"exact_cap": 1_000_000}, r"unknown config keys: \['exact_cap'\]"),
     ])
     def test_invalid_settings_rejected(self, data, match):
         with pytest.raises(ValueError, match=match):
@@ -894,10 +897,9 @@ def ref_coordinate(routes, inst, cfg):
         return None, "infeasible"
     combos = math.prod(len(res.patterns) for res in results)
     duties = sum(res.min_cardinality() for res in results)
-    if combos <= min(cfg.exact_cap, cfg.lns_exact_combos) and duties <= cfg.lns_exact_duties:
+    if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
         return coordination.coordinate_exact(
-            routes, results, inst, exact_cap=cfg.exact_cap,
-            node_budget=cfg.assign_node_budget,
+            routes, results, inst, node_budget=cfg.assign_node_budget,
             transfer_depletes=cfg.mct_transfer_depletes), "exact"
     return coordination.coordinate_heuristic(
         routes, results, inst, max_retries=cfg.heuristic_retries,
