@@ -13,6 +13,14 @@ def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and _is_finite(value)
 
 
+def _shown(value) -> str:
+    """A rejected value as an error message quotes it: an integer of more
+    than 20 digits by its digit count, anything else by its repr."""
+    if isinstance(value, int) and abs(value) >= 10**20:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
+
+
 # accepted values per annotated field type: (description, test)
 _KINDS = {
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
@@ -82,32 +90,32 @@ class SolverConfig:
             value = getattr(self, f.name)
             kind, accepts = _KINDS[f.type]
             if not accepts(value):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+                raise ValueError(f"{f.name} must be {kind}, got {_shown(value)}")
             low = _LOWER_BOUNDS.get(f.name)
             if low is not None and value is not None and value < low:
-                raise ValueError(f"{f.name} must be at least {low}, got {value!r}")
+                raise ValueError(f"{f.name} must be at least {low}, got {_shown(value)}")
         if not 0 <= self.reaction <= 1:
-            raise ValueError(f"reaction must be in [0, 1], got {self.reaction!r}")
+            raise ValueError(f"reaction must be in [0, 1], got {_shown(self.reaction)}")
         if not 0 < self.cooling <= 1:
-            raise ValueError(f"cooling must be in (0, 1], got {self.cooling!r}")
+            raise ValueError(f"cooling must be in (0, 1], got {_shown(self.cooling)}")
         if self.weight_floor <= 0:
-            raise ValueError(f"weight_floor must be > 0, got {self.weight_floor!r}")
+            raise ValueError(f"weight_floor must be > 0, got {_shown(self.weight_floor)}")
         cap = score_cap(self.segment_size)
         for name in ("score_best", "score_improve", "score_accept_worse", "weight_floor"):
             value = getattr(self, name)
             if not 0 <= value <= cap:
                 raise ValueError(f"{name} must be in [0, {cap:.6g}] for segment_size "
-                                 f"{self.segment_size}, got {value!r}")
+                                 f"{_shown(self.segment_size)}, got {_shown(value)}")
         for name in ("removal_min_frac", "removal_max_frac"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+                raise ValueError(f"{name} must be in [0, 1], got {_shown(value)}")
         if self.removal_min_frac > self.removal_max_frac:
-            raise ValueError(f"removal_min_frac {self.removal_min_frac} exceeds "
-                             f"removal_max_frac {self.removal_max_frac}")
+            raise ValueError(f"removal_min_frac {_shown(self.removal_min_frac)} exceeds "
+                             f"removal_max_frac {_shown(self.removal_max_frac)}")
         if self.string_min > self.string_max:
-            raise ValueError(f"string_min {self.string_min} exceeds "
-                             f"string_max {self.string_max}")
+            raise ValueError(f"string_min {_shown(self.string_min)} exceeds "
+                             f"string_max {_shown(self.string_max)}")
 
     def to_json(self) -> dict:
         return asdict(self)

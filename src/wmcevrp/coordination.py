@@ -4,8 +4,9 @@ Routing fixes the travel-energy and MTEV acquisition terms of the objective,
 so this layer minimizes the MCT acquisition term, the truck count, and
 nothing else. The exact search is count-first: it looks only for plans with
 fewer trucks than the best so far and stops when no plan can use fewer.
-Deadhead distance carries no cost and is not minimized; `total_deadhead` is
-reported as a diagnostic only.
+Deadhead distance carries no cost; it is neither minimized nor reported.
+The charging duty, its builder and its order come from `model`, which the
+checker shares.
 
 The exact search prunes with an interval-graph clique bound, kept
 incrementally. `_segment_covers` cuts the time line at the ends of every
@@ -16,48 +17,37 @@ by at least k+1 chosen duties, and `_deepen` adds a pattern's cover with one
 integer operation per level; the bound is len(depth). `mct_lower_bound`
 folds the same step over single duties.
 
-The duties are ranked once in `_duty_order`, the order a truck serves them,
-and the search carries its selection as a bitmask of ranks. Once it looks
-for a one-truck plan, `_follow_closure` links the duties that one truck
-could serve in sequence, and a prefix with an unlinked pair is pruned.
+The duties are ranked once in `model.duty_order`, the order a truck serves
+them, and the search carries its selection as a bitmask of ranks. Once it
+looks for a one-truck plan, `_follow_closure` links the duties that one
+truck could serve in sequence, and a prefix with an unlinked pair is pruned.
 
-`_step` and `_home` hold the truck arithmetic: deadhead legs, arrival times
-and battery levels; `_follow_closure` repeats only the arrival test of
-`_try_serve`, as one float comparison per duty pair. This layer does not
-check its own plans; `model.check_feasibility` re-derives the truck
-schedules and is the single independent check of synchronization and truck
-energy.
+`_try_serve` and `_return_leg` hold all of the truck arithmetic: deadhead
+legs, arrival times and battery levels; `_follow_closure` repeats only the
+arrival test of `_try_serve`, as one float comparison per duty pair, and
+`_truck_route` only lists nodes. This layer does not check its own plans;
+`model.check_feasibility` re-derives the truck schedules and is the single
+independent check of synchronization and truck energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .bdp import BdpResult, ChargePattern
 from .config import SolverConfig
 from .model import (
     EPS,
+    ChargingDuty,
     Instance,
     Route,
     Solution,
+    duty_order,
     finalize_solution,
     mtev_arrival_times,
+    route_duties,
     routing_cost,
 )
-
-
-class ChargingDuty(NamedTuple):
-    """One charging obligation: an MCT must co-travel this arc with this MTEV."""
-
-    mtev: int            # index of the MTEV route
-    edge: int            # edge index within that route
-    tail: int
-    head: int
-    start: float         # MTEV arrival time at the tail node
-    end: float           # MTEV arrival time at the head node
-    distance: float
-    transfer: float      # energy delivered while co-traveling
 
 
 @dataclass
@@ -65,7 +55,6 @@ class CoordinationPlan:
     duties: list[ChargingDuty]
     assignment: list[int]                    # duty index -> MCT index
     mct_routes: list[Route]
-    total_deadhead: float
     certified: bool
 
     @property
@@ -89,32 +78,13 @@ class _TruckState:
     closed: bool         # parked at the return depot, takes no further duties
 
 
-def _pattern_duties(r_idx: int, edges: list[tuple[int, int]], times: list[float],
-                    mask: int, inst: Instance) -> list[ChargingDuty]:
-    """The duties of the edges set in one route's charge mask, in edge order."""
-    duties = []
-    for e, (i, j) in enumerate(edges):
-        if (mask >> e) & 1:
-            c = float(inst.dist[i, j])
-            duties.append(ChargingDuty(
-                mtev=r_idx, edge=e, tail=i, head=j,
-                start=times[e], end=times[e + 1],
-                distance=c, transfer=inst.gamma * c,
-            ))
-    return duties
-
-
-def _duty_order(duty: ChargingDuty) -> tuple[float, int, int]:
-    return duty.start, duty.mtev, duty.edge
-
-
 def duties_from_choice(routes: list[Route], choice: list[ChargePattern],
                        inst: Instance) -> list[ChargingDuty]:
     duties = []
     for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
-        duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
-                                  pattern.mask, inst)
-    duties.sort(key=_duty_order)
+        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst),
+                               pattern.mask, inst)
+    duties.sort(key=duty_order)
     return duties
 
 
@@ -166,23 +136,24 @@ def mct_lower_bound(duties: list[ChargingDuty]) -> int:
     return max(len(depth), 1)
 
 
-def _step(state: _TruckState, duty: ChargingDuty, inst: Instance,
-          transfer_depletes: bool) -> tuple[float, float, float, float]:
-    """Deadhead to a duty's tail, then co-travel its arc, with no feasibility test.
-
-    Returns (leg, arrive, stored, battery): the deadhead distance, the arrival
-    time and stored energy at the tail, and the battery after the arc.
-    """
+def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
+               transfer_depletes: bool):
+    """Next truck state after deadheading to a duty's tail and co-traveling
+    its arc, or None when the truck is parked, reaches the tail after the
+    MTEV, stores less than the transfer there or ends the arc below zero.
+    The truck is ready again when the MTEV reaches the head."""
+    if state.closed:
+        return None
     leg = float(inst.dist[state.position, duty.tail])
+    if state.ready + leg > duty.start + EPS:
+        return None
     battery = state.battery - inst.phi * (leg + duty.distance)
     if transfer_depletes:
         battery -= duty.transfer
-    return leg, state.ready + leg, state.battery - inst.phi * leg, battery
-
-
-def _after(state: _TruckState, duty: ChargingDuty, leg: float, battery: float,
-           inst: Instance) -> _TruckState:
-    """Truck state once `_step` is taken: ready again when the MTEV reaches the head."""
+    if battery < -EPS:
+        return None
+    if state.battery - inst.phi * leg < duty.transfer - EPS:
+        return None
     return _TruckState(
         position=duty.head,
         ready=duty.end,
@@ -192,33 +163,12 @@ def _after(state: _TruckState, duty: ChargingDuty, leg: float, battery: float,
     )
 
 
-def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
-               transfer_depletes: bool):
-    """Next truck state after deadheading to and co-traveling a duty arc, or None."""
-    if state.closed:
-        return None
-    leg, arrive, stored, battery = _step(state, duty, inst, transfer_depletes)
-    if arrive > duty.start + EPS:
-        return None
-    if battery < -EPS:
-        return None
-    if stored < duty.transfer - EPS:
-        return None
-    return _after(state, duty, leg, battery, inst)
-
-
-def _home(state: _TruckState, inst: Instance) -> tuple[float, float]:
-    """Deadhead distance to the return depot and the battery on arrival, unchecked."""
-    leg = float(inst.dist[state.position, inst.depot_end])
-    return leg, state.battery - inst.phi * leg
-
-
 def _return_leg(state: _TruckState, inst: Instance) -> float | None:
     """Deadhead distance home, or None when the battery cannot cover it."""
     if state.closed:
         return 0.0
-    leg, battery = _home(state, inst)
-    if battery < -EPS:
+    leg = float(inst.dist[state.position, inst.depot_end])
+    if state.battery - inst.phi * leg < -EPS:
         return None
     return leg
 
@@ -226,7 +176,7 @@ def _return_leg(state: _TruckState, inst: Instance) -> float | None:
 def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
     """Which duties may share one truck, as far as arrival times tell.
 
-    `duties` are in `_duty_order`, the order in which a truck serves them.
+    `duties` are in `duty_order`, the order in which a truck serves them.
     Duty b follows duty a when a comes first, a does not end at the return
     depot and a.end + dist[a.head][b.tail] <= b.start + EPS, the arrival
     test of `_try_serve`. Mask k has bit j set when j == k or a chain of
@@ -380,44 +330,32 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     return assignment, None
 
 
-def _truck_route(duties: list[ChargingDuty], inst: Instance) -> tuple[list[int], float]:
-    """Route nodes and total deadhead of one truck serving duties in order,
-    depot to depot. A duty whose tail is where the truck stands adds no
-    deadhead node."""
-    state = _fresh_truck(inst)
+def _truck_route(duties: list[ChargingDuty], inst: Instance) -> list[int]:
+    """Route nodes of one truck serving duties in order, depot to depot. A
+    duty whose tail is where the truck stands adds no deadhead node."""
     nodes = [0]
     for duty in duties:
-        # nodes and deadhead do not depend on depletion
-        leg, _, _, battery = _step(state, duty, inst, True)
-        if duty.tail != state.position:
+        if duty.tail != nodes[-1]:
             nodes.append(duty.tail)
         nodes.append(duty.head)
-        state = _after(state, duty, leg, battery, inst)
-    leg, _ = _home(state, inst)
-    if state.position != inst.depot_end:
+    if nodes[-1] != inst.depot_end:
         nodes.append(inst.depot_end)
-    return nodes, state.deadhead + leg
+    return nodes
 
 
 def _build_plan(duties: list[ChargingDuty], assignment: list[int],
                 inst: Instance, certified: bool) -> CoordinationPlan:
-    """The plan of an assignment; `duties` must be in `_duty_order`, the
+    """The plan of an assignment; `duties` must be in `duty_order`, the
     order in which each truck serves its duties."""
     count = max(assignment) + 1 if assignment else 0
     mct_duties: list[list[ChargingDuty]] = [[] for _ in range(count)]
     for duty, t_idx in zip(duties, assignment):
         mct_duties[t_idx].append(duty)
-    routes = []
-    total_deadhead = 0.0
-    for t_idx, lst in enumerate(mct_duties):
-        nodes, deadhead = _truck_route(lst, inst)
-        routes.append(Route(t_idx, nodes))
-        total_deadhead += deadhead
     return CoordinationPlan(
         duties=list(duties),
         assignment=list(assignment),
-        mct_routes=routes,
-        total_deadhead=total_deadhead,
+        mct_routes=[Route(t_idx, _truck_route(lst, inst))
+                    for t_idx, lst in enumerate(mct_duties)],
         certified=certified,
     )
 
@@ -460,9 +398,8 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         for p in patterns:
             union |= p.mask
         branching.append((r_idx, patterns))
-        duties += _pattern_duties(r_idx, route.edges(), mtev_arrival_times(route, inst),
-                                  union, inst)
-    ranked = sorted(duties, key=_duty_order)
+        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
+    ranked = sorted(duties, key=duty_order)
     slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
              for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
     levels = []                 # (route index, [(pattern, its duties' rank bits, cover)])
@@ -488,7 +425,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         below `beat[0]`."""
         if level == len(levels):
             leaf = []
-            while selected:     # lowest rank first: `_duty_order`
+            while selected:     # lowest rank first: `duty_order`
                 low = selected & -selected
                 leaf.append(ranked[low.bit_length() - 1])
                 selected ^= low

@@ -7,10 +7,14 @@ physical copy acting as the return depot, so the distance matrix is
 (n+2) x (n+2). Travel time equals distance throughout (one matrix serves
 both roles).
 
-`build_schedule` and `check_feasibility` replay each MCT with the same
-function, `_replay_truck`. The checker recomputes every battery level and
-never reads stored battery traces; it uses a fleet's stored arrival times
-when every route of that fleet has one per node, and derives them otherwise.
+A charging duty (`ChargingDuty`) is one MTEV arc that an MCT must
+co-travel. `route_duties` builds them and `duty_order` is the order a truck
+serves them; coordination plans with them, and the checker rebuilds them
+from a solution's charge assignment. `build_schedule` and
+`check_feasibility` replay each MCT with the same function, `_replay_truck`.
+The checker recomputes every battery level and never reads stored battery
+traces; it uses a fleet's stored arrival times when every route of that
+fleet has one per node, and derives them otherwise.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -452,6 +457,41 @@ def mtev_arrival_times(route: Route, inst: Instance) -> list[float]:
     return times
 
 
+class ChargingDuty(NamedTuple):
+    """One charging obligation: an MCT must co-travel this arc with this MTEV."""
+
+    mtev: int            # index of the MTEV route
+    edge: int            # edge index within that route
+    tail: int
+    head: int
+    start: float         # MTEV arrival time at the tail node
+    end: float           # MTEV arrival time at the head node
+    distance: float
+    transfer: float      # energy delivered while co-traveling
+
+
+def duty_order(duty: ChargingDuty) -> tuple[float, int, int]:
+    """The order in which a truck serves its duties."""
+    return duty.start, duty.mtev, duty.edge
+
+
+def route_duties(r_idx: int, route: Route, times: list[float], mask: int,
+                 inst: Instance) -> list[ChargingDuty]:
+    """The duties of the edges set in route r_idx's charge mask, in edge
+    order; `times` are the MTEV's arrival times at the route's nodes. Mask
+    bits past the last edge add nothing."""
+    duties = []
+    for e, (i, j) in enumerate(route.edges()):
+        if (mask >> e) & 1:
+            c = float(inst.dist[i, j])
+            duties.append(ChargingDuty(
+                mtev=r_idx, edge=e, tail=i, head=j,
+                start=times[e], end=times[e + 1],
+                distance=c, transfer=inst.gamma * c,
+            ))
+    return duties
+
+
 def routing_cost(routes: list[Route], inst: Instance) -> float:
     """Travel energy plus MTEV acquisition cost for a set of MTEV routes."""
     total = 0.0
@@ -477,34 +517,31 @@ def evaluate_cost(sol: Solution, inst: Instance) -> float:
 
 def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]],
                     skip: set[int] = frozenset()):
-    """Group charging obligations by serving MCT; set aside entries with invalid
-    truck ids. MTEV routes listed in ``skip`` contribute no duties."""
+    """Group charging duties by serving MCT, each group in `duty_order`, and
+    set aside (truck id, duty) pairs with invalid truck ids. Assignment
+    entries past a route's edges add no duty; MTEV routes listed in ``skip``
+    contribute none."""
     per_mct = [[] for _ in sol.mct_routes]
     bad = []
     for r, route in enumerate(sol.mtev_routes):
         if r in skip:
             continue
         assign = sol.charge_assign[r] if r < len(sol.charge_assign) else []
-        for e, (i, j) in enumerate(route.edges()):
-            if e >= len(assign) or assign[e] is None:
-                continue
-            c = assign[e]
-            dist = float(inst.dist[i, j])
-            duty = {
-                "route": r, "edge": e, "tail": i, "head": j,
-                "start": mtev_times[r][e], "distance": dist,
-                "transfer": inst.gamma * dist,
-            }
-            if not (_is_int(c) and 0 <= c < len(sol.mct_routes)):
-                bad.append((c, duty))
-            else:
+        mask = sum(1 << e for e, (_, c) in enumerate(zip(route.edges(), assign))
+                   if c is not None)
+        for duty in route_duties(r, route, mtev_times[r], mask, inst):
+            c = assign[duty.edge]
+            if _is_int(c) and 0 <= c < len(sol.mct_routes):
                 per_mct[c].append(duty)
+            else:
+                bad.append((c, duty))
     for duties in per_mct:
-        duties.sort(key=lambda d: (d["start"], d["route"], d["edge"]))
+        duties.sort(key=duty_order)
     return per_mct, bad
 
 
-def _replay_truck(route: Route, duties: list[dict], inst: Instance, transfer_depletes: bool):
+def _replay_truck(route: Route, duties: list[ChargingDuty], inst: Instance,
+                  transfer_depletes: bool):
     """Earliest-arrival replay of one MCT route, for `build_schedule` and
     `check_feasibility` alike.
 
@@ -514,21 +551,21 @@ def _replay_truck(route: Route, duties: list[dict], inst: Instance, transfer_dep
     the arrival time and battery level at every node.
     """
     pending = list(duties)
-    matches: list[dict | None] = []
+    matches: list[ChargingDuty | None] = []
     now = 0.0
     level = inst.B
     times = [now]
     levels = [level]
     for i, j in route.edges():
-        duty = next((d for d in pending if d["tail"] == i and d["head"] == j), None)
+        duty = next((d for d in pending if d.tail == i and d.head == j), None)
         c = float(inst.dist[i, j])
         depart = now
         level -= inst.phi * c
         if duty is not None:
             pending.remove(duty)
-            depart = max(now, duty["start"])
+            depart = max(now, duty.start)
             if transfer_depletes:
-                level -= duty["transfer"]
+                level -= duty.transfer
         now = depart + c
         matches.append(duty)
         times.append(now)
@@ -673,8 +710,8 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
                                  "charge assignment length does not match edge count"))
 
     for c, duty in bad_ids:
-        out.append(Violation("sync", f"mtev:{duty['route']}",
-                             f"edge ({duty['tail']},{duty['head']}) assigned to unknown truck {c}"))
+        out.append(Violation("sync", f"mtev:{duty.mtev}",
+                             f"edge ({duty.tail},{duty.head}) assigned to unknown truck {c}"))
 
     # MTEV battery recursion under the realized pattern
     for idx, route in enumerate(sol.mtev_routes):
@@ -696,23 +733,23 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
         tag = f"mct:{c_idx}"
         for duty in missing:
             out.append(Violation("sync", tag,
-                                 f"assigned arc ({duty['tail']},{duty['head']}) is never traversed"))
+                                 f"assigned arc ({duty.tail},{duty.head}) is never traversed"))
         times = mct_times[c_idx]
         for k, ((i, j), duty) in enumerate(zip(route.edges(), matches)):
             if duty is not None:
-                if times[k] > duty["start"] + EPS:
+                if times[k] > duty.start + EPS:
                     out.append(Violation("sync", tag,
                                          f"arrives at node {i} after its MTEV (arc ({i},{j}))",
-                                         times[k] - duty["start"]))
-                finish = duty["start"] + duty["distance"]
+                                         times[k] - duty.start))
+                finish = duty.start + duty.distance
                 if times[k + 1] < finish - EPS:
                     out.append(Violation("sync", tag,
                                          f"reaches node {j} before its MTEV (arc ({i},{j}))",
                                          finish - times[k + 1]))
-                if levels[k] < duty["transfer"] - EPS:
+                if levels[k] < duty.transfer - EPS:
                     out.append(Violation("energy-mct", tag,
-                                         f"stored energy {levels[k]:.6g} below transfer {duty['transfer']:.6g} at node {i}",
-                                         duty["transfer"] - levels[k]))
+                                         f"stored energy {levels[k]:.6g} below transfer {duty.transfer:.6g} at node {i}",
+                                         duty.transfer - levels[k]))
             if levels[k + 1] < -EPS:
                 out.append(Violation("energy-mct", tag,
                                      f"battery {levels[k + 1]:.6g} after arc ({i},{j})", -levels[k + 1]))

@@ -229,6 +229,7 @@ class TestRejectedInput:
     def assert_one_line_rejection(capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid input: ")
+        return err[0]
 
     @pytest.mark.parametrize("name, text", [
         ("ref.json", '{"a": "x"}'),
@@ -351,7 +352,11 @@ class TestRejectedInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("solve", "--instance", instance_file, "--config", cfg) == 4
-        self.assert_one_line_rejection(capsys)
+        reason = self.assert_one_line_rejection(capsys).split(f"{cfg}: ", 1)[1]
+        # an oversized integer is named by its digit count, not quoted
+        assert len(reason) < 100
+        if isinstance(config, dict) and 10**400 in config.values():
+            assert "an integer of 401 digits" in reason
 
     @pytest.mark.parametrize("args", [
         ["solve", "--iters", -3],

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wmcevrp import bdp, coordination, lns
 from wmcevrp.config import SolverConfig
 from wmcevrp.coordination import (
-    ChargingDuty,
     CoordinationPlan,
     CoordinationResult,
     assemble_solution,
@@ -21,10 +20,14 @@ from wmcevrp.coordination import (
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     EPS,
+    ChargingDuty,
     Route,
+    _duties_per_mct,
     check_feasibility,
+    duty_order,
     make_route,
     mtev_arrival_times,
+    route_duties,
     routing_cost,
 )
 
@@ -299,9 +302,8 @@ class TestFollowClosure:
             union = 0
             for p in bdp.enumerate_patterns(route, inst).patterns:
                 union |= p.mask
-            duties += coordination._pattern_duties(
-                r_idx, route.edges(), mtev_arrival_times(route, inst), union, inst)
-        duties.sort(key=coordination._duty_order)
+            duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
+        duties.sort(key=duty_order)
         linked = coordination._follow_closure(duties, inst)
         picked = sorted(rng.permutation(len(duties))[:8].tolist())
         for subset in range(1, 1 << len(picked)):
@@ -320,7 +322,7 @@ class TestCoordinateExact:
         results = [bdp.enumerate_patterns(r, inst) for r in routes]
         out = coordinate_exact(routes, results, inst)
         assert out.plan.mct_count == 0
-        assert out.plan.total_deadhead == 0.0
+        assert out.plan.mct_routes == []
         assert out.cost == pytest.approx(5 + 5 + 5 + 5 + 2 * 100)
         assert out.plan.certified
 
@@ -529,8 +531,8 @@ class TestCoordinateHeuristic:
         assert out is not None
         assert out.plan.mct_count == 1
         duty = out.plan.duties[0]
-        expect = float(inst.dist[0, duty.tail]) + float(inst.dist[duty.head, inst.depot_end])
-        assert out.plan.total_deadhead == pytest.approx(expect)
+        assert duty.tail == 0           # the truck starts at the tail: no deadhead node
+        assert out.plan.mct_routes[0].nodes == [0, duty.head, inst.depot_end]
 
     def test_zero_cardinality_matches_exact(self):
         inst = build_instance([[0, 5, 5], [0, 0, 5], [0, 0, 0]], [1, 1], P=1000.0)
@@ -598,7 +600,7 @@ class TestValidateSync:
         plan = CoordinationPlan(
             duties=[duty], assignment=[0],
             mct_routes=[Route(0, [0, 2, inst.depot_end])],
-            total_deadhead=11.0, certified=False,
+            certified=False,
         )
         fake = CoordinationResult([bdp.ChargePattern(4, 3)], plan, 0.0)
         sol = assemble_solution([route], fake, inst)
@@ -631,6 +633,12 @@ class TestPlanJsonTrace:
                 if out is not None:
                     sol = assemble_solution(routes, out, inst, transfer_depletes)
                     assert check_feasibility(sol, inst, transfer_depletes).passed
+                    # the checker rebuilds each truck's duties, in the same order
+                    per_mct, bad = _duties_per_mct(sol, inst, sol.mtev_times)
+                    assert bad == []
+                    assert per_mct == [
+                        [d for d, t in zip(out.plan.duties, out.plan.assignment) if t == t_idx]
+                        for t_idx in range(out.plan.mct_count)]
                     trucks += out.plan.mct_count
         assert trucks >= 20
 

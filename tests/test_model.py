@@ -15,6 +15,7 @@ from wmcevrp.model import (
     Route,
     RouteStructureError,
     Solution,
+    _duties_per_mct,
     build_schedule,
     check_feasibility,
     evaluate_cost,
@@ -546,6 +547,36 @@ class TestTruckAlignment:
         sol.mct_times = [[0.0, 1.0, 3.0, 4.0, 7.5]]
         sol.mtev_times[1] = [0.0, 4.0, 7.5]
         assert check_feasibility(sol, inst).passed
+
+
+class TestDutyFindings:
+    """The checker rebuilds each truck's duties from the charge assignment."""
+
+    def _one_truck(self, assign, truck_nodes):
+        # MTEV 0-1-2-3 with a truck on `truck_nodes`
+        inst = _wait_instance()
+        sol = Solution.from_routes([make_route(0, [1, 2], inst)])
+        sol.charge_assign[0] = assign
+        sol.mct_routes = [Route(0, truck_nodes)]
+        return inst, sol
+
+    def test_untraversed_duty_arc(self):
+        inst, sol = self._one_truck([None, None, 0], [0, 1, 3])
+        assert _findings(check_feasibility(sol, inst)) == [
+            ("sync", "mct:0", "assigned arc (2,3) is never traversed", 0.0)]
+
+    def test_short_assignment_row(self):
+        inst, sol = self._one_truck([None, None], [0, 2, 3])
+        assert _findings(check_feasibility(sol, inst)) == [
+            ("sync", "mtev:0", "charge assignment length does not match edge count", 0.0)]
+
+    def test_entries_past_the_edges_add_no_duty(self):
+        # entry 3 names the truck and entry 4 an unknown one; neither is an edge
+        inst, sol = self._one_truck([None, None, None, 0, 99], [0, 2, 3])
+        assert _duties_per_mct(sol, inst, [mtev_arrival_times(sol.mtev_routes[0], inst)]) \
+            == ([[]], [])
+        assert _findings(check_feasibility(sol, inst)) == [
+            ("sync", "mtev:0", "charge assignment length does not match edge count", 0.0)]
 
 
 def _strip_times(sol, fleets):
