@@ -73,6 +73,14 @@ class BdpResult:
     def masks(self) -> set[int]:
         return {p.mask for p in self.patterns}
 
+    def charged(self) -> int:
+        """The edges that some pattern charges, as a mask: 0 exactly when
+        the route never charges (or has no pattern at all)."""
+        union = 0
+        for p in self.patterns:
+            union |= p.mask
+        return union
+
     def min_cardinality(self) -> int | None:
         return self.patterns[0].cardinality if self.patterns else None
 
@@ -81,14 +89,13 @@ class BdpResult:
         return self.classification is not RouteClass.INFEASIBLE
 
 
-def _edge_consumption(route: Route, inst: Instance):
-    """Per-edge consumption rho_t*c and charging gain gamma*c."""
-    cons = []
-    gain = []
-    for i, j in route.edges():
-        c = float(inst.dist[i, j])
-        cons.append(inst.rho_t * c)
-        gain.append(inst.gamma * c)
+def _edge_consumption(route: Route, inst: Instance, lengths=None):
+    """Per-edge consumption rho_t*c and charging gain gamma*c; ``lengths``
+    are the route's edge lengths c when the caller has them as floats."""
+    if lengths is None:
+        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
+    cons = [inst.rho_t * c for c in lengths]
+    gain = [inst.gamma * c for c in lengths]
     return cons, gain
 
 
@@ -277,15 +284,17 @@ def _sweep(cons, gain, req, P: float) -> set[int]:
 
 
 def enumerate_patterns(route: Route, inst: Instance,
-                       max_edges: int = SolverConfig.bdp_max_edges) -> BdpResult:
+                       max_edges: int = SolverConfig.bdp_max_edges,
+                       lengths: list[float] | None = None) -> BdpResult:
     """Minimal feasible charging patterns for one route.
 
     Trivial and hopeless routes are classified without any search. Routes
     longer than ``max_edges`` get the charge-count DP's minimum-count witness
     as their single pattern instead of the exponential sweep (flagged via
-    ``fallback``).
+    ``fallback``). ``lengths``, when given, must be the route's edge lengths
+    as read from ``inst.dist``; they spare the numpy look-ups.
     """
-    cons, gain = _edge_consumption(route, inst)
+    cons, gain = _edge_consumption(route, inst, lengths)
     m = len(cons)
     cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
@@ -304,15 +313,17 @@ def enumerate_patterns(route: Route, inst: Instance,
     return _result([ChargePattern(s, m) for s in _minimal_masks(terminal)])
 
 
-def min_charge_count(route: Route, inst: Instance) -> int | None:
+def min_charge_count(route: Route, inst: Instance,
+                     lengths: list[float] | None = None) -> int | None:
     """Fewest charged edges over the route's feasible patterns; None if infeasible.
 
     Exact at any route length: equals ``enumerate_patterns(route, inst,
     max_edges).min_cardinality()`` for every ``max_edges``, but runs a
     polynomial DP over charge counts instead of the 2^m sweep. Callers that
-    need the patterns themselves still enumerate.
+    need the patterns themselves still enumerate. ``lengths`` is as in
+    ``enumerate_patterns``.
     """
-    cons, gain = _edge_consumption(route, inst)
+    cons, gain = _edge_consumption(route, inst, lengths)
     cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
         return 0

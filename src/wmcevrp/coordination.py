@@ -22,10 +22,11 @@ them, and the search carries its selection as a bitmask of ranks. Once it
 looks for a one-truck plan, `_follow_closure` links the duties that one
 truck could serve in sequence, and a prefix with an unlinked pair is pruned.
 
-`_try_serve` and `_return_leg` hold all of the truck arithmetic: deadhead
+`_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
 legs, arrival times and battery levels; `_follow_closure` repeats only the
-arrival test of `_try_serve`, as one float comparison per duty pair, and
-`_truck_route` only lists nodes. This layer does not check its own plans;
+arrival test of `_try_serve`, as one float comparison per duty pair,
+`_assign_greedy` sums the deadhead it ranks trucks by, and `_truck_route`
+only lists nodes. This layer does not check its own plans;
 `model.check_feasibility` re-derives the truck schedules and is the single
 independent check of synchronization and truck energy.
 """
@@ -74,18 +75,19 @@ class _TruckState:
     position: int
     ready: float
     battery: float
-    deadhead: float
     closed: bool         # parked at the return depot, takes no further duties
 
 
-def duties_from_choice(routes: list[Route], choice: list[ChargePattern],
-                       inst: Instance) -> list[ChargingDuty]:
-    duties = []
-    for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
-        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst),
-                               pattern.mask, inst)
-    duties.sort(key=duty_order)
-    return duties
+def _charging_arcs(routes: list[Route], bdp_results: list[BdpResult],
+                   inst: Instance) -> list[list[ChargingDuty]]:
+    """Per route, the duty of every edge that some pattern of it charges, in
+    edge order; a route that never charges gets none and no arrival times."""
+    arcs = []
+    for r_idx, (route, res) in enumerate(zip(routes, bdp_results)):
+        charged = res.charged()
+        arcs.append(route_duties(r_idx, route, mtev_arrival_times(route, inst), charged, inst)
+                    if charged else [])
+    return arcs
 
 
 def _segment_covers(duties: list[ChargingDuty]) -> list[int]:
@@ -158,19 +160,16 @@ def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
         position=duty.head,
         ready=duty.end,
         battery=battery,
-        deadhead=state.deadhead + leg,
         closed=duty.head == inst.depot_end,
     )
 
 
-def _return_leg(state: _TruckState, inst: Instance) -> float | None:
-    """Deadhead distance home, or None when the battery cannot cover it."""
+def _gets_home(state: _TruckState, inst: Instance) -> bool:
+    """Whether the truck is parked or its battery covers the deadhead home."""
     if state.closed:
-        return 0.0
+        return True
     leg = float(inst.dist[state.position, inst.depot_end])
-    if state.battery - inst.phi * leg < -EPS:
-        return None
-    return leg
+    return not state.battery - inst.phi * leg < -EPS
 
 
 def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
@@ -227,7 +226,7 @@ def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance) -> list[list
 
 
 def _fresh_truck(inst: Instance) -> _TruckState:
-    return _TruckState(position=0, ready=0.0, battery=inst.B, deadhead=0.0, closed=False)
+    return _TruckState(position=0, ready=0.0, battery=inst.B, closed=False)
 
 
 def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
@@ -265,7 +264,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             exhausted[0] = True
             return
         if idx == len(duties):
-            if all(_return_leg(t, inst) is not None for t in trucks):
+            if all(_gets_home(t, inst) for t in trucks):
                 beat[0] = len(trucks)
                 found[0] = (len(trucks), list(assignment))
             return
@@ -305,27 +304,32 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     cannot get home.
     """
     trucks: list[_TruckState] = []
+    deadhead: list[float] = []  # per truck, the deadhead driven so far
     assignment = []
     for duty in duties:
         options = []
         for t_idx, state in enumerate(trucks):
             nxt = _try_serve(state, duty, inst, transfer_depletes)
-            if nxt is None or _return_leg(nxt, inst) is None:
+            if nxt is None or not _gets_home(nxt, inst):
                 continue
-            options.append((nxt.deadhead - state.deadhead, t_idx, nxt))
+            dead = deadhead[t_idx] + float(inst.dist[state.position, duty.tail])
+            options.append((dead - deadhead[t_idx], t_idx, nxt, dead))
         if len(trucks) < max_mct:
             nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
-            if nxt is not None and _return_leg(nxt, inst) is not None:
-                options.append((inst.rho_c + nxt.deadhead, len(trucks), nxt))
+            if nxt is not None and _gets_home(nxt, inst):
+                dead = float(inst.dist[0, duty.tail])
+                options.append((inst.rho_c + dead, len(trucks), nxt, dead))
         if not options:
             return None, duty.mtev
-        _, t_idx, nxt = min(options, key=lambda o: (o[0], o[1]))
+        _, t_idx, nxt, dead = min(options, key=lambda o: (o[0], o[1]))
         if t_idx == len(trucks):
             trucks.append(nxt)
+            deadhead.append(dead)
         else:
             trucks[t_idx] = nxt
+            deadhead[t_idx] = dead
         assignment.append(t_idx)
-    if any(_return_leg(t, inst) is None for t in trucks):
+    if not all(_gets_home(t, inst) for t in trucks):
         return None, duties[0].mtev
     return assignment, None
 
@@ -363,43 +367,46 @@ def _build_plan(duties: list[ChargingDuty], assignment: list[int],
 def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      inst: Instance, *,
                      node_budget: int = SolverConfig.assign_node_budget,
-                     transfer_depletes: bool = True) -> CoordinationResult | None:
+                     transfer_depletes: bool = True, fixed: float | None = None,
+                     arcs: list[list[ChargingDuty]] | None = None
+                     ) -> CoordinationResult | None:
     """Fewest-truck coordination by exhaustive search over per-route pattern
     choices and duty assignments.
 
     Branches over pattern combinations depth first, each route's patterns in
     their `BdpResult` order, (cardinality, mask). A route whose only pattern
     charges nothing adds no duties and no branch, so it gets no DFS level
-    and no arrival times; every other route builds its duties once, shared
-    by its patterns. A prefix is pruned when the interval bound of its
-    duties, read from the segment counters, reaches the best truck count
-    found so far (or exceeds `inst.max_mct`), and each leaf's assignment
-    search looks only for strictly fewer trucks. While it looks for one
-    truck, a prefix is also pruned when two of its duties are not linked by
-    `_follow_closure`: no single truck serves both. The search stops at the
+    and no arrival times; every other route builds the duties of all the
+    edges its patterns charge once, shared by its patterns. A prefix is
+    pruned when the interval bound of its duties, read from the segment
+    counters, reaches the best truck count found so far (or exceeds
+    `inst.max_mct`), and each leaf's assignment search looks only for
+    strictly fewer trucks. While it looks for one truck, a prefix is also
+    pruned when two of its duties are not linked by `_follow_closure`: no
+    single truck serves both. The search stops at the
     floor: one truck when some route cannot avoid charging, else none. The
     first plan found at the final count is kept; deadhead is not minimized.
 
     The plan is certified when its count is proven minimal: no assignment
     search ran out of `node_budget`, or the count equals the floor. Returns
     None when no combination can be coordinated.
+
+    `fixed` is `routing_cost(routes, inst)` and `arcs` is what
+    `_charging_arcs` returns; a caller that keeps them per route passes
+    them, and both are computed when omitted.
     """
     pattern_sets = [res.patterns for res in bdp_results]
     if any(not s for s in pattern_sets):
         return None
-    fixed = routing_cost(routes, inst)
+    if fixed is None:
+        fixed = routing_cost(routes, inst)
+    if arcs is None:
+        arcs = _charging_arcs(routes, bdp_results, inst)
     chosen = [patterns[0] for patterns in pattern_sets]
-    branching = []              # (route index, its patterns)
-    duties = []                 # the duties of all patterns of branching routes
-    for r_idx, (route, patterns) in enumerate(zip(routes, pattern_sets)):
-        if len(patterns) == 1 and not patterns[0].mask:
-            continue
-        union = 0
-        for p in patterns:
-            union |= p.mask
-        branching.append((r_idx, patterns))
-        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
-    ranked = sorted(duties, key=duty_order)
+    # (route index, its patterns) of every route that may charge
+    branching = [(r_idx, patterns) for r_idx, patterns in enumerate(pattern_sets)
+                 if arcs[r_idx]]
+    ranked = sorted((d for r_idx, _ in branching for d in arcs[r_idx]), key=duty_order)
     slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
              for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
     levels = []                 # (route index, [(pattern, its duties' rank bits, cover)])
@@ -466,22 +473,35 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
 def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
                          inst: Instance, *,
                          max_retries: int = SolverConfig.heuristic_retries,
-                         transfer_depletes: bool = True) -> CoordinationResult | None:
+                         transfer_depletes: bool = True, fixed: float | None = None,
+                         arcs: list[list[ChargingDuty]] | None = None
+                         ) -> CoordinationResult | None:
     """Greedy coordination for scales beyond exhaustive search.
 
     Starts from the fewest-charging-arcs pattern of every route and assigns
     duties greedily; when a duty cannot be served, the offending route falls
     back to its next pattern in `BdpResult` order (cardinality, then mask
-    value), with a bounded number of retries.
+    value), with a bounded number of retries. A retry changes one route's
+    pattern, so only that route's duties are selected again. `fixed` and
+    `arcs` are as in `coordinate_exact`.
     """
     ordered = [res.patterns for res in bdp_results]
     if any(not s for s in ordered):
         return None
+    if fixed is None:
+        fixed = routing_cost(routes, inst)
+    if arcs is None:
+        arcs = _charging_arcs(routes, bdp_results, inst)
     idx = [0] * len(routes)
-    fixed = routing_cost(routes, inst)
+
+    def chosen_duties(r: int) -> list[ChargingDuty]:
+        mask = ordered[r][idx[r]].mask
+        return [d for d in arcs[r] if mask >> d.edge & 1]
+
+    per_route = [chosen_duties(r) for r in range(len(routes))]
     for _ in range(max_retries + 1):
         choice = [ordered[r][idx[r]] for r in range(len(routes))]
-        duties = duties_from_choice(routes, choice, inst)
+        duties = sorted((d for lst in per_route for d in lst), key=duty_order)
         assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
@@ -490,6 +510,7 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None
         idx[failed_route] += 1
+        per_route[failed_route] = chosen_duties(failed_route)
     return None
 
 

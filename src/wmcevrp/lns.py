@@ -15,6 +15,7 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -22,11 +23,13 @@ import numpy as np
 from . import bdp, coordination
 from .config import SolverConfig
 from .model import (
+    ChargingDuty,
     InfeasibleInstanceError,
     Instance,
     Route,
     Solution,
     check_feasibility,
+    route_duties,
     routing_cost,
 )
 
@@ -48,9 +51,12 @@ REPAIR_OPS = (
     "charge_insertion",
 )
 
-# distinct candidates whose coordination outcome a run remembers; repeats
-# are nearly always among the last few candidates
+# distinct coordination outcomes a run remembers; repeats are nearly
+# always among the last few candidates
 COORDINATION_MEMO_SIZE = 16
+
+# distinct routes whose records a run keeps
+ROUTE_RECORDS = 200_000
 
 
 @dataclass
@@ -130,41 +136,65 @@ class RunResult:
         return sum(self.best.used_mct) if self.best else 0
 
 
+@dataclass(slots=True)
+class _RouteRecord:
+    """What a run computes once about one distinct route."""
+
+    lengths: list[float]         # edge lengths, read from `_Context.d`
+    times: list[float]           # arrival times; the last is `Instance.route_distance`
+    result: bdp.BdpResult
+    charged: int                 # `result.charged()`: 0 when the route never charges
+    arcs: dict[int, list[ChargingDuty]]   # route index -> duties of the charged edges
+
+
 class _Context:
-    """Per-run caches shared by operators: distance rows, pattern memo,
+    """Per-run caches shared by operators: distance rows, route records,
     coordination memo and relatedness.
 
     `d` holds `inst.dist` as nested lists of floats: operators index it in
     their inner loops, where a plain-float lookup costs far less than a
     numpy scalar and gives the same IEEE arithmetic.
 
-    `coordinated` maps the node lists of the last `COORDINATION_MEMO_SIZE`
-    distinct candidates, in route order, to their `_coordinate_routes`
-    outcome, least recently used first. Within one run that outcome depends
-    on the key alone: `inst` and `cfg` are fixed, patterns are
-    deterministic and coordination draws no random numbers. Route order is
-    part of the key because duty tie-breaks use the route index. Outcomes
-    are shared, so nothing may mutate one.
+    `patterns` keeps one `_RouteRecord` per distinct node list, for the
+    first `ROUTE_RECORDS` of them: its edge lengths, its arrival times
+    summed edge by edge as `Instance.route_distance` sums them, its
+    patterns, and per route index the duties of every edge a pattern
+    charges, built when first needed.
+
+    `coordinated` maps the last `COORDINATION_MEMO_SIZE` distinct keys of
+    `_coordinate_routes` to their outcome, least recently used first. A key
+    lists the routes that may charge, each with its index. Within one run
+    the truck count, the plan and the patterns of those routes depend on the
+    key alone: `inst` and `cfg` are fixed, patterns are deterministic,
+    coordination draws no random numbers, and a route that never charges
+    adds no duty, no search level and no factor to the exact gate. The
+    index is part of the key because duty tie-breaks use it. Outcomes and
+    their plans are shared, so nothing may mutate one.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
         self.inst = inst
         self.cfg = cfg
         self.d = inst.dist.tolist()
-        self._bdp_memo: dict[tuple[int, ...], bdp.BdpResult] = {}
-        self.coordinated: OrderedDict[tuple[tuple[int, ...], ...],
+        self._records: dict[tuple[int, ...], _RouteRecord] = {}
+        self.coordinated: OrderedDict[tuple[tuple[int, tuple[int, ...]], ...],
                                       coordination.CoordinationResult | None] = OrderedDict()
         self._relatedness = None
 
-    def patterns(self, nodes: list[int]) -> bdp.BdpResult:
+    def patterns(self, nodes: list[int]) -> _RouteRecord:
+        """The record of the route over `nodes`, enumerating its patterns
+        when the run meets the route for the first time."""
         key = tuple(nodes)
-        hit = self._bdp_memo.get(key)
-        if hit is None:
-            hit = bdp.enumerate_patterns(Route(0, list(nodes)), self.inst,
-                                         max_edges=self.cfg.bdp_max_edges)
-            if len(self._bdp_memo) < 200_000:
-                self._bdp_memo[key] = hit
-        return hit
+        rec = self._records.get(key)
+        if rec is None:
+            lengths = _route_lengths(key, self.d)
+            result = bdp.enumerate_patterns(Route(0, list(nodes)), self.inst,
+                                            max_edges=self.cfg.bdp_max_edges, lengths=lengths)
+            rec = _RouteRecord(lengths, list(accumulate(lengths, initial=0.0)), result,
+                               result.charged(), {})
+            if len(self._records) < ROUTE_RECORDS:
+                self._records[key] = rec
+        return rec
 
     def relatedness(self) -> list[list[float]]:
         """Shaw relatedness of customers u and v at [u - 1][v - 1], as nested
@@ -186,6 +216,11 @@ class _Context:
 
 def _route_load(nodes: list[int], inst: Instance) -> int:
     return sum(inst.demand_of(u) for u in nodes[1:-1])
+
+
+def _route_lengths(nodes, d):
+    """Edge lengths of the route over `nodes`, from plain distance rows."""
+    return [d[i][j] for i, j in zip(nodes, nodes[1:])]
 
 
 def _detour(nodes: list[int], pos: int, d: list[list[float]]) -> float:
@@ -551,7 +586,7 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
 
 
 def _min_charge_cardinality(nodes, ctx):
-    card = bdp.min_charge_count(Route(0, nodes), ctx.inst)
+    card = bdp.min_charge_count(Route(0, nodes), ctx.inst, _route_lengths(nodes, ctx.d))
     return math.inf if card is None else card
 
 
@@ -564,35 +599,42 @@ def _charge_insertion(routes, removed, ctx, rng):
 
     Options rank by (increase, keep_existing, delta, r_idx, pos). Every
     option with increase 0 has keep_existing 2, so the first one in
-    (delta, r_idx, pos) order wins outright: options are priced in that
-    order up to it, and all of them are ranked only when each one adds
-    charging.
+    (delta, r_idx, pos) order wins outright: the cheapest option is priced
+    first, the others are sorted and priced in that order only when it adds
+    charging, up to the first that adds none, and all of them are ranked
+    only when each one adds charging.
     """
     inst = ctx.inst
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
     edges = {}
     base_card = [_min_charge_cardinality(nodes, ctx) for nodes in routes]
+
+    def priced(u, option):
+        delta, r_idx, pos = option
+        fresh = r_idx == len(routes)
+        if fresh:
+            nodes = [0, u, inst.depot_end]
+            before = 0.0
+        else:
+            nodes = routes[r_idx][:pos] + [u] + routes[r_idx][pos:]
+            before = base_card[r_idx]
+        after = _min_charge_cardinality(nodes, ctx)
+        increase = max(0.0, after - before) if after != math.inf else math.inf
+        keep_existing = 1 if (increase > 0 and fresh) else 2
+        return increase, keep_existing, delta, r_idx, pos, after
+
     for u in removed:
         options = _insertion_options(routes, loads, edges, u, ctx)
         if not options:
             return None
-        options.sort()
-        ranked = []
-        for delta, r_idx, pos in options:
-            fresh = r_idx == len(routes)
-            if fresh:
-                nodes = [0, u, inst.depot_end]
-                before = 0.0
-            else:
-                nodes = routes[r_idx][:pos] + [u] + routes[r_idx][pos:]
-                before = base_card[r_idx]
-            after = _min_charge_cardinality(nodes, ctx)
-            increase = max(0.0, after - before) if after != math.inf else math.inf
-            keep_existing = 1 if (increase > 0 and fresh) else 2
-            ranked.append((increase, keep_existing, delta, r_idx, pos, after))
-            if increase == 0:
-                break
+        ranked = [priced(u, min(options))]
+        if ranked[0][0] != 0:
+            options.sort()
+            for option in options[1:]:
+                ranked.append(priced(u, option))
+                if ranked[-1][0] == 0:
+                    break
         increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
@@ -649,13 +691,14 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     # customers of every row by distance; a stable sort breaks ties by index
     nearest = (np.argsort(inst.dist[:inst.n + 1, 1:inst.n + 1], axis=1, kind="stable")
                + 1).tolist()
+    d = inst.dist.tolist()
     unserved = set(inst.customers)
     routes: list[list[int]] = []
     current: list[int] = [0]
     load = 0
 
     def chargeable(nodes: list[int]) -> bool:
-        return bdp.min_charge_count(Route(0, nodes), inst) is not None
+        return bdp.min_charge_count(Route(0, nodes), inst, _route_lengths(nodes, d)) is not None
 
     def battery_ok(nodes: list[int]) -> bool:
         if charge_free_gate:
@@ -663,12 +706,14 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
         return chargeable(nodes)
 
     while unserved:
-        last = current[-1]
-        candidates = [u for u in nearest[last] if u in unserved]
-        if len(current) == 1 and len(candidates) > 1:
-            shortlist = candidates[:3]
-            pick = shortlist.pop(int(rng.integers(len(shortlist))))
-            candidates = [pick] + [u for u in candidates if u != pick]
+        # the unserved customers by distance from the route's end, walked
+        # only as far as a placement needs
+        candidates = (u for u in nearest[current[-1]] if u in unserved)
+        if len(current) == 1:
+            shortlist = list(islice(candidates, 3))
+            if len(shortlist) > 1:
+                shortlist.insert(0, shortlist.pop(int(rng.integers(len(shortlist)))))
+            candidates = chain(shortlist, candidates)
         placed = False
         for u in candidates:
             if load + inst.demand_of(u) > inst.Q:
@@ -684,12 +729,14 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
             if len(current) == 1:
                 # nobody starts a route under the gate; give the closest
                 # serviceable customer a dedicated, possibly charged, vehicle
-                lone = next((u for u in candidates
+                order = shortlist + [u for u in nearest[0]
+                                     if u in unserved and u not in shortlist]
+                lone = next((u for u in order
                              if inst.demand_of(u) <= inst.Q
                              and chargeable([0, u, inst.depot_end])), None)
                 if lone is None:
                     raise InfeasibleInstanceError(
-                        f"customer {candidates[0]} cannot be served even by a dedicated vehicle"
+                        f"customer {order[0]} cannot be served even by a dedicated vehicle"
                     )
                 unserved.remove(lone)
                 current = [0, lone]
@@ -706,32 +753,70 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
 def _coordinate_routes(routes: list[Route], ctx: _Context):
     """Pattern enumeration plus truck coordination; None when uncoordinatable.
 
-    A candidate among the run's last `COORDINATION_MEMO_SIZE` distinct ones
-    gets its remembered outcome back; any other is coordinated afresh.
+    Every route's record is looked up once; a pattern-infeasible route makes
+    the candidate uncoordinatable. The rest is keyed in `ctx.coordinated` by
+    the routes that may charge, with their indices: a candidate whose key is
+    among the run's last `COORDINATION_MEMO_SIZE` distinct ones takes the
+    remembered truck plan and those routes' patterns, the others' only
+    pattern (which charges nothing), and its own routing cost. Any other
+    candidate is coordinated afresh.
     """
-    key = tuple(tuple(r.nodes) for r in routes)
+    inst = ctx.inst
+    records = [ctx.patterns(r.nodes) for r in routes]
+    if any(not rec.result.feasible for rec in records):
+        return None
+    key = tuple((i, tuple(r.nodes)) for i, (r, rec) in enumerate(zip(routes, records))
+                if rec.charged)
+    # summed as `routing_cost` sums it
+    total = 0.0
+    used = 0
+    for r, rec in zip(routes, records):
+        total += inst.rho_t * rec.times[-1]
+        if r.serves_customers():
+            used += 1
+    fixed = total + inst.rho_e * used
     memo = ctx.coordinated
     if key in memo:
         memo.move_to_end(key)
-        return memo[key]
-    outcome = _coordinate_afresh(routes, ctx)
+        known = memo[key]
+        if known is None:
+            return None
+        choice = [known.choice[i] if rec.charged else rec.result.patterns[0]
+                  for i, rec in enumerate(records)]
+        return coordination.CoordinationResult(choice, known.plan,
+                                               fixed + inst.rho_c * known.plan.mct_count)
+    outcome = _coordinate_afresh(routes, records, fixed, ctx)
     memo[key] = outcome
     if len(memo) > COORDINATION_MEMO_SIZE:
         memo.popitem(last=False)
     return outcome
 
 
-def _coordinate_afresh(routes: list[Route], ctx: _Context):
-    """`_coordinate_routes` without the memo.
+def _record_arcs(rec: _RouteRecord, r_idx: int, route: Route,
+                 inst: Instance) -> list[ChargingDuty]:
+    """The duties of every edge a pattern of the route charges, as route
+    r_idx; built once per record and index."""
+    if not rec.charged:
+        return []
+    arcs = rec.arcs.get(r_idx)
+    if arcs is None:
+        arcs = rec.arcs[r_idx] = route_duties(r_idx, route, rec.times, rec.charged, inst)
+    return arcs
+
+
+def _coordinate_afresh(routes: list[Route], records: list[_RouteRecord], fixed: float,
+                       ctx: _Context):
+    """`_coordinate_routes` without the memo, on feasible routes whose
+    records and routing cost `fixed` the caller has.
 
     Exhaustive coordination runs only while the combination count and the
     minimum duty count stay small; larger candidates go to the greedy
     coordinator to keep iterations cheap.
     """
     inst, cfg = ctx.inst, ctx.cfg
-    results = [ctx.patterns(r.nodes) for r in routes]
-    if any(not res.feasible for res in results):
-        return None
+    results = [rec.result for rec in records]
+    arcs = [_record_arcs(rec, i, route, inst)
+            for i, (route, rec) in enumerate(zip(routes, records))]
     combos = 1
     duties = 0
     for res in results:
@@ -742,11 +827,13 @@ def _coordinate_afresh(routes: list[Route], ctx: _Context):
             routes, results, inst,
             node_budget=cfg.assign_node_budget,
             transfer_depletes=cfg.mct_transfer_depletes,
+            fixed=fixed, arcs=arcs,
         )
     return coordination.coordinate_heuristic(
         routes, results, inst,
         max_retries=cfg.heuristic_retries,
         transfer_depletes=cfg.mct_transfer_depletes,
+        fixed=fixed, arcs=arcs,
     )
 
 

@@ -312,6 +312,39 @@ class TestEnumerate:
         assert min_charge_count(route, inst) == 3
 
 
+class TestEdgeLengths:
+    """Passing a route's edge lengths as plain floats changes nothing."""
+
+    @staticmethod
+    def assert_same_with_lengths(inst, route):
+        d = inst.dist.tolist()
+        lengths = [d[i][j] for i, j in route.edges()]
+        for max_edges in (0, 3, 20):
+            assert (enumerate_patterns(route, inst, max_edges=max_edges, lengths=lengths)
+                    == enumerate_patterns(route, inst, max_edges=max_edges))
+        assert min_charge_count(route, inst, lengths) == min_charge_count(route, inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(costs=st.lists(st.integers(1, 30), min_size=1, max_size=10),
+           gamma=st.sampled_from([0.5, 1.0, 2.0, 3.0]), frac=st.floats(0.05, 1.2))
+    def test_integer_lengths(self, costs, gamma, frac):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # gamma <= rho_t warns
+            inst, route = edge_instance(costs, P=frac * sum(costs), gamma=gamma)
+        self.assert_same_with_lengths(inst, route)
+
+    @settings(max_examples=150, deadline=None)
+    @given(costs=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=10),
+           gamma=st.sampled_from([1.5, 2.0, 3.0]),
+           frac=st.floats(0.05, 1.2), rho_t=st.floats(0.3, 1.4))
+    def test_float_lengths(self, costs, gamma, frac, rho_t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst, route = edge_instance(costs, P=frac * rho_t * sum(costs),
+                                        gamma=gamma, rho_t=rho_t)
+        self.assert_same_with_lengths(inst, route)
+
+
 class TestBruteForce:
     def test_agrees_with_sweep_and_classification(self):
         assert_sweep_matches_brute_force(seed=44, m_hi=10)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from wmcevrp.coordination import (
     assemble_solution,
     coordinate_exact,
     coordinate_heuristic,
-    duties_from_choice,
     mct_lower_bound,
     summary_line,
 )
@@ -32,6 +32,16 @@ from wmcevrp.model import (
 )
 
 from conftest import build_instance
+
+
+def duties_from_choice(routes, choice, inst):
+    """The duties of one pattern per route, in `duty_order`."""
+    duties = []
+    for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
+        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst),
+                               pattern.mask, inst)
+    duties.sort(key=duty_order)
+    return duties
 
 
 def chains_feasible(duties, assign, inst):
@@ -519,6 +529,161 @@ class TestExactAgainstBruteForce:
         assert (None if found is None else found[0]) == expect
         if found is not None:
             assert chains_feasible(duties, found[1], inst)
+
+
+# ---------------------------------------------------------------------------
+# the assignments against the truck arithmetic that summed every deadhead
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RefTruck:
+    position: int
+    ready: float
+    battery: float
+    deadhead: float
+    closed: bool
+
+
+def ref_try_serve(state, duty, inst, transfer_depletes):
+    if state.closed:
+        return None
+    leg = float(inst.dist[state.position, duty.tail])
+    if state.ready + leg > duty.start + EPS:
+        return None
+    battery = state.battery - inst.phi * (leg + duty.distance)
+    if transfer_depletes:
+        battery -= duty.transfer
+    if battery < -EPS:
+        return None
+    if state.battery - inst.phi * leg < duty.transfer - EPS:
+        return None
+    return RefTruck(duty.head, duty.end, battery, state.deadhead + leg,
+                    duty.head == inst.depot_end)
+
+
+def ref_return_leg(state, inst):
+    if state.closed:
+        return 0.0
+    leg = float(inst.dist[state.position, inst.depot_end])
+    if state.battery - inst.phi * leg < -EPS:
+        return None
+    return leg
+
+
+def ref_assign_exact(duties, inst, max_mct, transfer_depletes, node_budget, floor):
+    """`_assign_exact` as it was when every truck state carried its deadhead."""
+    if not duties:
+        return (0, []), True
+    if floor > max_mct:
+        return None, True
+    beat, found, nodes, exhausted = [max_mct + 1], [None], [0], [False]
+    assignment = [0] * len(duties)
+    fresh = RefTruck(0, 0.0, inst.B, 0.0, False)
+
+    def rec(idx, trucks):
+        if exhausted[0] or beat[0] == floor or len(trucks) >= beat[0]:
+            return
+        nodes[0] += 1
+        if nodes[0] > node_budget:
+            exhausted[0] = True
+            return
+        if idx == len(duties):
+            if all(ref_return_leg(t, inst) is not None for t in trucks):
+                beat[0] = len(trucks)
+                found[0] = (len(trucks), list(assignment))
+            return
+        duty = duties[idx]
+        for t_idx, state in enumerate(trucks):
+            nxt = ref_try_serve(state, duty, inst, transfer_depletes)
+            if nxt is None:
+                continue
+            trucks[t_idx] = nxt
+            assignment[idx] = t_idx
+            rec(idx + 1, trucks)
+            trucks[t_idx] = state
+        if len(trucks) < beat[0] - 1:
+            nxt = ref_try_serve(fresh, duty, inst, transfer_depletes)
+            if nxt is not None:
+                trucks.append(nxt)
+                assignment[idx] = len(trucks) - 1
+                rec(idx + 1, trucks)
+                trucks.pop()
+
+    rec(0, [])
+    if exhausted[0] and found[0] is None:
+        greedy, _ = ref_assign_greedy(duties, inst, max_mct, transfer_depletes)
+        if greedy is not None:
+            found[0] = (max(greedy) + 1, greedy)
+    return found[0], not exhausted[0]
+
+
+def ref_assign_greedy(duties, inst, max_mct, transfer_depletes):
+    """`_assign_greedy` as it was when every truck state carried its deadhead."""
+    trucks, assignment = [], []
+    for duty in duties:
+        options = []
+        for t_idx, state in enumerate(trucks):
+            nxt = ref_try_serve(state, duty, inst, transfer_depletes)
+            if nxt is None or ref_return_leg(nxt, inst) is None:
+                continue
+            options.append((nxt.deadhead - state.deadhead, t_idx, nxt))
+        if len(trucks) < max_mct:
+            nxt = ref_try_serve(RefTruck(0, 0.0, inst.B, 0.0, False), duty, inst,
+                                transfer_depletes)
+            if nxt is not None and ref_return_leg(nxt, inst) is not None:
+                options.append((inst.rho_c + nxt.deadhead, len(trucks), nxt))
+        if not options:
+            return None, duty.mtev
+        _, t_idx, nxt = min(options, key=lambda o: (o[0], o[1]))
+        if t_idx == len(trucks):
+            trucks.append(nxt)
+        else:
+            trucks[t_idx] = nxt
+        assignment.append(t_idx)
+    if any(ref_return_leg(t, inst) is None for t in trucks):
+        return None, duties[0].mtev
+    return assignment, None
+
+
+class TestAssignmentsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), top=st.sampled_from([3, 0]),
+           B=st.sampled_from([10.0, 40.0, 2500.0, 20000.0]), max_mct=st.integers(0, 4),
+           node_budget=st.sampled_from([2, 30, 10**5]), transfer_depletes=st.booleans(),
+           count=st.integers(0, 9))
+    def test_same_assignments(self, seed, n, top, B, max_mct, node_budget,
+                              transfer_depletes, count):
+        """Generated duty lists on tied integer distances (top 3, where
+        deadhead ranks tie) or generated float ones (top 0); some duties
+        end at the return depot, and small batteries and node budgets reach
+        every failure and the greedy fallback."""
+        rng = np.random.default_rng(seed)
+        if top:
+            core = rng.integers(1, top + 1, size=(n + 1, n + 1))
+            inst = build_instance(core, [1] * n, B=B, max_mct=max_mct)
+            horizon = 4 * top
+        else:
+            inst = generate_instance(n, seed=seed % 10**6, B=B * 50, max_mct=max_mct)
+            horizon = 4000
+        duties = []
+        for k in range(count):
+            tail = int(rng.integers(0, n + 1))
+            head = int(rng.integers(1, n + 2))
+            if head == tail:
+                continue
+            start = float(rng.integers(0, horizon))
+            c = float(inst.dist[tail, head])
+            duties.append(ChargingDuty(mtev=k % 3, edge=k, tail=tail, head=head,
+                                       start=start, end=start + c,
+                                       distance=c, transfer=inst.gamma * c))
+        duties.sort(key=duty_order)
+        assert (coordination._assign_greedy(duties, inst, max_mct, transfer_depletes)
+                == ref_assign_greedy(duties, inst, max_mct, transfer_depletes))
+        floor = mct_lower_bound(duties)
+        assert (coordination._assign_exact(duties, inst, max_mct, transfer_depletes,
+                                           node_budget, floor)
+                == ref_assign_exact(duties, inst, max_mct, transfer_depletes,
+                                    node_budget, floor))
 
 
 class TestCoordinateHeuristic:

@@ -16,6 +16,8 @@ from wmcevrp.model import (
     Solution,
     check_feasibility,
     make_route,
+    mtev_arrival_times,
+    route_duties,
 )
 from wmcevrp.oracle import solve_exact
 
@@ -557,9 +559,11 @@ class TestLazyPricing:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
            top=st.integers(1, 6), P=st.sampled_from([4.0, 8.0, 15.0, 100.0]),
-           Q=st.sampled_from([3.0, 5.0, 10.0]), rng_start=st.integers(0, 10**6))
-    def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start):
-        inst = tied_instance(n, seed, top, P, Q)
+           Q=st.sampled_from([3.0, 5.0, 10.0]), rng_start=st.integers(0, 10**6),
+           cap=st.integers(1, 25))
+    def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start, cap):
+        # a vehicle cap below n makes some constructions run out of vehicles
+        inst = dataclasses.replace(tied_instance(n, seed, top, P, Q), max_mtev=min(cap, n))
         for charge_free in (True, False):
             rng_seed = gate_seed(charge_free, rng_start)
             ref_rng, rng = rng_at(rng_seed), rng_at(rng_seed)
@@ -915,22 +919,61 @@ def outcome_summary(out):
             [(d.mtev, d.edge) for d in plan.duties], [r.nodes for r in plan.mct_routes])
 
 
+def may_charge(nodes, inst, cfg):
+    """Whether a route is not trivially charge-free: it has more than one
+    pattern, one that charges, or none at all."""
+    res = bdp.enumerate_patterns(Route(0, list(nodes)), inst, max_edges=cfg.bdp_max_edges)
+    return len(res.patterns) != 1 or res.patterns[0].mask != 0
+
+
+def charge_free_variant(cand, inst, cfg, rng):
+    """`cand` with only routes that never charge changed: those routes
+    permuted among their own positions, one of them reversed, or its last
+    customer moved to a new route at the end. None when no route of `cand`
+    is charge-free."""
+    free = [i for i, nodes in enumerate(cand) if not may_charge(nodes, inst, cfg)]
+    if not free:
+        return None
+    out = [list(nodes) for nodes in cand]
+    move = int(rng.integers(3))
+    if move == 0:
+        for src, dst in zip(free, rng.permutation(free)):
+            out[int(dst)] = list(cand[src])
+    else:
+        nodes = out[free[int(rng.integers(len(free)))]]
+        if move == 1:
+            nodes[1:-1] = nodes[-2:0:-1]
+        elif len(nodes) > 3:
+            out.append([0, nodes.pop(-2), inst.depot_end])
+    return out
+
+
 def candidate_sequence(inst, cfg, seed, steps):
-    """LNS-shaped candidates: seeded destroy/repair moves from a current
-    solution that follows some of them, mixed with exact repeats and route
-    reorderings of earlier candidates."""
+    """LNS-shaped candidates, each with how it was made: seeded
+    destroy/repair moves from a current solution that follows some of them,
+    mixed with exact repeats and route reorderings of earlier candidates,
+    and variants of the latest candidate that change, add or reorder only
+    routes that never charge."""
     rng = np.random.default_rng(seed)
     ctx = lns._Context(inst, cfg)
     current = [list(r.nodes) for r in lns.initial_solution(inst, rng).mtev_routes]
     seen = [current]
-    yield current
+    yield "initial", current
     for _ in range(steps):
         draw = rng.random()
-        if draw < 0.25:
+        made = "move"
+        if draw < 0.2:
+            made = "repeat"
             cand = seen[int(rng.integers(len(seen)))]
-        elif draw < 0.4:
+        elif draw < 0.3:
+            made = "reorder"
             base = seen[int(rng.integers(len(seen)))]
             cand = [base[i] for i in rng.permutation(len(base))]
+        elif draw < 0.5:
+            made = "charge_free"
+            cand = charge_free_variant(seen[-1], inst, cfg, rng)
+            if cand is None:
+                continue
         else:
             d_op = lns.DESTROY_OPS[int(rng.integers(len(lns.DESTROY_OPS)))]
             r_op = lns.REPAIR_OPS[int(rng.integers(len(lns.REPAIR_OPS)))]
@@ -943,7 +986,72 @@ def candidate_sequence(inst, cfg, seed, steps):
             if rng.random() < 0.5:
                 current = cand
         seen.append(cand)
-        yield cand
+        yield made, cand
+
+
+def random_partition(inst, rng):
+    """The customers in random order, cut into routes."""
+    order = [int(u) for u in rng.permutation(inst.n) + 1]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, inst.n + 1),
+                                             int(rng.integers(0, inst.n)), replace=False))
+    return [[0, *order[a:b], inst.depot_end]
+            for a, b in zip([0, *cuts], [*cuts, inst.n]) if b > a]
+
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestRouteRecords:
+    @staticmethod
+    def check_records(inst, cfg, routes):
+        """Every record holds what the model and bdp compute for its route."""
+        ctx = lns._Context(inst, cfg)
+        for r_idx, nodes in enumerate(routes):
+            route = Route(r_idx, nodes)
+            rec = ctx.patterns(nodes)
+            assert ctx.patterns(list(nodes)) is rec
+            assert rec.lengths == [float(inst.dist[i, j]) for i, j in route.edges()]
+            times = mtev_arrival_times(route, inst)
+            assert rec.times == times
+            assert rec.times[-1] == inst.route_distance(nodes)
+            res = bdp.enumerate_patterns(route, inst, max_edges=cfg.bdp_max_edges)
+            assert rec.result == res
+            union = 0
+            for p in res.patterns:
+                union |= p.mask
+            assert rec.charged == union
+            assert bool(rec.charged) == (len(res.patterns) > 1 or union != 0)
+            arcs = lns._record_arcs(rec, r_idx, route, inst)
+            assert arcs == route_duties(r_idx, route, times, union, inst)
+            if union:     # built once per record and index
+                assert lns._record_arcs(rec, r_idx, route, inst) is arcs
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+           P=st.sampled_from([300.0, 900.0, 1500.0, 15000.0]),
+           max_edges=st.sampled_from([2, SolverConfig.bdp_max_edges]))
+    def test_float_distances(self, n, seed, P, max_edges):
+        inst = generate_instance(n, seed=seed % 10**6, P=P)
+        routes = random_partition(inst, np.random.default_rng(seed))
+        self.check_records(inst, SolverConfig(bdp_max_edges=max_edges), routes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1), top=st.integers(1, 6),
+           P=st.sampled_from([4.0, 8.0, 15.0, 100.0]),
+           max_edges=st.sampled_from([2, SolverConfig.bdp_max_edges]))
+    def test_integer_distances(self, n, seed, top, P, max_edges):
+        inst = tied_instance(n, seed, top, P, 10.0)
+        routes = random_partition(inst, np.random.default_rng(seed))
+        self.check_records(inst, SolverConfig(bdp_max_edges=max_edges), routes)
+
+
+def memo_key(cand, inst, cfg):
+    """The routes of a candidate that may charge, with their indices; None
+    when some route has no feasible pattern, so that no memo is consulted."""
+    routes = [Route(i, list(nodes)) for i, nodes in enumerate(cand)]
+    if not all(bdp.enumerate_patterns(r, inst, max_edges=cfg.bdp_max_edges).feasible
+               for r in routes):
+        return None
+    return tuple((i, tuple(nodes)) for i, nodes in enumerate(cand)
+                 if may_charge(nodes, inst, cfg))
 
 
 class TestCoordinationMemo:
@@ -951,7 +1059,8 @@ class TestCoordinationMemo:
         # P and max_mct vary so that charge-free, charging and
         # uncoordinatable candidates all occur
         cfg = SolverConfig()
-        seen = {"hit": 0, "miss": 0, "none": 0, "exact": 0, "heuristic": 0}
+        seen = {"hit": 0, "miss": 0, "none": 0, "exact": 0, "heuristic": 0,
+                "charge_free_hit": 0}
         for case in range(24):
             rng = np.random.default_rng(900 + case)
             n = int(rng.integers(5, 21))
@@ -959,16 +1068,24 @@ class TestCoordinationMemo:
                                      P=float(rng.choice([700.0, 1500.0, 4000.0])),
                                      max_mct=[0, 1, 2, n][case % 4])
             ctx = lns._Context(inst, cfg)
-            for cand in candidate_sequence(inst, cfg, seed=case, steps=30):
+            last_key = None
+            for made, cand in candidate_sequence(inst, cfg, seed=case, steps=30):
                 routes = [Route(i, list(nodes)) for i, nodes in enumerate(cand)]
-                hit = tuple(map(tuple, cand)) in ctx.coordinated
+                key = memo_key(cand, inst, cfg)
+                hit = key is not None and key in ctx.coordinated
+                if made == "charge_free" and key is not None and key == last_key:
+                    # the latest candidate had the same routes that may charge
+                    assert hit
                 got = lns._coordinate_routes(routes, ctx)
                 want, kind = ref_coordinate(routes, inst, cfg)
                 assert outcome_summary(got) == outcome_summary(want)
                 assert len(ctx.coordinated) <= lns.COORDINATION_MEMO_SIZE
                 seen["hit" if hit else "miss"] += 1
+                # a hit that reuses a plan of routes that charge
+                seen["charge_free_hit"] += hit and made == "charge_free" and key != ()
                 seen[kind] += 1
                 seen["none"] += got is None
+                last_key = key
         assert all(count > 0 for count in seen.values()), seen
 
     def test_memo_stays_bounded_over_a_long_run(self, monkeypatch):
