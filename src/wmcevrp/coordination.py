@@ -1,9 +1,13 @@
-"""Charging coordination: pick one pattern per route and route the charging trucks.
+"""Charging coordination: the arcs each MTEV is charged on, and the truck
+that co-travels each of them.
 
 Routing fixes the travel-energy and MTEV acquisition terms of the objective,
 so this layer minimizes the MCT acquisition term, the truck count, and
-nothing else. The exact search is count-first: it looks only for plans with
-fewer trucks than the best so far and stops when no plan can use fewer.
+nothing else. A plan holds only the duties and the truck of each; truck
+routes are listed by `assemble_solution`, and the LNS chooses between the
+exact and the greedy coordinator in `lns._coordinate_routes`. The exact
+search is count-first: it looks only for plans with fewer trucks than the
+best so far and stops when no plan can use fewer.
 Deadhead distance carries no cost; it is neither minimized nor reported.
 The charging duty, its builder and its order come from `model`, which the
 checker shares.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bdp import BdpResult, ChargePattern
+from .bdp import BdpResult
 from .config import SolverConfig
 from .model import (
     EPS,
@@ -53,19 +57,18 @@ from .model import (
 
 @dataclass
 class CoordinationPlan:
-    duties: list[ChargingDuty]
+    duties: list[ChargingDuty]               # in `duty_order`
     assignment: list[int]                    # duty index -> MCT index
-    mct_routes: list[Route]
     certified: bool
 
     @property
     def mct_count(self) -> int:
-        return len(self.mct_routes)
+        # trucks are numbered in order of first use
+        return max(self.assignment) + 1 if self.assignment else 0
 
 
 @dataclass
 class CoordinationResult:
-    choice: list[ChargePattern]              # one pattern per MTEV route, index aligned
     plan: CoordinationPlan
     cost: float
 
@@ -212,9 +215,9 @@ def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance) -> list[list
     duties linked to every duty the option adds."""
     linked = _follow_closure(ranked, inst)
     fits = []
-    for _, options in levels:
+    for options in levels:
         row = []
-        for _, added, _ in options:
+        for added, _ in options:
             fit = -1
             while added:
                 low = added & -added
@@ -347,23 +350,6 @@ def _truck_route(duties: list[ChargingDuty], inst: Instance) -> list[int]:
     return nodes
 
 
-def _build_plan(duties: list[ChargingDuty], assignment: list[int],
-                inst: Instance, certified: bool) -> CoordinationPlan:
-    """The plan of an assignment; `duties` must be in `duty_order`, the
-    order in which each truck serves its duties."""
-    count = max(assignment) + 1 if assignment else 0
-    mct_duties: list[list[ChargingDuty]] = [[] for _ in range(count)]
-    for duty, t_idx in zip(duties, assignment):
-        mct_duties[t_idx].append(duty)
-    return CoordinationPlan(
-        duties=list(duties),
-        assignment=list(assignment),
-        mct_routes=[Route(t_idx, _truck_route(lst, inst))
-                    for t_idx, lst in enumerate(mct_duties)],
-        certified=certified,
-    )
-
-
 def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      inst: Instance, *,
                      node_budget: int = SolverConfig.assign_node_budget,
@@ -402,27 +388,24 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         fixed = routing_cost(routes, inst)
     if arcs is None:
         arcs = _charging_arcs(routes, bdp_results, inst)
-    chosen = [patterns[0] for patterns in pattern_sets]
-    # (route index, its patterns) of every route that may charge
-    branching = [(r_idx, patterns) for r_idx, patterns in enumerate(pattern_sets)
-                 if arcs[r_idx]]
-    ranked = sorted((d for r_idx, _ in branching for d in arcs[r_idx]), key=duty_order)
+    branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
+    ranked = sorted((d for r_idx in branching for d in arcs[r_idx]), key=duty_order)
     slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
              for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
-    levels = []                 # (route index, [(pattern, its duties' rank bits, cover)])
-    for r_idx, patterns in branching:
+    levels = []                 # per branching route: (its duties' rank bits, cover) per pattern
+    for r_idx in branching:
         options = []
-        for p in patterns:
+        for p in pattern_sets[r_idx]:
             added, cover = 0, 0
             for e in p.edges():
                 bit, occupied = slots[r_idx, e]
                 added |= bit
                 cover |= occupied
-            options.append((p, added, cover))
-        levels.append((r_idx, options))
-    floor = 1 if any(options[0][0].cardinality for _, options in levels) else 0
+            options.append((added, cover))
+        levels.append(options)
+    floor = 1 if any(pattern_sets[r_idx][0].mask for r_idx in branching) else 0
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
-    best: list = [None]         # (chosen patterns, duties, assignment)
+    best: list = [None]         # (duties, assignment)
     complete = [True]
     fits: list[list[int]] = []  # per level and option, once one truck is sought
 
@@ -441,10 +424,9 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
             complete[0] = complete[0] and done
             if found is not None:
                 beat[0], assignment = found
-                best[0] = (list(chosen), leaf, assignment)
+                best[0] = (leaf, assignment)
             return
-        r_idx, options = levels[level]
-        for k, (pattern, added, cover) in enumerate(options):
+        for k, (added, cover) in enumerate(levels[level]):
             if beat[0] <= floor:
                 return
             grown, grown_bound = depth, bound
@@ -458,16 +440,14 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                     fits.extend(_chain_fits(levels, ranked, inst))
                 if (selected | added) & ~fits[level][k]:
                     continue
-            chosen[r_idx] = pattern
             dfs(level + 1, selected | added, grown, grown_bound)
 
     if floor < beat[0]:
         dfs(0, 0, (), 0)
     if best[0] is None:
         return None
-    patterns, duties, assignment = best[0]
-    plan = _build_plan(duties, assignment, inst, complete[0] or beat[0] == floor)
-    return CoordinationResult(patterns, plan, fixed + inst.rho_c * beat[0])
+    plan = CoordinationPlan(*best[0], certified=complete[0] or beat[0] == floor)
+    return CoordinationResult(plan, fixed + inst.rho_c * beat[0])
 
 
 def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
@@ -500,13 +480,12 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
 
     per_route = [chosen_duties(r) for r in range(len(routes))]
     for _ in range(max_retries + 1):
-        choice = [ordered[r][idx[r]] for r in range(len(routes))]
         duties = sorted((d for lst in per_route for d in lst), key=duty_order)
         assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
-            plan = _build_plan(duties, assignment, inst, certified=False)
-            return CoordinationResult(choice, plan, fixed + inst.rho_c * plan.mct_count)
+            plan = CoordinationPlan(duties, assignment, certified=False)
+            return CoordinationResult(plan, fixed + inst.rho_c * plan.mct_count)
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None
         idx[failed_route] += 1
@@ -517,10 +496,14 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
 def assemble_solution(routes: list[Route], result: CoordinationResult,
                       inst: Instance, transfer_depletes: bool = True) -> Solution:
     """Full solution from MTEV routes plus a coordination result."""
+    plan = result.plan
     sol = Solution.from_routes(routes)
-    for d_idx, duty in enumerate(result.plan.duties):
-        sol.charge_assign[duty.mtev][duty.edge] = result.plan.assignment[d_idx]
-    sol.mct_routes = [r.copy() for r in result.plan.mct_routes]
+    per_mct: list[list[ChargingDuty]] = [[] for _ in range(plan.mct_count)]
+    for duty, t_idx in zip(plan.duties, plan.assignment):
+        sol.charge_assign[duty.mtev][duty.edge] = t_idx
+        per_mct[t_idx].append(duty)
+    sol.mct_routes = [Route(t_idx, _truck_route(duties, inst))
+                      for t_idx, duties in enumerate(per_mct)]
     return finalize_solution(sol, inst, transfer_depletes)
 
 

@@ -65,9 +65,9 @@ class OperatorStats:
 
     names: tuple[str, ...]
     weights: np.ndarray = None
-    scores: np.ndarray = None
-    uses: np.ndarray = None
-    total_uses: np.ndarray = None
+    scores: np.ndarray = field(init=False)
+    uses: np.ndarray = field(init=False)
+    total_uses: np.ndarray = field(init=False)
     _cdf: list[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -140,7 +140,6 @@ class RunResult:
 class _RouteRecord:
     """What a run computes once about one distinct route."""
 
-    lengths: list[float]         # edge lengths, read from `_Context.d`
     times: list[float]           # arrival times; the last is `Instance.route_distance`
     result: bdp.BdpResult
     charged: int                 # `result.charged()`: 0 when the route never charges
@@ -156,20 +155,20 @@ class _Context:
     numpy scalar and gives the same IEEE arithmetic.
 
     `patterns` keeps one `_RouteRecord` per distinct node list, for the
-    first `ROUTE_RECORDS` of them: its edge lengths, its arrival times
-    summed edge by edge as `Instance.route_distance` sums them, its
-    patterns, and per route index the duties of every edge a pattern
-    charges, built when first needed.
+    first `ROUTE_RECORDS` of them: its arrival times, summed edge by edge
+    from `d` as `Instance.route_distance` sums them, its patterns, the mask
+    of the edges some pattern charges, and per route index the duties of
+    those edges, built when first needed.
 
     `coordinated` maps the last `COORDINATION_MEMO_SIZE` distinct keys of
-    `_coordinate_routes` to their outcome, least recently used first. A key
-    lists the routes that may charge, each with its index. Within one run
-    the truck count, the plan and the patterns of those routes depend on the
+    `_coordinate_routes` to their plan, or None when the key's routes are
+    uncoordinatable, least recently used first. A key lists the routes that
+    may charge, each with its index. Within one run the plan depends on the
     key alone: `inst` and `cfg` are fixed, patterns are deterministic,
     coordination draws no random numbers, and a route that never charges
     adds no duty, no search level and no factor to the exact gate. The
-    index is part of the key because duty tie-breaks use it. Outcomes and
-    their plans are shared, so nothing may mutate one.
+    index is part of the key because duty tie-breaks use it. Plans are
+    shared, so nothing may mutate one.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -178,7 +177,7 @@ class _Context:
         self.d = inst.dist.tolist()
         self._records: dict[tuple[int, ...], _RouteRecord] = {}
         self.coordinated: OrderedDict[tuple[tuple[int, tuple[int, ...]], ...],
-                                      coordination.CoordinationResult | None] = OrderedDict()
+                                      coordination.CoordinationPlan | None] = OrderedDict()
         self._relatedness = None
 
     def patterns(self, nodes: list[int]) -> _RouteRecord:
@@ -190,7 +189,7 @@ class _Context:
             lengths = _route_lengths(key, self.d)
             result = bdp.enumerate_patterns(Route(0, list(nodes)), self.inst,
                                             max_edges=self.cfg.bdp_max_edges, lengths=lengths)
-            rec = _RouteRecord(lengths, list(accumulate(lengths, initial=0.0)), result,
+            rec = _RouteRecord(list(accumulate(lengths, initial=0.0)), result,
                                result.charged(), {})
             if len(self._records) < ROUTE_RECORDS:
                 self._records[key] = rec
@@ -685,8 +684,11 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     gate and seeds make independent runs explore both charge-heavy and
     charge-light basins; repair operators merge routes far more readily
     than they split them, so some runs must start on the split side.
-    Raises when even a dedicated vehicle cannot serve someone.
+    Raises when even a dedicated vehicle cannot serve someone, or when
+    there are customers and no vehicle.
     """
+    if inst.n and inst.max_mtev < 1:
+        raise InfeasibleInstanceError("no MTEV may be deployed but there are customers")
     charge_free_gate = rng.random() < 0.5
     # customers of every row by distance; a stable sort breaks ties by index
     nearest = (np.argsort(inst.dist[:inst.n + 1, 1:inst.n + 1], axis=1, kind="stable")
@@ -754,14 +756,15 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
     """Pattern enumeration plus truck coordination; None when uncoordinatable.
 
     Every route's record is looked up once; a pattern-infeasible route makes
-    the candidate uncoordinatable. The rest is keyed in `ctx.coordinated` by
+    the candidate uncoordinatable. The plan is keyed in `ctx.coordinated` by
     the routes that may charge, with their indices: a candidate whose key is
     among the run's last `COORDINATION_MEMO_SIZE` distinct ones takes the
-    remembered truck plan and those routes' patterns, the others' only
-    pattern (which charges nothing), and its own routing cost. Any other
-    candidate is coordinated afresh.
+    remembered plan. Any other candidate is coordinated afresh from its
+    records, exhaustively while the combination count and the minimum duty
+    count stay small, greedily otherwise to keep iterations cheap. The cost
+    is the candidate's own routing cost plus the plan's trucks.
     """
-    inst = ctx.inst
+    inst, cfg = ctx.inst, ctx.cfg
     records = [ctx.patterns(r.nodes) for r in routes]
     if any(not rec.result.feasible for rec in records):
         return None
@@ -778,18 +781,27 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
     memo = ctx.coordinated
     if key in memo:
         memo.move_to_end(key)
-        known = memo[key]
-        if known is None:
-            return None
-        choice = [known.choice[i] if rec.charged else rec.result.patterns[0]
-                  for i, rec in enumerate(records)]
-        return coordination.CoordinationResult(choice, known.plan,
-                                               fixed + inst.rho_c * known.plan.mct_count)
-    outcome = _coordinate_afresh(routes, records, fixed, ctx)
-    memo[key] = outcome
-    if len(memo) > COORDINATION_MEMO_SIZE:
-        memo.popitem(last=False)
-    return outcome
+        plan = memo[key]
+    else:
+        results = [rec.result for rec in records]
+        arcs = [_record_arcs(rec, i, route, inst)
+                for i, (route, rec) in enumerate(zip(routes, records))]
+        combos = math.prod(len(res.patterns) for res in results)
+        duties = sum(res.min_cardinality() for res in results)
+        if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
+            outcome = coordination.coordinate_exact(
+                routes, results, inst, node_budget=cfg.assign_node_budget,
+                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs)
+        else:
+            outcome = coordination.coordinate_heuristic(
+                routes, results, inst, max_retries=cfg.heuristic_retries,
+                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs)
+        plan = memo[key] = outcome.plan if outcome is not None else None
+        if len(memo) > COORDINATION_MEMO_SIZE:
+            memo.popitem(last=False)
+    if plan is None:
+        return None
+    return coordination.CoordinationResult(plan, fixed + inst.rho_c * plan.mct_count)
 
 
 def _record_arcs(rec: _RouteRecord, r_idx: int, route: Route,
@@ -804,45 +816,12 @@ def _record_arcs(rec: _RouteRecord, r_idx: int, route: Route,
     return arcs
 
 
-def _coordinate_afresh(routes: list[Route], records: list[_RouteRecord], fixed: float,
-                       ctx: _Context):
-    """`_coordinate_routes` without the memo, on feasible routes whose
-    records and routing cost `fixed` the caller has.
-
-    Exhaustive coordination runs only while the combination count and the
-    minimum duty count stay small; larger candidates go to the greedy
-    coordinator to keep iterations cheap.
-    """
-    inst, cfg = ctx.inst, ctx.cfg
-    results = [rec.result for rec in records]
-    arcs = [_record_arcs(rec, i, route, inst)
-            for i, (route, rec) in enumerate(zip(routes, records))]
-    combos = 1
-    duties = 0
-    for res in results:
-        combos *= len(res.patterns)
-        duties += res.min_cardinality()
-    if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
-        return coordination.coordinate_exact(
-            routes, results, inst,
-            node_budget=cfg.assign_node_budget,
-            transfer_depletes=cfg.mct_transfer_depletes,
-            fixed=fixed, arcs=arcs,
-        )
-    return coordination.coordinate_heuristic(
-        routes, results, inst,
-        max_retries=cfg.heuristic_retries,
-        transfer_depletes=cfg.mct_transfer_depletes,
-        fixed=fixed, arcs=arcs,
-    )
-
-
 def run(inst: Instance, config: SolverConfig | None = None,
-        rng: np.random.Generator | None = None, seed: int | None = None) -> RunResult:
+        rng: np.random.Generator | None = None) -> RunResult:
     """Full hybrid search; returns the best coordinated solution found."""
     cfg = config or SolverConfig()
     if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed or 0))
+        rng = np.random.default_rng(0)
     started = time.perf_counter()
     ctx = _Context(inst, cfg)
 

@@ -765,4 +765,12 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
         if list(sol.used_mct) != derived:
             out.append(Violation("usage", "", "MCT usage flags disagree with routes"))
 
+    # fleet caps on the deployed vehicles, counted as `evaluate_cost` counts them
+    for fleet, routes, cap in (("MTEV", sol.mtev_routes, inst.max_mtev),
+                               ("MCT", sol.mct_routes, inst.max_mct)):
+        deployed = sum(r.serves_customers() for r in routes)
+        if deployed > cap:
+            out.append(Violation("usage", "", f"{deployed} {fleet}s deployed, cap {cap}",
+                                 deployed - cap))
+
     return FeasibilityReport(out)

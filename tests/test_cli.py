@@ -61,6 +61,14 @@ class TestSolve:
         inst.save(path)
         assert run_cli("solve", "--instance", path, "--iters", 5) == 2
 
+    def test_no_vehicle_for_customers_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "nofleet.json"
+        assert run_cli("gen", "--n", 3, "--seed", 1, "--P", 15000, "--max-mtev", 0,
+                       "--out", path) == 0
+        assert run_cli("solve", "--instance", path, "--iters", 5) == 2
+        assert capsys.readouterr().err.startswith("infeasible: ")
+        assert run_cli("oracle", "--instance", path) == 2
+
     def test_no_solution_exit_code(self, tmp_path):
         # the one customer needs in-motion charging but trucks are banned
         inst = build_instance([[0, 900], [0, 0]], [1], P=1000.0, max_mct=0)

@@ -21,7 +21,6 @@ from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     EPS,
     ChargingDuty,
-    Route,
     _duties_per_mct,
     check_feasibility,
     duty_order,
@@ -42,6 +41,15 @@ def duties_from_choice(routes, choice, inst):
                                pattern.mask, inst)
     duties.sort(key=duty_order)
     return duties
+
+
+def plan_masks(plan, route_count):
+    """Per route, the mask of the edges its duties in the plan charge: the
+    pattern coordination chose for it."""
+    masks = [0] * route_count
+    for d in plan.duties:
+        masks[d.mtev] |= 1 << d.edge
+    return masks
 
 
 def chains_feasible(duties, assign, inst):
@@ -261,7 +269,7 @@ def check_against_reference(routes, results, inst, node_budget, transfer_deplete
         assert out is None
         return len(removed)
     masks, duties, assignment, certified = expect
-    assert [p.mask for p in out.choice] == masks
+    assert plan_masks(out.plan, len(routes)) == masks
     assert out.plan.duties == duties
     assert out.plan.assignment == assignment
     if out.plan.certified != certified:
@@ -332,7 +340,7 @@ class TestCoordinateExact:
         results = [bdp.enumerate_patterns(r, inst) for r in routes]
         out = coordinate_exact(routes, results, inst)
         assert out.plan.mct_count == 0
-        assert out.plan.mct_routes == []
+        assert assemble_solution(routes, out, inst).mct_routes == []
         assert out.cost == pytest.approx(5 + 5 + 5 + 5 + 2 * 100)
         assert out.plan.certified
 
@@ -350,11 +358,10 @@ class TestCoordinateExact:
         inst, route = chainable_two_duty_case()
         results = [bdp.enumerate_patterns(route, inst)]
         out = coordinate_exact([route], results, inst)
-        assert len(out.choice) == 1
-        assert out.choice[0].mask in results[0].masks()
-        # selected duties are exactly the set bits of the chosen pattern
-        chosen = out.choice[0]
-        assert {d.edge for d in out.plan.duties} == set(chosen.edges())
+        # the duties charge each edge at most once, and exactly the set bits
+        # of one of the route's patterns
+        assert len({d.edge for d in out.plan.duties}) == len(out.plan.duties)
+        assert plan_masks(out.plan, 1)[0] in results[0].masks()
 
     def test_infeasible_when_no_pattern_set(self):
         inst, route = chainable_two_duty_case()
@@ -399,7 +406,7 @@ class TestCoordinateExact:
         assert out.plan.mct_count == 0
         assert out.plan.duties == [] and out.plan.assignment == []
         assert out.plan.certified
-        assert [p.mask for p in out.choice] == [0, 0, 0]
+        assert plan_masks(out.plan, 3) == [0, 0, 0]
         assert out.cost == routing_cost(routes, inst)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -418,7 +425,8 @@ class TestCoordinateExact:
         assert results[free].patterns == [bdp.ChargePattern(0, 2)]
         out = coordinate_exact(routes, results, inst)
         assert timed == [routes[1 - free].nodes]
-        assert out.choice[free].mask == 0
+        masks = plan_masks(out.plan, 2)
+        assert masks[free] == 0 and masks[1 - free] in results[1 - free].masks()
         assert out.plan.mct_count == 1 and out.plan.certified
         assert {d.mtev for d in out.plan.duties} == {1 - free}
         assert leaves and all(d.mtev == 1 - free for duties in leaves for d in duties)
@@ -494,16 +502,22 @@ class TestExactAgainstBruteForce:
         assert compared >= 80
 
     def test_choice_names_the_plan_duties(self):
-        # the chosen patterns are the ones whose duties the plan serves
-        branched = 0
+        # exact and heuristic plans alike serve, per route, the duties of one
+        # of its patterns, and those of no other edge
+        branched = {coordinate_exact: 0, coordinate_heuristic: 0}
         for inst, routes, results in generated_shells(150, 4100):
-            for coordinate in (coordinate_exact, coordinate_heuristic):
+            for coordinate in branched:
                 out = coordinate(routes, results, inst)
                 if out is None:
                     continue
-                assert out.plan.duties == duties_from_choice(routes, out.choice, inst)
-                branched += any(p != res.patterns[0] for p, res in zip(out.choice, results))
-        assert branched > 0
+                masks = plan_masks(out.plan, len(routes))
+                assert all(m in res.masks() for m, res in zip(masks, results))
+                choice = [next(p for p in res.patterns if p.mask == m)
+                          for m, res in zip(masks, results)]
+                assert out.plan.duties == duties_from_choice(routes, choice, inst)
+                branched[coordinate] += any(p != res.patterns[0]
+                                            for p, res in zip(choice, results))
+        assert branched[coordinate_exact] > 0
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 50), B=st.sampled_from([2500.0, 6000.0, 20000.0]),
@@ -697,7 +711,8 @@ class TestCoordinateHeuristic:
         assert out.plan.mct_count == 1
         duty = out.plan.duties[0]
         assert duty.tail == 0           # the truck starts at the tail: no deadhead node
-        assert out.plan.mct_routes[0].nodes == [0, duty.head, inst.depot_end]
+        sol = assemble_solution([route], out, inst)
+        assert [r.nodes for r in sol.mct_routes] == [[0, duty.head, inst.depot_end]]
 
     def test_zero_cardinality_matches_exact(self):
         inst = build_instance([[0, 5, 5], [0, 0, 5], [0, 0, 0]], [1, 1], P=1000.0)
@@ -762,13 +777,9 @@ class TestValidateSync:
                             start=times[2], end=times[3],
                             distance=float(inst.dist[2, inst.depot_end]),
                             transfer=inst.gamma * float(inst.dist[2, inst.depot_end]))
-        plan = CoordinationPlan(
-            duties=[duty], assignment=[0],
-            mct_routes=[Route(0, [0, 2, inst.depot_end])],
-            certified=False,
-        )
-        fake = CoordinationResult([bdp.ChargePattern(4, 3)], plan, 0.0)
-        sol = assemble_solution([route], fake, inst)
+        plan = CoordinationPlan(duties=[duty], assignment=[0], certified=False)
+        sol = assemble_solution([route], CoordinationResult(plan, 0.0), inst)
+        assert [r.nodes for r in sol.mct_routes] == [[0, 2, inst.depot_end]]
         return inst, sol
 
     def test_late_truck_reported(self):
@@ -816,8 +827,9 @@ class TestPlanJsonTrace:
         pattern = bdp.ChargePattern.from_bitstring("1010")
         results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [pattern])]
         out = coordinate_heuristic([route], results, inst)
-        assert out.plan.mct_routes[0].nodes == [0, 1, 2, 3, inst.depot_end]
-        assert check_feasibility(assemble_solution([route], out, inst), inst).passed
+        sol = assemble_solution([route], out, inst)
+        assert [r.nodes for r in sol.mct_routes] == [[0, 1, 2, 3, inst.depot_end]]
+        assert check_feasibility(sol, inst).passed
 
 
 def test_summary_line_format():

@@ -443,6 +443,20 @@ class TestCheckFeasibility:
         sol.used_mtev = [False]
         assert "usage" in check_feasibility(sol, one_customer).families()
 
+    def test_fleet_caps_checked(self):
+        # six single-customer routes need no charging at this P, and two
+        # idle trucks drive through a customer without a duty; each fleet
+        # is over its cap by the excess of deployed vehicles
+        inst = generate_instance(6, seed=1, P=15000.0, max_mtev=2, max_mct=1)
+        sol = Solution.from_routes([make_route(u - 1, [u], inst) for u in inst.customers])
+        sol.mct_routes = [make_route(t, [1], inst) for t in range(2)]
+        sol.mct_routes.append(Route(2, [0, inst.depot_end]))     # not deployed
+        report = check_feasibility(finalize_solution(sol, inst), inst)
+        assert report.families() == {"usage"}
+        assert sorted(v.magnitude for v in report.violations) == [1, 4]
+        inst.max_mtev, inst.max_mct = 6, 2
+        assert check_feasibility(finalize_solution(sol, inst), inst).passed
+
 
 class TestCheckerTotality:
     """Malformed solutions yield findings, never exceptions."""
