@@ -6,12 +6,20 @@ antichain of feasible patterns (no retained pattern is a superset of another)
 in the order coordination branches over them: by cardinality, then mask
 value. A caller that needs a pattern's battery levels replays it with
 `model.route_energy_profile`.
+
+`min_charge_count` is a polynomial DP over charge counts. `CountTables`
+keeps its levels (forward) and what finishing the route needs (backward), so
+that inserting a customer is priced by joining the two; within `margin` of a
+tie, where rounding could set the join and the DP apart, the DP decides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from operator import add, sub
 
 import numpy as np
 
@@ -323,14 +331,180 @@ def min_charge_count(route: Route, inst: Instance,
     need the patterns themselves still enumerate. ``lengths`` is as in
     ``enumerate_patterns``.
     """
-    cons, gain = _edge_consumption(route, inst, lengths)
-    cls = _screen(cons, gain, inst.P)
+    return _min_count(*_edge_consumption(route, inst, lengths), inst.P)
+
+
+def _min_count(cons, gain, P: float) -> int | None:
+    cls = _screen(cons, gain, P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
         return 0
     if cls is RouteClass.INFEASIBLE:
         return None
-    found = _min_count_sweep(cons, gain, _suffix_sums(cons), inst.P)
+    found = _min_count_sweep(cons, gain, _suffix_sums(cons), P)
     return None if found is None else found[0]
+
+
+# Each level, need or requirement of a route of m edges takes at most 4m
+# roundings, each off by at most 2^-53 of a value bounded by
+# S = P + (rho_t + gamma) * (route length). Below 2^20 edges it is thus within
+# 2^-31 * S of its exact value, and a comparison whose exact sides differ by
+# more than 2^-30 * S comes out alike in every float evaluation: in the DP, in
+# `_screen`, in the tables and in the construction's gate.
+ROUNDING = 2.0 ** -30
+
+
+def margin(inst: Instance, length: float) -> float:
+    """Half-width of the band around a battery decision on a route of total
+    length ``length`` inside which float rounding may decide it either way."""
+    return ROUNDING * (inst.P + (inst.rho_t + inst.gamma) * length)
+
+
+def _step(base: float, below: float, ce: float, ge: float, P: float, tol: float) -> float:
+    """Highest level after one edge with k charges, from the highest levels
+    before it with k (``base``) and k - 1 (``below``) charges, by the float
+    operations of `_min_count_sweep`. A dead level is -inf, or its negative
+    value when within ``tol`` of 0: one that rounding may have killed."""
+    best = -math.inf
+    if base >= 0.0:
+        best = base - ce
+    if below >= 0.0:
+        child = below - ce + ge
+        if child > P:
+            child = P
+        if child > best:
+            best = child
+    return best if best >= -tol else -math.inf
+
+
+class CountTables:
+    """`min_charge_count` of a route and of the route with a customer
+    inserted on any edge, by forward/backward route concatenation (Vidal,
+    Crainic, Gendreau & Prins, EJOR 2014).
+
+    ``levels[k][e]``: the highest level before edge e with exactly k charged
+    edges before it, by `_min_count_sweep`'s own float operations but kept
+    past terminal states. ``needs[j][e]``: the lowest level before edge e
+    that finishes the route with at most j charged edges from e on (inf:
+    none); charging edge e lowers the need after it by ``gain[e] - cons[e]``,
+    down to 0, if that need is at most P. Count t is feasible where some
+    ``levels[k]`` reaches ``needs[t - k]``. Both tables grow one count at a
+    time, as far as the smallest feasible count (0 for a route that fits the
+    battery). The DP runs on the route itself when a pair is within
+    `margin`, or the tables hold a level rounding may have killed or a need
+    within the margin of P, where the cap decides what the DP compares next.
+    """
+
+    __slots__ = ("inst", "lengths", "cons", "gain", "length", "tol", "levels", "needs",
+                 "tie_levels", "tie_needs")
+
+    def __init__(self, lengths: list[float], inst: Instance):
+        self.inst = inst
+        self.lengths = lengths
+        self.cons = cons = [inst.rho_t * c for c in lengths]
+        self.gain = None       # charging gains, once a count above 0 is needed
+        self.length = sum(lengths)
+        self.tol = margin(inst, self.length)
+        m = len(cons)
+        self.tie_levels = m    # first row of levels that may miss a pattern rounding killed
+        self.tie_needs = -1    # last edge after which a need lies within the margin of P
+        # count 0: the level falls by each edge's consumption, and so does the need
+        levels = list(accumulate(cons[:-1], sub, initial=inst.P))
+        if levels[-1] < 0.0:
+            dead = next(e for e, level in enumerate(levels) if level < 0.0)
+            if levels[dead] >= -self.tol:
+                self.tie_levels = dead
+                dead += 1
+            levels[dead:] = [-math.inf] * (m - dead)
+        needs = list(accumulate(reversed(cons), add, initial=0.0))
+        needs.reverse()
+        self.levels = [levels]
+        self.needs = [needs]
+
+    def _grow(self) -> None:
+        """Add the next charge count to both tables."""
+        if self.gain is None:
+            self.gain = [self.inst.gamma * c for c in self.lengths]
+        cons, gain, P, tol = self.cons, self.gain, self.inst.P, self.tol
+        m = len(cons)
+        below = self.levels[-1]
+        level = -math.inf
+        levels = [level]
+        for e in range(m - 1):
+            level = _step(level, below[e], cons[e], gain[e], P, tol)
+            if level < 0.0 <= level + tol and e < self.tie_levels:
+                self.tie_levels = e + 1
+            levels.append(level)
+        self.levels.append(levels)
+        after = self.needs[-1]
+        need = 0.0
+        needs = [need] * (m + 1)
+        for e in range(m - 1, -1, -1):
+            nd = after[e + 1]
+            need = cons[e] + need
+            if nd <= P:
+                charged = nd + cons[e] - gain[e]
+                if charged < need:
+                    need = charged if charged > 0.0 else 0.0
+            if abs(nd - P) <= tol and e > self.tie_needs:
+                self.tie_needs = e
+            needs[e] = need
+        self.needs.append(needs)
+
+    def route_count(self) -> int | None:
+        """``min_charge_count`` of the route itself."""
+        cons, P = self.cons, self.inst.P
+        if len(cons) == 1:
+            # no charging on a single edge, as `_screen` decides it
+            return 0 if cons[0] <= P else None
+        tol = self.tol
+        for t in range(len(cons) + 1):
+            if t == len(self.needs):
+                self._grow()
+            gap = P - self.needs[t][0]
+            if self.tie_needs >= 0 or -tol <= gap <= tol:
+                return _min_count(cons, [self.inst.gamma * c for c in self.lengths], P)
+            if gap > tol:
+                return t
+        return None
+
+    def insertion_count(self, pos: int, c1: float, c2: float) -> int | None:
+        """``min_charge_count`` of the route with a customer inserted at
+        node position ``pos``, between new edges of lengths ``c1`` and
+        ``c2``: the levels before edge pos - 1, carried over the new edges,
+        joined with the needs before edge pos."""
+        inst = self.inst
+        rho_t, gamma, P = inst.rho_t, inst.gamma, inst.P
+        ce1, ge1, ce2, ge2 = rho_t * c1, gamma * c1, rho_t * c2, gamma * c2
+        tol = margin(inst, self.length + c1 + c2)
+        e = pos - 1
+        levels, needs = self.levels, self.needs
+        before = between = -math.inf      # at the count below t
+        after = []                        # per count, after the new edges
+        for t in range(len(self.cons) + 2):
+            if t == len(levels):
+                self._grow()
+            if self.tie_levels <= e or self.tie_needs >= pos:
+                break
+            level = levels[t][e]
+            mid = _step(level, before, ce1, ge1, P, tol)
+            end = _step(mid, between, ce2, ge2, P, tol)
+            if mid < 0.0 <= mid + tol or end < 0.0 <= end + tol:
+                break
+            after.append(end)
+            before, between = level, mid
+            unsure = False
+            for k in range(t + 1):
+                gap = after[k] - needs[t - k][pos]
+                if gap > tol:
+                    return t
+                if gap >= -tol:
+                    unsure = True
+            if unsure:
+                break
+        else:
+            return None
+        trial = self.lengths[:e] + [c1, c2] + self.lengths[pos:]
+        return _min_count([rho_t * c for c in trial], [gamma * c for c in trial], P)
 
 
 def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import itemgetter
 
 import numpy as np
@@ -222,6 +222,15 @@ def _route_lengths(nodes, d):
     return [d[i][j] for i, j in zip(nodes, nodes[1:])]
 
 
+def _route_distance(nodes, d) -> float:
+    """`Instance.route_distance` from plain distance rows: the same sum, edge
+    by edge from the depot, so the same float."""
+    total = 0.0
+    for i, j in zip(nodes, nodes[1:]):
+        total += d[i][j]
+    return total
+
+
 def _detour(nodes: list[int], pos: int, d: list[list[float]]) -> float:
     """Distance saved by removing the interior node at position pos (1-based)."""
     prev, u, nxt = nodes[pos - 1], nodes[pos], nodes[pos + 1]
@@ -312,7 +321,7 @@ def _charge_removal(routes, ctx, rng, k):
     inst, d = ctx.inst, ctx.d
     return _greedy_metric_removal(
         routes, k, lambda nodes, pos: inst.rho_t * _detour(nodes, pos, d),
-        over_battery=lambda nodes: inst.rho_t * inst.route_distance(nodes) > inst.P)
+        over_battery=lambda nodes: inst.rho_t * _route_distance(nodes, d) > inst.P)
 
 
 def _string_removal(routes, ctx, rng, k):
@@ -584,11 +593,6 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     return routes
 
 
-def _min_charge_cardinality(nodes, ctx):
-    card = bdp.min_charge_count(Route(0, nodes), ctx.inst, _route_lengths(nodes, ctx.d))
-    return math.inf if card is None else card
-
-
 def _charge_insertion(routes, removed, ctx, rng):
     """Insertion that avoids creating new charging arcs.
 
@@ -602,23 +606,38 @@ def _charge_insertion(routes, removed, ctx, rng):
     first, the others are sorted and priced in that order only when it adds
     charging, up to the first that adds none, and all of them are ranked
     only when each one adds charging.
+
+    Counts come from the route's `bdp.CountTables`, built when it is first
+    priced and dropped when an insertion changes it; its own count is the
+    one its last insertion was priced at, or read from the tables. A fresh
+    route is an insertion into [0, n+1].
     """
-    inst = ctx.inst
+    inst, d = ctx.inst, ctx.d
+    end = inst.depot_end
     routes = [list(r) for r in routes]
     loads = [_route_load(nodes, inst) for nodes in routes]
     edges = {}
-    base_card = [_min_charge_cardinality(nodes, ctx) for nodes in routes]
+    tables = {}
+    counts = [None] * len(routes)   # math.inf for a route no pattern makes feasible
+    empty = None                    # the tables of [0, end]
 
     def priced(u, option):
+        nonlocal empty
         delta, r_idx, pos = option
         fresh = r_idx == len(routes)
         if fresh:
-            nodes = [0, u, inst.depot_end]
-            before = 0.0
+            if empty is None:
+                empty = bdp.CountTables([d[0][end]], inst)
+            nodes, table, before = [0, end], empty, 0.0
         else:
-            nodes = routes[r_idx][:pos] + [u] + routes[r_idx][pos:]
-            before = base_card[r_idx]
-        after = _min_charge_cardinality(nodes, ctx)
+            nodes = routes[r_idx]
+            table = tables.get(r_idx)
+            if table is None:
+                table = tables[r_idx] = bdp.CountTables(_route_lengths(nodes, d), inst)
+            before = counts[r_idx]
+            if before is None:
+                before = counts[r_idx] = _count_or_inf(table.route_count())
+        after = _count_or_inf(table.insertion_count(pos, d[nodes[pos - 1]][u], d[u][nodes[pos]]))
         increase = max(0.0, after - before) if after != math.inf else math.inf
         keep_existing = 1 if (increase > 0 and fresh) else 2
         return increase, keep_existing, delta, r_idx, pos, after
@@ -637,12 +656,17 @@ def _charge_insertion(routes, removed, ctx, rng):
         increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
-        _insert(routes, loads, edges, u, r_idx, pos, ctx)
-        if r_idx == len(base_card):
-            base_card.append(after)
+        if r_idx == len(routes):
+            counts.append(after)
         else:
-            base_card[r_idx] = after
+            counts[r_idx] = after
+            tables.pop(r_idx, None)
+        _insert(routes, loads, edges, u, r_idx, pos, ctx)
     return routes
+
+
+def _count_or_inf(count):
+    return math.inf if count is None else count
 
 
 _REPAIR_FUNCS = {
@@ -673,7 +697,8 @@ def repair(op_id: str, partial: Solution, removed: list[int], inst: Instance,
 # construction and the main loop
 # ---------------------------------------------------------------------------
 
-def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
+def initial_solution(inst: Instance, rng: np.random.Generator,
+                     d: list[list[float]] | None = None) -> Solution:
     """Nearest-neighbor construction from the depot.
 
     Every route starts at one of the few depot-closest unserved customers
@@ -686,69 +711,130 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     than they split them, so some runs must start on the split side.
     Raises when even a dedicated vehicle cannot serve someone, or when
     there are customers and no vehicle.
+
+    One pass: the open route keeps its length, summed as
+    `Instance.route_distance` sums it, and the level of its all-charge
+    pattern, by the DP's float operations. Charging never lowers a level, so
+    a route has a feasible pattern exactly when that one is feasible, and
+    its levels move one way, so the last decides; `bdp.min_charge_count`
+    decides a level within `bdp.margin` of 0. The charge-free scan stops at
+    the first candidate that could not get home even by the shortest way
+    back; a started route closes unscanned when no unserved demand fits.
+    `d`: the run's distance rows (`_Context.d`), else read from `inst.dist`.
     """
     if inst.n and inst.max_mtev < 1:
         raise InfeasibleInstanceError("no MTEV may be deployed but there are customers")
     charge_free_gate = rng.random() < 0.5
-    # customers of every row by distance; a stable sort breaks ties by index
-    nearest = (np.argsort(inst.dist[:inst.n + 1, 1:inst.n + 1], axis=1, kind="stable")
-               + 1).tolist()
-    d = inst.dist.tolist()
+    if d is None:
+        d = inst.dist.tolist()
+    n, end = inst.n, inst.depot_end
+    P, Q, rho_t, gamma = inst.P, inst.Q, inst.rho_t, inst.gamma
+    # customers of every row by distance, ties by index: the default sort
+    # orders a row without ties uniquely, and rows with ties are sorted stably
+    block = inst.dist[:n + 1, 1:n + 1]
+    idx = np.argsort(block, axis=1)
+    ranked = np.take_along_axis(block, idx, axis=1)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    if tied.any():
+        idx[tied] = np.argsort(block[tied], axis=1, kind="stable")
+    nearest = (idx + 1).tolist()
+    demand = [0] + inst.demand
     unserved = set(inst.customers)
+    waiting = Counter(inst.demand)          # unserved customers per demand
+    sizes = sorted(waiting)
+    lightest = 0                            # index in sizes of the lightest unserved demand
+    back = min(d[end][1:end], default=0.0)  # the shortest way home from any customer
     routes: list[list[int]] = []
     current: list[int] = [0]
-    load = 0
+    load, length, level = 0, 0.0, P
 
     def chargeable(nodes: list[int]) -> bool:
         return bdp.min_charge_count(Route(0, nodes), inst, _route_lengths(nodes, d)) is not None
 
-    def battery_ok(nodes: list[int]) -> bool:
+    def fits(u: int) -> bool:
+        """Whether u may join the open route, its last stop being `last`."""
+        if load + demand[u] > Q:
+            return False
+        c1, c2 = d[last][u], d[u][end]
         if charge_free_gate:
-            return inst.rho_t * inst.route_distance(nodes) <= inst.P
-        return chargeable(nodes)
+            return rho_t * ((length + c1) + c2) <= P
+        x = level - rho_t * c1 + gamma * c1
+        if x > P:
+            x = P
+        x = x - rho_t * c2 + gamma * c2
+        if x > P:
+            x = P
+        tol = bdp.margin(inst, length + c1 + c2)
+        return x > tol or (x >= -tol and chargeable(current + [u, end]))
+
+    def serve(u: int) -> None:
+        nonlocal lightest
+        unserved.remove(u)
+        waiting[demand[u]] -= 1
+        while lightest < len(sizes) and not waiting[sizes[lightest]]:
+            lightest += 1
 
     while unserved:
-        # the unserved customers by distance from the route's end, walked
-        # only as far as a placement needs
-        candidates = (u for u in nearest[current[-1]] if u in unserved)
+        last = current[-1]
+        row = nearest[last]
+        placed = None
         if len(current) == 1:
-            shortlist = list(islice(candidates, 3))
+            # a random one of the three depot-closest unserved customers
+            # goes first, the others next, then the rest by distance
+            shortlist = []
+            for i, u in enumerate(row):
+                if u in unserved:
+                    shortlist.append(u)
+                    if len(shortlist) == 3:
+                        break
+            rest = islice(row, i + 1, None)
             if len(shortlist) > 1:
                 shortlist.insert(0, shortlist.pop(int(rng.integers(len(shortlist)))))
-            candidates = chain(shortlist, candidates)
-        placed = False
-        for u in candidates:
-            if load + inst.demand_of(u) > inst.Q:
-                continue
-            if not battery_ok(current + [u, inst.depot_end]):
-                continue
-            current.append(u)
-            load += inst.demand_of(u)
-            unserved.remove(u)
-            placed = True
-            break
-        if not placed:
-            if len(current) == 1:
-                # nobody starts a route under the gate; give the closest
-                # serviceable customer a dedicated, possibly charged, vehicle
-                order = shortlist + [u for u in nearest[0]
-                                     if u in unserved and u not in shortlist]
-                lone = next((u for u in order
-                             if inst.demand_of(u) <= inst.Q
-                             and chargeable([0, u, inst.depot_end])), None)
-                if lone is None:
-                    raise InfeasibleInstanceError(
-                        f"customer {order[0]} cannot be served even by a dedicated vehicle"
-                    )
-                unserved.remove(lone)
-                current = [0, lone]
-            routes.append(current + [inst.depot_end])
-            if len(routes) >= inst.max_mtev and unserved:
-                raise InfeasibleInstanceError("vehicle cap reached with customers unserved")
-            current = [0]
-            load = 0
+            placed = next((u for u in shortlist if fits(u)), None)
+        elif load + sizes[lightest] > Q:
+            rest = ()
+        else:
+            rest = row
+        if placed is None:
+            d_last = d[last]
+            for u in rest:
+                if u not in unserved:
+                    continue
+                if charge_free_gate and rho_t * ((length + d_last[u]) + back) > P:
+                    break
+                if fits(u):
+                    placed = u
+                    break
+        if placed is not None:
+            c = d[last][placed]
+            length += c
+            level = level - rho_t * c + gamma * c
+            if level > P:
+                level = P
+            load += demand[placed]
+            current.append(placed)
+            serve(placed)
+            continue
+        if len(current) == 1:
+            # nobody starts a route under the gate; give the closest
+            # serviceable customer a dedicated, possibly charged, vehicle
+            order = shortlist + [u for u in nearest[0]
+                                 if u in unserved and u not in shortlist]
+            lone = next((u for u in order
+                         if demand[u] <= Q and chargeable([0, u, end])), None)
+            if lone is None:
+                raise InfeasibleInstanceError(
+                    f"customer {order[0]} cannot be served even by a dedicated vehicle"
+                )
+            serve(lone)
+            current = [0, lone]
+        routes.append(current + [end])
+        if len(routes) >= inst.max_mtev and unserved:
+            raise InfeasibleInstanceError("vehicle cap reached with customers unserved")
+        current = [0]
+        load, length, level = 0, 0.0, P
     if len(current) > 1:
-        routes.append(current + [inst.depot_end])
+        routes.append(current + [end])
     return Solution.from_routes([Route(i, nodes) for i, nodes in enumerate(routes)])
 
 
@@ -825,7 +911,7 @@ def run(inst: Instance, config: SolverConfig | None = None,
     started = time.perf_counter()
     ctx = _Context(inst, cfg)
 
-    shell = initial_solution(inst, rng)
+    shell = initial_solution(inst, rng, ctx.d)
     inc_routes = [r.copy() for r in shell.mtev_routes]
     outcome = _coordinate_routes(inc_routes, ctx)
     if outcome is None:

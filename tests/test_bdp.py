@@ -1,8 +1,10 @@
+import functools
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wmcevrp import bdp
@@ -398,3 +400,123 @@ class TestMinChargeCount:
         assert witnesses == []
         assert enumerate_patterns(route, inst, max_edges=8).fallback
         assert len(witnesses) == 1
+
+
+# ---------------------------------------------------------------------------
+# charge counts of inserted routes from the route's tables
+# ---------------------------------------------------------------------------
+
+def battery_instance(P, rho_t, gamma):
+    """An instance for the battery parameters alone: counts given edge
+    lengths read nothing else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # gamma <= rho_t warns
+        return build_instance([[0, 1], [1, 0]], [1], P=P, rho_t=rho_t, gamma=gamma)
+
+
+def count_of(lengths, inst):
+    """`min_charge_count` of a route with these edge lengths."""
+    return min_charge_count(Route(0, list(range(len(lengths) + 1))), inst, lengths)
+
+
+def boundary_battery(trial, rho_t, gamma, first, last, charged, nudge):
+    """A battery where the trial route's count changes: what edges first..last
+    drain from a full battery, or after a charged edge reached the cap, in
+    the DP's order, with edge `charged` charged, moved `nudge` ulps."""
+    P = 0.0
+    for e in range(first, last + 1):
+        P = P + rho_t * trial[e] - gamma * trial[e] if e == charged else P + rho_t * trial[e]
+    for _ in range(abs(nudge)):
+        P = math.nextafter(P, math.copysign(math.inf, nudge))
+    return P
+
+
+def table_questions(lengths, c1, c2, inst):
+    """(what the tables answer, edge lengths of the route it is about) for
+    the route itself, a customer inserted at every position between new
+    edges c1 and c2, and the fresh route: an insertion into [0, n+1]."""
+    tables = bdp.CountTables(lengths, inst)
+    yield tables.route_count, lengths
+    for pos in range(1, len(lengths) + 1):
+        yield (functools.partial(tables.insertion_count, pos, c1, c2),
+               lengths[:pos - 1] + [c1, c2] + lengths[pos:])
+    yield tables.route_count, lengths       # again, on grown tables
+    yield functools.partial(bdp.CountTables([0.0], inst).insertion_count, 1, c1, c2), [c1, c2]
+
+
+# edge lengths: integers, decimals that binary floats round (and zero), and any
+LENGTHS = ("integer", "decimal", "float")
+
+
+def boundary_case(draw_int, kind, m, rho_t, gamma, nudge):
+    """A route of m edges, two new edges and a battery at a boundary of the
+    route or of one that inserting them makes; None when that battery is
+    not positive. `kind` is one of LENGTHS."""
+    def draw_length():
+        if kind == "integer":
+            return float(draw_int(0, 9))
+        if kind == "decimal":
+            return (0.0, 0.1, 0.2, 0.3, 0.7, 1.1)[draw_int(0, 5)]
+        return draw_int(1, 10**6) / 10**5
+    lengths = [draw_length() for _ in range(m)]
+    c1, c2 = draw_length(), draw_length()
+    pos = draw_int(0, m)
+    trial = lengths[:pos - 1] + [c1, c2] + lengths[pos:] if pos else lengths
+    first = draw_int(0, len(trial) - 1)
+    last = draw_int(first, len(trial) - 1)
+    charged = draw_int(first - 1, last)   # first - 1: no edge charged
+    P = boundary_battery(trial, rho_t, gamma, first, last, charged, nudge)
+    return (lengths, c1, c2, battery_instance(P, rho_t, gamma)) if P > 0 else None
+
+
+class TestCountTables:
+    """`CountTables` gives `min_charge_count` of the rebuilt route, also where
+    rounding decides the DP: at and one ulp beside batteries where a count
+    changes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 14), kind=st.sampled_from(LENGTHS),
+           rho_t=st.sampled_from([0.7, 1.0, 1.3]),
+           gamma=st.sampled_from([0.5, 1.0, 2.0, 3.0, None]), nudge=st.integers(-1, 1))
+    def test_join_equals_count_of_rebuilt_route(self, data, m, kind, rho_t, gamma, nudge):
+        # gamma None: equal to rho_t, so that a charged edge drains nothing
+        case = boundary_case(lambda lo, hi: data.draw(st.integers(lo, hi)), kind, m,
+                             rho_t, rho_t if gamma is None else gamma, nudge)
+        assume(case is not None)
+        for ask, route_lengths in table_questions(*case):
+            assert ask() == count_of(route_lengths, case[3])
+
+    @pytest.mark.parametrize("lengths, pos, c1, c2, P, rho_t, gamma", [
+        # a need after edge 0 within the margin of P, where the DP's cap decides
+        ([1.1, 0.2, 0.0, 0.0, 0.7, 0.0, 0.2, 0.0, 0.1, 1.1, 0.2, 0.1, 0.7, 0.7],
+         1, 0.2, 0.3, 0.20000000000000004, 1.0, 1.0),
+        # the uncharged level before edge 4 is killed by rounding alone, after
+        # the DP on the trial route has already stopped charging
+        ([5.0, 3.0, 4.0, 6.0, 5.0], 5, 0.0, 0.0, 23.4, 1.3, 0.5),
+        # the same on the first new edge
+        ([0.0, 4.0, 2.0], 3, 2.0, 0.0, 4.199999999999999, 0.7, 0.5),
+    ])
+    def test_ties_rounding_decides(self, lengths, pos, c1, c2, P, rho_t, gamma):
+        inst = battery_instance(P, rho_t, gamma)
+        trial = lengths[:pos - 1] + [c1, c2] + lengths[pos:]
+        assert bdp.CountTables(lengths, inst).insertion_count(pos, c1, c2) == count_of(trial, inst)
+
+    def test_join_and_fallback_both_answer(self, monkeypatch):
+        dp_calls = []
+        dp = bdp._min_count
+        monkeypatch.setattr(bdp, "_min_count", lambda *args: dp_calls.append(1) or dp(*args))
+        rng = np.random.default_rng(5)
+        seen = set()
+        for i in range(600):
+            rho_t = (0.7, 1.0, 1.3)[i % 3]
+            case = boundary_case(lambda lo, hi: int(rng.integers(lo, hi + 1)), LENGTHS[i % 3],
+                                 1 + i % 14, rho_t, (0.5, 1.0, 2.0, 3.0, rho_t)[i // 3 % 5],
+                                 i // 15 % 3 - 1)
+            if case is None:
+                continue
+            for ask, route_lengths in table_questions(*case):
+                want = count_of(route_lengths, case[3])
+                calls = len(dp_calls)
+                assert ask() == want
+                seen.add(("dp" if len(dp_calls) > calls else "join", want is None))
+        assert seen == {("join", False), ("join", True), ("dp", False), ("dp", True)}

@@ -12,6 +12,7 @@ from wmcevrp.config import SolverConfig, score_cap
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     InfeasibleInstanceError,
+    Instance,
     Route,
     Solution,
     check_feasibility,
@@ -459,8 +460,8 @@ def ref_charge_insertion(routes, removed, inst, seen, calls):
     return routes
 
 
-def compare_charge_insertion(n, seed, Q, P, slack, gamma, seen, calls):
-    inst, _, partial, removed = operator_case(n, seed, Q, P, slack)
+def compare_charge_insertion(n, seed, Q, P, slack, gamma, seen, calls, top=None):
+    inst, _, partial, removed = operator_case(n, seed, Q, P, slack, top)
     inst = dataclasses.replace(inst, gamma=gamma)
     want = ref_charge_insertion(partial, removed, inst, seen, calls)
     got = lns._charge_insertion([list(r) for r in partial], list(removed),
@@ -528,54 +529,101 @@ def gate_seed(charge_free, start):
     return seed
 
 
+def compare_constructions(inst, rng_start):
+    """Both gates' constructions equal the reference's, RNG states included;
+    the charge-free reference's routes, or None when it raises."""
+    charge_free_routes = None
+    for charge_free in (True, False):
+        rng_seed = gate_seed(charge_free, rng_start)
+        ref_rng, rng = rng_at(rng_seed), rng_at(rng_seed)
+        try:
+            want = ref_initial_solution(inst, ref_rng)
+        except InfeasibleInstanceError:
+            with pytest.raises(InfeasibleInstanceError):
+                lns.initial_solution(inst, rng)
+            continue
+        got = lns.initial_solution(inst, rng)
+        assert [r.nodes for r in got.mtev_routes] == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if charge_free:
+            charge_free_routes = want
+    return charge_free_routes
+
+
 @pytest.mark.filterwarnings("ignore:gamma <= rho_t")
 class TestLazyPricing:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
            Q=st.sampled_from([2.0, 4.0, 10.0]),
            P=st.sampled_from([300.0, 900.0, 1500.0, 15000.0]),
-           slack=st.integers(0, 2), gamma=st.sampled_from([0.5, 2.0]))
-    def test_charge_insertion_same_as_full_scan(self, n, seed, Q, P, slack, gamma):
-        compare_charge_insertion(n, seed, Q, P, slack, gamma, set(), [])
+           slack=st.integers(0, 2), gamma=st.sampled_from([0.5, 2.0]),
+           top=st.sampled_from([None, 3, 6]))
+    def test_charge_insertion_same_as_full_scan(self, n, seed, Q, P, slack, gamma, top):
+        # integer distances in 1..top, with P scaled down to them, make
+        # batteries that a route drains exactly common
+        compare_charge_insertion(n, seed, Q, P if top is None else P / 100, slack, gamma,
+                                 set(), [], top)
 
     def test_charge_insertion_branches(self, monkeypatch):
-        lazy_calls = []
-        priced = lns._min_charge_cardinality
-
-        def counted(nodes, ctx):
-            lazy_calls.append(1)
-            return priced(nodes, ctx)
-
-        monkeypatch.setattr(lns, "_min_charge_cardinality", counted)
+        # every count the charge insertion uses comes from count tables,
+        # answered by the join or, near a tie, by the DP on the route
+        answers, dp_calls = [], []
+        dp = bdp._min_count
+        monkeypatch.setattr(bdp, "_min_count", lambda *args: dp_calls.append(1) or dp(*args))
+        for name in ("route_count", "insertion_count"):
+            def recorded(tables, *args, ask=getattr(bdp.CountTables, name)):
+                calls = len(dp_calls)
+                count = ask(tables, *args)
+                answers.append("dp" if len(dp_calls) > calls else "join")
+                return count
+            monkeypatch.setattr(bdp.CountTables, name, recorded)
         seen, ref_calls = set(), []
-        for seed in range(40):
-            compare_charge_insertion(3 + seed % 28, seed, (2.0, 4.0, 10.0)[seed % 3],
-                                     (300.0, 900.0, 1500.0, 15000.0)[seed % 4], seed % 3,
-                                     (0.5, 2.0)[seed // 4 % 2], seen, ref_calls)
+        for seed in range(60):
+            top = (None, 3, 6)[seed % 3]
+            P = (300.0, 900.0, 1500.0, 15000.0)[seed // 3 % 4]
+            compare_charge_insertion(3 + seed % 28, seed, (2.0, 4.0, 10.0)[seed // 2 % 3],
+                                     P if top is None else P / 100, seed % 3,
+                                     (0.5, 2.0)[seed // 4 % 2], seen, ref_calls, top)
         assert seen >= {"early_exit", "full_scan", "inf_base", "fleet_cap",
                         "negative_delta", "none"}
-        assert len(lazy_calls) < len(ref_calls)
+        assert {"join", "dp"} <= set(answers)
+        assert len(answers) < len(ref_calls)
+
+    def test_rounding_decides_the_chargeable_gate(self):
+        # route [0, 1, 2, 3] has edge lengths 0, 0.2, 0: its all-charge level
+        # rounds to exactly 0, but rho_t * 0.2 - gamma * 0.2 exceeds P, so the
+        # DP finds no pattern and the second customer needs a route of its own
+        dist = [[0, 0, 0, 0], [0, 0, 0.2, 0], [0, 0.2, 0, 0], [0, 0, 0, 0]]
+        inst = Instance(n=2, dist=dist, demand=[1, 1], P=0.02599999999999996, B=1e6,
+                        Q=10.0, rho_t=1.3, rho_e=100.0, rho_c=200.0, gamma=0.9 * 1.3,
+                        phi=1.0, max_mtev=2, max_mct=2)
+        assert bdp.min_charge_count(Route(0, [0, 1, 2, 3]), inst) is None
+        compare_constructions(inst, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1),
            top=st.integers(1, 6), P=st.sampled_from([4.0, 8.0, 15.0, 100.0]),
            Q=st.sampled_from([3.0, 5.0, 10.0]), rng_start=st.integers(0, 10**6),
-           cap=st.integers(1, 25))
-    def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start, cap):
+           cap=st.integers(1, 25), pick=st.integers(0, 10**6), tenths=st.booleans())
+    def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start, cap, pick,
+                                                 tenths):
         # a vehicle cap below n makes some constructions run out of vehicles
         inst = dataclasses.replace(tied_instance(n, seed, top, P, Q), max_mtev=min(cap, n))
-        for charge_free in (True, False):
-            rng_seed = gate_seed(charge_free, rng_start)
-            ref_rng, rng = rng_at(rng_seed), rng_at(rng_seed)
-            try:
-                want = ref_initial_solution(inst, ref_rng)
-            except InfeasibleInstanceError:
-                with pytest.raises(InfeasibleInstanceError):
-                    lns.initial_solution(inst, rng)
-                continue
-            got = lns.initial_solution(inst, rng)
-            assert [r.nodes for r in got.mtev_routes] == want
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if tenths:
+            # lengths in tenths, which binary floats round
+            inst = dataclasses.replace(inst, dist=inst.dist / 10, P=P / 10)
+        routes = compare_constructions(inst, rng_start)
+        if not routes:
+            return
+        # batteries that one of the reference's routes uses up exactly: the
+        # charge-free gate decides at equality, and where gamma < rho_t the
+        # route's all-charge level ends at 0, inside the margin
+        length = inst.route_distance(routes[pick % len(routes)])
+        compare_constructions(dataclasses.replace(inst, P=inst.rho_t * length), rng_start)
+        if inst.gamma < inst.rho_t:
+            compare_constructions(
+                dataclasses.replace(inst, P=(inst.rho_t - inst.gamma) * length), rng_start)
+
 
 
 # ---------------------------------------------------------------------------
