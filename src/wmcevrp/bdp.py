@@ -1,11 +1,12 @@
 """Charging-pattern enumeration for a fixed route via bitmask dynamic programming.
 
-A pattern is a bitmask over the route's m edges: bit e set means the vehicle
-is charged in motion across edge e+1. The enumerator returns the minimal
+A pattern is a plain int, a bitmask over the route's m edges: bit e set means
+the vehicle is charged in motion across edge e+1. The route's edge count is
+its width; no pattern carries one. The enumerator returns the minimal
 antichain of feasible patterns (no retained pattern is a superset of another)
 in the order coordination branches over them: by cardinality, then mask
 value. A caller that needs a pattern's battery levels replays it with
-`model.route_energy_profile`.
+`model.route_energy_profile`, which takes the same mask.
 
 `min_charge_count` is a polynomial DP over charge counts. `CountTables`
 keeps its levels (forward) and what finishing the route needs (backward), so
@@ -34,40 +35,11 @@ class RouteClass(Enum):
     ENUMERATED = "enumerated"
 
 
-@dataclass(frozen=True)
-class ChargePattern:
-    """Bitmask over route edges; bit e (lsb-first) covers edge e+1.
-
-    Printed bitstrings run left to right starting at edge 1.
-    """
-
-    mask: int
-    width: int
-
-    def edges(self) -> tuple[int, ...]:
-        return tuple(e for e in range(self.width) if (self.mask >> e) & 1)
-
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    def bitstring(self) -> str:
-        return "".join("1" if (self.mask >> e) & 1 else "0" for e in range(self.width))
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "ChargePattern":
-        mask = 0
-        for e, ch in enumerate(s):
-            if ch == "1":
-                mask |= 1 << e
-        return cls(mask, len(s))
-
-
 @dataclass
 class BdpResult:
     """Outcome of pattern enumeration for one route.
 
-    ``patterns`` holds the retained patterns sorted by cardinality, then
+    ``patterns`` holds the retained masks sorted by cardinality, then
     mask value, so the first one has the fewest charged arcs. ``fallback``
     marks a route longer than ``max_edges``: its one pattern is the
     charge-count DP's minimum-count witness, not the full antichain of the
@@ -75,22 +47,19 @@ class BdpResult:
     """
 
     classification: RouteClass
-    patterns: list[ChargePattern] = field(default_factory=list)
+    patterns: list[int] = field(default_factory=list)
     fallback: bool = False
-
-    def masks(self) -> set[int]:
-        return {p.mask for p in self.patterns}
 
     def charged(self) -> int:
         """The edges that some pattern charges, as a mask: 0 exactly when
         the route never charges (or has no pattern at all)."""
         union = 0
-        for p in self.patterns:
-            union |= p.mask
+        for mask in self.patterns:
+            union |= mask
         return union
 
     def min_cardinality(self) -> int | None:
-        return self.patterns[0].cardinality if self.patterns else None
+        return self.patterns[0].bit_count() if self.patterns else None
 
     @property
     def feasible(self) -> bool:
@@ -154,18 +123,12 @@ def _minimal_masks(masks) -> list[int]:
     return kept
 
 
-def prune_supersets(patterns) -> list[ChargePattern]:
-    """Minimal antichain: drop any pattern that is a strict superset of another.
+def prune_supersets(masks) -> list[int]:
+    """Minimal antichain: drop any mask that is a strict superset of another.
 
     Duplicates collapse to one copy. Output is sorted by increasing mask value.
     """
-    items = list(patterns)
-    if not items:
-        return []
-    width = items[0].width
-    if any(p.width != width for p in items):
-        raise ValueError("patterns must share one bit width")
-    return [ChargePattern(m, width) for m in sorted(_minimal_masks({p.mask for p in items}))]
+    return sorted(_minimal_masks(set(masks)))
 
 
 def _result(patterns, cls: RouteClass = RouteClass.ENUMERATED,
@@ -303,22 +266,20 @@ def enumerate_patterns(route: Route, inst: Instance,
     as read from ``inst.dist``; they spare the numpy look-ups.
     """
     cons, gain = _edge_consumption(route, inst, lengths)
-    m = len(cons)
     cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result([ChargePattern(0, m)], cls)
+        return _result([0], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
     req = _suffix_sums(cons)
-    if m > max_edges:
+    if len(cons) > max_edges:
         history: list = []
         found = _min_count_sweep(cons, gain, req, inst.P, history)
-        witness = [ChargePattern(_witness(history, cons, found[1]), m)] if found else []
+        witness = [_witness(history, cons, found[1])] if found else []
         return _result(witness, fallback=True)
     # charging never lowers a level, so feasibility is upward-closed and the
     # minimal terminal masks are the minimal feasible patterns
-    terminal = _sweep(cons, gain, req, inst.P)
-    return _result([ChargePattern(s, m) for s in _minimal_masks(terminal)])
+    return _result(_minimal_masks(_sweep(cons, gain, req, inst.P)))
 
 
 def min_charge_count(route: Route, inst: Instance,
@@ -513,12 +474,12 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     Feasibility of a pattern means its full-route battery replay never drops
     below zero. Shares only the preprocessing shortcuts with the sweep.
     """
-    cls = preprocess_route(route, inst)
+    cons, gain = _edge_consumption(route, inst)
+    cls = _screen(cons, gain, inst.P)
     if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result([ChargePattern(0, len(route.nodes) - 1)], cls)
+        return _result([0], cls)
     if cls is RouteClass.INFEASIBLE:
         return BdpResult(RouteClass.INFEASIBLE, [])
-    cons, gain = _edge_consumption(route, inst)
     m = len(cons)
     size = 1 << m
     masks = np.arange(size, dtype=np.int64)
@@ -528,10 +489,4 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
         bits = ((masks >> e) & 1).astype(np.float64)
         level = np.minimum(level - cons[e] + gain[e] * bits, inst.P)
         ok &= level >= 0.0
-    order = sorted((int(s) for s in masks[ok]), key=lambda s: (s.bit_count(), s))
-    kept: list[int] = []
-    for mask in order:
-        if not any((k & mask) == k for k in kept):
-            kept.append(mask)
-    return _result([ChargePattern(s, m) for s in kept])
-
+    return _result(_minimal_masks(int(s) for s in masks[ok]))

@@ -395,15 +395,17 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     levels = []                 # per branching route: (its duties' rank bits, cover) per pattern
     for r_idx in branching:
         options = []
-        for p in pattern_sets[r_idx]:
+        for mask in pattern_sets[r_idx]:
             added, cover = 0, 0
-            for e in p.edges():
-                bit, occupied = slots[r_idx, e]
+            while mask:
+                low = mask & -mask
+                bit, occupied = slots[r_idx, low.bit_length() - 1]
                 added |= bit
                 cover |= occupied
+                mask ^= low
             options.append((added, cover))
         levels.append(options)
-    floor = 1 if any(pattern_sets[r_idx][0].mask for r_idx in branching) else 0
+    floor = 1 if any(pattern_sets[r_idx][0] for r_idx in branching) else 0
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (duties, assignment)
     complete = [True]
@@ -475,7 +477,7 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     idx = [0] * len(routes)
 
     def chosen_duties(r: int) -> list[ChargingDuty]:
-        mask = ordered[r][idx[r]].mask
+        mask = ordered[r][idx[r]]
         return [d for d in arcs[r] if mask >> d.edge & 1]
 
     per_route = [chosen_duties(r) for r in range(len(routes))]

@@ -704,11 +704,15 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     Every route starts at one of the few depot-closest unserved customers
     and grows by nearest neighbor. A new vehicle opens whenever adding the
     closest unserved customer would break the load limit or the run's
-    battery gate: half the runs demand a feasible charging pattern, the
-    other half close routes already at the charge-free boundary. The random
-    gate and seeds make independent runs explore both charge-heavy and
-    charge-light basins; repair operators merge routes far more readily
-    than they split them, so some runs must start on the split side.
+    battery gate. Half the runs close routes already at the charge-free
+    boundary; the other half close them only when the route would have no
+    feasible charging pattern. With gamma >= rho_t, as on every generated
+    instance and so on every pinned corpus, charging an edge never lowers
+    the level and every route of two or more edges has a feasible all-charge
+    pattern, so that second gate is then capacity-only. The random gate and
+    seeds make independent runs explore both charge-heavy and charge-light
+    basins; repair operators merge routes far more readily than they split
+    them, so some runs must start on the split side.
     Raises when even a dedicated vehicle cannot serve someone, or when
     there are customers and no vehicle.
 

@@ -7,10 +7,13 @@ physical copy acting as the return depot, so the distance matrix is
 (n+2) x (n+2). Travel time equals distance throughout (one matrix serves
 both roles).
 
-A charging duty (`ChargingDuty`) is one MTEV arc that an MCT must
-co-travel. `route_duties` builds them and `duty_order` is the order a truck
-serves them; coordination plans with them, and the checker rebuilds them
-from a solution's charge assignment. `build_schedule` and
+A charging pattern is an int mask over a route's edges: bit e set charges
+edge e+1. `route_energy_profile` replays one, and `realized_mask` reads the
+one a solution's charge assignment gives a route. A charging duty
+(`ChargingDuty`) is one MTEV arc that an MCT must co-travel.
+`route_duties` builds them from a mask and `duty_order` is the order a
+truck serves them; coordination plans with them, and the checker rebuilds
+them from a solution's realized mask. `build_schedule` and
 `check_feasibility` replay each MCT with the same function, `_replay_truck`.
 The checker recomputes every battery level and never reads stored battery
 traces; it uses a fleet's stored arrival times when every route of that
@@ -82,7 +85,8 @@ def _is_node(u, lo: int, hi: int) -> bool:
 
 
 class RouteStructureError(ValueError):
-    """A route or pattern is malformed: missing depot anchors, bad width."""
+    """A route or charge mask is malformed: missing depot anchors, or a mask
+    or charge assignment row that does not fit the route's edges."""
 
 
 class InfeasibleInstanceError(RuntimeError):
@@ -406,43 +410,33 @@ def _require_anchors(route: Route, inst: Instance) -> None:
         )
 
 
-def pattern_bits(pattern, width: int) -> list[int]:
-    """Normalize a charging pattern (mask object or 0/1 sequence) to a bit list."""
-    if hasattr(pattern, "mask") and hasattr(pattern, "width"):
-        if pattern.width != width:
-            raise RouteStructureError(
-                f"pattern width {pattern.width} does not match edge count {width}"
-            )
-        return [(pattern.mask >> e) & 1 for e in range(width)]
-    bits = [int(b) for b in pattern]
-    if len(bits) != width:
-        raise RouteStructureError(
-            f"pattern length {len(bits)} does not match edge count {width}"
-        )
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("pattern bits must be 0 or 1")
-    return bits
+def realized_mask(sol: Solution, route_idx: int) -> int:
+    """Charge mask a route actually gets: bit e set iff an MCT id (valid or
+    not) is assigned to edge e. Entries past the route's edges keep their
+    bits, and a route with no assignment row gets 0."""
+    assign = sol.charge_assign[route_idx] if route_idx < len(sol.charge_assign) else []
+    return sum(1 << e for e, c in enumerate(assign) if c is not None)
 
 
-def realized_bits(sol: Solution, route_idx: int) -> list[int]:
-    """Charging bits actually assigned on a route's edges (1 iff an MCT serves it)."""
-    assign = sol.charge_assign[route_idx]
-    return [0 if a is None else 1 for a in assign]
-
-
-def route_energy_profile(route: Route, pattern, inst: Instance) -> list[float]:
-    """Battery level at every node of the route under a charging pattern.
+def route_energy_profile(route: Route, mask: int, inst: Instance) -> list[float]:
+    """Battery level at every node of the route under a charge mask (bit e
+    charges edge e+1).
 
     Starts full at P; each edge consumes rho_t*c and, when its bit is set,
     gains gamma*c, clamped at P. The trace may go negative (diagnostic use).
+    A mask that is not an int, is negative or sets a bit past the last edge
+    raises RouteStructureError.
     """
     edges = route.edges()
-    bits = pattern_bits(pattern, len(edges))
+    if not _is_int(mask) or mask < 0 or mask >> len(edges):
+        raise RouteStructureError(
+            f"charge mask {mask!r} is not a mask over the route's {len(edges)} edges")
+    mask = int(mask)
     level = inst.P
     trace = [level]
-    for (i, j), bit in zip(edges, bits):
+    for e, (i, j) in enumerate(edges):
         c = float(inst.dist[i, j])
-        level = min(level - inst.rho_t * c + inst.gamma * c * bit, inst.P)
+        level = min(level - inst.rho_t * c + inst.gamma * c * (mask >> e & 1), inst.P)
         trace.append(level)
     return trace
 
@@ -526,11 +520,8 @@ def _duties_per_mct(sol: Solution, inst: Instance, mtev_times: list[list[float]]
     for r, route in enumerate(sol.mtev_routes):
         if r in skip:
             continue
-        assign = sol.charge_assign[r] if r < len(sol.charge_assign) else []
-        mask = sum(1 << e for e, (_, c) in enumerate(zip(route.edges(), assign))
-                   if c is not None)
-        for duty in route_duties(r, route, mtev_times[r], mask, inst):
-            c = assign[duty.edge]
+        for duty in route_duties(r, route, mtev_times[r], realized_mask(sol, r), inst):
+            c = sol.charge_assign[r][duty.edge]
             if _is_int(c) and 0 <= c < len(sol.mct_routes):
                 per_mct[c].append(duty)
             else:
@@ -579,14 +570,19 @@ def build_schedule(sol: Solution, inst: Instance, transfer_depletes: bool = True
     MTEVs depart as soon as they arrive. An MCT waits at the tail of a
     charging arc until its MTEV arrives, then the pair departs together;
     if the MCT shows up late the schedule still advances (the feasibility
-    checker reports the synchronization violation).
+    checker reports the synchronization violation). A charge assignment
+    row whose length is not its route's edge count raises
+    RouteStructureError.
     """
     out = sol.copy()
+    for idx, r in enumerate(out.mtev_routes):
+        entries = len(out.charge_assign[idx])
+        if entries != len(r.nodes) - 1:
+            raise RouteStructureError(f"charge assignment of route {idx} has {entries} "
+                                      f"entries for {len(r.nodes) - 1} edges")
     out.mtev_times = [mtev_arrival_times(r, inst) for r in out.mtev_routes]
-    out.mtev_battery = [
-        route_energy_profile(r, realized_bits(out, idx), inst)
-        for idx, r in enumerate(out.mtev_routes)
-    ]
+    out.mtev_battery = [route_energy_profile(r, realized_mask(out, idx), inst)
+                        for idx, r in enumerate(out.mtev_routes)]
     per_mct, _bad = _duties_per_mct(out, inst, out.mtev_times)
     out.mct_times = []
     out.mct_battery = []
@@ -719,7 +715,7 @@ def check_feasibility(sol: Solution, inst: Instance, transfer_depletes: bool = T
             continue
         if len(sol.charge_assign[idx] if idx < len(sol.charge_assign) else []) != len(route.nodes) - 1:
             continue
-        trace = route_energy_profile(route, realized_bits(sol, idx), inst)
+        trace = route_energy_profile(route, realized_mask(sol, idx), inst)
         for k, level in enumerate(trace):
             if level < -EPS:
                 i, j = route.edges()[k - 1]

@@ -12,6 +12,12 @@ def pytest_addoption(parser):
     )
 
 
+def bits(s: str) -> int:
+    """Charge mask of a bitstring written edge one first: bits("10010") is
+    0b01001, which charges edges 1 and 4."""
+    return sum(1 << e for e, ch in enumerate(s) if ch == "1")
+
+
 def build_instance(core, demand, **params):
     """Instance from a (n+1)x(n+1) distance matrix over depot 0 and customers.
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wmcevrp import bdp
 from wmcevrp.bdp import (
     BdpResult,
-    ChargePattern,
     RouteClass,
     brute_force_patterns,
     enumerate_patterns,
@@ -21,7 +20,7 @@ from wmcevrp.bdp import (
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import Instance, Route, make_route, route_energy_profile
 
-from conftest import build_instance
+from conftest import bits, build_instance
 
 
 def edge_instance(costs, **params):
@@ -50,6 +49,7 @@ def assert_min_count_witness(res, route, inst):
     assert res.min_cardinality() == brute.min_cardinality() == min_charge_count(route, inst)
     if brute.feasible:
         [pattern] = res.patterns
+        assert type(pattern) is int
         assert min(route_energy_profile(route, pattern, inst)) >= 0
 
 
@@ -70,8 +70,7 @@ def oracle_minimal_patterns(route, inst):
     m = len(route.edges())
     feasible = []
     for mask in range(1 << m):
-        bits = [(mask >> e) & 1 for e in range(m)]
-        if min(route_energy_profile(route, bits, inst)) >= 0:
+        if min(route_energy_profile(route, mask, inst)) >= 0:
             feasible.append(mask)
     minimal = set()
     for mask in sorted(feasible, key=lambda s: (bin(s).count("1"), s)):
@@ -94,19 +93,10 @@ def assert_sweep_matches_brute_force(seed: int, m_hi: int) -> None:
         a = enumerate_patterns(route, inst)
         b = brute_force_patterns(route, inst)
         assert a.patterns == b.patterns
-        assert [(p.cardinality, p.mask) for p in a.patterns] == \
-            sorted((p.cardinality, p.mask) for p in a.patterns)
+        assert all(type(p) is int for p in a.patterns + b.patterns)
+        assert a.patterns == sorted(a.patterns, key=lambda p: (p.bit_count(), p))
         assert a.classification == b.classification
         assert_never_runs_dry(a, route, inst)
-
-
-class TestChargePattern:
-    def test_bitstring_runs_edge_one_first(self):
-        p = ChargePattern.from_bitstring("10010")
-        assert p.mask == 0b01001
-        assert p.bitstring() == "10010"
-        assert p.edges() == (0, 3)
-        assert p.cardinality == 2
 
 
 class TestPreprocess:
@@ -154,33 +144,22 @@ class TestSuffixRequirements:
 
 class TestPruneSupersets:
     def test_drops_strict_superset(self):
-        pats = [ChargePattern.from_bitstring("10101"),
-                ChargePattern.from_bitstring("00101")]
-        kept = prune_supersets(pats)
-        assert [p.bitstring() for p in kept] == ["00101"]
+        assert prune_supersets([bits("10101"), bits("00101")]) == [bits("00101")]
 
     def test_empty_input(self):
         assert prune_supersets([]) == []
 
     def test_antichain_is_fixed_point(self):
-        pats = [ChargePattern.from_bitstring(s) for s in ("101", "011", "110")]
-        kept = prune_supersets(pats)
-        assert {p.bitstring() for p in kept} == {"101", "011", "110"}
+        pats = [bits(s) for s in ("101", "011", "110")]
+        assert set(prune_supersets(pats)) == set(pats)
 
     def test_duplicates_collapse(self):
-        pats = [ChargePattern(3, 4), ChargePattern(3, 4)]
-        assert prune_supersets(pats) == [ChargePattern(3, 4)]
-
-    def test_mixed_widths_rejected(self):
-        with pytest.raises(ValueError):
-            prune_supersets([ChargePattern(1, 3), ChargePattern(1, 4)])
+        assert prune_supersets([3, 3]) == [3]
 
     @settings(max_examples=100, deadline=None)
     @given(masks=st.lists(st.integers(0, 63), min_size=0, max_size=20))
     def test_result_is_minimal_antichain(self, masks):
-        pats = [ChargePattern(m, 6) for m in masks]
-        kept = prune_supersets(pats)
-        kept_masks = [p.mask for p in kept]
+        kept_masks = prune_supersets(masks)
         assert kept_masks == sorted(kept_masks)
         for a in kept_masks:
             for b in kept_masks:
@@ -195,17 +174,17 @@ class TestEnumerate:
         inst, route = edge_instance([4, 4, 4], P=10.0, gamma=2.0)
         res = enumerate_patterns(route, inst)
         assert res.classification is RouteClass.ENUMERATED
-        assert res.masks() == oracle_minimal_patterns(route, inst) == {0b001, 0b010, 0b100}
-        assert [p.bitstring() for p in res.patterns] == ["100", "010", "001"]
-        finals = {p.bitstring(): route_energy_profile(route, p, inst)[-1]
-                  for p in res.patterns}
-        assert finals == {"100": 2.0, "010": 6.0, "001": 6.0}
+        assert set(res.patterns) == oracle_minimal_patterns(route, inst) == {0b001, 0b010, 0b100}
+        assert res.patterns == [bits("100"), bits("010"), bits("001")]
+        assert all(type(p) is int for p in res.patterns)
+        finals = {p: route_energy_profile(route, p, inst)[-1] for p in res.patterns}
+        assert finals == {bits("100"): 2.0, bits("010"): 6.0, bits("001"): 6.0}
 
     def test_trivial_records_single_no_charge(self):
         inst, route = edge_instance([4, 4, 4], P=20.0)
         res = enumerate_patterns(route, inst)
         assert res.classification is RouteClass.TRIVIAL_NO_CHARGE
-        assert res.patterns == [ChargePattern(0, 3)]
+        assert res.patterns == [0] and type(res.patterns[0]) is int
         assert route_energy_profile(route, res.patterns[0], inst)[-1] == 8.0
 
     def test_hopeless_route_has_empty_set(self):
@@ -227,7 +206,7 @@ class TestEnumerate:
             inst.P = float(rng.uniform(0.3, 1.1) * total)
             inst.gamma = float(rng.choice([1.5, 2.0, 3.0]))
             res = enumerate_patterns(route, inst)
-            assert res.masks() == oracle_minimal_patterns(route, inst)
+            assert set(res.patterns) == oracle_minimal_patterns(route, inst)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 10),
@@ -244,10 +223,9 @@ class TestEnumerate:
             return
         cons, gain = bdp._edge_consumption(route, inst)
         terminal = bdp._sweep(cons, gain, bdp._suffix_sums(cons), inst.P)
-        m = len(cons)
-        pruned = prune_supersets(ChargePattern(s, m) for s in terminal)
+        pruned = prune_supersets(terminal)
         assert enumerate_patterns(route, inst).patterns == \
-            sorted(pruned, key=lambda p: (p.cardinality, p.mask))
+            sorted(pruned, key=lambda p: (p.bit_count(), p))
 
     def test_rolling_equals_full_table(self):
         # a second seed and a shorter m range of TestBruteForce's comparison
@@ -268,8 +246,8 @@ class TestEnumerate:
             inst, route = edge_instance(costs, P=float(rng.uniform(5, 25)), gamma=2.0)
             res = enumerate_patterns(route, inst)
             for pattern in res.patterns:
-                extra = int(rng.integers(0, 1 << pattern.width))
-                sup = ChargePattern(pattern.mask | extra, pattern.width)
+                extra = int(rng.integers(0, 1 << m))
+                sup = pattern | extra
                 base_trace = route_energy_profile(route, pattern, inst)
                 sup_trace = route_energy_profile(route, sup, inst)
                 assert all(s >= b for s, b in zip(sup_trace, base_trace))
@@ -308,7 +286,7 @@ class TestEnumerate:
         route = Route(0, [0, 1, 2, 3])
         res = enumerate_patterns(route, inst, max_edges=2)
         assert res.fallback
-        assert [p.bitstring() for p in res.patterns] == ["111"]
+        assert res.patterns == [bits("111")]
         trace = route_energy_profile(route, res.patterns[0], inst)
         assert min(trace) >= 0 and trace[-1] == 0.0
         assert min_charge_count(route, inst) == 3

@@ -30,7 +30,7 @@ from wmcevrp.model import (
     routing_cost,
 )
 
-from conftest import build_instance
+from conftest import bits, build_instance
 
 
 def duties_from_choice(routes, choice, inst):
@@ -38,7 +38,7 @@ def duties_from_choice(routes, choice, inst):
     duties = []
     for r_idx, (route, pattern) in enumerate(zip(routes, choice)):
         duties += route_duties(r_idx, route, mtev_arrival_times(route, inst),
-                               pattern.mask, inst)
+                               pattern, inst)
     duties.sort(key=duty_order)
     return duties
 
@@ -115,7 +115,7 @@ class TestDutiesAndBounds:
         for pattern in res.patterns:
             duties = duties_from_choice([route], [pattern], inst)
             assert {(d.tail, d.head) for d in duties} == \
-                {route.edges()[e] for e in pattern.edges()}
+                {arc for e, arc in enumerate(route.edges()) if pattern >> e & 1}
             times = mtev_arrival_times(route, inst)
             for d in duties:
                 assert d.start == times[d.edge]
@@ -186,15 +186,15 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
     chosen = [patterns[0] for patterns in pattern_sets]
     levels = []
     for r_idx, patterns in enumerate(pattern_sets):
-        if len(patterns) == 1 and not patterns[0].mask:
+        if patterns == [0]:
             continue
-        alone = [bdp.ChargePattern(0, 0)] * len(routes)
+        alone = [0] * len(routes)
         duty_sets = []
         for p in patterns:
             alone[r_idx] = p
             duty_sets.append(duties_from_choice(routes, alone, inst))
         levels.append((r_idx, patterns, duty_sets))
-    floor = 1 if any(patterns[0].cardinality for _, patterns, _ in levels) else 0
+    floor = 1 if any(patterns[0] for _, patterns, _ in levels) else 0
     beat, best, complete = [inst.max_mct + 1], [None], [True]
 
     def dfs(level, duties, bound):
@@ -208,7 +208,7 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
             complete[0] = complete[0] and done
             if found is not None:
                 beat[0], assignment = found
-                best[0] = ([p.mask for p in chosen], duties, assignment)
+                best[0] = (list(chosen), duties, assignment)
             return
         r_idx, patterns, duty_sets = levels[level]
         for pattern, added in zip(patterns, duty_sets):
@@ -319,7 +319,7 @@ class TestFollowClosure:
         for r_idx, route in enumerate(routes):
             union = 0
             for p in bdp.enumerate_patterns(route, inst).patterns:
-                union |= p.mask
+                union |= p
             duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
         duties.sort(key=duty_order)
         linked = coordination._follow_closure(duties, inst)
@@ -361,7 +361,7 @@ class TestCoordinateExact:
         # the duties charge each edge at most once, and exactly the set bits
         # of one of the route's patterns
         assert len({d.edge for d in out.plan.duties}) == len(out.plan.duties)
-        assert plan_masks(out.plan, 1)[0] in results[0].masks()
+        assert plan_masks(out.plan, 1)[0] in results[0].patterns
 
     def test_infeasible_when_no_pattern_set(self):
         inst, route = chainable_two_duty_case()
@@ -422,11 +422,11 @@ class TestCoordinateExact:
         routes = [make_route(i, pair[k], inst) for i, k in enumerate(order)]
         results = [bdp.enumerate_patterns(r, inst) for r in routes]
         free = order.index(0)
-        assert results[free].patterns == [bdp.ChargePattern(0, 2)]
+        assert results[free].patterns == [0]
         out = coordinate_exact(routes, results, inst)
         assert timed == [routes[1 - free].nodes]
         masks = plan_masks(out.plan, 2)
-        assert masks[free] == 0 and masks[1 - free] in results[1 - free].masks()
+        assert masks[free] == 0 and masks[1 - free] in results[1 - free].patterns
         assert out.plan.mct_count == 1 and out.plan.certified
         assert {d.mtev for d in out.plan.duties} == {1 - free}
         assert leaves and all(d.mtev == 1 - free for duties in leaves for d in duties)
@@ -511,12 +511,10 @@ class TestExactAgainstBruteForce:
                 if out is None:
                     continue
                 masks = plan_masks(out.plan, len(routes))
-                assert all(m in res.masks() for m, res in zip(masks, results))
-                choice = [next(p for p in res.patterns if p.mask == m)
-                          for m, res in zip(masks, results)]
-                assert out.plan.duties == duties_from_choice(routes, choice, inst)
-                branched[coordinate] += any(p != res.patterns[0]
-                                            for p, res in zip(choice, results))
+                assert all(m in res.patterns for m, res in zip(masks, results))
+                assert out.plan.duties == duties_from_choice(routes, masks, inst)
+                branched[coordinate] += any(m != res.patterns[0]
+                                            for m, res in zip(masks, results))
         assert branched[coordinate_exact] > 0
 
     @settings(max_examples=150, deadline=None)
@@ -824,8 +822,7 @@ class TestPlanJsonTrace:
         core = [[0, 50, 50, 60], [0, 0, 0, 40], [0, 0, 0, 40], [0, 0, 0, 0]]
         inst = build_instance(core, [1, 1, 1], P=100.0, gamma=2.0, B=1000.0)
         route = make_route(0, [1, 2, 3], inst)
-        pattern = bdp.ChargePattern.from_bitstring("1010")
-        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [pattern])]
+        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, [bits("1010")])]
         out = coordinate_heuristic([route], results, inst)
         sol = assemble_solution([route], out, inst)
         assert [r.nodes for r in sol.mct_routes] == [[0, 1, 2, 3, inst.depot_end]]

@@ -196,7 +196,7 @@ class TestRepair:
             nodes = [0, 1, 3]
             trial = make_route(0, (nodes[1:-1][:pos - 1] + [2] + nodes[1:-1][pos - 1:]), inst)
             res = bdp.enumerate_patterns(trial, inst)
-            assert 0 not in res.masks()
+            assert 0 not in res.patterns
 
     def test_failure_when_nothing_fits(self):
         inst = build_instance([[0, 5, 5], [0, 0, 5], [0, 0, 0]],
@@ -970,7 +970,7 @@ def may_charge(nodes, inst, cfg):
     """Whether a route is not trivially charge-free: it has more than one
     pattern, one that charges, or none at all."""
     res = bdp.enumerate_patterns(Route(0, list(nodes)), inst, max_edges=cfg.bdp_max_edges)
-    return len(res.patterns) != 1 or res.patterns[0].mask != 0
+    return res.patterns != [0]
 
 
 def charge_free_variant(cand, inst, cfg, rng):
@@ -1062,7 +1062,7 @@ class TestRouteRecords:
             assert rec.result == res
             union = 0
             for p in res.patterns:
-                union |= p.mask
+                union |= p
             assert rec.charged == union
             assert bool(rec.charged) == (len(res.patterns) > 1 or union != 0)
             arcs = lns._record_arcs(rec, r_idx, route, inst)

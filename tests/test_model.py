@@ -26,7 +26,7 @@ from wmcevrp.model import (
     routing_cost,
 )
 
-from conftest import build_instance
+from conftest import bits, build_instance
 
 
 def json_paths(value, path=()):
@@ -255,25 +255,27 @@ class TestEnergyProfile:
     def test_discharge_only(self):
         inst = _three_edge_instance(P=10.0)
         route = make_route(0, [1, 2], inst)
-        assert route_energy_profile(route, [0, 0, 0], inst) == [10, 6, 2, -2]
+        assert route_energy_profile(route, 0, inst) == [10, 6, 2, -2]
 
     def test_clamped_recharge(self):
         inst = _three_edge_instance(P=10.0, gamma=2.0)
         route = make_route(0, [1, 2], inst)
-        trace = route_energy_profile(route, [0, 1, 0], inst)
+        trace = route_energy_profile(route, bits("010"), inst)
         assert trace == [10, 6, 10, 6]
         assert trace == replay_profile(10.0, 1.0, 2.0, [4, 4, 4], [0, 1, 0])
 
     def test_zero_length_route(self):
         inst = _three_edge_instance(P=10.0)
         route = Route(0, [0, inst.depot_end])
-        assert route_energy_profile(route, [0], inst) == [10.0, 10.0]
+        assert route_energy_profile(route, 0, inst) == [10.0, 10.0]
 
-    def test_width_mismatch_raises(self):
+    @pytest.mark.parametrize("mask", [1 << 3, -1, True, 1.0, [0, 1, 0]],
+                             ids=["past_last_edge", "negative", "bool", "float", "bit_list"])
+    def test_not_a_mask_raises(self, mask):
         inst = _three_edge_instance()
         route = make_route(0, [1, 2], inst)
         with pytest.raises(RouteStructureError):
-            route_energy_profile(route, [0, 1], inst)
+            route_energy_profile(route, mask, inst)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -294,7 +296,8 @@ class TestEnergyProfile:
         inst = build_instance(core, [1] * n, P=cap, gamma=gain)
         route = Route(0, list(range(n + 1)) + [inst.depot_end])
         costs_eff = [float(inst.dist[i, j]) for i, j in route.edges()]
-        got = route_energy_profile(route, pattern + [0], inst)
+        mask = sum(b << e for e, b in enumerate(pattern))
+        got = route_energy_profile(route, mask, inst)
         want = replay_profile(cap, 1.0, gain, costs_eff, pattern + [0])
         assert got == want
         assert max(got) <= cap
@@ -413,7 +416,7 @@ class TestCheckFeasibility:
             sol = Solution.from_routes([make_route(0, order, inst)])
             sol = finalize_solution(sol, inst)
             report = check_feasibility(sol, inst)
-            profile = route_energy_profile(sol.mtev_routes[0], [0] * (len(order) + 1), inst)
+            profile = route_energy_profile(sol.mtev_routes[0], 0, inst)
             assert ("energy-mtev" in report.families()) == (min(profile) < 0)
 
     def test_dropping_charging_never_fixes(self):
@@ -583,6 +586,15 @@ class TestDutyFindings:
         inst, sol = self._one_truck([None, None], [0, 2, 3])
         assert _findings(check_feasibility(sol, inst)) == [
             ("sync", "mtev:0", "charge assignment length does not match edge count", 0.0)]
+
+    @pytest.mark.parametrize("assign", [[None, None], [None, None, 0, None]],
+                             ids=["short", "long"])
+    def test_schedule_refuses_a_row_of_another_length(self, assign):
+        # the checker reports the row (`test_short_assignment_row`); the
+        # scheduler has no edge count to replay it against
+        inst, sol = self._one_truck(assign, [0, 2, 3])
+        with pytest.raises(RouteStructureError, match="charge assignment of route 0"):
+            build_schedule(sol, inst)
 
     def test_entries_past_the_edges_add_no_duty(self):
         # entry 3 names the truck and entry 4 an unknown one; neither is an edge
