@@ -6,12 +6,14 @@ its width; no pattern carries one. The enumerator returns the minimal
 antichain of feasible patterns (no retained pattern is a superset of another)
 in the order coordination branches over them: by cardinality, then mask
 value. A caller that needs a pattern's battery levels replays it with
-`model.route_energy_profile`, which takes the same mask.
+`model.route_energy_profile`, which takes the same mask. The sweep walks the
+live mask prefixes depth first, in O(m) memory.
 
 `min_charge_count` is a polynomial DP over charge counts. `CountTables`
 keeps its levels (forward) and what finishing the route needs (backward), so
 that inserting a customer is priced by joining the two; within `margin` of a
-tie, where rounding could set the join and the DP apart, the DP decides.
+tie, where rounding could set the join and the DP apart, the DP decides. Both
+move a level over an edge by the one transition `_step`.
 """
 
 from __future__ import annotations
@@ -147,43 +149,36 @@ def _min_count_sweep(cons, gain, req, P: float,
 
     Keeps one state per charge count k: the highest battery level over the
     still-active masks with k charges (the dominance rule of
-    resource-constrained shortest paths). Levels are updated with the very
-    float operations of ``_sweep``, and both updates are monotone under
+    resource-constrained shortest paths), moved over each edge by `_step`.
+    Its updates are the float operations of ``_sweep`` and monotone under
     rounding, so the best state for k turns terminal exactly when some
-    k-charge mask of the sweep does. O(m^2) instead of O(2^m).
+    k-charge mask of the sweep does. An edge stops at its first terminal
+    count; counts from there on can no longer win. O(m^2) instead of O(2^m).
 
     ``end`` = (edge, count before it, bit) is where the best state turned
-    terminal. When a ``history`` list is given, the levels before each edge
-    are appended to it, so that ``_witness`` can read one such mask back.
+    terminal; the bit is 1 when the charged child of count k - 1 gets there,
+    which the sweep prefers to the plain child of count k. When a
+    ``history`` list is given, the levels before each edge are appended to
+    it, so that ``_witness`` can read one such mask back.
     """
-    levels = [P]          # levels[k]; negative marks "no active mask"
-    end = None
-    best = None
+    levels = [P]          # levels[k]; -inf marks "no active mask"
+    best = end = None
     for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
         if history is not None:
             history.append(levels)
         width = len(levels) + 1 if best is None else best
-        nxt = [-1.0] * width
-        for k, base in enumerate(levels):
-            if base < 0.0:
-                continue
-            child = base - ce + ge
-            if child > P:
-                child = P
-            # req is nonnegative, so "terminal" implies "not depleted"
-            nc = base - ce
-            if nc >= r_e:
-                if best is None or k < best:
-                    best, end = k, (e, k, 0)
-            elif nc >= 0.0 and k < width and nc > nxt[k]:
-                nxt[k] = nc
-            if child >= r_e:
-                if best is None or k + 1 < best:
-                    best, end = k + 1, (e, k, 1)
-            elif child >= 0.0 and k + 1 < width and child > nxt[k + 1]:
-                nxt[k + 1] = child
-        if best is not None:
-            del nxt[best:]
+        nxt = []
+        below = -math.inf
+        for k in range(width):
+            base = levels[k] if k < len(levels) else -math.inf
+            level = _step(base, below, ce, ge, P, 0.0)
+            if level >= r_e:
+                # req is nonnegative, so "terminal" implies "not depleted"
+                bit = int(below >= 0.0 and min(below - ce + ge, P) >= r_e)
+                best, end = k, (e, k - bit, bit)
+                break
+            nxt.append(level)
+            below = base
         if not any(level >= 0.0 for level in nxt):
             break
         levels = nxt
@@ -208,49 +203,33 @@ def _witness(history, cons, end) -> int:
 
 
 def _sweep(cons, gain, req, P: float) -> set[int]:
-    """Sweep edges with a single 2^m battery table updated in place.
+    """Every terminal mask: a prefix of charging decisions whose battery,
+    after the edge it ends at, covers the rest of the route uncharged.
 
-    At each edge the charging child is evaluated first, then the no-charging
-    update overwrites the parent slot. Marks: -1 infeasible, 0 active,
-    1 terminal (battery already covers the rest of the route).
+    Walks the live prefixes depth first; each one has a single parent, so
+    nothing is stored per mask and memory is O(m). Over edge e a prefix at
+    ``base`` has a plain child at base - cons[e] and a charging child at
+    base - cons[e] + gain[e], capped at P. A child below 0 is dead; one at
+    or above req[e] is terminal and not extended. `enumerate_patterns`
+    calls it for m >= 2 only.
     """
-    m = len(cons)
-    size = 1 << m
-    g = [0.0] * size
-    v = [-1] * size
-    g[0] = P
-    v[0] = 0
     terminal: set[int] = set()
-    for e in range(m):
-        ce = cons[e]
-        ge = gain[e]
+    stack = [(0, 0, P)]
+    while stack:
+        e, mask, base = stack.pop()
         r_e = req[e]
-        bit = 1 << e
-        for s in range(1 << e):
-            if v[s] != 0:
-                continue
-            base = g[s]
-            child = base - ce + ge
-            if child > P:
-                child = P
-            s2 = s | bit
-            g[s2] = child
-            if child < 0.0:
-                v[s2] = -1
-            elif child >= r_e:
-                v[s2] = 1
-                terminal.add(s2)
-            else:
-                v[s2] = 0
-            nc = base - ce
-            g[s] = nc
-            if nc < 0.0:
-                v[s] = -1
-            elif nc >= r_e:
-                v[s] = 1
-                terminal.add(s)
-            else:
-                v[s] = 0
+        plain = base - cons[e]
+        child = plain + gain[e]
+        if child > P:
+            child = P
+        if child >= r_e:
+            terminal.add(mask | 1 << e)
+        elif child >= 0.0:
+            stack.append((e + 1, mask | 1 << e, child))
+        if plain >= r_e:
+            terminal.add(mask)
+        elif plain >= 0.0:
+            stack.append((e + 1, mask, plain))
     return terminal
 
 
@@ -323,7 +302,7 @@ def margin(inst: Instance, length: float) -> float:
 def _step(base: float, below: float, ce: float, ge: float, P: float, tol: float) -> float:
     """Highest level after one edge with k charges, from the highest levels
     before it with k (``base``) and k - 1 (``below``) charges, by the float
-    operations of `_min_count_sweep`. A dead level is -inf, or its negative
+    operations of `_sweep`. A dead level is -inf, or its negative
     value when within ``tol`` of 0: one that rounding may have killed."""
     best = -math.inf
     if base >= 0.0:
@@ -343,7 +322,7 @@ class CountTables:
     Crainic, Gendreau & Prins, EJOR 2014).
 
     ``levels[k][e]``: the highest level before edge e with exactly k charged
-    edges before it, by `_min_count_sweep`'s own float operations but kept
+    edges before it, by `_min_count_sweep`'s transition `_step` but kept
     past terminal states. ``needs[j][e]``: the lowest level before edge e
     that finishes the route with at most j charged edges from e on (inf:
     none); charging edge e lowers the need after it by ``gain[e] - cons[e]``,

@@ -4,15 +4,13 @@ Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
 solution, 4 rejected input: a missing or unreadable file, an instance,
 solution, config or reference file that cannot be parsed or fails
-validation (a config setting of the wrong type, or `iterations` < 0,
-`time_limit` not finite and >= 0, `segment_size` or `string_min` < 1,
-`weight_floor` <= 0, `string_min` > `string_max`), a missing `--dir`, an
-output path (`--out`, `solve --log`) in a missing directory or that names a
-directory, a bad `sweep --values` list, `gen` parameters that generation
-or instance validation refuses, a negative `--seed`, `--runs` or `--jobs`
-< 1, `solve --iters` or `--time-limit` out of the config's range, or an
-`oracle` instance above `--max-customers`, reported as one `invalid input:`
-line on stderr.
+validation (for a config: a setting `SolverConfig` rejects), a missing
+`--dir`, an output path (`--out`, `solve --log`) in a missing directory or
+that names a directory, a bad `sweep --values` list, `gen` parameters that
+generation or instance validation refuses, a negative `--seed`, `--runs` or
+`--jobs` < 1, `solve --iters` or `--time-limit` out of the config's range,
+or an `oracle` instance above `--max-customers`, reported as one
+`invalid input:` line on stderr.
 Flags and output paths are checked before any run starts.
 """
 

@@ -182,7 +182,7 @@ class Instance:
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
+            "n": int(self.n),
             "dist": [[float(x) for x in row] for row in self.dist],
             "demand": list(self.demand),
             "P": float(self.P),
@@ -570,12 +570,14 @@ def build_schedule(sol: Solution, inst: Instance, transfer_depletes: bool = True
     MTEVs depart as soon as they arrive. An MCT waits at the tail of a
     charging arc until its MTEV arrives, then the pair departs together;
     if the MCT shows up late the schedule still advances (the feasibility
-    checker reports the synchronization violation). A charge assignment
-    row whose length is not its route's edge count raises
-    RouteStructureError.
+    checker reports the synchronization violation). A missing charge
+    assignment row, or one whose length is not its route's edge count,
+    raises RouteStructureError.
     """
     out = sol.copy()
     for idx, r in enumerate(out.mtev_routes):
+        if idx >= len(out.charge_assign):
+            raise RouteStructureError(f"charge assignment of route {idx} is missing")
         entries = len(out.charge_assign[idx])
         if entries != len(r.nodes) - 1:
             raise RouteStructureError(f"charge assignment of route {idx} has {entries} "

@@ -381,6 +381,124 @@ class TestMinChargeCount:
 
 
 # ---------------------------------------------------------------------------
+# the earlier table sweep and inline count DP, kept as references
+# ---------------------------------------------------------------------------
+
+def table_sweep(cons, gain, req, P):
+    """Terminal masks from one 2^m level table updated in place: at each
+    edge the charging child first, then the plain child overwrites the
+    parent slot. Marks: -1 dead, 0 active, 1 terminal."""
+    size = 1 << len(cons)
+    g = [0.0] * size
+    v = [-1] * size
+    g[0] = P
+    v[0] = 0
+    terminal = set()
+    for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
+        for s in range(1 << e):
+            if v[s] != 0:
+                continue
+            base = g[s]
+            child = base - ce + ge
+            if child > P:
+                child = P
+            for slot, level in ((s | 1 << e, child), (s, base - ce)):
+                g[slot] = level
+                v[slot] = -1 if level < 0.0 else 1 if level >= r_e else 0
+                if v[slot] == 1:
+                    terminal.add(slot)
+    return terminal
+
+
+def inline_count_sweep(cons, gain, req, P, history):
+    """The count DP with its own transition: every active count's plain and
+    charged child in ascending count order, the first terminal one kept;
+    dead levels are -1.0."""
+    levels = [P]
+    best = end = None
+    for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
+        history.append(levels)
+        width = len(levels) + 1 if best is None else best
+        nxt = [-1.0] * width
+        for k, base in enumerate(levels):
+            if base < 0.0:
+                continue
+            child = base - ce + ge
+            if child > P:
+                child = P
+            for count, level, bit in ((k, base - ce, 0), (k + 1, child, 1)):
+                if level >= r_e:
+                    if best is None or count < best:
+                        best, end = count, (e, k, bit)
+                elif level >= 0.0 and count < width and level > nxt[count]:
+                    nxt[count] = level
+        if best is not None:
+            del nxt[best:]
+        if not any(level >= 0.0 for level in nxt):
+            break
+        levels = nxt
+    return None if best is None else (best, end)
+
+
+def assert_same_as_references(lengths, rho_t, gamma, P):
+    """`_sweep` and `_min_count_sweep` give the references' terminal masks,
+    (count, end), history row lengths and witness."""
+    cons = [rho_t * c for c in lengths]
+    gain = [gamma * c for c in lengths]
+    req = bdp._suffix_sums(cons)
+    assert bdp._sweep(cons, gain, req, P) == table_sweep(cons, gain, req, P)
+    history, reference = [], []
+    found = bdp._min_count_sweep(cons, gain, req, P, history)
+    assert found == inline_count_sweep(cons, gain, req, P, reference)
+    assert [len(row) for row in history] == [len(row) for row in reference]
+    if found is not None:
+        assert bdp._witness(history, cons, found[1]) == bdp._witness(reference, cons, found[1])
+
+
+class TestSameAsTableSweep:
+    """The depth-first sweep and the `_step` count DP decide every float
+    comparison as the table sweep and the inline DP did, ties included."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12),
+           kind=st.sampled_from(("integer", "tenths", "float")),
+           rho_t=st.sampled_from([0.7, 1.0, 1.3]),
+           gamma=st.sampled_from([0.5, 1.0, 2.0, 3.0, None]),
+           battery=st.sampled_from(("total", "integer", "edge", "suffix")))
+    def test_same_terminals_count_and_witness(self, data, m, kind, rho_t, gamma, battery):
+        # gamma None: equal to rho_t, so that a charged edge drains nothing;
+        # battery "suffix": one ulp below what finishing the route after some
+        # edge needs, where rounding alone may turn a plain child terminal
+        draw = {"integer": st.integers(0, 9).map(float),
+                "tenths": st.integers(0, 30).map(lambda t: t / 10),
+                "float": st.floats(0.01, 10.0)}[kind]
+        lengths = data.draw(st.lists(draw, min_size=m, max_size=m))
+        cons = [rho_t * c for c in lengths]
+        P = {"total": lambda: sum(cons) / data.draw(st.sampled_from([1.5, 2.0, 3.0, 4.0])),
+             "integer": lambda: float(data.draw(st.integers(1, 8))),
+             "edge": lambda: max(cons) * data.draw(st.sampled_from([1.0, 1.5])),
+             "suffix": lambda: math.nextafter(
+                 data.draw(st.sampled_from(bdp._suffix_sums(cons))), -math.inf)}[battery]()
+        assume(P > 0.0)
+        assert_same_as_references(lengths, rho_t, rho_t if gamma is None else gamma, P)
+
+    @pytest.mark.parametrize("lengths, rho_t, gamma, P", [
+        ([1.4, 2.4, 1.9, 2.8, 1.8], 1.0, 1.0, 6.499999999999999),
+        ([7.0, 3.0, 8.0, 9.0, 6.0], 0.7, 2.0, 18.2),
+        ([9.0, 7.0, 3.0, 4.0, 6.0, 9.0, 0.0], 0.7, 3.0, 13.299999999999999),
+    ])
+    def test_charged_child_wins_a_tie(self, lengths, rho_t, gamma, P):
+        # the fewest charges first turn terminal on an edge where the charged
+        # child of the count below and, by rounding, the plain child both do;
+        # the end bit is the charged child's
+        cons = [rho_t * c for c in lengths]
+        found = bdp._min_count_sweep(cons, [gamma * c for c in lengths],
+                                     bdp._suffix_sums(cons), P)
+        assert found[1][2] == 1
+        assert_same_as_references(lengths, rho_t, gamma, P)
+
+
+# ---------------------------------------------------------------------------
 # charge counts of inserted routes from the route's tables
 # ---------------------------------------------------------------------------
 

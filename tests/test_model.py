@@ -86,10 +86,19 @@ def replay_profile(P, rho_t, gamma, costs, bits):
 # ---------------------------------------------------------------------------
 
 class TestInstance:
-    def test_round_trip_preserves_fields(self, one_customer):
+    def test_round_trip_preserves_fields(self, one_customer, tmp_path):
         data = one_customer.to_json()
         again = Instance.from_json(json.loads(json.dumps(data)))
         assert again.to_json() == data
+        # numpy integers are valid input and are saved as JSON ints
+        data.update(n=np.int64(1), max_mtev=np.int32(2), max_mct=np.int64(1),
+                    demand=np.array([3], dtype=np.int64))
+        inst = Instance.from_json(data)
+        inst.save(tmp_path / "inst.json")
+        again = Instance.load(tmp_path / "inst.json")
+        assert again.to_json() == inst.to_json()
+        assert [type(again.to_json()[k]) for k in ("n", "max_mtev", "max_mct")] == [int] * 3
+        assert again.demand == [3]
 
     def test_rejects_asymmetric_matrix(self):
         dist = np.zeros((3, 3))
@@ -587,12 +596,16 @@ class TestDutyFindings:
         assert _findings(check_feasibility(sol, inst)) == [
             ("sync", "mtev:0", "charge assignment length does not match edge count", 0.0)]
 
-    @pytest.mark.parametrize("assign", [[None, None], [None, None, 0, None]],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("assign", [[None, None], [None, None, 0, None], None],
+                             ids=["short", "long", "missing"])
     def test_schedule_refuses_a_row_of_another_length(self, assign):
         # the checker reports the row (`test_short_assignment_row`); the
-        # scheduler has no edge count to replay it against
+        # scheduler has no edge count to replay it against. None: no row at all
         inst, sol = self._one_truck(assign, [0, 2, 3])
+        if assign is None:
+            sol.charge_assign = []
+            assert _findings(check_feasibility(sol, inst)) == [
+                ("sync", "mtev:0", "charge assignment length does not match edge count", 0.0)]
         with pytest.raises(RouteStructureError, match="charge assignment of route 0"):
             build_schedule(sol, inst)
 
