@@ -101,15 +101,15 @@ def preprocess_route(route: Route, inst: Instance) -> RouteClass:
 
 
 def _screen(cons, gain, P: float) -> RouteClass:
-    total = sum(cons)
-    if len(cons) == 1:
-        return RouteClass.TRIVIAL_NO_CHARGE if cons[0] <= P else RouteClass.INFEASIBLE
-    if total <= P:
+    if sum(cons) <= P:      # the sum of one edge is its consumption
         return RouteClass.TRIVIAL_NO_CHARGE
-    for ce, ge in zip(cons, gain):
-        if ce - ge > P:
-            return RouteClass.INFEASIBLE
-    return RouteClass.NEEDS_BDP
+    return RouteClass.INFEASIBLE if _hopeless(cons, gain, P) else RouteClass.NEEDS_BDP
+
+
+def _hopeless(cons, gain, P: float) -> bool:
+    """Whether a route that exceeds the battery is one edge, or has an edge
+    that drains more than P even while charging."""
+    return len(cons) == 1 or any(ce - ge > P for ce, ge in zip(cons, gain))
 
 
 def _minimal_masks(masks) -> list[int]:
@@ -238,17 +238,20 @@ def enumerate_patterns(route: Route, inst: Instance,
                        lengths: list[float] | None = None) -> BdpResult:
     """Minimal feasible charging patterns for one route.
 
-    Trivial and hopeless routes are classified without any search. Routes
-    longer than ``max_edges`` get the charge-count DP's minimum-count witness
-    as their single pattern instead of the exponential sweep (flagged via
+    Trivial and hopeless routes are classified without any search, as
+    `_screen` does, the trivial ones before any gain is computed. Routes longer
+    than ``max_edges`` get the charge-count DP's minimum-count witness as
+    their single pattern instead of the exponential sweep (flagged via
     ``fallback``). ``lengths``, when given, must be the route's edge lengths
     as read from ``inst.dist``; they spare the numpy look-ups.
     """
-    cons, gain = _edge_consumption(route, inst, lengths)
-    cls = _screen(cons, gain, inst.P)
-    if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result([0], cls)
-    if cls is RouteClass.INFEASIBLE:
+    if lengths is None:
+        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
+    cons = [inst.rho_t * c for c in lengths]
+    if sum(cons) <= inst.P:
+        return _result([0], RouteClass.TRIVIAL_NO_CHARGE)
+    gain = [inst.gamma * c for c in lengths]
+    if _hopeless(cons, gain, inst.P):
         return BdpResult(RouteClass.INFEASIBLE, [])
     req = _suffix_sums(cons)
     if len(cons) > max_edges:
@@ -297,6 +300,13 @@ def margin(inst: Instance, length: float) -> float:
     """Half-width of the band around a battery decision on a route of total
     length ``length`` inside which float rounding may decide it either way."""
     return ROUNDING * (inst.P + (inst.rho_t + inst.gamma) * length)
+
+
+def fits(inst: Instance, length: float, dropped: float = 0.0) -> bool:
+    """Whether a route of length ``length`` fits the battery by more than
+    `margin`, so that `_screen`, the DP and `CountTables` all give count 0.
+    ``dropped``: an edge subtracted from a longer sum to get ``length``."""
+    return inst.P - inst.rho_t * length > margin(inst, length + dropped)
 
 
 def _step(base: float, below: float, ce: float, ge: float, P: float, tol: float) -> float:

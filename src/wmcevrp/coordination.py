@@ -373,9 +373,9 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     floor: one truck when some route cannot avoid charging, else none. The
     first plan found at the final count is kept; deadhead is not minimized.
 
-    The plan is certified when its count is proven minimal: no assignment
-    search ran out of `node_budget`, or the count equals the floor. Returns
-    None when no combination can be coordinated.
+    The plan is certified when its count is proven minimal: it equals the
+    floor, or no assignment search ran out of `node_budget` and no branching
+    route is a `fallback`. Returns None when no combination can be coordinated.
 
     `fixed` is `routing_cost(routes, inst)` and `arcs` is what
     `_charging_arcs` returns; a caller that keeps them per route passes
@@ -448,7 +448,8 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         dfs(0, 0, (), 0)
     if best[0] is None:
         return None
-    plan = CoordinationPlan(*best[0], certified=complete[0] or beat[0] == floor)
+    exhaustive = complete[0] and not any(bdp_results[r_idx].fallback for r_idx in branching)
+    plan = CoordinationPlan(*best[0], certified=exhaustive or beat[0] == floor)
     return CoordinationResult(plan, fixed + inst.rho_c * beat[0])
 
 

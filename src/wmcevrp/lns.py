@@ -148,7 +148,7 @@ class _RouteRecord:
 
 class _Context:
     """Per-run caches shared by operators: distance rows, route records,
-    coordination memo and relatedness.
+    coordination memo and the Shaw order.
 
     `d` holds `inst.dist` as nested lists of floats: operators index it in
     their inner loops, where a plain-float lookup costs far less than a
@@ -169,6 +169,10 @@ class _Context:
     adds no duty, no search level and no factor to the exact gate. The
     index is part of the key because duty tie-breaks use it. Plans are
     shared, so nothing may mutate one.
+
+    `shaw_order`, once Shaw removal has run, lists every customer by
+    relatedness to customer u at [u - 1], ties by index as a stable sort
+    leaves them.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -178,7 +182,7 @@ class _Context:
         self._records: dict[tuple[int, ...], _RouteRecord] = {}
         self.coordinated: OrderedDict[tuple[tuple[int, tuple[int, ...]], ...],
                                       coordination.CoordinationPlan | None] = OrderedDict()
-        self._relatedness = None
+        self.shaw_order: list[list[int]] | None = None
 
     def patterns(self, nodes: list[int]) -> _RouteRecord:
         """The record of the route over `nodes`, enumerating its patterns
@@ -195,22 +199,18 @@ class _Context:
                 self._records[key] = rec
         return rec
 
-    def relatedness(self) -> list[list[float]]:
-        """Shaw relatedness of customers u and v at [u - 1][v - 1], as nested
-        float lists like `d`."""
-        if self._relatedness is None:
-            inst = self.inst
-            n = inst.n
-            sub = inst.dist[1:n + 1, 1:n + 1]
-            span = sub.max() - sub.min()
-            dist_hat = (sub - sub.min()) / span if span > 0 else np.zeros_like(sub)
-            dem = np.array(inst.demand, dtype=float)
-            dd = np.abs(dem[:, None] - dem[None, :])
-            dspan = dd.max() - dd.min()
-            dem_hat = (dd - dd.min()) / dspan if dspan > 0 else np.zeros_like(dd)
-            self._relatedness = (self.cfg.shaw_distance_weight * dist_hat
-                                 + self.cfg.shaw_demand_weight * dem_hat).tolist()
-        return self._relatedness
+
+def _relatedness(inst: Instance, cfg: SolverConfig) -> np.ndarray:
+    """Shaw relatedness of customers u and v at [u - 1, v - 1]."""
+    n = inst.n
+    sub = inst.dist[1:n + 1, 1:n + 1]
+    span = sub.max() - sub.min()
+    dist_hat = (sub - sub.min()) / span if span > 0 else np.zeros_like(sub)
+    dem = np.array(inst.demand, dtype=float)
+    dd = np.abs(dem[:, None] - dem[None, :])
+    dspan = dd.max() - dd.min()
+    dem_hat = (dd - dd.min()) / dspan if dspan > 0 else np.zeros_like(dd)
+    return cfg.shaw_distance_weight * dist_hat + cfg.shaw_demand_weight * dem_hat
 
 
 def _route_load(nodes: list[int], inst: Instance) -> int:
@@ -347,20 +347,25 @@ def _string_removal(routes, ctx, rng, k):
 
 
 def _shaw_removal(routes, ctx, rng, k):
-    """Grow a removal set of customers similar in location and demand."""
-    rel = ctx.relatedness()
+    """Grow a removal set of customers similar in location and demand: each
+    pick is the served customer left most related to a random removed one."""
+    if ctx.shaw_order is None:
+        rel = _relatedness(ctx.inst, ctx.cfg)
+        ctx.shaw_order = (np.argsort(rel, axis=1, kind="stable") + 1).tolist()
+    order = ctx.shaw_order
     served = sorted(u for nodes in routes for u in nodes[1:-1])
     if not served:
         return [list(r) for r in routes], []
     k = min(k, len(served))
     seed = int(rng.choice(served))
     removed = [seed]
-    remaining = [u for u in served if u != seed]
-    while len(removed) < k and remaining:
-        row = rel[removed[int(rng.integers(len(removed)))] - 1]
-        pick = min(remaining, key=lambda u: (row[u - 1], u))
+    left = set(served)
+    left.remove(seed)
+    while len(removed) < k:
+        row = order[removed[int(rng.integers(len(removed)))] - 1]
+        pick = next(u for u in row if u in left)
         removed.append(pick)
-        remaining.remove(pick)
+        left.remove(pick)
     return _remove_customers(routes, removed), removed
 
 
@@ -408,12 +413,27 @@ def _edge_table(edges, routes, r_idx, ctx):
     return table
 
 
-def _route_options(table, u, r_idx, ctx):
-    """(delta_cost, route_idx, pos) of inserting u on every edge of one route,
-    priced from the route's edge table."""
+def _priced(u, tables, ctx, depth=0):
+    """(delta_cost, route_idx, pos) of inserting u on each edge of each
+    (route_idx, edge table) pair: all in one list at depth 0, else per route
+    its `depth` cheapest, sorted. The one place an insertion is priced."""
     du, rho_t = ctx.d[u], ctx.inst.rho_t
-    return [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
-            for dprev, nxt, dprev_nxt, pos in table]
+    priced = []
+    for r_idx, table in tables:
+        if not table:           # a route without room
+            if depth:
+                priced.append([])
+            continue
+        options = [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
+                   for dprev, nxt, dprev_nxt, pos in table]
+        if not depth:
+            priced += options
+        elif depth == 1:
+            priced.append([min(options)])
+        else:
+            options.sort()
+            priced.append(options[:depth])
+    return priced
 
 
 def _fresh_route_delta(u, ctx):
@@ -429,12 +449,10 @@ def _insertion_options(routes, loads, edges, u, ctx):
     vehicle acquisition cost.
     """
     inst = ctx.inst
-    du = inst.demand_of(u)
-    options = []
-    for r_idx, load in enumerate(loads):
-        if load + du <= inst.Q:
-            options += _route_options(_edge_table(edges, routes, r_idx, ctx), u, r_idx, ctx)
-    if len(routes) < inst.max_mtev and du <= inst.Q:
+    du, Q = inst.demand_of(u), inst.Q
+    options = _priced(u, [(r_idx, edges.get(r_idx) or _edge_table(edges, routes, r_idx, ctx))
+                          for r_idx, load in enumerate(loads) if load + du <= Q], ctx)
+    if len(routes) < inst.max_mtev and du <= Q:
         options.append((_fresh_route_delta(u, ctx), len(routes), 1))
     return options
 
@@ -528,15 +546,10 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     demand = {u: inst.demand_of(u) for u in pending}
     fresh = {u: _fresh_route_delta(u, ctx) for u in pending if demand[u] <= Q}
 
-    def cheapest(r_idx, u):
-        options = _route_options(_edge_table(edges, routes, r_idx, ctx), u, r_idx, ctx)
-        if depth == 1:
-            return [min(options)]
-        options.sort()
-        return options[:depth]
-
-    cached = {u: [cheapest(r_idx, u) if load + demand[u] <= Q else []
-                  for r_idx, load in enumerate(loads)] for u in pending}
+    # per demand, every route with its edge table; () where the demand does not fit
+    rooms = {du: [(r_idx, _edge_table(edges, routes, r_idx, ctx) if load + du <= Q else ())
+                  for r_idx, load in enumerate(loads)] for du in set(demand.values())}
+    cached = {u: _priced(u, rooms[demand[u]], ctx, depth) for u in pending}
     heads = {u: _rank_head(cached[u], depth) for u in pending}
     # (-regret, cheapest delta, u, r_idx, pos) of each customer with an option;
     # the fresh route, when there is room for one, has index `opening`
@@ -573,8 +586,14 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         if opened:
             opening = len(routes) if len(routes) < inst.max_mtev else None
         load = loads[r_idx]
+        table = None
         for v in pending:
-            new = cheapest(r_idx, v) if load + demand[v] <= Q else []
+            if load + demand[v] <= Q:
+                if table is None:
+                    table = [(r_idx, _edge_table(edges, routes, r_idx, ctx))]
+                new, = _priced(v, table, ctx, depth)
+            else:
+                new = []
             per_route = cached[v]
             if opened:
                 per_route.append(new)
@@ -607,10 +626,13 @@ def _charge_insertion(routes, removed, ctx, rng):
     charging, up to the first that adds none, and all of them are ranked
     only when each one adds charging.
 
-    Counts come from the route's `bdp.CountTables`, built when it is first
-    priced and dropped when an insertion changes it; its own count is the
-    one its last insertion was priced at, or read from the tables. A fresh
-    route is an insertion into [0, n+1].
+    A fresh route is an insertion into [0, n+1]. A route that `bdp.fits`
+    the battery after the insertion has count 0, so the increase is 0
+    whatever the route's own count; the route's length is summed as
+    `_route_distance` sums it, again after each insertion. Other counts come
+    from the route's `bdp.CountTables`, built when first needed and dropped
+    when an insertion changes the route; its own count is the one its last
+    insertion was priced at, or read from the tables.
     """
     inst, d = ctx.inst, ctx.d
     end = inst.depot_end
@@ -619,25 +641,32 @@ def _charge_insertion(routes, removed, ctx, rng):
     edges = {}
     tables = {}
     counts = [None] * len(routes)   # math.inf for a route no pattern makes feasible
+    lengths = [None] * (len(routes) + 1)    # the last one a fresh route's
     empty = None                    # the tables of [0, end]
 
     def priced(u, option):
         nonlocal empty
         delta, r_idx, pos = option
         fresh = r_idx == len(routes)
+        nodes, length = [0, end] if fresh else routes[r_idx], lengths[r_idx]
+        if length is None:
+            length = lengths[r_idx] = _route_distance(nodes, d)
+        prev, nxt = nodes[pos - 1], nodes[pos]
+        dropped, c1, c2 = d[prev][nxt], d[prev][u], d[u][nxt]
+        if bdp.fits(inst, length - dropped + c1 + c2, dropped):
+            return 0.0, 2, delta, r_idx, pos, 0
         if fresh:
             if empty is None:
                 empty = bdp.CountTables([d[0][end]], inst)
-            nodes, table, before = [0, end], empty, 0.0
+            table, before = empty, 0.0
         else:
-            nodes = routes[r_idx]
             table = tables.get(r_idx)
             if table is None:
                 table = tables[r_idx] = bdp.CountTables(_route_lengths(nodes, d), inst)
             before = counts[r_idx]
             if before is None:
                 before = counts[r_idx] = _count_or_inf(table.route_count())
-        after = _count_or_inf(table.insertion_count(pos, d[nodes[pos - 1]][u], d[u][nodes[pos]]))
+        after = _count_or_inf(table.insertion_count(pos, c1, c2))
         increase = max(0.0, after - before) if after != math.inf else math.inf
         keep_existing = 1 if (increase > 0 and fresh) else 2
         return increase, keep_existing, delta, r_idx, pos, after
@@ -656,8 +685,10 @@ def _charge_insertion(routes, removed, ctx, rng):
         increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
+        lengths[r_idx] = None
         if r_idx == len(routes):
             counts.append(after)
+            lengths.append(None)
         else:
             counts[r_idx] = after
             tables.pop(r_idx, None)
@@ -970,7 +1001,8 @@ def run(inst: Instance, config: SolverConfig | None = None,
                         accepted = True
                     else:
                         delta = cand_cost - inc_cost
-                        if temp > 0 and rng.random() < math.exp(-delta / temp):
+                        # -delta / temp overflows for delta just below 0
+                        if temp > 0 and rng.random() < math.exp(min(0.0, -delta / temp)):
                             score = cfg.score_accept_worse
                             accepted = True
                     if accepted:

@@ -616,3 +616,72 @@ class TestCountTables:
                 assert ask() == want
                 seen.add(("dp" if len(dp_calls) > calls else "join", want is None))
         assert seen == {("join", False), ("join", True), ("dp", False), ("dp", True)}
+
+
+# ---------------------------------------------------------------------------
+# the battery fit that lets charge insertion skip the count tables
+# ---------------------------------------------------------------------------
+
+def summed(lengths):
+    """A route's length summed edge by edge from the depot, as the LNS sums it."""
+    total = 0.0
+    for c in lengths:
+        total += c
+    return total
+
+
+class TestFits:
+    """Where `fits` holds, the DP, the tables and the enumeration all give
+    count 0, also a few ulps and about one `margin` beside the battery a
+    route or an inserted route uses up."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12), kind=st.sampled_from(LENGTHS),
+           rho_t=st.sampled_from([0.7, 1.0, 1.3]), gamma=st.sampled_from([0.5, 2.0]),
+           target=st.sampled_from(["route", "trial"]),
+           offset=st.sampled_from(["ulps", "margin"]), step=st.integers(-4, 4))
+    def test_fit_means_count_zero(self, data, m, kind, rho_t, gamma, target, offset, step):
+        draw = lambda lo, hi: data.draw(st.integers(lo, hi))    # noqa: E731
+        case = boundary_case(draw, kind, m, rho_t, gamma, 0)
+        assume(case is not None)
+        lengths, c1, c2, _ = case
+        pos = draw(1, m)
+        trial = lengths[:pos - 1] + [c1, c2] + lengths[pos:]
+        P = rho_t * summed(trial if target == "trial" else lengths)
+        if offset == "ulps":
+            for _ in range(abs(step)):
+                P = math.nextafter(P, math.copysign(math.inf, step))
+        else:
+            P += step / 2 * bdp.ROUNDING * (P + (rho_t + gamma) * summed(trial))
+        assume(P > 0.0)
+        inst = battery_instance(P, rho_t, gamma)
+        length, dropped = summed(lengths), lengths[pos - 1]
+        tables = bdp.CountTables(lengths, inst)
+        if bdp.fits(inst, length):
+            assert count_of(lengths, inst) == 0
+            assert tables.route_count() == 0
+        if bdp.fits(inst, length - dropped + c1 + c2, dropped):
+            assert count_of(trial, inst) == 0
+            assert tables.insertion_count(pos, c1, c2) == 0
+        for path in (lengths, trial):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")          # gamma <= rho_t warns
+                path_inst, route = edge_instance(path, P=P, rho_t=rho_t, gamma=gamma)
+            res = enumerate_patterns(route, path_inst)
+            # the trivial test before the gains classifies as the screen does
+            assert (res.classification is RouteClass.TRIVIAL_NO_CHARGE) == (
+                preprocess_route(route, path_inst) is RouteClass.TRIVIAL_NO_CHARGE)
+            if bdp.fits(path_inst, summed(path)):
+                # within the band a replay may run dry by rounding alone
+                assert res == brute_force_patterns(route, path_inst) == BdpResult(
+                    RouteClass.TRIVIAL_NO_CHARGE, [0])
+
+    def test_band_around_the_battery(self):
+        inst = battery_instance(10.0, 1.0, 2.0)
+        tol = bdp.margin(inst, 10.0)
+        assert bdp.fits(inst, 10.0 - 2 * tol)
+        assert not bdp.fits(inst, 10.0 - tol / 2)
+        assert not bdp.fits(inst, 10.0)
+        # an edge of 1000 dropped from the sum widens the band 200-fold
+        assert not bdp.fits(inst, 10.0 - 2 * tol, 1000.0)
+        assert bdp.fits(inst, 10.0 - 400 * tol, 1000.0)

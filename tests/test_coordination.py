@@ -21,6 +21,7 @@ from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     EPS,
     ChargingDuty,
+    Route,
     _duties_per_mct,
     check_feasibility,
     duty_order,
@@ -463,6 +464,29 @@ class TestCertified:
         inst, route = chainable_two_duty_case()
         results = [bdp.enumerate_patterns(route, inst)]
         out = coordinate_exact([route], results, inst, node_budget=1)
+        assert out.plan.mct_count == 1
+        assert out.plan.certified
+
+    def test_fallback_route_above_the_floor_is_uncertified(self):
+        # with max_edges = 1 the route offers the count DP's witness alone,
+        # not its antichain: its 2 trucks exceed the floor of 1 and are not
+        # proven minimal, and the full antichain needs 1
+        inst = generate_instance(6, 11, P=1200.0)
+        route = Route(0, [0, 3, 4, 2, 1, 6, 5, 7])
+        witness = bdp.enumerate_patterns(route, inst, max_edges=1)
+        assert witness.fallback
+        out = coordinate_exact([route], [witness], inst)
+        assert out.plan.mct_count == 2
+        assert not out.plan.certified
+        out = coordinate_exact([route], [bdp.enumerate_patterns(route, inst)], inst)
+        assert out.plan.mct_count == 1
+        assert out.plan.certified
+
+    def test_fallback_route_at_the_floor_is_certified(self):
+        inst, route = chainable_two_duty_case()
+        results = [bdp.enumerate_patterns(route, inst, max_edges=1)]
+        assert results[0].fallback
+        out = coordinate_exact([route], results, inst)
         assert out.plan.mct_count == 1
         assert out.plan.certified
 

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from wmcevrp import bdp, coordination, harness, lns
@@ -565,11 +565,20 @@ class TestLazyPricing:
                                  set(), [], top)
 
     def test_charge_insertion_branches(self, monkeypatch):
-        # every count the charge insertion uses comes from count tables,
-        # answered by the join or, near a tie, by the DP on the route
+        # every count the charge insertion uses is 0 because the route fits
+        # the battery, or comes from count tables, answered by the join or,
+        # near a tie, by the DP on the route
         answers, dp_calls = [], []
         dp = bdp._min_count
         monkeypatch.setattr(bdp, "_min_count", lambda *args: dp_calls.append(1) or dp(*args))
+
+        def fits(*args, fit=bdp.fits):
+            if fit(*args):
+                answers.append("fits")
+                return True
+            return False
+
+        monkeypatch.setattr(bdp, "fits", fits)
         for name in ("route_count", "insertion_count"):
             def recorded(tables, *args, ask=getattr(bdp.CountTables, name)):
                 calls = len(dp_calls)
@@ -586,7 +595,7 @@ class TestLazyPricing:
                                      (0.5, 2.0)[seed // 4 % 2], seen, ref_calls, top)
         assert seen >= {"early_exit", "full_scan", "inf_base", "fleet_cap",
                         "negative_delta", "none"}
-        assert {"join", "dp"} <= set(answers)
+        assert {"fits", "join", "dp"} <= set(answers)
         assert len(answers) < len(ref_calls)
 
     def test_rounding_decides_the_chargeable_gate(self):
@@ -681,6 +690,49 @@ class TestRegretHeads:
         assert calls["_rank_head"] > 0, "no head was ranked again"
         assert calls["_merge_head"] > 0, "no route's options were merged into a head"
         assert seen == {"opened", "fleet_filled"}
+
+
+# ---------------------------------------------------------------------------
+# Shaw removal from the per-customer order against a scan of the remaining
+# ---------------------------------------------------------------------------
+
+def ref_shaw_removal(routes, ctx, rng, k):
+    """Shaw removal that scans every remaining customer for each pick."""
+    rel = lns._relatedness(ctx.inst, ctx.cfg).tolist()
+    served = sorted(u for nodes in routes for u in nodes[1:-1])
+    if not served:
+        return [list(r) for r in routes], []
+    k = min(k, len(served))
+    seed = int(rng.choice(served))
+    removed = [seed]
+    remaining = [u for u in served if u != seed]
+    while len(removed) < k and remaining:
+        row = rel[removed[int(rng.integers(len(removed)))] - 1]
+        pick = min(remaining, key=lambda u: (row[u - 1], u))
+        removed.append(pick)
+        remaining.remove(pick)
+    return lns._remove_customers(routes, removed), removed
+
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestShawOrder:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 31),
+           top=st.sampled_from([None, 1, 2, 4]), draw=st.integers(0, 2**32 - 1),
+           weights=st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0),
+                                    (-1.0, 2.0), (1e308, 1e308)]))
+    def test_same_picks_as_a_scan(self, n, seed, k, top, draw, weights):
+        # integer distances in 1..top, demands in 1..3 and zero weights tie
+        # relatedness values; the largest weights make some of them inf
+        inst, full, partial, _ = operator_case(n, seed, 10.0, 1500.0, 0, top)
+        ctx = lns._Context(inst, SolverConfig(shaw_distance_weight=weights[0],
+                                              shaw_demand_weight=weights[1]))
+        for routes in (full, partial):
+            want_rng, got_rng = rng_at(draw), rng_at(draw)
+            want = ref_shaw_removal([list(r) for r in routes], ctx, want_rng, k)
+            assert lns._shaw_removal([list(r) for r in routes], ctx, got_rng, k) == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +898,10 @@ class TestConfig:
     @given(overrides=st.lists(CONFIG_OVERRIDE, max_size=8).map(dict),
            iterations=st.sampled_from([0, 1, 40]), seed=st.integers(0, 2**32 - 1),
            P=st.sampled_from([900.0, 1500.0, 15000.0]))
+    # a candidate less than 1e-9 below the incumbent's cost at a temperature
+    # so low that -delta / temp overflows math.exp
+    @example(overrides={"init_temp_factor": 5e-324, "removal_max_frac": 0.5, "bdp_max_edges": 0},
+             iterations=40, seed=177674, P=900.0)
     def test_every_accepted_config_runs(self, overrides, iterations, seed, P):
         try:
             cfg = SolverConfig(**overrides, iterations=iterations)
@@ -916,6 +972,19 @@ class TestRun:
             if math.isclose(best, orc.cost, rel_tol=1e-9, abs_tol=1e-6):
                 hits += 1
         assert hits >= 5
+
+    def test_fallback_plan_is_not_certified(self):
+        # with bdp_max_edges = 1 every route of two or more edges offers only
+        # the count DP's witness; the best plan's 2 trucks exceed the floor of
+        # 1, so nothing proves them minimal
+        inst = generate_instance(6, 10, P=1200.0)
+        res = lns.run(inst, SolverConfig(iterations=60, bdp_max_edges=1),
+                      rng=harness.run_seed(10, 0))
+        results = [bdp.enumerate_patterns(r, inst, max_edges=1) for r in res.best.mtev_routes]
+        assert any(r.fallback and r.charged() for r in results)
+        assert res.coordination.plan.mct_count == 2
+        assert not res.coordination.plan.certified
+        assert res.feasible
 
     def test_time_limit_respected(self):
         inst = generate_instance(15, seed=50)
