@@ -461,7 +461,9 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     """Ground-truth enumeration: replay all 2^m patterns, keep the minimal antichain.
 
     Feasibility of a pattern means its full-route battery replay never drops
-    below zero. Shares only the preprocessing shortcuts with the sweep.
+    below zero. Shares only the preprocessing shortcuts with the sweep. At a
+    battery tie inside `margin`, the float replay can drop a pattern that
+    the sweep keeps.
     """
     cons, gain = _edge_consumption(route, inst)
     cls = _screen(cons, gain, inst.P)

@@ -16,7 +16,6 @@ from bisect import bisect_right
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,24 +30,6 @@ from .model import (
     check_feasibility,
     route_duties,
     routing_cost,
-)
-
-DESTROY_OPS = (
-    "random_removal",
-    "distance_removal",
-    "string_removal",
-    "worst_removal",
-    "shaw_removal",
-    "charge_removal",
-)
-
-REPAIR_OPS = (
-    "random_insertion",
-    "greedy_insertion",
-    "sequential_insertion",
-    "regret2_insertion",
-    "regret3_insertion",
-    "charge_insertion",
 )
 
 # distinct coordination outcomes a run remembers; repeats are nearly
@@ -378,6 +359,8 @@ _DESTROY_FUNCS = {
     "charge_removal": _charge_removal,
 }
 
+DESTROY_OPS = tuple(_DESTROY_FUNCS)
+
 
 def destroy(op_id: str, sol: Solution, inst: Instance, rng: np.random.Generator,
             k: int, config: SolverConfig | None = None):
@@ -396,95 +379,107 @@ def destroy(op_id: str, sol: Solution, inst: Instance, rng: np.random.Generator,
 # insertion operators
 # ---------------------------------------------------------------------------
 
-def _edge_table(edges, routes, r_idx, ctx):
-    """The edge table of route r_idx: one (d[prev] row, nxt, d[prev][nxt],
-    pos) entry per edge, all that pricing an insertion on the edge reads, pos
-    being the position the inserted customer would take.
+class _Fleet:
+    """The routes an insertion operator rebuilds, with their loads and edge
+    tables. The one place an insertion is priced and applied.
 
-    `edges` maps route indices to tables. A table is built when the route is
-    first priced and dropped when an insertion changes the route.
+    An unused vehicle is an empty route: while fewer than `inst.max_mtev`
+    routes are in the fleet, the last one, at index `opening`, is [0, n+1],
+    and an insertion into it opens the next one. Inserting u there costs
+    what serving u alone does, `rho_t * (d[0][u] + d[u][n+1]) + rho_e`: the
+    edge it replaces has length 0, as `Instance` forces, and only this route
+    adds the vehicle's `rho_e`. Its index, after every other route's, ranks
+    its option after each option of equal cost.
+
+    An edge table holds one (d[prev] row, nxt, d[prev][nxt], pos) entry per
+    edge of a route, all that pricing an insertion on the edge reads, pos
+    being the position the inserted customer would take. It is built when
+    the route is first priced and dropped when an insertion changes it.
     """
-    table = edges.get(r_idx)
-    if table is None:
-        nodes, d = routes[r_idx], ctx.d
-        table = edges[r_idx] = [(d[prev], nxt, d[prev][nxt], pos)
-                                for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]),
-                                                                  start=1)]
-    return table
 
+    __slots__ = ("inst", "d", "end", "routes", "loads", "edges", "opening")
 
-def _priced(u, tables, ctx, depth=0):
-    """(delta_cost, route_idx, pos) of inserting u on each edge of each
-    (route_idx, edge table) pair: all in one list at depth 0, else per route
-    its `depth` cheapest, sorted. The one place an insertion is priced."""
-    du, rho_t = ctx.d[u], ctx.inst.rho_t
-    priced = []
-    for r_idx, table in tables:
-        if not table:           # a route without room
-            if depth:
-                priced.append([])
-            continue
-        options = [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
-                   for dprev, nxt, dprev_nxt, pos in table]
-        if not depth:
-            priced += options
-        elif depth == 1:
-            priced.append([min(options)])
+    def __init__(self, routes, ctx):
+        self.inst, self.d, self.end = ctx.inst, ctx.d, ctx.inst.depot_end
+        self.routes = [list(r) for r in routes]
+        self.loads = [_route_load(nodes, self.inst) for nodes in self.routes]
+        self.edges = {}
+        self._open()
+
+    def _open(self):
+        if len(self.routes) < self.inst.max_mtev:
+            self.opening = len(self.routes)
+            self.routes.append([0, self.end])
+            self.loads.append(0)
         else:
-            options.sort()
-            priced.append(options[:depth])
-    return priced
+            self.opening = None
 
+    def served(self):
+        """The routes without the empty one."""
+        return self.routes[:self.opening]
 
-def _fresh_route_delta(u, ctx):
-    """Cost of serving u alone on a newly acquired vehicle."""
-    inst, d = ctx.inst, ctx.d
-    return inst.rho_t * (d[0][u] + d[u][inst.depot_end]) + inst.rho_e
+    def table(self, r_idx):
+        """The edge table of route r_idx; None for the empty route, which
+        `price` prices by itself."""
+        if r_idx == self.opening:
+            return None
+        table = self.edges.get(r_idx)
+        if table is None:
+            nodes, d = self.routes[r_idx], self.d
+            table = self.edges[r_idx] = [(d[prev], nxt, d[prev][nxt], pos)
+                                         for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]),
+                                                                           start=1)]
+        return table
 
+    def price(self, u, tables, depth=0):
+        """(delta_cost, route_idx, pos) of inserting u on each edge of each
+        (route_idx, table) pair, the table being `table(route_idx)`, or ()
+        for a route without room: all in one list at depth 0, else per route
+        its `depth` cheapest, sorted ([] for a route without room)."""
+        inst, d = self.inst, self.d
+        du, rho_t = d[u], inst.rho_t
+        priced = []
+        for r_idx, table in tables:
+            if table:
+                options = [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
+                           for dprev, nxt, dprev_nxt, pos in table]
+                if not depth:
+                    priced += options
+                elif depth == 1:
+                    priced.append([min(options)])
+                else:
+                    options.sort()
+                    priced.append(options[:depth])
+            elif table is None:     # the empty route
+                option = (rho_t * (d[0][u] + du[self.end]) + inst.rho_e, r_idx, 1)
+                priced.append([option] if depth else option)
+            elif depth:
+                priced.append([])
+        return priced
 
-def _insertion_options(routes, loads, edges, u, ctx):
-    """All capacity-feasible positions for u, as (delta_cost, route_idx, pos).
+    def options(self, u):
+        """All capacity-feasible positions for u, as (delta_cost, route_idx, pos)."""
+        du, Q, edges, table = self.inst.demand_of(u), self.inst.Q, self.edges, self.table
+        return self.price(u, [(r_idx, edges.get(r_idx) or table(r_idx))
+                              for r_idx, load in enumerate(self.loads) if load + du <= Q])
 
-    route_idx == len(routes) denotes opening a fresh route, priced with the
-    vehicle acquisition cost.
-    """
-    inst = ctx.inst
-    du, Q = inst.demand_of(u), inst.Q
-    options = _priced(u, [(r_idx, edges.get(r_idx) or _edge_table(edges, routes, r_idx, ctx))
-                          for r_idx, load in enumerate(loads) if load + du <= Q], ctx)
-    if len(routes) < inst.max_mtev and du <= Q:
-        options.append((_fresh_route_delta(u, ctx), len(routes), 1))
-    return options
-
-
-def _apply_insertion(routes, loads, u, r_idx, pos, inst):
-    if r_idx == len(routes):
-        routes.append([0, u, inst.depot_end])
-        loads.append(inst.demand_of(u))
-    else:
-        routes[r_idx].insert(pos, u)
-        loads[r_idx] += inst.demand_of(u)
-
-
-def _insert(routes, loads, edges, u, r_idx, pos, ctx):
-    """`_apply_insertion` that also drops the edge table of the route it
-    changed, the only table an insertion invalidates."""
-    _apply_insertion(routes, loads, u, r_idx, pos, ctx.inst)
-    edges.pop(r_idx, None)
+    def insert(self, u, r_idx, pos):
+        self.routes[r_idx].insert(pos, u)
+        self.loads[r_idx] += self.inst.demand_of(u)
+        self.edges.pop(r_idx, None)
+        if r_idx == self.opening:
+            self._open()
 
 
 def _insert_each_best(routes, order, ctx):
-    inst = ctx.inst
-    routes = [list(r) for r in routes]
-    loads = [_route_load(nodes, inst) for nodes in routes]
-    edges = {}
+    fleet = _Fleet(routes, ctx)
     for u in order:
-        options = _insertion_options(routes, loads, edges, u, ctx)
+        options = fleet.options(u)
         if not options:
             return None
         _, r_idx, pos = min(options)
-        _insert(routes, loads, edges, u, r_idx, pos, ctx)
-    return routes
+        fleet.insert(u, r_idx, pos)
+    return fleet.served()
 
 
 def _random_insertion(routes, removed, ctx, rng):
@@ -499,9 +494,6 @@ def _sequential_insertion(routes, removed, ctx, rng):
 def _greedy_insertion(routes, removed, ctx, rng):
     """Globally cheapest insertion first."""
     return _regret_insertion(routes, removed, ctx, rng, 1)
-
-
-_delta = itemgetter(0)   # the delta_cost of an option
 
 
 def _rank_head(per_route, depth):
@@ -530,40 +522,26 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     changes one route, so only that route is priced again. A head is ranked
     again from the per-route lists only when it held an option of that
     route, that is when the route's old cheapest option does not come after
-    the head's last one; otherwise the route's new options are merged in.
-    The fresh-route option joins the head when the customer is scored: its
-    route index exceeds every route's, so it sorts after each route option
-    of equal cost, as in one sorted list of all options. A score changes
-    only with the head or the route count, so only those customers are
-    scored again.
+    the head's last one; otherwise the route's new options are merged in. A
+    score changes only with the head, so only those customers are scored
+    again.
     """
     inst = ctx.inst
     Q = inst.Q
-    routes = [list(r) for r in routes]
-    loads = [_route_load(nodes, inst) for nodes in routes]
-    edges = {}
+    fleet = _Fleet(routes, ctx)
     pending = list(removed)
     demand = {u: inst.demand_of(u) for u in pending}
-    fresh = {u: _fresh_route_delta(u, ctx) for u in pending if demand[u] <= Q}
 
     # per demand, every route with its edge table; () where the demand does not fit
-    rooms = {du: [(r_idx, _edge_table(edges, routes, r_idx, ctx) if load + du <= Q else ())
-                  for r_idx, load in enumerate(loads)] for du in set(demand.values())}
-    cached = {u: _priced(u, rooms[demand[u]], ctx, depth) for u in pending}
+    rooms = {du: [(r_idx, fleet.table(r_idx) if load + du <= Q else ())
+                  for r_idx, load in enumerate(fleet.loads)] for du in set(demand.values())}
+    cached = {u: fleet.price(u, rooms[demand[u]], depth) for u in pending}
     heads = {u: _rank_head(cached[u], depth) for u in pending}
-    # (-regret, cheapest delta, u, r_idx, pos) of each customer with an option;
-    # the fresh route, when there is room for one, has index `opening`
+    # (-regret, cheapest delta, u, r_idx, pos) of each customer with an option
     scores = {}
-    opening = len(routes) if len(routes) < inst.max_mtev else None
 
     def score(u):
         options = heads[u]
-        if opening is not None and u in fresh:
-            # after every option of equal cost, where the tuples sort it
-            fd = fresh[u]
-            k = bisect_right(options, fd, key=_delta)
-            if k < depth:
-                options = options[:k] + [(fd, opening, 1)] + options[k:depth - 1]
         if not options:
             scores.pop(u, None)
             return
@@ -579,37 +557,38 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         if not scores:
             return None
         _, _, u, r_idx, pos = min(scores.values())
-        opened = r_idx == len(routes)
-        _insert(routes, loads, edges, u, r_idx, pos, ctx)
+        opened = r_idx == fleet.opening
+        fleet.insert(u, r_idx, pos)
         pending.remove(u)
         del cached[u], heads[u], scores[u]
-        if opened:
-            opening = len(routes) if len(routes) < inst.max_mtev else None
-        load = loads[r_idx]
+        # opening route r_idx leaves the next one, if any, empty at the end of
+        # every list; its option costs what r_idx's did, so it can enter a
+        # head only when that one left it, by a re-rank
+        empty = fleet.opening if opened else None
+        load = fleet.loads[r_idx]
         table = None
         for v in pending:
+            per_route = cached[v]
+            if empty is not None:
+                per_route += fleet.price(
+                    v, [(empty, fleet.table(empty) if demand[v] <= Q else ())], depth)
             if load + demand[v] <= Q:
                 if table is None:
-                    table = [(r_idx, _edge_table(edges, routes, r_idx, ctx))]
-                new, = _priced(v, table, ctx, depth)
+                    table = [(r_idx, fleet.table(r_idx))]
+                new, = fleet.price(v, table, depth)
             else:
                 new = []
-            per_route = cached[v]
-            if opened:
-                per_route.append(new)
-                old = None
-            else:
-                old = per_route[r_idx]
-                per_route[r_idx] = new
+            old = per_route[r_idx]
+            per_route[r_idx] = new
             head = heads[v]
             if old and old[0] <= head[-1]:
                 heads[v] = _rank_head(per_route, depth)
             elif new and (len(head) < depth or new[0] < head[-1]):
                 heads[v] = _merge_head(head, new, depth)
-            elif not opened:   # an opened route moves every fresh option
+            else:
                 continue
             score(v)
-    return routes
+    return fleet.served()
 
 
 def _charge_insertion(routes, removed, ctx, rng):
@@ -617,7 +596,7 @@ def _charge_insertion(routes, removed, ctx, rng):
 
     A position is welcome while the receiving route keeps a pattern with no
     more charging arcs than before. When every placement would force extra
-    charging, a fresh route is preferred over burdening an existing one.
+    charging, the empty route is preferred over burdening one in use.
 
     Options rank by (increase, keep_existing, delta, r_idx, pos). Every
     option with increase 0 has keep_existing 2, so the first one in
@@ -626,53 +605,41 @@ def _charge_insertion(routes, removed, ctx, rng):
     charging, up to the first that adds none, and all of them are ranked
     only when each one adds charging.
 
-    A fresh route is an insertion into [0, n+1]. A route that `bdp.fits`
-    the battery after the insertion has count 0, so the increase is 0
-    whatever the route's own count; the route's length is summed as
-    `_route_distance` sums it, again after each insertion. Other counts come
-    from the route's `bdp.CountTables`, built when first needed and dropped
-    when an insertion changes the route; its own count is the one its last
-    insertion was priced at, or read from the tables.
+    A route that `bdp.fits` the battery after the insertion has count 0, so
+    the increase is 0 whatever the route's own count; the route's length is
+    summed as `_route_distance` sums it, again after each insertion. Other
+    counts come from the route's `bdp.CountTables`, built when first needed
+    and dropped when an insertion changes the route; its own count is the
+    one its last insertion was priced at, or read from the tables.
     """
     inst, d = ctx.inst, ctx.d
-    end = inst.depot_end
-    routes = [list(r) for r in routes]
-    loads = [_route_load(nodes, inst) for nodes in routes]
-    edges = {}
-    tables = {}
-    counts = [None] * len(routes)   # math.inf for a route no pattern makes feasible
-    lengths = [None] * (len(routes) + 1)    # the last one a fresh route's
-    empty = None                    # the tables of [0, end]
+    fleet = _Fleet(routes, ctx)
+    # per route index; a count is math.inf for a route no pattern makes feasible
+    tables, counts, lengths = {}, {}, {}
 
     def priced(u, option):
-        nonlocal empty
         delta, r_idx, pos = option
-        fresh = r_idx == len(routes)
-        nodes, length = [0, end] if fresh else routes[r_idx], lengths[r_idx]
+        nodes = fleet.routes[r_idx]
+        length = lengths.get(r_idx)
         if length is None:
             length = lengths[r_idx] = _route_distance(nodes, d)
         prev, nxt = nodes[pos - 1], nodes[pos]
         dropped, c1, c2 = d[prev][nxt], d[prev][u], d[u][nxt]
         if bdp.fits(inst, length - dropped + c1 + c2, dropped):
             return 0.0, 2, delta, r_idx, pos, 0
-        if fresh:
-            if empty is None:
-                empty = bdp.CountTables([d[0][end]], inst)
-            table, before = empty, 0.0
-        else:
-            table = tables.get(r_idx)
-            if table is None:
-                table = tables[r_idx] = bdp.CountTables(_route_lengths(nodes, d), inst)
-            before = counts[r_idx]
-            if before is None:
-                before = counts[r_idx] = _count_or_inf(table.route_count())
+        table = tables.get(r_idx)
+        if table is None:
+            table = tables[r_idx] = bdp.CountTables(_route_lengths(nodes, d), inst)
+        before = counts.get(r_idx)
+        if before is None:
+            before = counts[r_idx] = _count_or_inf(table.route_count())
         after = _count_or_inf(table.insertion_count(pos, c1, c2))
         increase = max(0.0, after - before) if after != math.inf else math.inf
-        keep_existing = 1 if (increase > 0 and fresh) else 2
+        keep_existing = 1 if (increase > 0 and r_idx == fleet.opening) else 2
         return increase, keep_existing, delta, r_idx, pos, after
 
     for u in removed:
-        options = _insertion_options(routes, loads, edges, u, ctx)
+        options = fleet.options(u)
         if not options:
             return None
         ranked = [priced(u, min(options))]
@@ -685,15 +652,11 @@ def _charge_insertion(routes, removed, ctx, rng):
         increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
         if increase == math.inf:
             return None
-        lengths[r_idx] = None
-        if r_idx == len(routes):
-            counts.append(after)
-            lengths.append(None)
-        else:
-            counts[r_idx] = after
-            tables.pop(r_idx, None)
-        _insert(routes, loads, edges, u, r_idx, pos, ctx)
-    return routes
+        counts[r_idx] = after
+        del lengths[r_idx]
+        tables.pop(r_idx, None)
+        fleet.insert(u, r_idx, pos)
+    return fleet.served()
 
 
 def _count_or_inf(count):
@@ -709,6 +672,8 @@ _REPAIR_FUNCS = {
     "charge_insertion": _charge_insertion,
 }
 
+REPAIR_OPS = tuple(_REPAIR_FUNCS)
+
 
 def repair(op_id: str, partial: Solution, removed: list[int], inst: Instance,
            rng: np.random.Generator, config: SolverConfig | None = None) -> Solution | None:
@@ -720,8 +685,7 @@ def repair(op_id: str, partial: Solution, removed: list[int], inst: Instance,
     rebuilt = _REPAIR_FUNCS[op_id](routes, removed, ctx, rng)
     if rebuilt is None:
         return None
-    rebuilt = _drop_empty(rebuilt)
-    return Solution.from_routes([Route(i, nodes) for i, nodes in enumerate(rebuilt)])
+    return Solution.from_routes([Route(i, nodes) for i, nodes in enumerate(_drop_empty(rebuilt))])
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +951,7 @@ def run(inst: Instance, config: SolverConfig | None = None,
         if removed:
             rebuilt = _REPAIR_FUNCS[REPAIR_OPS[r_idx]](_drop_empty(new_routes), removed, ctx, rng)
             if rebuilt is not None:
-                cand_routes = [Route(i, nodes) for i, nodes in enumerate(_drop_empty(rebuilt))]
+                cand_routes = [Route(i, nodes) for i, nodes in enumerate(rebuilt)]
                 outcome = _coordinate_routes(cand_routes, ctx)
                 if outcome is not None:
                     cand_cost = outcome.cost

@@ -18,7 +18,7 @@ from wmcevrp.bdp import (
     prune_supersets,
 )
 from wmcevrp.generator import generate_instance
-from wmcevrp.model import Instance, Route, make_route, route_energy_profile
+from wmcevrp.model import EPS, Instance, Route, make_route, route_energy_profile
 
 from conftest import bits, build_instance
 
@@ -328,6 +328,20 @@ class TestEdgeLengths:
 class TestBruteForce:
     def test_agrees_with_sweep_and_classification(self):
         assert_sweep_matches_brute_force(seed=44, m_hi=10)
+
+    @pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+    def test_replay_may_drop_a_pattern_at_a_tie(self):
+        # P is rho_t times the lengths summed left to right, so the route
+        # uses the battery up exactly; the sweep decides within bdp.margin
+        # and keeps the empty pattern, which the checker accepts, while the
+        # brute-force replay of mask 0 ends at -2.2e-16 and drops it
+        lengths = [0.1, 0.1, 0.3, 0.7, 1.1]
+        inst, route = edge_instance(lengths, P=1.3 * summed(lengths), rho_t=1.3, gamma=0.5)
+        res = enumerate_patterns(route, inst)
+        assert res.patterns == [0]
+        assert min_charge_count(route, inst) == 0
+        for mask in res.patterns:
+            assert min(route_energy_profile(route, mask, inst)) >= -EPS
 
 
 class TestMinChargeCount:

@@ -491,6 +491,37 @@ class TestCertified:
         assert out.plan.certified
 
 
+def non_metric_case():
+    """Routes on non-metric distances whose only minimal patterns cannot be
+    coordinated: the second route's one minimal pattern, mask 4, charges
+    arc 1 -> 4 from t = 506, and no truck deadheading on the direct arc
+    0 -> 1 (889) gets there in time."""
+    inst = generate_instance(3, 50098, P=700.0, B=20000.0)
+    routes = [Route(0, [0, 3, 4]), Route(1, [0, 2, 1, 4])]
+    return inst, routes, [bdp.enumerate_patterns(r, inst) for r in routes]
+
+
+class TestNonMetricDeadheads:
+    def test_superset_pattern_gives_a_plan(self):
+        # with the superset mask 5 a second truck co-travels 0 -> 2 and
+        # deadheads 2 -> 1, arriving at t = 506
+        inst, routes, results = non_metric_case()
+        assert results[1].patterns == [4]
+        results[1] = bdp.BdpResult(bdp.RouteClass.ENUMERATED, [4, 5])
+        out = coordinate_exact(routes, results, inst)
+        assert out is not None and out.plan.mct_count == 2
+        sol = assemble_solution(routes, out, inst)
+        assert check_feasibility(sol, inst).passed
+
+    @pytest.mark.xfail(strict=True, reason="trucks deadhead on the direct arc, so the "
+                                           "minimal antichain is not exact on non-metric "
+                                           "distances (ROADMAP: deadhead trucks on "
+                                           "shortest paths)")
+    def test_antichain_gives_a_plan(self):
+        inst, routes, results = non_metric_case()
+        assert coordinate_exact(routes, results, inst) is not None
+
+
 def generated_shells(count, seed):
     """(instance, routes, pattern results) of the initial solutions of
     generated instances with 3..6 customers, as criterion 7 draws them."""

@@ -245,6 +245,16 @@ def ref_options(routes, u, inst, loads, seen):
     return options
 
 
+def apply_insertion(routes, loads, u, r_idx, pos, inst):
+    """Insert u at (r_idx, pos); r_idx == len(routes) opens a route."""
+    if r_idx == len(routes):
+        routes.append([0, u, inst.depot_end])
+        loads.append(inst.demand_of(u))
+    else:
+        routes[r_idx].insert(pos, u)
+        loads[r_idx] += inst.demand_of(u)
+
+
 def ref_greedy_insertion(routes, removed, inst, seen):
     routes = [list(r) for r in routes]
     loads = [lns._route_load(nodes, inst) for nodes in routes]
@@ -263,7 +273,7 @@ def ref_greedy_insertion(routes, removed, inst, seen):
             seen.add("none")
             return None
         _, u, r_idx, pos = best
-        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        apply_insertion(routes, loads, u, r_idx, pos, inst)
         pending.remove(u)
     return routes
 
@@ -291,7 +301,7 @@ def ref_regret_insertion(routes, removed, inst, depth, seen):
             seen.add("none")
             return None
         _, u, r_idx, pos = best
-        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        apply_insertion(routes, loads, u, r_idx, pos, inst)
         pending.remove(u)
     return routes
 
@@ -409,6 +419,41 @@ class TestRouteLocalOperators:
         assert seen == {"capacity", "fleet_cap", "few_options", "none", "over", "not_over"}
 
 
+class TestFleet:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           rho_t=st.floats(0.1, 10.0), rho_e=st.floats(0.5, 5000.0),
+           tenths=st.booleans(), negative_zero=st.booleans(), slack=st.integers(0, 2))
+    def test_opening_option_costs_a_lone_route(self, n, seed, rho_t, rho_e, tenths,
+                                               negative_zero, slack):
+        inst = generate_instance(n, seed, rho_t=rho_t, rho_e=rho_e, Q=4.0)
+        dist = inst.dist / 10 if tenths else inst.dist.copy()
+        if negative_zero:
+            end = inst.depot_end
+            for i in (0, end):
+                for j in (0, end):
+                    dist[i, j] = -0.0
+        inst = dataclasses.replace(inst, dist=dist)
+        assert math.copysign(1.0, inst.dist[0, inst.depot_end]) == (-1.0 if negative_zero else 1.0)
+        rng = rng_at(seed)
+        routes = [[0, int(u), inst.depot_end] for u in rng.permutation(inst.customers)[:n // 2]]
+        inst = dataclasses.replace(inst, max_mtev=len(routes) + slack)
+        fleet = lns._Fleet(routes, lns._Context(inst, SolverConfig()))
+        if not slack:
+            assert fleet.opening is None
+            return
+        assert fleet.opening == len(routes)
+        for u in inst.customers:
+            want = inst.rho_t * (float(inst.dist[0, u]) + float(inst.dist[u, inst.depot_end])) \
+                + inst.rho_e
+            opening = [o for o in fleet.options(u) if o[1] == fleet.opening]
+            assert [(o[0].hex(), o[2]) for o in opening] == [(want.hex(), 1)]
+            for depth in (1, 2):
+                priced = fleet.price(u, [(fleet.opening, fleet.table(fleet.opening))], depth)
+                assert [[(o[0].hex(), o[1], o[2]) for o in opts] for opts in priced] == \
+                    [[(want.hex(), fleet.opening, 1)]]
+
+
 # ---------------------------------------------------------------------------
 # lazy charge insertion and the construction order against full scans
 # ---------------------------------------------------------------------------
@@ -452,7 +497,7 @@ def ref_charge_insertion(routes, removed, inst, seen, calls):
         if increase == math.inf:
             seen.add("none")
             return None
-        lns._apply_insertion(routes, loads, u, r_idx, pos, inst)
+        apply_insertion(routes, loads, u, r_idx, pos, inst)
         if r_idx == len(base_card):
             base_card.append(after)
         else:
@@ -647,7 +692,7 @@ class TestRegretHeads:
            P=st.sampled_from([4.0, 8.0, 15.0, 100.0]), slack=st.integers(0, 3),
            rho_e=st.sampled_from([1.0, 3.0, 6.0, 100.0]))
     def test_same_moves_as_full_rescan_on_ties(self, n, seed, top, Q, P, slack, rho_e):
-        # a small acquisition cost lets the fresh-route option tie with
+        # a small acquisition cost lets the empty route's option tie with
         # route options too
         inst, full, partial, removed = operator_case(n, seed, Q, P, slack, top)
         compare_operators(dataclasses.replace(inst, rho_e=rho_e), full, partial, removed, set())
@@ -660,14 +705,14 @@ class TestRegretHeads:
                 return helper(*args)
             monkeypatch.setattr(lns, name, counted)
         opens = []   # per insertion of one call: (opens a route, fills the fleet)
-        insert = lns._insert
+        insert = lns._Fleet.insert
 
-        def spy(routes, loads, edges, u, r_idx, pos, ctx):
-            opened = r_idx == len(routes)
-            opens.append((opened, opened and len(routes) + 1 == ctx.inst.max_mtev))
-            insert(routes, loads, edges, u, r_idx, pos, ctx)
+        def spy(fleet, u, r_idx, pos):
+            opened = r_idx == fleet.opening
+            insert(fleet, u, r_idx, pos)
+            opens.append((opened, opened and fleet.opening is None))
 
-        monkeypatch.setattr(lns, "_insert", spy)
+        monkeypatch.setattr(lns._Fleet, "insert", spy)
         seen = set()
         for seed in range(40):
             inst, _, partial, removed = operator_case(
