@@ -9,11 +9,16 @@ value. A caller that needs a pattern's battery levels replays it with
 `model.route_energy_profile`, which takes the same mask. The sweep walks the
 live mask prefixes depth first, in O(m) memory.
 
-`min_charge_count` is a polynomial DP over charge counts. `CountTables`
-keeps its levels (forward) and what finishing the route needs (backward), so
-that inserting a customer is priced by joining the two; within `margin` of a
-tie, where rounding could set the join and the DP apart, the DP decides. Both
-move a level over an edge by the one transition `_step`.
+`CountTables` is the polynomial DP over charge counts, in one table: per
+count, the highest battery level before each edge (forward), and what
+finishing the route needs after it (backward). A route's fewest charges is
+the first count whose level meets the uncharged need after some edge;
+`min_charge_count` reads it from the forward rows, and so does the long-route
+fallback of `enumerate_patterns`, which reads its witness back from the same
+rows. Inserting a customer is priced by joining the forward levels with the
+backward needs; within `margin` of a tie, where rounding could set the join
+and the DP apart, the DP on the trial route decides. Both tables move over an
+edge by the one transition `_step`.
 """
 
 from __future__ import annotations
@@ -68,11 +73,9 @@ class BdpResult:
         return self.classification is not RouteClass.INFEASIBLE
 
 
-def _edge_consumption(route: Route, inst: Instance, lengths=None):
-    """Per-edge consumption rho_t*c and charging gain gamma*c; ``lengths``
-    are the route's edge lengths c when the caller has them as floats."""
-    if lengths is None:
-        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
+def _edge_consumption(route: Route, inst: Instance):
+    """Per-edge consumption rho_t*c and charging gain gamma*c."""
+    lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
     cons = [inst.rho_t * c for c in lengths]
     gain = [inst.gamma * c for c in lengths]
     return cons, gain
@@ -142,63 +145,20 @@ def _result(patterns, cls: RouteClass = RouteClass.ENUMERATED,
     return BdpResult(cls, patterns, fallback)
 
 
-def _min_count_sweep(cons, gain, req, P: float,
-                     history: list | None = None) -> tuple[int, tuple[int, int, int]] | None:
-    """(fewest set bits, end) over the masks that ``_sweep`` marks terminal;
-    None when no mask is terminal.
-
-    Keeps one state per charge count k: the highest battery level over the
-    still-active masks with k charges (the dominance rule of
-    resource-constrained shortest paths), moved over each edge by `_step`.
-    Its updates are the float operations of ``_sweep`` and monotone under
-    rounding, so the best state for k turns terminal exactly when some
-    k-charge mask of the sweep does. An edge stops at its first terminal
-    count; counts from there on can no longer win. O(m^2) instead of O(2^m).
-
-    ``end`` = (edge, count before it, bit) is where the best state turned
-    terminal; the bit is 1 when the charged child of count k - 1 gets there,
-    which the sweep prefers to the plain child of count k. When a
-    ``history`` list is given, the levels before each edge are appended to
-    it, so that ``_witness`` can read one such mask back.
-    """
-    levels = [P]          # levels[k]; -inf marks "no active mask"
-    best = end = None
-    for e, (ce, ge, r_e) in enumerate(zip(cons, gain, req)):
-        if history is not None:
-            history.append(levels)
-        width = len(levels) + 1 if best is None else best
-        nxt = []
-        below = -math.inf
-        for k in range(width):
-            base = levels[k] if k < len(levels) else -math.inf
-            level = _step(base, below, ce, ge, P, 0.0)
-            if level >= r_e:
-                # req is nonnegative, so "terminal" implies "not depleted"
-                bit = int(below >= 0.0 and min(below - ce + ge, P) >= r_e)
-                best, end = k, (e, k - bit, bit)
-                break
-            nxt.append(level)
-            below = base
-        if not any(level >= 0.0 for level in nxt):
-            break
-        levels = nxt
-    return None if best is None else (best, end)
-
-
-def _witness(history, cons, end) -> int:
+def _witness(levels, cons, end) -> int:
     """The mask of the path that ends at ``end`` = (edge, count, bit), read back
-    from the levels kept before each edge: a level came over edge f uncharged
-    exactly when the level at the same count before f, minus cons[f] (the
-    DP's own float operation), equals it; otherwise f was charged."""
+    from the levels per count before each edge, ``levels[k][f]``: a level came
+    over edge f uncharged exactly when the level at the same count before f,
+    minus cons[f] (the DP's own float operation), equals it; otherwise f was
+    charged."""
     e, k, bit = end
     mask = bit << e
-    level = history[e][k]
+    level = levels[k][e]
     for f in range(e - 1, -1, -1):
-        prev = history[f]
-        if k >= len(prev) or prev[k] - cons[f] != level:
+        if levels[k][f] - cons[f] != level:
             k -= 1
             mask |= 1 << f
-        level = prev[k]
+        level = levels[k][f]
     return mask
 
 
@@ -253,15 +213,14 @@ def enumerate_patterns(route: Route, inst: Instance,
     gain = [inst.gamma * c for c in lengths]
     if _hopeless(cons, gain, inst.P):
         return BdpResult(RouteClass.INFEASIBLE, [])
-    req = _suffix_sums(cons)
     if len(cons) > max_edges:
-        history: list = []
-        found = _min_count_sweep(cons, gain, req, inst.P, history)
-        witness = [_witness(history, cons, found[1])] if found else []
+        tables = CountTables(lengths, inst)
+        found = tables._first_terminal()
+        witness = [_witness(tables.levels, tables.cons, found[1])] if found else []
         return _result(witness, fallback=True)
     # charging never lowers a level, so feasibility is upward-closed and the
     # minimal terminal masks are the minimal feasible patterns
-    return _result(_minimal_masks(_sweep(cons, gain, req, inst.P)))
+    return _result(_minimal_masks(_sweep(cons, gain, _suffix_sums(cons), inst.P)))
 
 
 def min_charge_count(route: Route, inst: Instance,
@@ -269,30 +228,22 @@ def min_charge_count(route: Route, inst: Instance,
     """Fewest charged edges over the route's feasible patterns; None if infeasible.
 
     Exact at any route length: equals ``enumerate_patterns(route, inst,
-    max_edges).min_cardinality()`` for every ``max_edges``, but runs a
-    polynomial DP over charge counts instead of the 2^m sweep. Callers that
-    need the patterns themselves still enumerate. ``lengths`` is as in
-    ``enumerate_patterns``.
+    max_edges).min_cardinality()`` for every ``max_edges``, but reads it from
+    the polynomial count DP of `CountTables` instead of the 2^m sweep.
+    Callers that need the patterns themselves still enumerate. ``lengths`` is
+    as in ``enumerate_patterns``.
     """
-    return _min_count(*_edge_consumption(route, inst, lengths), inst.P)
-
-
-def _min_count(cons, gain, P: float) -> int | None:
-    cls = _screen(cons, gain, P)
-    if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return 0
-    if cls is RouteClass.INFEASIBLE:
-        return None
-    found = _min_count_sweep(cons, gain, _suffix_sums(cons), P)
-    return None if found is None else found[0]
+    if lengths is None:
+        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
+    return CountTables(lengths, inst).route_count()
 
 
 # Each level, need or requirement of a route of m edges takes at most 4m
 # roundings, each off by at most 2^-53 of a value bounded by
 # S = P + (rho_t + gamma) * (route length). Below 2^20 edges it is thus within
 # 2^-31 * S of its exact value, and a comparison whose exact sides differ by
-# more than 2^-30 * S comes out alike in every float evaluation: in the DP, in
-# `_screen`, in the tables and in the construction's gate.
+# more than 2^-30 * S comes out alike in every float evaluation: in `_screen`,
+# in the tables and in the construction's gate.
 ROUNDING = 2.0 ** -30
 
 
@@ -304,7 +255,8 @@ def margin(inst: Instance, length: float) -> float:
 
 def fits(inst: Instance, length: float, dropped: float = 0.0) -> bool:
     """Whether a route of length ``length`` fits the battery by more than
-    `margin`, so that `_screen`, the DP and `CountTables` all give count 0.
+    `margin`, so that `_screen` and `CountTables`, its scan and its join, all
+    give count 0.
     ``dropped``: an edge subtracted from a longer sum to get ``length``."""
     return inst.P - inst.rho_t * length > margin(inst, length + dropped)
 
@@ -327,21 +279,29 @@ def _step(base: float, below: float, ce: float, ge: float, P: float, tol: float)
 
 
 class CountTables:
-    """`min_charge_count` of a route and of the route with a customer
-    inserted on any edge, by forward/backward route concatenation (Vidal,
-    Crainic, Gendreau & Prins, EJOR 2014).
+    """The polynomial DP over charge counts of a route: its fewest charged
+    edges, and those of the route with a customer inserted on any edge, by
+    forward/backward route concatenation (Vidal, Crainic, Gendreau & Prins,
+    EJOR 2014).
 
-    ``levels[k][e]``: the highest level before edge e with exactly k charged
-    edges before it, by `_min_count_sweep`'s transition `_step` but kept
-    past terminal states. ``needs[j][e]``: the lowest level before edge e
-    that finishes the route with at most j charged edges from e on (inf:
-    none); charging edge e lowers the need after it by ``gain[e] - cons[e]``,
-    down to 0, if that need is at most P. Count t is feasible where some
-    ``levels[k]`` reaches ``needs[t - k]``. Both tables grow one count at a
-    time, as far as the smallest feasible count (0 for a route that fits the
-    battery). The DP runs on the route itself when a pair is within
-    `margin`, or the tables hold a level rounding may have killed or a need
-    within the margin of P, where the cap decides what the DP compares next.
+    ``levels[k][e]``: the highest level before edge e (e = m: after the last
+    edge) over the patterns with exactly k charged edges before it, moved
+    over each edge by `_step`, the dominance rule of resource-constrained
+    shortest paths. Its updates are the float operations of `_sweep` and
+    monotone under rounding, so the first count, in count order, whose level
+    after some edge covers the rest of the route uncharged is the fewest
+    set bits of a terminal mask of the sweep. O(m^2) instead of O(2^m).
+    ``needs[j][e]``: the lowest level before edge e that finishes the route
+    with at most j charged edges from e on (inf: none); charging edge e
+    lowers the need after it by ``gain[e] - cons[e]``, down to 0, if that
+    need is at most P. ``needs[0][e + 1]`` is what finishing the route
+    uncharged after edge e needs. An inserted route's count t is feasible
+    where some ``levels[k]``, carried over the new edges, reaches
+    ``needs[t - k]``. Both tables grow one count at a time, as far as the
+    smallest feasible count (0 for a route that fits the battery). The DP
+    runs on the trial route when a pair is within `margin`, or the tables
+    hold a level rounding may have killed or a need within the margin of P,
+    where the cap decides what the DP compares next.
     """
 
     __slots__ = ("inst", "lengths", "cons", "gain", "length", "tol", "levels", "needs",
@@ -355,16 +315,16 @@ class CountTables:
         self.length = sum(lengths)
         self.tol = margin(inst, self.length)
         m = len(cons)
-        self.tie_levels = m    # first row of levels that may miss a pattern rounding killed
+        self.tie_levels = m    # first edge before which a level may miss a pattern rounding killed
         self.tie_needs = -1    # last edge after which a need lies within the margin of P
         # count 0: the level falls by each edge's consumption, and so does the need
-        levels = list(accumulate(cons[:-1], sub, initial=inst.P))
+        levels = list(accumulate(cons, sub, initial=inst.P))
         if levels[-1] < 0.0:
             dead = next(e for e, level in enumerate(levels) if level < 0.0)
             if levels[dead] >= -self.tol:
                 self.tie_levels = dead
                 dead += 1
-            levels[dead:] = [-math.inf] * (m - dead)
+            levels[dead:] = [-math.inf] * (m + 1 - dead)
         needs = list(accumulate(reversed(cons), add, initial=0.0))
         needs.reverse()
         self.levels = [levels]
@@ -379,7 +339,7 @@ class CountTables:
         below = self.levels[-1]
         level = -math.inf
         levels = [level]
-        for e in range(m - 1):
+        for e in range(m):
             level = _step(level, below[e], cons[e], gain[e], P, tol)
             if level < 0.0 <= level + tol and e < self.tie_levels:
                 self.tie_levels = e + 1
@@ -401,20 +361,38 @@ class CountTables:
         self.needs.append(needs)
 
     def route_count(self) -> int | None:
-        """``min_charge_count`` of the route itself."""
+        """``min_charge_count`` of the route itself: `_screen`, then the
+        first terminal count."""
         cons, P = self.cons, self.inst.P
-        if len(cons) == 1:
-            # no charging on a single edge, as `_screen` decides it
-            return 0 if cons[0] <= P else None
-        tol = self.tol
-        for t in range(len(cons) + 1):
-            if t == len(self.needs):
+        if sum(cons) <= P:      # the screen's test, before any gain is computed
+            return 0
+        if self.gain is None:
+            self.gain = [self.inst.gamma * c for c in self.lengths]
+        if _hopeless(cons, self.gain, P):
+            return None
+        found = self._first_terminal()
+        return None if found is None else found[0]
+
+    def _first_terminal(self) -> tuple[int, tuple[int, int, int]] | None:
+        """(fewest charges, end) of the route's terminal states: the first
+        count t, in count order, whose level after some edge e is at or above
+        ``needs[0][e + 1]``. ``end`` = (e, count before it, bit) at the first
+        such e; the bit is 1 when the charged child of ``levels[t - 1][e]``
+        gets there, which the sweep prefers to the plain child of count t.
+        None when no count does."""
+        cons, P, levels, need = self.cons, self.inst.P, self.levels, self.needs[0]
+        m = len(cons)
+        for t in range(m + 1):
+            if t == len(levels):
                 self._grow()
-            gap = P - self.needs[t][0]
-            if self.tie_needs >= 0 or -tol <= gap <= tol:
-                return _min_count(cons, [self.inst.gamma * c for c in self.lengths], P)
-            if gap > tol:
-                return t
+            row = levels[t]
+            for e in range(m):
+                r_e = need[e + 1]
+                if row[e + 1] >= r_e:
+                    below = levels[t - 1][e] if t else -math.inf
+                    # needs are nonnegative, so "terminal" implies "not depleted"
+                    bit = int(below >= 0.0 and min(below - cons[e] + self.gain[e], P) >= r_e)
+                    return t, (e, t - bit, bit)
         return None
 
     def insertion_count(self, pos: int, c1: float, c2: float) -> int | None:
@@ -453,8 +431,7 @@ class CountTables:
                 break
         else:
             return None
-        trial = self.lengths[:e] + [c1, c2] + self.lengths[pos:]
-        return _min_count([rho_t * c for c in trial], [gamma * c for c in trial], P)
+        return CountTables(self.lengths[:e] + [c1, c2] + self.lengths[pos:], inst).route_count()
 
 
 def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:

@@ -239,9 +239,10 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     Chains duties in start order, backtracking over existing-truck and
     new-truck choices. Once an assignment is found, the search looks only
     for one with strictly fewer trucks, and it stops when the count reaches
-    `floor`, which must be `mct_lower_bound(duties)`: no assignment can beat
-    it. Deadhead is not minimized: the first assignment found at the final
-    count is kept.
+    `floor`, the interval clique bound of these duties that
+    `coordinate_exact` carries in its segment counters: no assignment can
+    beat it. Deadhead is not minimized: the first assignment found at the
+    final count is kept.
 
     Returns (found, complete). found is (count, assignment), or None when no
     assignment was found. complete is False when the node budget ran out, so
@@ -303,8 +304,7 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     the lower truck index on ties.
 
     Returns (assignment, None) or, when it fails, (None, route): the MTEV
-    route of the duty no truck could take, or of the first duty when a truck
-    cannot get home.
+    route of the duty no truck could take.
     """
     trucks: list[_TruckState] = []
     deadhead: list[float] = []  # per truck, the deadhead driven so far
@@ -332,8 +332,6 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             trucks[t_idx] = nxt
             deadhead[t_idx] = dead
         assignment.append(t_idx)
-    if not all(_gets_home(t, inst) for t in trucks):
-        return None, duties[0].mtev
     return assignment, None
 
 

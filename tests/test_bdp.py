@@ -454,24 +454,60 @@ def inline_count_sweep(cons, gain, req, P, history):
     return None if best is None else (best, end)
 
 
+def edge_major_witness(history, cons, end) -> int:
+    """The witness read back from the levels the inline DP appends to
+    `history` before each edge, ``history[f][k]``, where a count missing
+    from a row is a dead level."""
+    e, k, bit = end
+    mask = bit << e
+    level = history[e][k]
+    for f in range(e - 1, -1, -1):
+        prev = history[f]
+        if k >= len(prev) or prev[k] - cons[f] != level:
+            k -= 1
+            mask |= 1 << f
+        level = prev[k]
+    return mask
+
+
+def reference_count(lengths, rho_t, gamma, P):
+    """(count, end, witness) of the inline DP; None when no mask is terminal."""
+    cons = [rho_t * c for c in lengths]
+    history = []
+    found = inline_count_sweep(cons, [gamma * c for c in lengths], bdp._suffix_sums(cons),
+                               P, history)
+    return None if found is None else (*found, edge_major_witness(history, cons, found[1]))
+
+
+def scanned_count(tables):
+    """(count, end, witness) of the scan over the count tables' rows."""
+    found = tables._first_terminal()
+    if found is None:
+        return None
+    return (*found, bdp._witness(tables.levels, tables.cons, found[1]))
+
+
 def assert_same_as_references(lengths, rho_t, gamma, P):
-    """`_sweep` and `_min_count_sweep` give the references' terminal masks,
-    (count, end), history row lengths and witness."""
+    """`_sweep` gives the table sweep's terminal masks, and the scan over
+    `CountTables` gives the inline DP's (count, end) and witness."""
     cons = [rho_t * c for c in lengths]
     gain = [gamma * c for c in lengths]
     req = bdp._suffix_sums(cons)
     assert bdp._sweep(cons, gain, req, P) == table_sweep(cons, gain, req, P)
-    history, reference = [], []
-    found = bdp._min_count_sweep(cons, gain, req, P, history)
-    assert found == inline_count_sweep(cons, gain, req, P, reference)
-    assert [len(row) for row in history] == [len(row) for row in reference]
-    if found is not None:
-        assert bdp._witness(history, cons, found[1]) == bdp._witness(reference, cons, found[1])
+    tables = bdp.CountTables(lengths, battery_instance(P, rho_t, gamma))
+    assert scanned_count(tables) == reference_count(lengths, rho_t, gamma, P)
+
+
+# edge-length strategies of the reference comparisons
+EDGE_LENGTHS = {"integer": st.integers(0, 9).map(float),
+                "tenths": st.integers(0, 30).map(lambda t: t / 10),
+                "float": st.floats(0.01, 10.0)}
 
 
 class TestSameAsTableSweep:
-    """The depth-first sweep and the `_step` count DP decide every float
-    comparison as the table sweep and the inline DP did, ties included."""
+    """The depth-first sweep and the scan over the `_step` count tables decide
+    every float comparison as the table sweep and the inline DP did, ties
+    included."""
 
     @settings(max_examples=600, deadline=None)
     @given(data=st.data(), m=st.integers(1, 12),
@@ -483,9 +519,7 @@ class TestSameAsTableSweep:
         # gamma None: equal to rho_t, so that a charged edge drains nothing;
         # battery "suffix": one ulp below what finishing the route after some
         # edge needs, where rounding alone may turn a plain child terminal
-        draw = {"integer": st.integers(0, 9).map(float),
-                "tenths": st.integers(0, 30).map(lambda t: t / 10),
-                "float": st.floats(0.01, 10.0)}[kind]
+        draw = EDGE_LENGTHS[kind]
         lengths = data.draw(st.lists(draw, min_size=m, max_size=m))
         cons = [rho_t * c for c in lengths]
         P = {"total": lambda: sum(cons) / data.draw(st.sampled_from([1.5, 2.0, 3.0, 4.0])),
@@ -496,6 +530,31 @@ class TestSameAsTableSweep:
         assume(P > 0.0)
         assert_same_as_references(lengths, rho_t, rho_t if gamma is None else gamma, P)
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 14),
+           kind=st.sampled_from(("integer", "tenths", "float")),
+           rho_t=st.sampled_from([0.7, 1.0, 1.3]),
+           gamma=st.sampled_from([0.5, 1.0, 2.0, 3.0, None]), nudge=st.integers(-1, 1))
+    def test_scan_does_not_depend_on_growth(self, data, m, kind, rho_t, gamma, nudge):
+        # the battery is what finishing the route after some edge needs, or
+        # one ulp beside it; insertion pricing grows the rows as far as the
+        # inserted routes' counts, which may lie past the route's own
+        draw = EDGE_LENGTHS[kind]
+        lengths = data.draw(st.lists(draw, min_size=m, max_size=m))
+        gamma = rho_t if gamma is None else gamma
+        P = data.draw(st.sampled_from(bdp._suffix_sums([rho_t * c for c in lengths])))
+        for _ in range(abs(nudge)):
+            P = math.nextafter(P, math.copysign(math.inf, nudge))
+        assume(P > 0.0)
+        want = reference_count(lengths, rho_t, gamma, P)
+        inst = battery_instance(P, rho_t, gamma)
+        assert scanned_count(bdp.CountTables(lengths, inst)) == want
+        tables = bdp.CountTables(lengths, inst)
+        c1, c2 = data.draw(draw), data.draw(draw)
+        for pos in range(1, m + 1):
+            tables.insertion_count(pos, c1, c2)
+        assert scanned_count(tables) == want
+
     @pytest.mark.parametrize("lengths, rho_t, gamma, P", [
         ([1.4, 2.4, 1.9, 2.8, 1.8], 1.0, 1.0, 6.499999999999999),
         ([7.0, 3.0, 8.0, 9.0, 6.0], 0.7, 2.0, 18.2),
@@ -505,9 +564,7 @@ class TestSameAsTableSweep:
         # the fewest charges first turn terminal on an edge where the charged
         # child of the count below and, by rounding, the plain child both do;
         # the end bit is the charged child's
-        cons = [rho_t * c for c in lengths]
-        found = bdp._min_count_sweep(cons, [gamma * c for c in lengths],
-                                     bdp._suffix_sums(cons), P)
+        found = bdp.CountTables(lengths, battery_instance(P, rho_t, gamma))._first_terminal()
         assert found[1][2] == 1
         assert_same_as_references(lengths, rho_t, gamma, P)
 
@@ -612,9 +669,12 @@ class TestCountTables:
         assert bdp.CountTables(lengths, inst).insertion_count(pos, c1, c2) == count_of(trial, inst)
 
     def test_join_and_fallback_both_answer(self, monkeypatch):
+        # an insertion is answered by the join or, near a tie, by the DP's
+        # scan on the trial route; a route's own count is always the scan
         dp_calls = []
-        dp = bdp._min_count
-        monkeypatch.setattr(bdp, "_min_count", lambda *args: dp_calls.append(1) or dp(*args))
+        dp = bdp.CountTables._first_terminal
+        monkeypatch.setattr(bdp.CountTables, "_first_terminal",
+                            lambda tables: dp_calls.append(1) or dp(tables))
         rng = np.random.default_rng(5)
         seen = set()
         for i in range(600):
@@ -628,7 +688,8 @@ class TestCountTables:
                 want = count_of(route_lengths, case[3])
                 calls = len(dp_calls)
                 assert ask() == want
-                seen.add(("dp" if len(dp_calls) > calls else "join", want is None))
+                if isinstance(ask, functools.partial):
+                    seen.add(("dp" if len(dp_calls) > calls else "join", want is None))
         assert seen == {("join", False), ("join", True), ("dp", False), ("dp", True)}
 
 

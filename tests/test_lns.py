@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 
@@ -611,11 +612,13 @@ class TestLazyPricing:
 
     def test_charge_insertion_branches(self, monkeypatch):
         # every count the charge insertion uses is 0 because the route fits
-        # the battery, or comes from count tables, answered by the join or,
-        # near a tie, by the DP on the route
+        # the battery, or comes from count tables: a route's own count from
+        # the DP's scan, an insertion's from the join or, near a tie, from
+        # the scan on the trial route
         answers, dp_calls = [], []
-        dp = bdp._min_count
-        monkeypatch.setattr(bdp, "_min_count", lambda *args: dp_calls.append(1) or dp(*args))
+        dp = bdp.CountTables._first_terminal
+        monkeypatch.setattr(bdp.CountTables, "_first_terminal",
+                            lambda tables: dp_calls.append(1) or dp(tables))
 
         def fits(*args, fit=bdp.fits):
             if fit(*args):
@@ -624,13 +627,25 @@ class TestLazyPricing:
             return False
 
         monkeypatch.setattr(bdp, "fits", fits)
+        depth = [0]     # a count nested in another, or the reference's, is not recorded
+
+        def recorded(*args, ask, name):
+            calls = len(dp_calls)
+            depth[0] += 1
+            try:
+                count = ask(*args)
+            finally:
+                depth[0] -= 1
+            if not depth[0] and name != "min_charge_count":
+                answers.append("route" if name == "route_count"
+                               else "dp" if len(dp_calls) > calls else "join")
+            return count
+
         for name in ("route_count", "insertion_count"):
-            def recorded(tables, *args, ask=getattr(bdp.CountTables, name)):
-                calls = len(dp_calls)
-                count = ask(tables, *args)
-                answers.append("dp" if len(dp_calls) > calls else "join")
-                return count
-            monkeypatch.setattr(bdp.CountTables, name, recorded)
+            monkeypatch.setattr(bdp.CountTables, name, functools.partialmethod(
+                recorded, ask=getattr(bdp.CountTables, name), name=name))
+        monkeypatch.setattr(bdp, "min_charge_count", functools.partial(
+            recorded, ask=bdp.min_charge_count, name="min_charge_count"))
         seen, ref_calls = set(), []
         for seed in range(60):
             top = (None, 3, 6)[seed % 3]
@@ -640,7 +655,7 @@ class TestLazyPricing:
                                      (0.5, 2.0)[seed // 4 % 2], seen, ref_calls, top)
         assert seen >= {"early_exit", "full_scan", "inf_base", "fleet_cap",
                         "negative_delta", "none"}
-        assert {"fits", "join", "dp"} <= set(answers)
+        assert {"fits", "route", "join", "dp"} <= set(answers)
         assert len(answers) < len(ref_calls)
 
     def test_rounding_decides_the_chargeable_gate(self):
