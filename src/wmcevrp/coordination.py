@@ -26,13 +26,24 @@ them, and the search carries its selection as a bitmask of ranks. Once it
 looks for a one-truck plan, `_follow_closure` links the duties that one
 truck could serve in sequence, and a prefix with an unlinked pair is pruned.
 
+A second bound counts the ends of truck chains (`_precedes`). Every truck
+serves one duty first and one last; a duty that no duty able to share its
+plan can precede can only come first, and one that precedes none can only
+come last. So a plan needs as many trucks as it has of either kind, and a
+prefix needs those it chose plus, per remaining route, its fewest. The
+search counts the chain ends once it has found a plan with three trucks;
+below that the count costs more than it prunes. A duty that a fresh truck
+reaches late and that nothing precedes can be served by no truck at all,
+and every pattern that charges it is dropped before the search.
+
 `_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
-legs, arrival times and battery levels; `_follow_closure` repeats only the
-arrival test of `_try_serve`, as one float comparison per duty pair,
-`_assign_greedy` sums the deadhead it ranks trucks by, and `_truck_route`
-only lists nodes. This layer does not check its own plans;
-`model.check_feasibility` re-derives the truck schedules and is the single
-independent check of synchronization and truck energy.
+legs, arrival times and battery levels. `_follow_closure` and `_precedes`
+repeat only the arrival test of `_try_serve`, as one float comparison per
+duty pair on distance rows read once per call; `_assign_greedy` sums the
+deadhead it ranks trucks by, and `_truck_route` only lists nodes. This
+layer does not check its own plans; `model.check_feasibility` re-derives
+the truck schedules and is the single independent check of
+synchronization and truck energy.
 """
 
 from __future__ import annotations
@@ -175,7 +186,17 @@ def _gets_home(state: _TruckState, inst: Instance) -> bool:
     return not state.battery - inst.phi * leg < -EPS
 
 
-def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
+def _row(rows: dict[int, list[float]], inst: Instance, node: int) -> list[float]:
+    """The distances from `node` as plain floats, read from `inst.dist` once
+    per `rows`: the legs `_try_serve` prices from that node."""
+    row = rows.get(node)
+    if row is None:
+        row = rows[node] = inst.dist[node].tolist()
+    return row
+
+
+def _follow_closure(duties: list[ChargingDuty], inst: Instance,
+                    rows: dict[int, list[float]]) -> list[int]:
     """Which duties may share one truck, as far as arrival times tell.
 
     `duties` are in `duty_order`, the order in which a truck serves them.
@@ -185,7 +206,7 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
     follows through `duties` links k and j, in either direction. The duties
     of one truck are pairwise linked, so a set with an unlinked pair needs
     two trucks. This holds without the triangle inequality; battery is
-    ignored.
+    ignored. Distance rows are read through `rows`.
     """
     n = len(duties)
     after = [0] * n             # duties reachable from k by follows
@@ -193,7 +214,7 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
         a = duties[i]
         if a.head == inst.depot_end:
             continue
-        row = inst.dist[a.head].tolist()
+        row = _row(rows, inst, a.head)
         reach = 0
         for j in range(i + 1, n):
             b = duties[j]
@@ -210,10 +231,11 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance) -> list[int]:
     return linked
 
 
-def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance) -> list[list[int]]:
+def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance,
+                rows: dict[int, list[float]]) -> list[list[int]]:
     """Per level of `coordinate_exact` and per option: the rank bits of the
     duties linked to every duty the option adds."""
-    linked = _follow_closure(ranked, inst)
+    linked = _follow_closure(ranked, inst, rows)
     fits = []
     for options in levels:
         row = []
@@ -228,6 +250,115 @@ def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance) -> list[list
     return fits
 
 
+def _precedes(levels, ranked: list[ChargingDuty], targets: int, inst: Instance,
+              rows: dict[int, list[float]]) -> tuple[int, int]:
+    """Which duties a truck may serve straight after a duty of the same plan.
+
+    Duty a precedes duty b when a comes first in `ranked`, a does not end
+    at the return depot and a.end + dist[a.head][b.tail] <= b.start + EPS,
+    the arrival test of `_try_serve` that `_follow_closure` repeats. Only
+    pairs that can share a plan count: duties of different routes, or two
+    of one route that some option of its level in `levels` adds together.
+    For the duties b among the rank bits `targets`, returns (preceded,
+    followed): the rank bits of the targets that some duty precedes, and
+    of the duties that precede some target. A truck serves every duty of
+    its chain but the first straight after the one before it.
+    """
+    partners = [0] * len(ranked)    # per duty: the duties that can share its plan
+    for options in levels:
+        union = 0
+        for added, _ in options:
+            union |= added
+        duties = union
+        while duties:
+            low = duties & -duties
+            partners[low.bit_length() - 1] = ~union
+            duties ^= low
+        for added, _ in options:
+            duties = added
+            while duties:
+                low = duties & -duties
+                partners[low.bit_length() - 1] |= added
+                duties ^= low
+    tails = [b.tail for b in ranked]
+    deadlines = [b.start + EPS for b in ranked]
+    preceded = followed = 0
+    for i, a in enumerate(ranked):
+        later = targets & partners[i] & -(2 << i)
+        if not later or a.head == inst.depot_end:
+            continue
+        row = _row(rows, inst, a.head)
+        ready = a.end
+        while later:
+            low = later & -later
+            j = low.bit_length() - 1
+            if ready + row[tails[j]] <= deadlines[j]:
+                preceded |= low
+                followed |= 1 << i
+            later ^= low
+    return preceded, followed
+
+
+def _search_levels(arcs: list[list[ChargingDuty]], pattern_sets: list[list[int]],
+                   branching: list[int]):
+    """The duties of the branching routes ranked in `duty_order`, and per
+    branching route one level of `coordinate_exact`: per pattern, the rank
+    bits of the duties it adds and their segment cover."""
+    ranked = sorted((d for r_idx in branching for d in arcs[r_idx]), key=duty_order)
+    slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
+             for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
+    levels = []
+    for r_idx in branching:
+        options = []
+        for mask in pattern_sets[r_idx]:
+            added, cover = 0, 0
+            while mask:
+                low = mask & -mask
+                bit, occupied = slots[r_idx, low.bit_length() - 1]
+                added |= bit
+                cover |= occupied
+                mask ^= low
+            options.append((added, cover))
+        levels.append(options)
+    return ranked, levels
+
+
+def _unservable(levels, ranked: list[ChargingDuty], inst: Instance,
+                rows: dict[int, list[float]]) -> int:
+    """Rank bits of the duties that no truck can serve: a fresh truck, ready
+    at 0.0 at the start depot, reaches the tail late, and no duty of the same
+    plan precedes them (`_precedes`)."""
+    start_row = _row(rows, inst, 0)
+    late = 0
+    for r, d in enumerate(ranked):
+        if start_row[d.tail] > d.start + EPS:
+            late |= 1 << r
+    if not late:
+        return 0
+    preceded, _ = _precedes(levels, ranked, late, inst, rows)
+    return late & ~preceded
+
+
+def _chain_ends(levels, ranked: list[ChargingDuty], inst: Instance,
+                rows: dict[int, list[float]]):
+    """Bounds from the ends of truck chains.
+
+    Every truck's chain has one first and one last duty. A duty that no
+    duty of the same plan precedes (`_precedes`) can only come first, and
+    one that precedes none can only come last, so a plan needs at least as
+    many trucks as it has of either kind. Returns (first, last, fewest_first,
+    fewest_last): the rank bits of the two kinds, and per level the fewest
+    of each kind that one pattern per level from there on adds.
+    """
+    preceded, followed = _precedes(levels, ranked, (1 << len(ranked)) - 1, inst, rows)
+    first, last = ~preceded, ~followed
+    fewest_first, fewest_last = [0], [0]
+    for options in reversed(levels):
+        fewest_first.append(fewest_first[-1] + min((a & first).bit_count() for a, _ in options))
+        fewest_last.append(fewest_last[-1] + min((a & last).bit_count() for a, _ in options))
+    return first, last, fewest_first[::-1], fewest_last[::-1]
+
+
 def _fresh_truck(inst: Instance) -> _TruckState:
     return _TruckState(position=0, ready=0.0, battery=inst.B, closed=False)
 
@@ -239,10 +370,10 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     Chains duties in start order, backtracking over existing-truck and
     new-truck choices. Once an assignment is found, the search looks only
     for one with strictly fewer trucks, and it stops when the count reaches
-    `floor`, the interval clique bound of these duties that
-    `coordinate_exact` carries in its segment counters: no assignment can
-    beat it. Deadhead is not minimized: the first assignment found at the
-    final count is kept.
+    `floor`, any lower bound on the trucks these duties need: no assignment
+    can beat it. `coordinate_exact` passes the larger of the clique bound in
+    its segment counters and the chain-end counts. Deadhead is not
+    minimized: the first assignment found at the final count is kept.
 
     Returns (found, complete). found is (count, assignment), or None when no
     assignment was found. complete is False when the node budget ran out, so
@@ -290,6 +421,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
                 trucks.pop()
 
     rec(0, [])
+    del rec                     # the closure refers to itself through its cell
     if exhausted[0] and found[0] is None:
         greedy, _ = _assign_greedy(duties, inst, max_mct, transfer_depletes)
         if greedy is not None:
@@ -361,19 +493,31 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     their `BdpResult` order, (cardinality, mask). A route whose only pattern
     charges nothing adds no duties and no branch, so it gets no DFS level
     and no arrival times; every other route builds the duties of all the
-    edges its patterns charge once, shared by its patterns. A prefix is
-    pruned when the interval bound of its duties, read from the segment
-    counters, reaches the best truck count found so far (or exceeds
-    `inst.max_mct`), and each leaf's assignment search looks only for
-    strictly fewer trucks. While it looks for one truck, a prefix is also
-    pruned when two of its duties are not linked by `_follow_closure`: no
-    single truck serves both. The search stops at the
-    floor: one truck when some route cannot avoid charging, else none. The
-    first plan found at the final count is kept; deadhead is not minimized.
+    edges its patterns charge once, shared by its patterns. Patterns that
+    charge a duty no truck can serve (`_unservable`) are dropped first.
+
+    A prefix is pruned when its truck bound reaches the best truck count
+    found so far (or exceeds `inst.max_mct`), and each leaf's assignment
+    search looks only for strictly fewer trucks, from the leaf's bound on.
+    The bound is the interval bound of the prefix's duties, read from the
+    segment counters; once a plan with three or more trucks is found, it is
+    also each of the two chain-end counts of `_chain_ends`: the first (or
+    last) duties the prefix chose plus, per remaining route, the fewest its
+    patterns add. While it looks for one truck, a prefix is also pruned when
+    two of its duties are not linked by `_follow_closure`: no single truck
+    serves both. Every pruned prefix holds only leaves that cannot beat the
+    best count, so the plan is the one the search would keep without these
+    bounds. The search stops at the floor: one truck when some route cannot
+    avoid charging, else none; once the chain ends are counted, and when no
+    branching route is a `fallback`, the floor rises to the two counts
+    summed over all routes. The first plan found at the final count is
+    kept; deadhead is not minimized.
 
     The plan is certified when its count is proven minimal: it equals the
     floor, or no assignment search ran out of `node_budget` and no branching
-    route is a `fallback`. Returns None when no combination can be coordinated.
+    route is a `fallback`. A fallback route offers its count DP's witness
+    alone, so its patterns bound nothing beyond the search and never raise
+    the floor. Returns None when no combination can be coordinated.
 
     `fixed` is `routing_cost(routes, inst)` and `arcs` is what
     `_charging_arcs` returns; a caller that keeps them per route passes
@@ -387,32 +531,25 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     if arcs is None:
         arcs = _charging_arcs(routes, bdp_results, inst)
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
-    ranked = sorted((d for r_idx in branching for d in arcs[r_idx]), key=duty_order)
-    slots = {(d.mtev, d.edge): (1 << r, cover)     # rank bit and segment cover
-             for r, (d, cover) in enumerate(zip(ranked, _segment_covers(ranked)))}
-    levels = []                 # per branching route: (its duties' rank bits, cover) per pattern
-    for r_idx in branching:
-        options = []
-        for mask in pattern_sets[r_idx]:
-            added, cover = 0, 0
-            while mask:
-                low = mask & -mask
-                bit, occupied = slots[r_idx, low.bit_length() - 1]
-                added |= bit
-                cover |= occupied
-                mask ^= low
-            options.append((added, cover))
-        levels.append(options)
-    floor = 1 if any(pattern_sets[r_idx][0] for r_idx in branching) else 0
+    ranked, levels = _search_levels(arcs, pattern_sets, branching)
+    rows: dict[int, list[float]] = {}   # distance rows, read once per call
+    unservable = _unservable(levels, ranked, inst, rows)
+    if unservable:
+        levels = [[o for o in options if not o[0] & unservable] for options in levels]
+        if not all(levels):
+            return None
+    floor = [1 if any(options[0][0] for options in levels) else 0]
+    fallback = any(bdp_results[r_idx].fallback for r_idx in branching)
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (duties, assignment)
     complete = [True]
     fits: list[list[int]] = []  # per level and option, once one truck is sought
+    ends: list = []             # `_chain_ends`, once three trucks are needed
 
     def dfs(level: int, selected: int, depth: tuple[int, ...], bound: int) -> None:
         """Extend the prefix whose duties are the rank bits `selected`, whose
-        segment counters are `depth` and whose clique bound is `bound`,
-        below `beat[0]`."""
+        segment counters are `depth` and whose truck bound is `bound`, below
+        `beat[0]`."""
         if level == len(levels):
             leaf = []
             while selected:     # lowest rank first: `duty_order`
@@ -425,29 +562,40 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
             if found is not None:
                 beat[0], assignment = found
                 best[0] = (leaf, assignment)
+                if beat[0] >= 3 and not ends:
+                    ends.extend(_chain_ends(levels, ranked, inst, rows))
+                    if not fallback:
+                        floor[0] = max(floor[0], ends[2][0], ends[3][0])
             return
         for k, (added, cover) in enumerate(levels[level]):
-            if beat[0] <= floor:
+            if beat[0] <= floor[0]:
                 return
             grown, grown_bound = depth, bound
             if added:
                 grown = _deepen(depth, cover)
                 grown_bound = max(len(grown), 1)
+            if ends:
+                first, last, fewest_first, fewest_last = ends
+                chosen = selected | added
+                grown_bound = max(grown_bound,
+                                  (chosen & first).bit_count() + fewest_first[level + 1],
+                                  (chosen & last).bit_count() + fewest_last[level + 1])
             if grown_bound >= beat[0]:
                 continue
             if added and beat[0] == 2:      # one truck: every pair must be linked
                 if not fits:
-                    fits.extend(_chain_fits(levels, ranked, inst))
+                    fits.extend(_chain_fits(levels, ranked, inst, rows))
                 if (selected | added) & ~fits[level][k]:
                     continue
             dfs(level + 1, selected | added, grown, grown_bound)
 
-    if floor < beat[0]:
+    if floor[0] < beat[0]:
         dfs(0, 0, (), 0)
+    del dfs                     # the closure refers to itself through its cell
     if best[0] is None:
         return None
-    exhaustive = complete[0] and not any(bdp_results[r_idx].fallback for r_idx in branching)
-    plan = CoordinationPlan(*best[0], certified=exhaustive or beat[0] == floor)
+    exhaustive = complete[0] and not fallback
+    plan = CoordinationPlan(*best[0], certified=exhaustive or beat[0] == floor[0])
     return CoordinationResult(plan, fixed + inst.rho_c * beat[0])
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from wmcevrp.coordination import (
     summary_line,
 )
 from wmcevrp.generator import generate_instance
+from wmcevrp.harness import run_seed
 from wmcevrp.model import (
     EPS,
     ChargingDuty,
@@ -236,17 +238,37 @@ def random_routes(inst, rng, max_routes):
     return [make_route(v, part, inst) for v, part in enumerate(parts)]
 
 
+def chain_end_counts(routes, results, inst):
+    """What `coordinate_exact` reads off its duty pairs: the duties in rank
+    order, the rank bits of the unservable ones and, unless some route has
+    no pattern left without them, the chain-end floor's two sums over all
+    routes (fewest first duties, fewest last duties)."""
+    arcs = coordination._charging_arcs(routes, results, inst)
+    branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]
+    ranked, levels = coordination._search_levels(arcs, [res.patterns for res in results],
+                                                 branching)
+    rows = {}
+    unservable = coordination._unservable(levels, ranked, inst, rows)
+    levels = [[o for o in options if not o[0] & unservable] for options in levels]
+    if not all(levels):
+        return ranked, unservable, None
+    _, _, fewest_first, fewest_last = coordination._chain_ends(levels, ranked, inst, rows)
+    return ranked, unservable, (fewest_first[0], fewest_last[0])
+
+
 def check_against_reference(routes, results, inst, node_budget, transfer_depletes):
     """`coordinate_exact` visits the reference's leaves, minus leaves that
-    sought one truck where none can serve the duties, and keeps the same
-    plan. Certified may turn True only where a removed leaf ran out of node
-    budget in the reference. Returns the number of removed leaves."""
+    have no assignment within their cap, and keeps the same plan. A visited
+    leaf has the reference's duties and cap and a floor at least the
+    reference's. Certified may turn True only where a removed leaf ran out
+    of node budget in the reference or the count meets the chain-end floor.
+    Returns the number of removed leaves."""
     expect_leaves, expect = reference_exact(routes, results, inst, node_budget,
                                             transfer_depletes)
     leaves, assign = [], coordination._assign_exact
 
     def leaf(duties, inst, max_mct, transfer_depletes, node_budget, floor):
-        leaves.append((list(duties), floor, max_mct))
+        leaves.append((list(duties), max_mct, floor))
         return assign(duties, inst, max_mct, transfer_depletes, node_budget, floor)
 
     with pytest.MonkeyPatch.context() as patched:
@@ -257,11 +279,11 @@ def check_against_reference(routes, results, inst, node_budget, transfer_deplete
     pending = next(kept, None)
     removed = []                # whether each removed leaf completed in the reference
     for duties, floor, max_mct, done in expect_leaves:
-        if pending == (duties, floor, max_mct):
+        if pending is not None and pending[:2] == (duties, max_mct):
+            assert pending[2] >= floor
             pending = next(kept, None)
             continue
-        assert max_mct == 1
-        found, _ = coordination._assign_exact(duties, inst, 1, transfer_depletes,
+        found, _ = coordination._assign_exact(duties, inst, max_mct, transfer_depletes,
                                               10**9, floor)
         assert found is None
         removed.append(done)
@@ -274,7 +296,9 @@ def check_against_reference(routes, results, inst, node_budget, transfer_deplete
     assert out.plan.duties == duties
     assert out.plan.assignment == assignment
     if out.plan.certified != certified:
-        assert out.plan.certified and not all(removed)
+        _, _, counts = chain_end_counts(routes, results, inst)
+        assert out.plan.certified
+        assert not all(removed) or out.plan.mct_count == max(counts)
     return len(removed)
 
 
@@ -323,7 +347,7 @@ class TestFollowClosure:
                 union |= p
             duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
         duties.sort(key=duty_order)
-        linked = coordination._follow_closure(duties, inst)
+        linked = coordination._follow_closure(duties, inst, {})
         picked = sorted(rng.permutation(len(duties))[:8].tolist())
         for subset in range(1, 1 << len(picked)):
             chosen = [picked[b] for b in range(len(picked)) if subset >> b & 1]
@@ -434,6 +458,22 @@ class TestCoordinateExact:
         assert check_feasibility(assemble_solution(routes, out, inst), inst).passed
 
 
+def test_exact_search_leaves_no_reference_cycles():
+    # the recursive closures of the route and assignment searches refer to
+    # themselves; each call must break that cycle, or every call leaves
+    # garbage for the cyclic collector
+    inst, routes = overlapping_pair_case()
+    results = [bdp.enumerate_patterns(r, inst) for r in routes]
+    gc.collect()
+    gc.disable()
+    try:
+        out = coordinate_exact(routes, results, inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert out.plan.mct_count == 2
+
+
 def overlapping_pair_case():
     """Two routes whose only charging choices overlap in time or lie too far
     apart for one truck to chain: the fewest trucks is 2, the floor is 1."""
@@ -481,6 +521,21 @@ class TestCertified:
         out = coordinate_exact([route], [bdp.enumerate_patterns(route, inst)], inst)
         assert out.plan.mct_count == 1
         assert out.plan.certified
+
+    def test_fallback_route_raises_no_floor(self):
+        # the long route's witness and its chain ends need 3 trucks, but the
+        # full antichain needs 2: 3 is not proven minimal
+        inst = generate_instance(8, 73, P=600.0)
+        routes = [Route(0, [0, 5, 9]), Route(1, [0, 7, 9]),
+                  Route(2, [0, 2, 8, 4, 3, 6, 1, 9])]
+        witness = [bdp.enumerate_patterns(r, inst, max_edges=2) for r in routes]
+        assert [res.fallback for res in witness] == [False, False, True]
+        assert chain_end_counts(routes, witness, inst)[2] == (3, 3)
+        out = coordinate_exact(routes, witness, inst)
+        assert out.plan.mct_count == 3
+        assert not out.plan.certified
+        full = [bdp.enumerate_patterns(r, inst) for r in routes]
+        assert coordinate_exact(routes, full, inst).plan.mct_count == 2
 
     def test_fallback_route_at_the_floor_is_certified(self):
         inst, route = chainable_two_duty_case()
@@ -596,6 +651,91 @@ class TestExactAgainstBruteForce:
         assert (None if found is None else found[0]) == expect
         if found is not None:
             assert chains_feasible(duties, found[1], inst)
+
+
+def random_pattern_sets(routes, rng):
+    """Per route, one to three random masks of one or two charged edges,
+    feasible or not, in `BdpResult` order: coordination reads only the
+    masks."""
+    results = []
+    for route in routes:
+        m = len(route.nodes) - 1
+        masks = set()
+        for _ in range(int(rng.integers(1, 4))):
+            edges = rng.choice(m, size=min(m, int(rng.integers(1, 3))), replace=False)
+            masks.add(sum(1 << int(e) for e in edges))
+        results.append(bdp.BdpResult(bdp.RouteClass.ENUMERATED,
+                                     sorted(masks, key=lambda p: (p.bit_count(), p))))
+    return results
+
+
+class TestChainEnds:
+    """The chain-end sums never exceed the fewest trucks of any pattern
+    combination, and no feasible assignment serves a duty marked
+    unservable."""
+
+    @staticmethod
+    def check_sound(routes, results, inst):
+        ranked, unservable, counts = chain_end_counts(routes, results, inst)
+        rank = {(d.mtev, d.edge): r for r, d in enumerate(ranked)}
+        fewest = None
+        for combo in itertools.product(*[res.patterns for res in results]):
+            duties = duties_from_choice(routes, list(combo), inst)
+            trucks = oracle_min_trucks(duties, inst, max_trucks=len(duties))
+            if any(unservable >> rank[d.mtev, d.edge] & 1 for d in duties):
+                assert trucks is None
+            if trucks is not None:
+                fewest = trucks if fewest is None else min(fewest, trucks)
+        if counts is None:
+            assert fewest is None
+        elif fewest is not None:
+            assert max(counts) <= fewest
+        return unservable, counts
+
+    def test_generated_shells(self):
+        bounded = 0
+        for inst, routes, results in generated_shells(80, 7100):
+            _, counts = self.check_sound(routes, results, inst)
+            bounded += counts is not None and max(counts) >= 2
+        assert bounded >= 5
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 6),
+           P=st.sampled_from([300.0, 900.0]), max_routes=st.integers(1, 3))
+    def test_random_non_metric_route_sets(self, seed, n, P, max_routes):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(n, seed=seed, P=P)
+        routes = random_routes(inst, rng, max_routes)
+        self.check_sound(routes, random_pattern_sets(routes, rng), inst)
+
+
+class TestLoneRoutes:
+    def test_chain_end_floor_certifies_the_first_plan(self, monkeypatch):
+        """Six routes [0, u, n+1] of the n = 100 initial solution each charge
+        one of their two edges. No truck can serve a duty of one of them
+        straight after a duty of another, so every duty both starts and ends
+        a truck's chain: the chain-end floor is 6 by either count, and the
+        first plan meets it."""
+        inst = generate_instance(100, 2)
+        routes = lns.initial_solution(inst, run_seed(2, 0)).mtev_routes
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        charging = [(r.nodes, res.patterns) for r, res in zip(routes, results) if res.charged()]
+        assert len(charging) == 6
+        assert all(len(nodes) == 3 and patterns == [1, 2] for nodes, patterns in charging)
+        assert chain_end_counts(routes, results, inst)[2] == (6, 6)
+        leaves, assign = [], coordination._assign_exact
+
+        def leaf(duties, *args):
+            leaves.append(list(duties))
+            return assign(duties, *args)
+
+        monkeypatch.setattr(coordination, "_assign_exact", leaf)
+        out = coordinate_exact(routes, results, inst)
+        assert out.plan.mct_count == 6 and out.plan.certified
+        # without the chain-end bounds the search visits 58 of the 2^6
+        # combinations
+        assert len(leaves) == 1
+        assert check_feasibility(assemble_solution(routes, out, inst), inst).passed
 
 
 # ---------------------------------------------------------------------------
