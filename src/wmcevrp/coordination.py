@@ -39,11 +39,13 @@ and every pattern that charges it is dropped before the search.
 `_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
 legs, arrival times and battery levels. `_follow_closure` and `_precedes`
 repeat only the arrival test of `_try_serve`, as one float comparison per
-duty pair on distance rows read once per call; `_assign_greedy` sums the
-deadhead it ranks trucks by, and `_truck_route` only lists nodes. This
+duty pair; `_assign_greedy` sums the deadhead it ranks trucks by, and
+`_truck_route` only lists nodes. Every truck leg a -> b is read as
+rows[a][b] from `rows`, the caller's copy of `inst.dist` as nested lists of
+plain floats: the same floats, without a numpy scalar read per leg. This
 layer does not check its own plans; `model.check_feasibility` re-derives
-the truck schedules and is the single independent check of
-synchronization and truck energy.
+the truck schedules from `inst.dist` and is the single independent check
+of synchronization and truck energy.
 """
 
 from __future__ import annotations
@@ -153,14 +155,14 @@ def mct_lower_bound(duties: list[ChargingDuty]) -> int:
 
 
 def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
-               transfer_depletes: bool):
+               rows: list[list[float]], transfer_depletes: bool):
     """Next truck state after deadheading to a duty's tail and co-traveling
     its arc, or None when the truck is parked, reaches the tail after the
     MTEV, stores less than the transfer there or ends the arc below zero.
     The truck is ready again when the MTEV reaches the head."""
     if state.closed:
         return None
-    leg = float(inst.dist[state.position, duty.tail])
+    leg = rows[state.position][duty.tail]
     if state.ready + leg > duty.start + EPS:
         return None
     battery = state.battery - inst.phi * (leg + duty.distance)
@@ -178,25 +180,16 @@ def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
     )
 
 
-def _gets_home(state: _TruckState, inst: Instance) -> bool:
+def _gets_home(state: _TruckState, inst: Instance, rows: list[list[float]]) -> bool:
     """Whether the truck is parked or its battery covers the deadhead home."""
     if state.closed:
         return True
-    leg = float(inst.dist[state.position, inst.depot_end])
+    leg = rows[state.position][inst.depot_end]
     return not state.battery - inst.phi * leg < -EPS
 
 
-def _row(rows: dict[int, list[float]], inst: Instance, node: int) -> list[float]:
-    """The distances from `node` as plain floats, read from `inst.dist` once
-    per `rows`: the legs `_try_serve` prices from that node."""
-    row = rows.get(node)
-    if row is None:
-        row = rows[node] = inst.dist[node].tolist()
-    return row
-
-
 def _follow_closure(duties: list[ChargingDuty], inst: Instance,
-                    rows: dict[int, list[float]]) -> list[int]:
+                    rows: list[list[float]]) -> list[int]:
     """Which duties may share one truck, as far as arrival times tell.
 
     `duties` are in `duty_order`, the order in which a truck serves them.
@@ -206,7 +199,7 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance,
     follows through `duties` links k and j, in either direction. The duties
     of one truck are pairwise linked, so a set with an unlinked pair needs
     two trucks. This holds without the triangle inequality; battery is
-    ignored. Distance rows are read through `rows`.
+    ignored.
     """
     n = len(duties)
     after = [0] * n             # duties reachable from k by follows
@@ -214,7 +207,7 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance,
         a = duties[i]
         if a.head == inst.depot_end:
             continue
-        row = _row(rows, inst, a.head)
+        row = rows[a.head]
         reach = 0
         for j in range(i + 1, n):
             b = duties[j]
@@ -232,7 +225,7 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance,
 
 
 def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance,
-                rows: dict[int, list[float]]) -> list[list[int]]:
+                rows: list[list[float]]) -> list[list[int]]:
     """Per level of `coordinate_exact` and per option: the rank bits of the
     duties linked to every duty the option adds."""
     linked = _follow_closure(ranked, inst, rows)
@@ -251,7 +244,7 @@ def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance,
 
 
 def _precedes(levels, ranked: list[ChargingDuty], targets: int, inst: Instance,
-              rows: dict[int, list[float]]) -> tuple[int, int]:
+              rows: list[list[float]]) -> tuple[int, int]:
     """Which duties a truck may serve straight after a duty of the same plan.
 
     Duty a precedes duty b when a comes first in `ranked`, a does not end
@@ -287,7 +280,7 @@ def _precedes(levels, ranked: list[ChargingDuty], targets: int, inst: Instance,
         later = targets & partners[i] & -(2 << i)
         if not later or a.head == inst.depot_end:
             continue
-        row = _row(rows, inst, a.head)
+        row = rows[a.head]
         ready = a.end
         while later:
             low = later & -later
@@ -324,11 +317,11 @@ def _search_levels(arcs: list[list[ChargingDuty]], pattern_sets: list[list[int]]
 
 
 def _unservable(levels, ranked: list[ChargingDuty], inst: Instance,
-                rows: dict[int, list[float]]) -> int:
+                rows: list[list[float]]) -> int:
     """Rank bits of the duties that no truck can serve: a fresh truck, ready
     at 0.0 at the start depot, reaches the tail late, and no duty of the same
     plan precedes them (`_precedes`)."""
-    start_row = _row(rows, inst, 0)
+    start_row = rows[0]
     late = 0
     for r, d in enumerate(ranked):
         if start_row[d.tail] > d.start + EPS:
@@ -340,7 +333,7 @@ def _unservable(levels, ranked: list[ChargingDuty], inst: Instance,
 
 
 def _chain_ends(levels, ranked: list[ChargingDuty], inst: Instance,
-                rows: dict[int, list[float]]):
+                rows: list[list[float]]):
     """Bounds from the ends of truck chains.
 
     Every truck's chain has one first and one last duty. A duty that no
@@ -363,8 +356,8 @@ def _fresh_truck(inst: Instance) -> _TruckState:
     return _TruckState(position=0, ready=0.0, battery=inst.B, closed=False)
 
 
-def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
-                  transfer_depletes: bool, node_budget: int, floor: int):
+def _assign_exact(duties: list[ChargingDuty], inst: Instance, rows: list[list[float]],
+                  max_mct: int, transfer_depletes: bool, node_budget: int, floor: int):
     """Fewest-truck duty assignment with at most max_mct trucks.
 
     Chains duties in start order, backtracking over existing-truck and
@@ -399,13 +392,13 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             exhausted[0] = True
             return
         if idx == len(duties):
-            if all(_gets_home(t, inst) for t in trucks):
+            if all(_gets_home(t, inst, rows) for t in trucks):
                 beat[0] = len(trucks)
                 found[0] = (len(trucks), list(assignment))
             return
         duty = duties[idx]
         for t_idx, state in enumerate(trucks):
-            nxt = _try_serve(state, duty, inst, transfer_depletes)
+            nxt = _try_serve(state, duty, inst, rows, transfer_depletes)
             if nxt is None:
                 continue
             trucks[t_idx] = nxt
@@ -413,7 +406,7 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
             rec(idx + 1, trucks)
             trucks[t_idx] = state
         if len(trucks) < beat[0] - 1:
-            nxt = _try_serve(fresh, duty, inst, transfer_depletes)
+            nxt = _try_serve(fresh, duty, inst, rows, transfer_depletes)
             if nxt is not None:
                 trucks.append(nxt)
                 assignment[idx] = len(trucks) - 1
@@ -423,14 +416,14 @@ def _assign_exact(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     rec(0, [])
     del rec                     # the closure refers to itself through its cell
     if exhausted[0] and found[0] is None:
-        greedy, _ = _assign_greedy(duties, inst, max_mct, transfer_depletes)
+        greedy, _ = _assign_greedy(duties, inst, rows, max_mct, transfer_depletes)
         if greedy is not None:
             found[0] = (max(greedy) + 1, greedy)
     return found[0], not exhausted[0]
 
 
-def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
-                   transfer_depletes: bool):
+def _assign_greedy(duties: list[ChargingDuty], inst: Instance, rows: list[list[float]],
+                   max_mct: int, transfer_depletes: bool):
     """First-feasible-cheapest chaining: each duty goes to the truck whose
     added deadhead (plus acquisition when opening a new truck) is least,
     the lower truck index on ties.
@@ -444,15 +437,15 @@ def _assign_greedy(duties: list[ChargingDuty], inst: Instance, max_mct: int,
     for duty in duties:
         options = []
         for t_idx, state in enumerate(trucks):
-            nxt = _try_serve(state, duty, inst, transfer_depletes)
-            if nxt is None or not _gets_home(nxt, inst):
+            nxt = _try_serve(state, duty, inst, rows, transfer_depletes)
+            if nxt is None or not _gets_home(nxt, inst, rows):
                 continue
-            dead = deadhead[t_idx] + float(inst.dist[state.position, duty.tail])
+            dead = deadhead[t_idx] + rows[state.position][duty.tail]
             options.append((dead - deadhead[t_idx], t_idx, nxt, dead))
         if len(trucks) < max_mct:
-            nxt = _try_serve(_fresh_truck(inst), duty, inst, transfer_depletes)
-            if nxt is not None and _gets_home(nxt, inst):
-                dead = float(inst.dist[0, duty.tail])
+            nxt = _try_serve(_fresh_truck(inst), duty, inst, rows, transfer_depletes)
+            if nxt is not None and _gets_home(nxt, inst, rows):
+                dead = rows[0][duty.tail]
                 options.append((inst.rho_c + dead, len(trucks), nxt, dead))
         if not options:
             return None, duty.mtev
@@ -484,7 +477,8 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                      inst: Instance, *,
                      node_budget: int = SolverConfig.assign_node_budget,
                      transfer_depletes: bool = True, fixed: float | None = None,
-                     arcs: list[list[ChargingDuty]] | None = None
+                     arcs: list[list[ChargingDuty]] | None = None,
+                     rows: list[list[float]] | None = None
                      ) -> CoordinationResult | None:
     """Fewest-truck coordination by exhaustive search over per-route pattern
     choices and duty assignments.
@@ -519,9 +513,10 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     alone, so its patterns bound nothing beyond the search and never raise
     the floor. Returns None when no combination can be coordinated.
 
-    `fixed` is `routing_cost(routes, inst)` and `arcs` is what
-    `_charging_arcs` returns; a caller that keeps them per route passes
-    them, and both are computed when omitted.
+    `fixed` is `routing_cost(routes, inst)`, `arcs` is what
+    `_charging_arcs` returns and `rows` is `inst.dist.tolist()`, the
+    distance rows every truck leg is read from; a caller that already holds
+    them passes them, and each is computed when omitted.
     """
     pattern_sets = [res.patterns for res in bdp_results]
     if any(not s for s in pattern_sets):
@@ -530,9 +525,10 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         fixed = routing_cost(routes, inst)
     if arcs is None:
         arcs = _charging_arcs(routes, bdp_results, inst)
+    if rows is None:
+        rows = inst.dist.tolist()
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
     ranked, levels = _search_levels(arcs, pattern_sets, branching)
-    rows: dict[int, list[float]] = {}   # distance rows, read once per call
     unservable = _unservable(levels, ranked, inst, rows)
     if unservable:
         levels = [[o for o in options if not o[0] & unservable] for options in levels]
@@ -556,7 +552,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 low = selected & -selected
                 leaf.append(ranked[low.bit_length() - 1])
                 selected ^= low
-            found, done = _assign_exact(leaf, inst, beat[0] - 1, transfer_depletes,
+            found, done = _assign_exact(leaf, inst, rows, beat[0] - 1, transfer_depletes,
                                         node_budget, bound)
             complete[0] = complete[0] and done
             if found is not None:
@@ -603,7 +599,8 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
                          inst: Instance, *,
                          max_retries: int = SolverConfig.heuristic_retries,
                          transfer_depletes: bool = True, fixed: float | None = None,
-                         arcs: list[list[ChargingDuty]] | None = None
+                         arcs: list[list[ChargingDuty]] | None = None,
+                         rows: list[list[float]] | None = None
                          ) -> CoordinationResult | None:
     """Greedy coordination for scales beyond exhaustive search.
 
@@ -611,8 +608,8 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     duties greedily; when a duty cannot be served, the offending route falls
     back to its next pattern in `BdpResult` order (cardinality, then mask
     value), with a bounded number of retries. A retry changes one route's
-    pattern, so only that route's duties are selected again. `fixed` and
-    `arcs` are as in `coordinate_exact`.
+    pattern, so only that route's duties are selected again. `fixed`,
+    `arcs` and `rows` are as in `coordinate_exact`.
     """
     ordered = [res.patterns for res in bdp_results]
     if any(not s for s in ordered):
@@ -621,6 +618,8 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         fixed = routing_cost(routes, inst)
     if arcs is None:
         arcs = _charging_arcs(routes, bdp_results, inst)
+    if rows is None:
+        rows = inst.dist.tolist()
     idx = [0] * len(routes)
 
     def chosen_duties(r: int) -> list[ChargingDuty]:
@@ -630,7 +629,7 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     per_route = [chosen_duties(r) for r in range(len(routes))]
     for _ in range(max_retries + 1):
         duties = sorted((d for lst in per_route for d in lst), key=duty_order)
-        assignment, failed_route = _assign_greedy(duties, inst, inst.max_mct,
+        assignment, failed_route = _assign_greedy(duties, inst, rows, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
             plan = CoordinationPlan(duties, assignment, certified=False)

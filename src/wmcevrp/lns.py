@@ -151,9 +151,10 @@ class _Context:
     index is part of the key because duty tie-breaks use it. Plans are
     shared, so nothing may mutate one.
 
-    `shaw_order`, once Shaw removal has run, lists every customer by
-    relatedness to customer u at [u - 1], ties by index as a stable sort
-    leaves them.
+    `shaw_related` is `_relatedness`, computed when Shaw removal first runs.
+    `shaw_order` maps each customer u that has been a Shaw anchor to every
+    customer ranked by relatedness to u, ties by index as a stable sort
+    leaves them; a row is sorted only when its customer is first an anchor.
     """
 
     def __init__(self, inst: Instance, cfg: SolverConfig):
@@ -163,7 +164,8 @@ class _Context:
         self._records: dict[tuple[int, ...], _RouteRecord] = {}
         self.coordinated: OrderedDict[tuple[tuple[int, tuple[int, ...]], ...],
                                       coordination.CoordinationPlan | None] = OrderedDict()
-        self.shaw_order: list[list[int]] | None = None
+        self.shaw_related: np.ndarray | None = None
+        self.shaw_order: dict[int, list[int]] = {}
 
     def patterns(self, nodes: list[int]) -> _RouteRecord:
         """The record of the route over `nodes`, enumerating its patterns
@@ -195,7 +197,8 @@ def _relatedness(inst: Instance, cfg: SolverConfig) -> np.ndarray:
 
 
 def _route_load(nodes: list[int], inst: Instance) -> int:
-    return sum(inst.demand_of(u) for u in nodes[1:-1])
+    demand = inst.demand
+    return sum(demand[u - 1] for u in nodes[1:-1])
 
 
 def _route_lengths(nodes, d):
@@ -236,7 +239,7 @@ def _remove_customers(routes: list[list[int]], victims: list[int]) -> list[list[
 def _random_removal(routes, ctx, rng, k):
     served = sorted(u for nodes in routes for u in nodes[1:-1])
     k = min(k, len(served))
-    victims = [int(u) for u in rng.choice(served, size=k, replace=False)]
+    victims = [served[i] for i in rng.choice(len(served), size=k, replace=False).tolist()]
     return _remove_customers(routes, victims), victims
 
 
@@ -314,7 +317,7 @@ def _string_removal(routes, ctx, rng, k):
         nonempty = [i for i, nodes in enumerate(routes) if len(nodes) > 2]
         if not nonempty:
             break
-        r_idx = int(rng.choice(nonempty))
+        r_idx = nonempty[int(rng.integers(len(nonempty)))]
         nodes = routes[r_idx]
         count = len(nodes) - 2
         lo = min(cfg.string_min, count)
@@ -329,21 +332,26 @@ def _string_removal(routes, ctx, rng, k):
 
 def _shaw_removal(routes, ctx, rng, k):
     """Grow a removal set of customers similar in location and demand: each
-    pick is the served customer left most related to a random removed one."""
-    if ctx.shaw_order is None:
-        rel = _relatedness(ctx.inst, ctx.cfg)
-        ctx.shaw_order = (np.argsort(rel, axis=1, kind="stable") + 1).tolist()
+    pick is the served customer left that is most related to a random
+    removed one, the anchor: the first customer still left in the anchor's
+    `_Context.shaw_order` row."""
+    if ctx.shaw_related is None:
+        ctx.shaw_related = _relatedness(ctx.inst, ctx.cfg)
     order = ctx.shaw_order
     served = sorted(u for nodes in routes for u in nodes[1:-1])
     if not served:
         return [list(r) for r in routes], []
     k = min(k, len(served))
-    seed = int(rng.choice(served))
+    seed = served[int(rng.integers(len(served)))]
     removed = [seed]
     left = set(served)
     left.remove(seed)
     while len(removed) < k:
-        row = order[removed[int(rng.integers(len(removed)))] - 1]
+        anchor = removed[int(rng.integers(len(removed)))]
+        row = order.get(anchor)
+        if row is None:
+            row = order[anchor] = (np.argsort(ctx.shaw_related[anchor - 1], kind="stable")
+                                   + 1).tolist()
         pick = next(u for u in row if u in left)
         removed.append(pick)
         left.remove(pick)
@@ -459,13 +467,13 @@ class _Fleet:
 
     def options(self, u):
         """All capacity-feasible positions for u, as (delta_cost, route_idx, pos)."""
-        du, Q, edges, table = self.inst.demand_of(u), self.inst.Q, self.edges, self.table
+        du, Q, edges, table = self.inst.demand[u - 1], self.inst.Q, self.edges, self.table
         return self.price(u, [(r_idx, edges.get(r_idx) or table(r_idx))
                               for r_idx, load in enumerate(self.loads) if load + du <= Q])
 
     def insert(self, u, r_idx, pos):
         self.routes[r_idx].insert(pos, u)
-        self.loads[r_idx] += self.inst.demand_of(u)
+        self.loads[r_idx] += self.inst.demand[u - 1]
         self.edges.pop(r_idx, None)
         if r_idx == self.opening:
             self._open()
@@ -483,7 +491,7 @@ def _insert_each_best(routes, order, ctx):
 
 
 def _random_insertion(routes, removed, ctx, rng):
-    order = [int(u) for u in rng.permutation(removed)]
+    order = [removed[i] for i in rng.permutation(len(removed)).tolist()]
     return _insert_each_best(routes, order, ctx)
 
 
@@ -530,7 +538,7 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     Q = inst.Q
     fleet = _Fleet(routes, ctx)
     pending = list(removed)
-    demand = {u: inst.demand_of(u) for u in pending}
+    demand = {u: inst.demand[u - 1] for u in pending}
 
     # per demand, every route with its edge table; () where the demand does not fit
     rooms = {du: [(r_idx, fleet.table(r_idx) if load + du <= Q else ())
@@ -876,11 +884,13 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
         if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
             outcome = coordination.coordinate_exact(
                 routes, results, inst, node_budget=cfg.assign_node_budget,
-                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs)
+                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs,
+                rows=ctx.d)
         else:
             outcome = coordination.coordinate_heuristic(
                 routes, results, inst, max_retries=cfg.heuristic_retries,
-                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs)
+                transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs,
+                rows=ctx.d)
         plan = memo[key] = outcome.plan if outcome is not None else None
         if len(memo) > COORDINATION_MEMO_SIZE:
             memo.popitem(last=False)

@@ -48,6 +48,7 @@ def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
     counts = {"partition_nodes": 0, "leaves": 0, "coordinated": 0, "pattern_calls": 0}
     truncated = [False]
     pattern_memo: dict[tuple[int, ...], bdp.BdpResult] = {}
+    rows = inst.dist.tolist()         # the truck legs of every coordination
 
     if any(d > inst.Q for d in inst.demand) or (inst.max_mtev == 0 and customers):
         return OracleResult(None, float("inf"), True, False, counts)
@@ -73,7 +74,8 @@ def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
                 return
             results.append(res)
         counts["coordinated"] += 1
-        outcome = coordination.coordinate_exact(routes, results, inst, node_budget=10**9)
+        outcome = coordination.coordinate_exact(routes, results, inst, node_budget=10**9,
+                                                rows=rows)
         if outcome is None:
             return
         if best[0] is None or outcome.cost < best[0][0] - 1e-9:

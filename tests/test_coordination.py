@@ -187,6 +187,7 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
     if any(not s for s in pattern_sets):
         return leaves, None
     chosen = [patterns[0] for patterns in pattern_sets]
+    rows = inst.dist.tolist()
     levels = []
     for r_idx, patterns in enumerate(pattern_sets):
         if patterns == [0]:
@@ -206,7 +207,7 @@ def reference_exact(routes, results, inst, node_budget, transfer_depletes):
         if level == len(levels):
             duties = sorted(duties, key=lambda d: (d.start, d.mtev, d.edge))
             found, done = coordination._assign_exact(
-                duties, inst, beat[0] - 1, transfer_depletes, node_budget, bound)
+                duties, inst, rows, beat[0] - 1, transfer_depletes, node_budget, bound)
             leaves.append((duties, bound, beat[0] - 1, done))
             complete[0] = complete[0] and done
             if found is not None:
@@ -247,7 +248,7 @@ def chain_end_counts(routes, results, inst):
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]
     ranked, levels = coordination._search_levels(arcs, [res.patterns for res in results],
                                                  branching)
-    rows = {}
+    rows = inst.dist.tolist()
     unservable = coordination._unservable(levels, ranked, inst, rows)
     levels = [[o for o in options if not o[0] & unservable] for options in levels]
     if not all(levels):
@@ -267,9 +268,9 @@ def check_against_reference(routes, results, inst, node_budget, transfer_deplete
                                             transfer_depletes)
     leaves, assign = [], coordination._assign_exact
 
-    def leaf(duties, inst, max_mct, transfer_depletes, node_budget, floor):
+    def leaf(duties, inst, rows, max_mct, transfer_depletes, node_budget, floor):
         leaves.append((list(duties), max_mct, floor))
-        return assign(duties, inst, max_mct, transfer_depletes, node_budget, floor)
+        return assign(duties, inst, rows, max_mct, transfer_depletes, node_budget, floor)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(coordination, "_assign_exact", leaf)
@@ -283,8 +284,8 @@ def check_against_reference(routes, results, inst, node_budget, transfer_deplete
             assert pending[2] >= floor
             pending = next(kept, None)
             continue
-        found, _ = coordination._assign_exact(duties, inst, max_mct, transfer_depletes,
-                                              10**9, floor)
+        found, _ = coordination._assign_exact(duties, inst, inst.dist.tolist(), max_mct,
+                                              transfer_depletes, 10**9, floor)
         assert found is None
         removed.append(done)
     assert pending is None, "a leaf the reference never visited"
@@ -347,12 +348,13 @@ class TestFollowClosure:
                 union |= p
             duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
         duties.sort(key=duty_order)
-        linked = coordination._follow_closure(duties, inst, {})
+        rows = inst.dist.tolist()
+        linked = coordination._follow_closure(duties, inst, rows)
         picked = sorted(rng.permutation(len(duties))[:8].tolist())
         for subset in range(1, 1 << len(picked)):
             chosen = [picked[b] for b in range(len(picked)) if subset >> b & 1]
             served = [duties[k] for k in chosen]
-            found, _ = coordination._assign_exact(served, inst, 1, transfer_depletes,
+            found, _ = coordination._assign_exact(served, inst, rows, 1, transfer_depletes,
                                                   10**9, mct_lower_bound(served))
             if found is not None:
                 assert all(linked[a] >> b & 1 for a in chosen for b in chosen)
@@ -589,6 +591,33 @@ def generated_shells(count, seed):
             yield inst, routes, results
 
 
+def outcome_of(out):
+    """Everything a coordination outcome holds; None when there is none."""
+    if out is None:
+        return None
+    return out.cost, out.plan.duties, out.plan.assignment, out.plan.certified
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("coordinate", [coordinate_exact, coordinate_heuristic])
+    def test_passed_rows_give_the_omitted_plan(self, coordinate):
+        """`rows` only passes what the coordinators read from `inst.dist`
+        otherwise: the same plan, cost and `certified` either way, on
+        generated shells and on the non-metric case with and without its
+        superset pattern."""
+        inst, routes, results = non_metric_case()
+        superset = [results[0], bdp.BdpResult(bdp.RouteClass.ENUMERATED, [4, 5])]
+        cases = [(inst, routes, results), (inst, routes, superset),
+                 *generated_shells(60, 8300)]
+        planned = 0
+        for inst, routes, results in cases:
+            omitted = coordinate(routes, results, inst)
+            passed = coordinate(routes, results, inst, rows=inst.dist.tolist())
+            assert outcome_of(passed) == outcome_of(omitted)
+            planned += omitted is not None and omitted.plan.mct_count > 0
+        assert planned >= 10
+
+
 class TestExactAgainstBruteForce:
     def test_count_is_minimum_over_all_pattern_combinations(self):
         compared = 0
@@ -644,7 +673,8 @@ class TestExactAgainstBruteForce:
                                        start=start, end=start + c,
                                        distance=c, transfer=inst.gamma * c))
         duties.sort(key=lambda d: (d.start, d.mtev, d.edge))
-        found, complete = coordination._assign_exact(duties, inst, max_mct, True, 10**6,
+        found, complete = coordination._assign_exact(duties, inst, inst.dist.tolist(),
+                                                     max_mct, True, 10**6,
                                                      mct_lower_bound(duties))
         assert complete
         expect = oracle_min_trucks(duties, inst, max_trucks=max_mct)
@@ -884,10 +914,11 @@ class TestAssignmentsAgainstReference:
                                        start=start, end=start + c,
                                        distance=c, transfer=inst.gamma * c))
         duties.sort(key=duty_order)
-        assert (coordination._assign_greedy(duties, inst, max_mct, transfer_depletes)
+        rows = inst.dist.tolist()
+        assert (coordination._assign_greedy(duties, inst, rows, max_mct, transfer_depletes)
                 == ref_assign_greedy(duties, inst, max_mct, transfer_depletes))
         floor = mct_lower_bound(duties)
-        assert (coordination._assign_exact(duties, inst, max_mct, transfer_depletes,
+        assert (coordination._assign_exact(duties, inst, rows, max_mct, transfer_depletes,
                                            node_budget, floor)
                 == ref_assign_exact(duties, inst, max_mct, transfer_depletes,
                                     node_budget, floor))

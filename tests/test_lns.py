@@ -778,21 +778,30 @@ def ref_shaw_removal(routes, ctx, rng, k):
 class TestShawOrder:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 31),
+    @given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1),
+           ks=st.lists(st.integers(1, 101), min_size=1, max_size=3),
            top=st.sampled_from([None, 1, 2, 4]), draw=st.integers(0, 2**32 - 1),
            weights=st.sampled_from([(0.75, 0.25), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0),
                                     (-1.0, 2.0), (1e308, 1e308)]))
-    def test_same_picks_as_a_scan(self, n, seed, k, top, draw, weights):
+    @example(n=100, seed=5, ks=[101, 40, 3], top=2, draw=1, weights=(1e308, 1e308))
+    @example(n=100, seed=6, ks=[30, 30, 30], top=None, draw=2, weights=(0.75, 0.25))
+    def test_same_picks_as_a_scan(self, n, seed, ks, top, draw, weights):
         # integer distances in 1..top, demands in 1..3 and zero weights tie
-        # relatedness values; the largest weights make some of them inf
+        # relatedness values; the largest weights make some of them inf.
+        # One context serves every call, so later calls read rows that
+        # earlier ones sorted.
         inst, full, partial, _ = operator_case(n, seed, 10.0, 1500.0, 0, top)
         ctx = lns._Context(inst, SolverConfig(shaw_distance_weight=weights[0],
                                               shaw_demand_weight=weights[1]))
-        for routes in (full, partial):
-            want_rng, got_rng = rng_at(draw), rng_at(draw)
-            want = ref_shaw_removal([list(r) for r in routes], ctx, want_rng, k)
-            assert lns._shaw_removal([list(r) for r in routes], ctx, got_rng, k) == want
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        want_rng, got_rng = rng_at(draw), rng_at(draw)
+        for k in ks:
+            for routes in (full, partial):
+                sorted_before = len(ctx.shaw_order)
+                want = ref_shaw_removal([list(r) for r in routes], ctx, want_rng, k)
+                assert lns._shaw_removal([list(r) for r in routes], ctx, got_rng, k) == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                # a pick sorts at most its anchor's row; the seed is no pick
+                assert len(ctx.shaw_order) - sorted_before <= max(len(want[1]) - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +844,24 @@ class TestWeights:
             for _ in range(25):
                 assert stats.select(ours) == int(theirs.choice(k, p=stats.probabilities()))
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_index_draws_as_generator_calls(self):
+        """The operators draw indices and index their lists with them. Each
+        draw gives what the Generator call on the list itself gives, and
+        leaves the generator in the same state, for every list size up to 60
+        and every sample size, the empty list included."""
+        for size in range(61):
+            items = [3 * i + 1 for i in range(size)]
+            for seed in range(4):
+                ours, theirs = rng_at(seed), rng_at(seed)
+                if items:
+                    assert items[int(ours.integers(size))] == int(theirs.choice(items))
+                for k in range(size + 1):
+                    assert ([items[i] for i in ours.choice(size, size=k, replace=False).tolist()]
+                            == theirs.choice(items, size=k, replace=False).tolist())
+                assert ([items[i] for i in ours.permutation(size).tolist()]
+                        == theirs.permutation(items).tolist())
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_select_follows_segment_updates(self):
         stats = lns.OperatorStats(("a", "b"))
