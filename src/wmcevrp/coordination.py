@@ -22,7 +22,9 @@ integer operation per level; the bound is len(depth). `mct_lower_bound`
 folds the same step over single duties.
 
 The duties are ranked once in `model.duty_order`, the order a truck serves
-them, and the search carries its selection as a bitmask of ranks. Once it
+them, and the search carries its selection as a bitmask of ranks.
+`_successors` gives each duty the rank bits of the later duties a truck
+leaving it reaches in time; every bound on duty pairs reads them. Once it
 looks for a one-truck plan, `_follow_closure` links the duties that one
 truck could serve in sequence, and a prefix with an unlinked pair is pruned.
 
@@ -37,15 +39,14 @@ reaches late and that nothing precedes can be served by no truck at all,
 and every pattern that charges it is dropped before the search.
 
 `_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
-legs, arrival times and battery levels. `_follow_closure` and `_precedes`
-repeat only the arrival test of `_try_serve`, as one float comparison per
-duty pair; `_assign_greedy` sums the deadhead it ranks trucks by, and
-`_truck_route` only lists nodes. Every truck leg a -> b is read as
-rows[a][b] from `rows`, the caller's copy of `inst.dist` as nested lists of
-plain floats: the same floats, without a numpy scalar read per leg. This
-layer does not check its own plans; `model.check_feasibility` re-derives
-the truck schedules from `inst.dist` and is the single independent check
-of synchronization and truck energy.
+legs, arrival times and battery levels. `_successors` holds the only other
+arrival test between two duties; `_assign_greedy` sums the deadhead it
+ranks trucks by, and `_truck_route` only lists nodes. Every truck leg
+a -> b is read as rows[a][b] from `rows`, the caller's copy of `inst.dist`
+as nested lists of plain floats: the same floats, without a numpy scalar
+read per leg. This layer does not check its own plans;
+`model.check_feasibility` re-derives the truck schedules from `inst.dist`
+and is the single independent check of synchronization and truck energy.
 """
 
 from __future__ import annotations
@@ -188,32 +189,43 @@ def _gets_home(state: _TruckState, inst: Instance, rows: list[list[float]]) -> b
     return not state.battery - inst.phi * leg < -EPS
 
 
-def _follow_closure(duties: list[ChargingDuty], inst: Instance,
-                    rows: list[list[float]]) -> list[int]:
+def _successors(ranked: list[ChargingDuty], inst: Instance,
+                rows: list[list[float]]) -> list[int]:
+    """Per duty of `ranked`: the rank bits of the later duties that a truck
+    leaving its head at its end reaches in time, by the arrival test of
+    `_try_serve`. A duty that ends at the return depot parks its truck and
+    has none. Battery is ignored."""
+    tails = [b.tail for b in ranked]
+    deadlines = [b.start + EPS for b in ranked]
+    succ = []
+    for i, a in enumerate(ranked):
+        later = 0
+        if a.head != inst.depot_end:
+            row, ready = rows[a.head], a.end
+            for j in range(i + 1, len(ranked)):
+                if ready + row[tails[j]] <= deadlines[j]:
+                    later |= 1 << j
+        succ.append(later)
+    return succ
+
+
+def _follow_closure(succ: list[int]) -> list[int]:
     """Which duties may share one truck, as far as arrival times tell.
 
-    `duties` are in `duty_order`, the order in which a truck serves them.
-    Duty b follows duty a when a comes first, a does not end at the return
-    depot and a.end + dist[a.head][b.tail] <= b.start + EPS, the arrival
-    test of `_try_serve`. Mask k has bit j set when j == k or a chain of
-    follows through `duties` links k and j, in either direction. The duties
+    `succ` is the table of `_successors`. Mask k has bit j set when j == k
+    or a chain of successors links k and j, in either direction. The duties
     of one truck are pairwise linked, so a set with an unlinked pair needs
     two trucks. This holds without the triangle inequality; battery is
     ignored.
     """
-    n = len(duties)
-    after = [0] * n             # duties reachable from k by follows
+    n = len(succ)
+    after = [0] * n             # duties reachable from k by successors
     for i in range(n - 1, -1, -1):
-        a = duties[i]
-        if a.head == inst.depot_end:
-            continue
-        row = rows[a.head]
-        reach = 0
-        for j in range(i + 1, n):
-            b = duties[j]
-            # a duty already reached brings its own reach along
-            if not reach >> j & 1 and a.end + row[b.tail] <= b.start + EPS:
-                reach |= 1 << j | after[j]
+        reach, later = 0, succ[i]
+        while later:
+            low = later & -later
+            reach |= low | after[low.bit_length() - 1]
+            later &= ~reach     # a duty already reached brings its own reach along
         after[i] = reach
     linked = [1 << k | after[k] for k in range(n)]
     for i, reach in enumerate(after):
@@ -224,11 +236,10 @@ def _follow_closure(duties: list[ChargingDuty], inst: Instance,
     return linked
 
 
-def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance,
-                rows: list[list[float]]) -> list[list[int]]:
+def _chain_fits(levels, succ: list[int]) -> list[list[int]]:
     """Per level of `coordinate_exact` and per option: the rank bits of the
     duties linked to every duty the option adds."""
-    linked = _follow_closure(ranked, inst, rows)
+    linked = _follow_closure(succ)
     fits = []
     for options in levels:
         row = []
@@ -243,21 +254,17 @@ def _chain_fits(levels, ranked: list[ChargingDuty], inst: Instance,
     return fits
 
 
-def _precedes(levels, ranked: list[ChargingDuty], targets: int, inst: Instance,
-              rows: list[list[float]]) -> tuple[int, int]:
+def _precedes(levels, succ: list[int]) -> tuple[int, int]:
     """Which duties a truck may serve straight after a duty of the same plan.
 
-    Duty a precedes duty b when a comes first in `ranked`, a does not end
-    at the return depot and a.end + dist[a.head][b.tail] <= b.start + EPS,
-    the arrival test of `_try_serve` that `_follow_closure` repeats. Only
-    pairs that can share a plan count: duties of different routes, or two
-    of one route that some option of its level in `levels` adds together.
-    For the duties b among the rank bits `targets`, returns (preceded,
-    followed): the rank bits of the targets that some duty precedes, and
-    of the duties that precede some target. A truck serves every duty of
-    its chain but the first straight after the one before it.
+    Duty a precedes duty b when b is a successor of a (`_successors`) and
+    the two can share a plan: they belong to different routes, or some
+    option of their route's level in `levels` adds both. Returns (preceded,
+    followed): the rank bits of the duties that some duty precedes, and of
+    the duties that precede some duty. A truck serves every duty of its
+    chain but the first straight after the one before it.
     """
-    partners = [0] * len(ranked)    # per duty: the duties that can share its plan
+    partners = [0] * len(succ)      # per duty: the duties that can share its plan
     for options in levels:
         union = 0
         for added, _ in options:
@@ -273,22 +280,12 @@ def _precedes(levels, ranked: list[ChargingDuty], targets: int, inst: Instance,
                 low = duties & -duties
                 partners[low.bit_length() - 1] |= added
                 duties ^= low
-    tails = [b.tail for b in ranked]
-    deadlines = [b.start + EPS for b in ranked]
     preceded = followed = 0
-    for i, a in enumerate(ranked):
-        later = targets & partners[i] & -(2 << i)
-        if not later or a.head == inst.depot_end:
-            continue
-        row = rows[a.head]
-        ready = a.end
-        while later:
-            low = later & -later
-            j = low.bit_length() - 1
-            if ready + row[tails[j]] <= deadlines[j]:
-                preceded |= low
-                followed |= 1 << i
-            later ^= low
+    for i, later in enumerate(succ):
+        later &= partners[i]
+        if later:
+            preceded |= later
+            followed |= 1 << i
     return preceded, followed
 
 
@@ -316,7 +313,7 @@ def _search_levels(arcs: list[list[ChargingDuty]], pattern_sets: list[list[int]]
     return ranked, levels
 
 
-def _unservable(levels, ranked: list[ChargingDuty], inst: Instance,
+def _unservable(levels, ranked: list[ChargingDuty], succ: list[int],
                 rows: list[list[float]]) -> int:
     """Rank bits of the duties that no truck can serve: a fresh truck, ready
     at 0.0 at the start depot, reaches the tail late, and no duty of the same
@@ -328,12 +325,11 @@ def _unservable(levels, ranked: list[ChargingDuty], inst: Instance,
             late |= 1 << r
     if not late:
         return 0
-    preceded, _ = _precedes(levels, ranked, late, inst, rows)
+    preceded, _ = _precedes(levels, succ)
     return late & ~preceded
 
 
-def _chain_ends(levels, ranked: list[ChargingDuty], inst: Instance,
-                rows: list[list[float]]):
+def _chain_ends(levels, succ: list[int]):
     """Bounds from the ends of truck chains.
 
     Every truck's chain has one first and one last duty. A duty that no
@@ -343,7 +339,7 @@ def _chain_ends(levels, ranked: list[ChargingDuty], inst: Instance,
     fewest_last): the rank bits of the two kinds, and per level the fewest
     of each kind that one pattern per level from there on adds.
     """
-    preceded, followed = _precedes(levels, ranked, (1 << len(ranked)) - 1, inst, rows)
+    preceded, followed = _precedes(levels, succ)
     first, last = ~preceded, ~followed
     fewest_first, fewest_last = [0], [0]
     for options in reversed(levels):
@@ -487,8 +483,9 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     their `BdpResult` order, (cardinality, mask). A route whose only pattern
     charges nothing adds no duties and no branch, so it gets no DFS level
     and no arrival times; every other route builds the duties of all the
-    edges its patterns charge once, shared by its patterns. Patterns that
-    charge a duty no truck can serve (`_unservable`) are dropped first.
+    edges its patterns charge once, shared by its patterns, and their
+    successor table once (`_successors`). Patterns that charge a duty no
+    truck can serve (`_unservable`) are dropped first.
 
     A prefix is pruned when its truck bound reaches the best truck count
     found so far (or exceeds `inst.max_mct`), and each leaf's assignment
@@ -529,7 +526,8 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         rows = inst.dist.tolist()
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
     ranked, levels = _search_levels(arcs, pattern_sets, branching)
-    unservable = _unservable(levels, ranked, inst, rows)
+    succ = _successors(ranked, inst, rows)
+    unservable = _unservable(levels, ranked, succ, rows)
     if unservable:
         levels = [[o for o in options if not o[0] & unservable] for options in levels]
         if not all(levels):
@@ -559,7 +557,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 beat[0], assignment = found
                 best[0] = (leaf, assignment)
                 if beat[0] >= 3 and not ends:
-                    ends.extend(_chain_ends(levels, ranked, inst, rows))
+                    ends.extend(_chain_ends(levels, succ))
                     if not fallback:
                         floor[0] = max(floor[0], ends[2][0], ends[3][0])
             return
@@ -580,7 +578,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 continue
             if added and beat[0] == 2:      # one truck: every pair must be linked
                 if not fits:
-                    fits.extend(_chain_fits(levels, ranked, inst, rows))
+                    fits.extend(_chain_fits(levels, succ))
                 if (selected | added) & ~fits[level][k]:
                     continue
             dfs(level + 1, selected | added, grown, grown_bound)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,11 +250,12 @@ def chain_end_counts(routes, results, inst):
     ranked, levels = coordination._search_levels(arcs, [res.patterns for res in results],
                                                  branching)
     rows = inst.dist.tolist()
-    unservable = coordination._unservable(levels, ranked, inst, rows)
+    succ = coordination._successors(ranked, inst, rows)
+    unservable = coordination._unservable(levels, ranked, succ, rows)
     levels = [[o for o in options if not o[0] & unservable] for options in levels]
     if not all(levels):
         return ranked, unservable, None
-    _, _, fewest_first, fewest_last = coordination._chain_ends(levels, ranked, inst, rows)
+    _, _, fewest_first, fewest_last = coordination._chain_ends(levels, succ)
     return ranked, unservable, (fewest_first[0], fewest_last[0])
 
 
@@ -328,6 +330,19 @@ class TestIncrementalSearch:
         assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 8
 
 
+def charged_duties(routes, inst):
+    """The duties of every edge that some pattern of its route charges, in
+    `duty_order`: what `coordinate_exact` ranks."""
+    duties = []
+    for r_idx, route in enumerate(routes):
+        union = 0
+        for p in bdp.enumerate_patterns(route, inst).patterns:
+            union |= p
+        duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
+    duties.sort(key=duty_order)
+    return duties
+
+
 class TestFollowClosure:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
@@ -340,16 +355,9 @@ class TestFollowClosure:
         pairwise linked by the closure."""
         rng = np.random.default_rng(seed)
         inst = generate_instance(n, seed=seed, P=P)
-        routes = random_routes(inst, rng, max_routes)
-        duties = []
-        for r_idx, route in enumerate(routes):
-            union = 0
-            for p in bdp.enumerate_patterns(route, inst).patterns:
-                union |= p
-            duties += route_duties(r_idx, route, mtev_arrival_times(route, inst), union, inst)
-        duties.sort(key=duty_order)
+        duties = charged_duties(random_routes(inst, rng, max_routes), inst)
         rows = inst.dist.tolist()
-        linked = coordination._follow_closure(duties, inst, rows)
+        linked = coordination._follow_closure(coordination._successors(duties, inst, rows))
         picked = sorted(rng.permutation(len(duties))[:8].tolist())
         for subset in range(1, 1 << len(picked)):
             chosen = [picked[b] for b in range(len(picked)) if subset >> b & 1]
@@ -358,6 +366,64 @@ class TestFollowClosure:
                                                   10**9, mct_lower_bound(served))
             if found is not None:
                 assert all(linked[a] >> b & 1 for a in chosen for b in chosen)
+
+
+class TestSuccessors:
+    """The successor table and `_unservable`'s late test agree with
+    `_try_serve` on when a truck arrives in time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+           P=st.sampled_from([300.0, 600.0, 900.0]), max_routes=st.integers(1, 4),
+           transfer_depletes=st.booleans())
+    def test_table_matches_try_serve(self, seed, n, P, max_routes, transfer_depletes):
+        """On generated instances, which break the triangle inequality, bit j
+        of succ[i] is set exactly when a truck leaving duty i's head at its
+        end can serve the later duty j, and the late duties are those that a
+        fresh truck cannot serve, each with an unlimited battery."""
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(n, seed=seed, P=P)
+        duties = charged_duties(random_routes(inst, rng, max_routes), inst)
+        rows = inst.dist.tolist()
+        succ = coordination._successors(duties, inst, rows)
+        assert len(succ) == len(duties)
+        for i, a in enumerate(duties):
+            after = coordination._TruckState(a.head, a.end, math.inf, a.head == inst.depot_end)
+            expect = 0
+            for j in range(i + 1, len(duties)):
+                nxt = coordination._try_serve(after, duties[j], inst, rows, transfer_depletes)
+                expect |= (nxt is not None) << j
+            assert succ[i] == expect
+        # with no successors nothing is preceded, so every late duty is unservable
+        late = coordination._unservable([], duties, [0] * len(duties), rows)
+        fresh = coordination._TruckState(0, 0.0, math.inf, False)
+        assert late == sum(1 << r for r, d in enumerate(duties)
+                           if coordination._try_serve(fresh, d, inst, rows,
+                                                      transfer_depletes) is None)
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_arrival_at_the_tolerance(self, past):
+        """A truck may reach a tail EPS after the MTEV, and not one float
+        later: duty a ends at node 1 at t = 2, duty b starts at node 2 at
+        t = 10, and the leg 1 -> 2 takes the truck to b's tail at exactly
+        10 + EPS, or at the next float. The fresh truck's leg 0 -> 2 lands
+        on the same two times. Both trucks have an unlimited battery."""
+        deadline = 10.0 + EPS
+        leg = deadline - 2.0
+        if past:
+            leg = math.nextafter(leg, math.inf)
+        arrival = 2.0 + leg
+        assert arrival == (math.nextafter(deadline, math.inf) if past else deadline)
+        inst = build_instance([[0, 2.0, arrival], [0, 0, leg], [0, 0, 0]], [1, 1])
+        a = ChargingDuty(0, 0, 0, 1, 0.0, 2.0, 2.0, 1.0)
+        b = ChargingDuty(1, 1, 2, 3, 10.0, 15.0, 5.0, 1.0)
+        rows = inst.dist.tolist()
+        assert coordination._successors([a, b], inst, rows) == [0 if past else 2, 0]
+        after_a = coordination._TruckState(1, 2.0, math.inf, False)
+        assert (coordination._try_serve(after_a, b, inst, rows, True) is None) == past
+        assert coordination._unservable([], [a, b], [0, 0], rows) == (2 if past else 0)
+        fresh = coordination._TruckState(0, 0.0, math.inf, False)
+        assert (coordination._try_serve(fresh, b, inst, rows, True) is None) == past
 
 
 class TestCoordinateExact:
