@@ -24,9 +24,8 @@ folds the same step over single duties.
 The duties are ranked once in `model.duty_order`, the order a truck serves
 them, and the search carries its selection as a bitmask of ranks.
 `_successors` gives each duty the rank bits of the later duties a truck
-leaving it reaches in time; every bound on duty pairs reads them. Once it
-looks for a one-truck plan, `_follow_closure` links the duties that one
-truck could serve in sequence, and a prefix with an unlinked pair is pruned.
+leaving it reaches in time; the chain ends and the unservable filter below
+read them.
 
 A second bound counts the ends of truck chains (`_precedes`). Every truck
 serves one duty first and one last; a duty that no duty able to share its
@@ -207,51 +206,6 @@ def _successors(ranked: list[ChargingDuty], inst: Instance,
                     later |= 1 << j
         succ.append(later)
     return succ
-
-
-def _follow_closure(succ: list[int]) -> list[int]:
-    """Which duties may share one truck, as far as arrival times tell.
-
-    `succ` is the table of `_successors`. Mask k has bit j set when j == k
-    or a chain of successors links k and j, in either direction. The duties
-    of one truck are pairwise linked, so a set with an unlinked pair needs
-    two trucks. This holds without the triangle inequality; battery is
-    ignored.
-    """
-    n = len(succ)
-    after = [0] * n             # duties reachable from k by successors
-    for i in range(n - 1, -1, -1):
-        reach, later = 0, succ[i]
-        while later:
-            low = later & -later
-            reach |= low | after[low.bit_length() - 1]
-            later &= ~reach     # a duty already reached brings its own reach along
-        after[i] = reach
-    linked = [1 << k | after[k] for k in range(n)]
-    for i, reach in enumerate(after):
-        while reach:
-            low = reach & -reach
-            linked[low.bit_length() - 1] |= 1 << i
-            reach ^= low
-    return linked
-
-
-def _chain_fits(levels, succ: list[int]) -> list[list[int]]:
-    """Per level of `coordinate_exact` and per option: the rank bits of the
-    duties linked to every duty the option adds."""
-    linked = _follow_closure(succ)
-    fits = []
-    for options in levels:
-        row = []
-        for added, _ in options:
-            fit = -1
-            while added:
-                low = added & -added
-                fit &= linked[low.bit_length() - 1]
-                added ^= low
-            row.append(fit)
-        fits.append(row)
-    return fits
 
 
 def _precedes(levels, succ: list[int]) -> tuple[int, int]:
@@ -494,9 +448,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     segment counters; once a plan with three or more trucks is found, it is
     also each of the two chain-end counts of `_chain_ends`: the first (or
     last) duties the prefix chose plus, per remaining route, the fewest its
-    patterns add. While it looks for one truck, a prefix is also pruned when
-    two of its duties are not linked by `_follow_closure`: no single truck
-    serves both. Every pruned prefix holds only leaves that cannot beat the
+    patterns add. Every pruned prefix holds only leaves that cannot beat the
     best count, so the plan is the one the search would keep without these
     bounds. The search stops at the floor: one truck when some route cannot
     avoid charging, else none; once the chain ends are counted, and when no
@@ -537,7 +489,6 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (duties, assignment)
     complete = [True]
-    fits: list[list[int]] = []  # per level and option, once one truck is sought
     ends: list = []             # `_chain_ends`, once three trucks are needed
 
     def dfs(level: int, selected: int, depth: tuple[int, ...], bound: int) -> None:
@@ -561,7 +512,7 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                     if not fallback:
                         floor[0] = max(floor[0], ends[2][0], ends[3][0])
             return
-        for k, (added, cover) in enumerate(levels[level]):
+        for added, cover in levels[level]:
             if beat[0] <= floor[0]:
                 return
             grown, grown_bound = depth, bound
@@ -576,11 +527,6 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                                   (chosen & last).bit_count() + fewest_last[level + 1])
             if grown_bound >= beat[0]:
                 continue
-            if added and beat[0] == 2:      # one truck: every pair must be linked
-                if not fits:
-                    fits.extend(_chain_fits(levels, succ))
-                if (selected | added) & ~fits[level][k]:
-                    continue
             dfs(level + 1, selected | added, grown, grown_bound)
 
     if floor[0] < beat[0]:

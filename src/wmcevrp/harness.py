@@ -184,6 +184,8 @@ def _reference_cost(name: str, value) -> float:
 
 def load_reference(path) -> dict:
     """Reference upper bounds: JSON object or two-column CSV (name, value).
+    The first CSV row is a header when its cost cell is not a number; every
+    later row is data.
 
     Raises ValueError for any other layout and for a cost that is not a
     finite positive number.
@@ -195,10 +197,14 @@ def load_reference(path) -> dict:
         if not isinstance(data, dict):
             raise ValueError("reference JSON must be an object mapping names to costs")
         return {str(k): _reference_cost(str(k), v) for k, v in data.items()}
+    rows = [row for row in csv.reader(text.splitlines()) if row]
+    if rows and len(rows[0]) >= 2:
+        try:
+            float(rows[0][1])
+        except ValueError:
+            rows = rows[1:]     # a header: its cost cell names the column
     ref = {}
-    for row in csv.reader(text.splitlines()):
-        if not row or row[0].lower() in ("instance", "name"):
-            continue
+    for row in rows:
         if len(row) < 2:
             raise ValueError(f"reference CSV row {row} needs a name and a cost")
         ref[row[0]] = _reference_cost(row[0], row[1])

@@ -178,10 +178,10 @@ class TestSegmentCoverBound:
 
 
 def reference_exact(routes, results, inst, node_budget, transfer_depletes):
-    """The exact coordination search as it was before segment covers and
-    one-truck chain pruning: every node that adds duties re-computes
-    `mct_lower_bound` over the whole grown duty list. Returns the (duties,
-    floor, max_mct, complete) of every assignment leaf in order and the
+    """The exact coordination search as it was before segment covers,
+    chain-end bounds and the unservable filter: every node that adds duties
+    re-computes `mct_lower_bound` over the whole grown duty list. Returns the
+    (duties, floor, max_mct, complete) of every assignment leaf in order and the
     (masks, duties, assignment, certified) of the kept plan."""
     leaves = []
     pattern_sets = [res.patterns for res in results]
@@ -318,16 +318,24 @@ class TestIncrementalSearch:
         check_against_reference(routes, results, inst, node_budget, transfer_depletes)
 
     @pytest.mark.parametrize("transfer_depletes", [True, False])
-    def test_one_truck_search_skips_unlinked_combinations(self, transfer_depletes):
-        """The first leaf finds two trucks. Each of the 8 remaining pattern
-        combinations has a duty pair that no chain of follows links, so the
-        one-truck search visits none of them."""
+    def test_one_truck_search_visits_every_leaf(self, transfer_depletes):
+        """The first leaf finds two trucks. None of the 8 remaining pattern
+        combinations fits one truck, and the one-truck search visits each of
+        them, as the reference does: a one-truck leaf costs at most one node
+        per duty and one more, so no bound prunes it ahead of `_assign_exact`."""
         inst = generate_instance(10, seed=161, P=900.0)
         routes = [make_route(0, [10, 3], inst),
                   make_route(1, [1, 6, 2, 9, 4, 7, 8, 5], inst)]
         results = [bdp.enumerate_patterns(r, inst) for r in routes]
         assert [len(res.patterns) for res in results] == [3, 8]
-        assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 8
+        assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 0
+        leaves, expect = reference_exact(routes, results, inst, 5000, transfer_depletes)
+        assert [max_mct for _, _, max_mct, _ in leaves] == [10] + [1] * 8
+        out = coordinate_exact(routes, results, inst, node_budget=5000,
+                               transfer_depletes=transfer_depletes)
+        plan = out.plan
+        assert (plan_masks(plan, len(routes)), plan.duties, plan.assignment,
+                plan.certified) == expect
 
 
 def charged_duties(routes, inst):
@@ -343,31 +351,6 @@ def charged_duties(routes, inst):
     return duties
 
 
-class TestFollowClosure:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
-           P=st.sampled_from([300.0, 600.0, 900.0]), max_routes=st.integers(1, 4),
-           transfer_depletes=st.booleans())
-    def test_one_truck_duties_are_pairwise_linked(self, seed, n, P, max_routes,
-                                                  transfer_depletes):
-        """On generated instances, which break the triangle inequality, every
-        set of up to 8 duties that `_assign_exact` serves with one truck is
-        pairwise linked by the closure."""
-        rng = np.random.default_rng(seed)
-        inst = generate_instance(n, seed=seed, P=P)
-        duties = charged_duties(random_routes(inst, rng, max_routes), inst)
-        rows = inst.dist.tolist()
-        linked = coordination._follow_closure(coordination._successors(duties, inst, rows))
-        picked = sorted(rng.permutation(len(duties))[:8].tolist())
-        for subset in range(1, 1 << len(picked)):
-            chosen = [picked[b] for b in range(len(picked)) if subset >> b & 1]
-            served = [duties[k] for k in chosen]
-            found, _ = coordination._assign_exact(served, inst, rows, 1, transfer_depletes,
-                                                  10**9, mct_lower_bound(served))
-            if found is not None:
-                assert all(linked[a] >> b & 1 for a in chosen for b in chosen)
-
-
 class TestSuccessors:
     """The successor table and `_unservable`'s late test agree with
     `_try_serve` on when a truck arrives in time."""
@@ -380,7 +363,11 @@ class TestSuccessors:
         """On generated instances, which break the triangle inequality, bit j
         of succ[i] is set exactly when a truck leaving duty i's head at its
         end can serve the later duty j, and the late duties are those that a
-        fresh truck cannot serve, each with an unlimited battery."""
+        fresh truck cannot serve, each with an unlimited battery. A one-truck
+        assignment search opens one truck and tries only it on each later
+        duty, so it visits at most one node per duty and one more: with that
+        node budget it completes and finds what an unlimited one finds, on
+        every subset of up to 8 of the duties."""
         rng = np.random.default_rng(seed)
         inst = generate_instance(n, seed=seed, P=P)
         duties = charged_duties(random_routes(inst, rng, max_routes), inst)
@@ -400,6 +387,14 @@ class TestSuccessors:
         assert late == sum(1 << r for r, d in enumerate(duties)
                            if coordination._try_serve(fresh, d, inst, rows,
                                                       transfer_depletes) is None)
+        picked = sorted(rng.permutation(len(duties))[:8].tolist())
+        for subset in range(1, 1 << len(picked)):
+            leaf = [duties[picked[b]] for b in range(len(picked)) if subset >> b & 1]
+            capped = coordination._assign_exact(leaf, inst, rows, 1, transfer_depletes,
+                                                len(leaf) + 1, 1)
+            found, _ = coordination._assign_exact(leaf, inst, rows, 1, transfer_depletes,
+                                                  10**9, 1)
+            assert capped == (found, True)
 
     @pytest.mark.parametrize("past", [False, True])
     def test_arrival_at_the_tolerance(self, past):

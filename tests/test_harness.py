@@ -146,10 +146,19 @@ class TestLoadReference:
         path.write_text(json.dumps({"4A": 6173, "8C": 6708}))
         assert load_reference(path) == {"4A": 6173.0, "8C": 6708.0}
 
-    def test_csv_mapping(self, tmp_path):
+    @pytest.mark.parametrize("text, expect", [
+        ("instance,ub\n4A,6173\n8C,6708\n", {"4A": 6173.0, "8C": 6708.0}),
+        ("4A,6173\n8C,6708\n", {"4A": 6173.0, "8C": 6708.0}),
+        ("instance,cost\ninstance,123.5\nname,99\nother,5\n",
+         {"instance": 123.5, "name": 99.0, "other": 5.0}),
+        ("Name,1\nNAME,2\n", {"Name": 1.0, "NAME": 2.0}),
+    ], ids=["header", "no-header", "header-named-rows", "named-first-row"])
+    def test_csv_mapping(self, tmp_path, text, expect):
+        """Only the first row may be a header, and only when its cost cell
+        is not a number: a later row named `instance` or `name` is data."""
         path = tmp_path / "ref.csv"
-        path.write_text("instance,ub\n4A,6173\n8C,6708\n")
-        assert load_reference(path) == {"4A": 6173.0, "8C": 6708.0}
+        path.write_text(text)
+        assert load_reference(path) == expect
 
     @pytest.mark.parametrize("name, text", [
         ("ref.json", "[1, 2]"),
@@ -162,8 +171,9 @@ class TestLoadReference:
         ("ref.csv", "4A,6173\n8C\n"),
         ("ref.csv", "4A,-6173\n"),
         ("ref.csv", "4A,inf\n"),
+        ("ref.csv", "4A,6173\nname,ub\n"),
     ], ids=["list", "text", "bool", "zero", "float-overflow", "huge-int", "nested",
-            "short-row", "negative", "inf"])
+            "short-row", "negative", "inf", "late-header"])
     def test_rejects_bad_layout_or_cost(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
