@@ -84,31 +84,9 @@ def _add_gen(sub):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--dist-low", type=float, default=None)
-    p.add_argument("--dist-high", type=float, default=None)
-    p.add_argument("--P", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--Q", type=float, default=None)
-    p.add_argument("--rho-t", type=float, default=None)
-    p.add_argument("--rho-e", type=float, default=None)
-    p.add_argument("--rho-c", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--max-mtev", type=int, default=None)
-    p.add_argument("--max-mct", type=int, default=None)
-
-
-def _gen_params(args) -> GenParams:
-    params = GenParams()
-    mapping = {
-        "dist_low": args.dist_low, "dist_high": args.dist_high,
-        "P": args.P, "B": args.B, "Q": args.Q,
-        "rho_t": args.rho_t, "rho_e": args.rho_e, "rho_c": args.rho_c,
-        "gamma": args.gamma, "phi": args.phi,
-        "max_mtev": args.max_mtev, "max_mct": args.max_mct,
-    }
-    overrides = {k: v for k, v in mapping.items() if v is not None}
-    return dataclasses.replace(params, **overrides)
+    for f in dataclasses.fields(GenParams):      # f.type is the annotation's text
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=int if f.type.startswith("int") else float)
 
 
 def _load_config(path, **flags) -> SolverConfig:
@@ -123,7 +101,9 @@ def _load_config(path, **flags) -> SolverConfig:
 
 def cmd_gen(args) -> int:
     try:
-        inst = generate_instance(args.n, args.seed, _gen_params(args))
+        inst = generate_instance(args.n, args.seed, **{
+            f.name: getattr(args, f.name) for f in dataclasses.fields(GenParams)
+            if getattr(args, f.name) is not None})
     except ValueError as exc:
         raise InputError(f"gen parameters: {exc}") from exc
     with _writing(args.out):

@@ -9,15 +9,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Instance
+from .model import INSTANCE_FIELDS, Instance
 
 
 @dataclass
 class GenParams:
+    """Generator settings. Every field is a numeric `gen` flag; the ones
+    that name an `Instance` field are copied into the instance."""
+
     dist_low: float = 100.0
     dist_high: float = 1000.0
-    demand_low: int = 1
-    demand_high: int = 3
     P: float = 1500.0
     B: float = 20000.0
     Q: float = 10.0
@@ -40,13 +41,12 @@ class GenParams:
         )
 
 
-def generate_instance(n: int, seed: int, params: GenParams | None = None,
-                      **overrides) -> Instance:
-    """Deterministic instance from (n, seed) using a PCG64 stream."""
+def generate_instance(n: int, seed: int, **overrides) -> Instance:
+    """Deterministic instance from (n, seed) using a PCG64 stream, with the
+    given `GenParams` fields overridden."""
     if n < 1:
         raise ValueError("need at least one customer")
-    p = replace(params or GenParams(), **overrides) if overrides else (params or GenParams())
-    p = p.resolved(n)
+    p = GenParams(**overrides).resolved(n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     size = n + 1                      # depot 0 plus customers; node n+1 cloned after
     core = np.zeros((size, size))
@@ -57,13 +57,6 @@ def generate_instance(n: int, seed: int, params: GenParams | None = None,
     dist[:size, :size] = core
     dist[n + 1, :size] = core[0]
     dist[:size, n + 1] = core[0]
-    demand = rng.integers(p.demand_low, p.demand_high + 1, size=n)
-    return Instance(
-        n=n,
-        dist=dist,
-        demand=[int(d) for d in demand],
-        P=p.P, B=p.B, Q=p.Q,
-        rho_t=p.rho_t, rho_e=p.rho_e, rho_c=p.rho_c,
-        gamma=p.gamma, phi=p.phi,
-        max_mtev=p.max_mtev, max_mct=p.max_mct,
-    )
+    demand = rng.integers(1, 3 + 1, size=n)
+    return Instance(n=n, dist=dist, demand=[int(d) for d in demand],
+                    **{k: v for k, v in vars(p).items() if k in INSTANCE_FIELDS})

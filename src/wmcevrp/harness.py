@@ -171,9 +171,11 @@ def write_sweep_csv(rows: list[dict], path) -> None:
             writer.writerow([repr(r["value"]), repr(r["w_best"]), repr(r["e"]), repr(r["c"])])
 
 
-def _reference_cost(name: str, value) -> float:
+def _reference_cost(name: str, value, text: bool = False) -> float:
+    """value as a cost. Only a CSV cell (text) is parsed from a string; a
+    JSON cost must be a JSON number."""
     try:
-        cost = float(value)
+        cost = float(value) if text or not isinstance(value, str) else math.nan
     except (TypeError, ValueError, OverflowError):
         cost = math.nan
     if isinstance(value, bool) or not (math.isfinite(cost) and cost > 0):
@@ -207,7 +209,7 @@ def load_reference(path) -> dict:
     for row in rows:
         if len(row) < 2:
             raise ValueError(f"reference CSV row {row} needs a name and a cost")
-        ref[row[0]] = _reference_cost(row[0], row[1])
+        ref[row[0]] = _reference_cost(row[0], row[1], text=True)
     return ref
 
 

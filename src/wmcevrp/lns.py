@@ -48,7 +48,6 @@ class OperatorStats:
     weights: np.ndarray = None
     scores: np.ndarray = field(init=False)
     uses: np.ndarray = field(init=False)
-    total_uses: np.ndarray = field(init=False)
     _cdf: list[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class OperatorStats:
             self.weights = np.ones(k)
         self.scores = np.zeros(k)
         self.uses = np.zeros(k, dtype=int)
-        self.total_uses = np.zeros(k, dtype=int)
         self._rebuild_cdf()
 
     def probabilities(self) -> np.ndarray:
@@ -82,7 +80,6 @@ class OperatorStats:
     def record(self, idx: int, score: float) -> None:
         self.scores[idx] += score
         self.uses[idx] += 1
-        self.total_uses[idx] += 1
 
     def end_segment(self, reaction: float, floor: float) -> None:
         """Close a segment: blend weights toward each operator's mean score."""

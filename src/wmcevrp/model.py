@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -42,11 +42,6 @@ CONSTRAINT_FAMILIES = (
     "energy-mct",
     "capacity",
     "usage",
-)
-
-INSTANCE_FIELDS = (
-    "n", "dist", "demand", "P", "B", "Q", "rho_t", "rho_e", "rho_c",
-    "gamma", "phi", "max_mtev", "max_mct",
 )
 
 
@@ -214,6 +209,9 @@ class Instance:
     def load(cls, path) -> "Instance":
         with open(path) as f:
             return cls.from_json(json.load(f))
+
+
+INSTANCE_FIELDS = tuple(f.name for f in fields(Instance))
 
 
 @dataclass

@@ -1,9 +1,12 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from wmcevrp import cli
+from wmcevrp.generator import GenParams, generate_instance
 from wmcevrp.model import Instance
 
 from conftest import build_instance
@@ -32,6 +35,26 @@ class TestGen:
         data = json.loads(path.read_text())
         assert data["P"] == 640.0
         assert data["rho_c"] == 5000.0
+
+    # a value other than the default for every generator setting
+    FLAG_VALUES = {"dist_low": 50.0, "dist_high": 900.0, "P": 640.0, "B": 18000.0,
+                   "Q": 8.0, "rho_t": 1.5, "rho_e": 900.0, "rho_c": 1700.0,
+                   "gamma": 2.5, "phi": 1.2, "max_mtev": 3, "max_mct": 2}
+
+    @pytest.mark.parametrize("field", dataclasses.fields(GenParams), ids=lambda f: f.name)
+    def test_each_setting_is_a_flag(self, tmp_path, field):
+        value = self.FLAG_VALUES[field.name]
+        path, expect = tmp_path / "cli.json", tmp_path / "api.json"
+        assert run_cli("gen", "--n", 5, "--seed", 3, "--out", path,
+                       "--" + field.name.replace("_", "-"), value) == 0
+        generate_instance(5, 3, **{field.name: value}).save(expect)
+        assert path.read_bytes() == expect.read_bytes()
+
+    def test_flags_are_the_settings(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["gen"]._actions} - {"help"}
+        assert dests == {f.name for f in dataclasses.fields(GenParams)} | {"n", "seed", "out"}
 
 
 class TestSolve:

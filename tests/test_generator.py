@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wmcevrp.generator import GenParams, generate_instance
-from wmcevrp.model import Instance
+from wmcevrp.model import INSTANCE_FIELDS, Instance
 
 
 class TestGenerateInstance:
@@ -56,12 +56,17 @@ class TestGenerateInstance:
         assert inst.rho_c == 77.0
 
     def test_explicit_params_object(self):
-        params = GenParams(P=640.0, Q=4.0, max_mct=2)
-        inst = generate_instance(6, seed=2, params=params)
+        # Every resolved GenParams field that names an Instance field lands
+        # on the instance, and max_mtev resolves to n when left unset.
+        params = GenParams(P=640.0, Q=4.0, max_mct=2).resolved(6)
+        inst = generate_instance(6, seed=2, P=640.0, Q=4.0, max_mct=2)
         assert inst.P == 640.0
         assert inst.Q == 4.0
         assert inst.max_mct == 2
         assert inst.max_mtev == 6
+        for name, value in vars(params).items():
+            if name in INSTANCE_FIELDS:
+                assert getattr(inst, name) == value
 
     def test_rejects_empty_instance(self):
         with pytest.raises(ValueError):

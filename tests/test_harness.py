@@ -163,6 +163,7 @@ class TestLoadReference:
     @pytest.mark.parametrize("name, text", [
         ("ref.json", "[1, 2]"),
         ("ref.json", '{"4A": "x"}'),
+        ("ref.json", '{"4A": "6173"}'),
         ("ref.json", '{"4A": true}'),
         ("ref.json", '{"4A": 0}'),
         ("ref.json", '{"4A": 1e400}'),
@@ -172,7 +173,7 @@ class TestLoadReference:
         ("ref.csv", "4A,-6173\n"),
         ("ref.csv", "4A,inf\n"),
         ("ref.csv", "4A,6173\nname,ub\n"),
-    ], ids=["list", "text", "bool", "zero", "float-overflow", "huge-int", "nested",
+    ], ids=["list", "text", "numeric-text", "bool", "zero", "float-overflow", "huge-int", "nested",
             "short-row", "negative", "inf", "late-header"])
     def test_rejects_bad_layout_or_cost(self, tmp_path, name, text):
         path = tmp_path / name

@@ -11,6 +11,7 @@ from wmcevrp import harness, lns
 from wmcevrp.config import SolverConfig
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
+    CONSTRAINT_FAMILIES,
     Instance,
     Route,
     RouteStructureError,
@@ -521,7 +522,9 @@ class TestCheckerTotality:
         except ValueError:
             return
         for depletes in (True, False):
-            str(check_feasibility(sol, inst, depletes))
+            report = check_feasibility(sol, inst, depletes)
+            str(report)
+            assert report.families() <= set(CONSTRAINT_FAMILIES)
 
     def test_non_integer_node_ids(self, solved):
         inst, best = solved
