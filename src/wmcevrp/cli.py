@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
-solution, 4 rejected input: a missing or unreadable file, an instance,
-solution, config or reference file that cannot be parsed or fails
-validation (for a config: a setting `SolverConfig` rejects), a missing
-`--dir`, an output path (`--out`, `solve --log`) in a missing directory or
-that names a directory, a bad `sweep --values` list, `gen` parameters that
+solution (for `solve`, also a best solution that fails the checker), 4
+rejected input: a missing or unreadable file, an instance, solution,
+config or reference file that cannot be parsed or fails validation (for
+a config: a setting `SolverConfig` rejects), a missing `--dir`, an output
+path (`--out`, `solve --log`) in a missing directory or that names a
+directory, a bad `sweep --values` list, `gen` parameters that
 generation or instance validation refuses, a negative `--seed`, `--runs` or
 `--jobs` < 1, `solve --iters` or `--time-limit` out of the config's range,
 or an `oracle` instance above `--max-customers`, reported as one
@@ -122,6 +123,10 @@ def cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     if result.best is None:
         print("no feasible solution within budget", file=sys.stderr)
+        return EXIT_NO_SOLUTION
+    if not result.feasible:
+        report = check_feasibility(result.best, inst, cfg.mct_transfer_depletes)
+        print(f"best solution fails the checker: {report}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     if args.out:
         with _writing(args.out):
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("sweep", help="parameter sweep over P or rho_c")
-    p.add_argument("--param", choices=("P", "rho_c"), required=True)
+    p.add_argument("--param", choices=harness.SWEEP_PARAMS, required=True)
     p.add_argument("--values", required=True, help="comma-separated increasing values")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)

@@ -24,26 +24,27 @@ folds the same step over single duties.
 The duties are ranked once in `model.duty_order`, the order a truck serves
 them, and the search carries its selection as a bitmask of ranks.
 `_successors` gives each duty the rank bits of the later duties a truck
-leaving it reaches in time; the chain ends and the unservable filter below
-read them.
+leaving it reaches in time, and marks the duties a fresh truck reaches
+late; `_chain_ends` reads both.
 
-A second bound counts the ends of truck chains (`_precedes`). Every truck
-serves one duty first and one last; a duty that no duty able to share its
-plan can precede can only come first, and one that precedes none can only
-come last. So a plan needs as many trucks as it has of either kind, and a
-prefix needs those it chose plus, per remaining route, its fewest. The
-search counts the chain ends once it has found a plan with three trucks;
-below that the count costs more than it prunes. A duty that a fresh truck
-reaches late and that nothing precedes can be served by no truck at all,
-and every pattern that charges it is dropped before the search.
+A second bound counts the ends of truck chains (`_chain_ends`). Every
+truck serves one duty first and one last; a duty that no duty able to
+share its plan can precede can only come first, and one that precedes
+none can only come last. So a plan needs as many trucks as it has of
+either kind, and a prefix needs those it chose plus, per remaining route,
+its fewest. A duty that a fresh truck reaches late and that nothing
+precedes can be served by no truck at all, and every pattern that charges
+it is dropped. All of these bounds, and the floor the search stops at,
+are set before the search starts.
 
 `_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
-legs, arrival times and battery levels. `_successors` holds the only other
-arrival test between two duties; `_assign_greedy` sums the deadhead it
-ranks trucks by, and `_truck_route` only lists nodes. Every truck leg
-a -> b is read as rows[a][b] from `rows`, the caller's copy of `inst.dist`
-as nested lists of plain floats: the same floats, without a numpy scalar
-read per leg. This layer does not check its own plans;
+legs, arrival times and battery levels. `_successors` holds the only
+other arrival tests, between two duties and from the start depot;
+`_assign_greedy` sums the deadhead it ranks trucks by, and `_truck_route`
+only lists nodes. Every truck leg a -> b is read as rows[a][b] from
+`rows`, the caller's copy of `inst.dist` as nested lists of plain floats:
+the same floats, without a numpy scalar read per leg. This layer does not
+check its own plans;
 `model.check_feasibility` re-derives the truck schedules from `inst.dist`
 and is the single independent check of synchronization and truck energy.
 """
@@ -88,10 +89,9 @@ class CoordinationResult:
 
 @dataclass(slots=True)
 class _TruckState:
-    position: int
+    position: int        # at `inst.depot_end` the truck is parked and takes no duties
     ready: float
     battery: float
-    closed: bool         # parked at the return depot, takes no further duties
 
 
 def _charging_arcs(routes: list[Route], bdp_results: list[BdpResult],
@@ -160,7 +160,7 @@ def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
     its arc, or None when the truck is parked, reaches the tail after the
     MTEV, stores less than the transfer there or ends the arc below zero.
     The truck is ready again when the MTEV reaches the head."""
-    if state.closed:
+    if state.position == inst.depot_end:
         return None
     leg = rows[state.position][duty.tail]
     if state.ready + leg > duty.start + EPS:
@@ -172,32 +172,31 @@ def _try_serve(state: _TruckState, duty: ChargingDuty, inst: Instance,
         return None
     if state.battery - inst.phi * leg < duty.transfer - EPS:
         return None
-    return _TruckState(
-        position=duty.head,
-        ready=duty.end,
-        battery=battery,
-        closed=duty.head == inst.depot_end,
-    )
+    return _TruckState(position=duty.head, ready=duty.end, battery=battery)
 
 
 def _gets_home(state: _TruckState, inst: Instance, rows: list[list[float]]) -> bool:
     """Whether the truck is parked or its battery covers the deadhead home."""
-    if state.closed:
+    if state.position == inst.depot_end:
         return True
     leg = rows[state.position][inst.depot_end]
     return not state.battery - inst.phi * leg < -EPS
 
 
 def _successors(ranked: list[ChargingDuty], inst: Instance,
-                rows: list[list[float]]) -> list[int]:
-    """Per duty of `ranked`: the rank bits of the later duties that a truck
-    leaving its head at its end reaches in time, by the arrival test of
-    `_try_serve`. A duty that ends at the return depot parks its truck and
-    has none. Battery is ignored."""
+                rows: list[list[float]]) -> tuple[list[int], int]:
+    """Arrival tests of `_try_serve` over the duties of `ranked`, battery
+    ignored. Returns (succ, late): per duty, the rank bits of the later
+    duties that a truck leaving its head at its end reaches in time (none
+    for a duty that ends at the return depot and parks its truck), and the
+    rank bits of the duties that a fresh truck, ready at 0.0 at the start
+    depot, reaches late."""
     tails = [b.tail for b in ranked]
     deadlines = [b.start + EPS for b in ranked]
-    succ = []
+    succ, late = [], 0
     for i, a in enumerate(ranked):
+        if rows[0][tails[i]] > deadlines[i]:
+            late |= 1 << i
         later = 0
         if a.head != inst.depot_end:
             row, ready = rows[a.head], a.end
@@ -205,42 +204,7 @@ def _successors(ranked: list[ChargingDuty], inst: Instance,
                 if ready + row[tails[j]] <= deadlines[j]:
                     later |= 1 << j
         succ.append(later)
-    return succ
-
-
-def _precedes(levels, succ: list[int]) -> tuple[int, int]:
-    """Which duties a truck may serve straight after a duty of the same plan.
-
-    Duty a precedes duty b when b is a successor of a (`_successors`) and
-    the two can share a plan: they belong to different routes, or some
-    option of their route's level in `levels` adds both. Returns (preceded,
-    followed): the rank bits of the duties that some duty precedes, and of
-    the duties that precede some duty. A truck serves every duty of its
-    chain but the first straight after the one before it.
-    """
-    partners = [0] * len(succ)      # per duty: the duties that can share its plan
-    for options in levels:
-        union = 0
-        for added, _ in options:
-            union |= added
-        duties = union
-        while duties:
-            low = duties & -duties
-            partners[low.bit_length() - 1] = ~union
-            duties ^= low
-        for added, _ in options:
-            duties = added
-            while duties:
-                low = duties & -duties
-                partners[low.bit_length() - 1] |= added
-                duties ^= low
-    preceded = followed = 0
-    for i, later in enumerate(succ):
-        later &= partners[i]
-        if later:
-            preceded |= later
-            followed |= 1 << i
-    return preceded, followed
+    return succ, late
 
 
 def _search_levels(arcs: list[list[ChargingDuty]], pattern_sets: list[list[int]],
@@ -267,43 +231,57 @@ def _search_levels(arcs: list[list[ChargingDuty]], pattern_sets: list[list[int]]
     return ranked, levels
 
 
-def _unservable(levels, ranked: list[ChargingDuty], succ: list[int],
-                rows: list[list[float]]) -> int:
-    """Rank bits of the duties that no truck can serve: a fresh truck, ready
-    at 0.0 at the start depot, reaches the tail late, and no duty of the same
-    plan precedes them (`_precedes`)."""
-    start_row = rows[0]
-    late = 0
-    for r, d in enumerate(ranked):
-        if start_row[d.tail] > d.start + EPS:
-            late |= 1 << r
-    if not late:
-        return 0
-    preceded, _ = _precedes(levels, succ)
-    return late & ~preceded
+def _chain_ends(levels, succ: list[int], late: int) -> tuple[int, int, int]:
+    """The ends of truck chains, from the successor table and the late
+    duties of `_successors`.
 
-
-def _chain_ends(levels, succ: list[int]):
-    """Bounds from the ends of truck chains.
-
-    Every truck's chain has one first and one last duty. A duty that no
-    duty of the same plan precedes (`_precedes`) can only come first, and
-    one that precedes none can only come last, so a plan needs at least as
-    many trucks as it has of either kind. Returns (first, last, fewest_first,
-    fewest_last): the rank bits of the two kinds, and per level the fewest
-    of each kind that one pattern per level from there on adds.
+    Duty a precedes duty b when b is a successor of a and the two can share
+    a plan: they belong to different routes, or some option of their
+    route's level in `levels` adds both. A truck serves every duty of its
+    chain but the first straight after one that precedes it, so a duty that
+    nothing precedes can only come first, and one that precedes nothing can
+    only come last. Returns (unservable, first, last): the rank bits of the
+    late duties that nothing precedes, which no truck can serve, and of the
+    two kinds of chain ends. A plan needs at least as many trucks as it has
+    of either kind. Dropping options only removes plans, so the bits stay
+    sound for any subset of `levels`.
     """
-    preceded, followed = _precedes(levels, succ)
-    first, last = ~preceded, ~followed
-    fewest_first, fewest_last = [0], [0]
+    partners = [0] * len(succ)      # per duty: the duties that can share its plan
+    for options in levels:
+        union = 0
+        for added, _ in options:
+            union |= added
+        duties = union
+        while duties:
+            low = duties & -duties
+            partners[low.bit_length() - 1] = ~union
+            duties ^= low
+        for added, _ in options:
+            duties = added
+            while duties:
+                low = duties & -duties
+                partners[low.bit_length() - 1] |= added
+                duties ^= low
+    preceded = followed = 0
+    for i, later in enumerate(succ):
+        later &= partners[i]
+        if later:
+            preceded |= later
+            followed |= 1 << i
+    return late & ~preceded, ~preceded, ~followed
+
+
+def _fewest(levels, ends: int) -> list[int]:
+    """Per level, the fewest duties of the rank bits `ends` that one option
+    per level from there on adds; one more entry, 0, past the last level."""
+    fewest = [0]
     for options in reversed(levels):
-        fewest_first.append(fewest_first[-1] + min((a & first).bit_count() for a, _ in options))
-        fewest_last.append(fewest_last[-1] + min((a & last).bit_count() for a, _ in options))
-    return first, last, fewest_first[::-1], fewest_last[::-1]
+        fewest.append(fewest[-1] + min((added & ends).bit_count() for added, _ in options))
+    return fewest[::-1]
 
 
 def _fresh_truck(inst: Instance) -> _TruckState:
-    return _TruckState(position=0, ready=0.0, battery=inst.B, closed=False)
+    return _TruckState(0, 0.0, inst.B)
 
 
 def _assign_exact(duties: list[ChargingDuty], inst: Instance, rows: list[list[float]],
@@ -438,23 +416,24 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     charges nothing adds no duties and no branch, so it gets no DFS level
     and no arrival times; every other route builds the duties of all the
     edges its patterns charge once, shared by its patterns, and their
-    successor table once (`_successors`). Patterns that charge a duty no
-    truck can serve (`_unservable`) are dropped first.
+    successor table once (`_successors`).
 
-    A prefix is pruned when its truck bound reaches the best truck count
-    found so far (or exceeds `inst.max_mct`), and each leaf's assignment
-    search looks only for strictly fewer trucks, from the leaf's bound on.
-    The bound is the interval bound of the prefix's duties, read from the
-    segment counters; once a plan with three or more trucks is found, it is
-    also each of the two chain-end counts of `_chain_ends`: the first (or
-    last) duties the prefix chose plus, per remaining route, the fewest its
-    patterns add. Every pruned prefix holds only leaves that cannot beat the
-    best count, so the plan is the one the search would keep without these
-    bounds. The search stops at the floor: one truck when some route cannot
-    avoid charging, else none; once the chain ends are counted, and when no
-    branching route is a `fallback`, the floor rises to the two counts
-    summed over all routes. The first plan found at the final count is
-    kept; deadhead is not minimized.
+    Before the search, `_chain_ends` marks the chain ends and the duties no
+    truck can serve, every pattern that charges one of the latter is
+    dropped, and the bounds below are fixed. A prefix is pruned when its
+    truck bound reaches the best truck count found so far (or exceeds
+    `inst.max_mct`), and each leaf's assignment search looks only for
+    strictly fewer trucks, from the leaf's bound on. The bound is the
+    largest of the interval bound of the prefix's duties, read from the
+    segment counters, and the two chain-end counts: the first (or last)
+    duties the prefix chose plus, per remaining route, the fewest its
+    patterns add (`_fewest`). Every pruned prefix holds only leaves that
+    cannot beat the best count, so the plan is the one the search would
+    keep without these bounds. The search stops at the floor: the larger of
+    one truck when some route cannot avoid charging, else none, and, when
+    no branching route is a `fallback`, the two chain-end counts summed
+    over all routes. The first plan found at the final count is kept;
+    deadhead is not minimized.
 
     The plan is certified when its count is proven minimal: it equals the
     floor, or no assignment search ran out of `node_budget` and no branching
@@ -478,18 +457,19 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         rows = inst.dist.tolist()
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
     ranked, levels = _search_levels(arcs, pattern_sets, branching)
-    succ = _successors(ranked, inst, rows)
-    unservable = _unservable(levels, ranked, succ, rows)
+    unservable, first, last = _chain_ends(levels, *_successors(ranked, inst, rows))
     if unservable:
         levels = [[o for o in options if not o[0] & unservable] for options in levels]
         if not all(levels):
             return None
-    floor = [1 if any(options[0][0] for options in levels) else 0]
+    fewest_first, fewest_last = _fewest(levels, first), _fewest(levels, last)
+    floor = 1 if any(options[0][0] for options in levels) else 0
     fallback = any(bdp_results[r_idx].fallback for r_idx in branching)
+    if not fallback:
+        floor = max(floor, fewest_first[0], fewest_last[0])
     beat = [inst.max_mct + 1]   # truck count a plan must stay below
     best: list = [None]         # (duties, assignment)
     complete = [True]
-    ends: list = []             # `_chain_ends`, once three trucks are needed
 
     def dfs(level: int, selected: int, depth: tuple[int, ...], bound: int) -> None:
         """Extend the prefix whose duties are the rank bits `selected`, whose
@@ -507,35 +487,29 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
             if found is not None:
                 beat[0], assignment = found
                 best[0] = (leaf, assignment)
-                if beat[0] >= 3 and not ends:
-                    ends.extend(_chain_ends(levels, succ))
-                    if not fallback:
-                        floor[0] = max(floor[0], ends[2][0], ends[3][0])
             return
         for added, cover in levels[level]:
-            if beat[0] <= floor[0]:
+            if beat[0] <= floor:
                 return
             grown, grown_bound = depth, bound
             if added:
                 grown = _deepen(depth, cover)
                 grown_bound = max(len(grown), 1)
-            if ends:
-                first, last, fewest_first, fewest_last = ends
-                chosen = selected | added
-                grown_bound = max(grown_bound,
-                                  (chosen & first).bit_count() + fewest_first[level + 1],
-                                  (chosen & last).bit_count() + fewest_last[level + 1])
+            chosen = selected | added
+            grown_bound = max(grown_bound,
+                              (chosen & first).bit_count() + fewest_first[level + 1],
+                              (chosen & last).bit_count() + fewest_last[level + 1])
             if grown_bound >= beat[0]:
                 continue
-            dfs(level + 1, selected | added, grown, grown_bound)
+            dfs(level + 1, chosen, grown, grown_bound)
 
-    if floor[0] < beat[0]:
+    if floor < beat[0]:
         dfs(0, 0, (), 0)
     del dfs                     # the closure refers to itself through its cell
     if best[0] is None:
         return None
     exhaustive = complete[0] and not fallback
-    plan = CoordinationPlan(*best[0], certified=exhaustive or beat[0] == floor[0])
+    plan = CoordinationPlan(*best[0], certified=exhaustive or beat[0] == floor)
     return CoordinationResult(plan, fixed + inst.rho_c * beat[0])
 
 

@@ -24,6 +24,7 @@ from .model import Instance
 BENCH_HEADER = ("instance", "status", "w_best", "w_avg", "e", "c", "runtime_s", "gap_pct",
                 "status_reason")
 SWEEP_HEADER = ("value", "w_best", "e", "c")
+SWEEP_PARAMS = ("P", "rho_c")         # the `Instance` fields a sweep may vary
 
 
 @dataclass
@@ -41,14 +42,15 @@ class BenchmarkRow:
 
 @dataclass
 class SweepSpec:
-    param: str                        # "P" or "rho_c"
+    param: str                        # one of SWEEP_PARAMS
     values: list[float]
     instances: list[tuple[str, Instance]]
     runs: int = 10
 
     def validate(self) -> None:
-        if self.param not in ("P", "rho_c"):
-            raise ValueError(f"sweep parameter must be P or rho_c, got {self.param}")
+        if self.param not in SWEEP_PARAMS:
+            raise ValueError(f"sweep parameter must be {' or '.join(SWEEP_PARAMS)}, "
+                             f"got {self.param}")
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ValueError("sweep values must be finite and positive")
         if list(self.values) != sorted(set(self.values)):
@@ -130,11 +132,9 @@ def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
 
 
 def apply_param(inst: Instance, param: str, value: float) -> Instance:
-    if param == "P":
-        return dataclasses.replace(inst, P=value)
-    if param == "rho_c":
-        return dataclasses.replace(inst, rho_c=value)
-    raise ValueError(f"unknown sweep parameter {param}")
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"unknown sweep parameter {param}")
+    return dataclasses.replace(inst, **{param: value})
 
 
 def run_sweep(spec: SweepSpec, config: SolverConfig | None = None,

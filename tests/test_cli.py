@@ -7,7 +7,7 @@ import pytest
 
 from wmcevrp import cli
 from wmcevrp.generator import GenParams, generate_instance
-from wmcevrp.model import Instance
+from wmcevrp.model import FeasibilityReport, Instance, Violation
 
 from conftest import build_instance
 
@@ -98,6 +98,19 @@ class TestSolve:
         path = tmp_path / "stuck.json"
         inst.save(path)
         assert run_cli("solve", "--instance", path, "--iters", 5) == 3
+
+    def test_best_solution_failing_the_checker_exits_3(self, instance_file, tmp_path,
+                                                       capsys, monkeypatch):
+        report = FeasibilityReport([Violation("sync", "mct:0", "late", 1.0)])
+        for owner in (cli, cli.lns):
+            monkeypatch.setattr(owner, "check_feasibility", lambda *args: report)
+        out, log = tmp_path / "s.json", tmp_path / "log.csv"
+        assert run_cli("solve", "--instance", instance_file, "--iters", 5,
+                       "--out", out, "--log", log) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("best solution fails the checker: 1 violation(s):")
+        assert not out.exists() and not log.exists()
 
 
 class TestOracle:

@@ -241,7 +241,7 @@ def random_routes(inst, rng, max_routes):
 
 
 def chain_end_counts(routes, results, inst):
-    """What `coordinate_exact` reads off its duty pairs: the duties in rank
+    """What `coordinate_exact` sets up before its search: the duties in rank
     order, the rank bits of the unservable ones and, unless some route has
     no pattern left without them, the chain-end floor's two sums over all
     routes (fewest first duties, fewest last duties)."""
@@ -249,14 +249,13 @@ def chain_end_counts(routes, results, inst):
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]
     ranked, levels = coordination._search_levels(arcs, [res.patterns for res in results],
                                                  branching)
-    rows = inst.dist.tolist()
-    succ = coordination._successors(ranked, inst, rows)
-    unservable = coordination._unservable(levels, ranked, succ, rows)
+    succ, late = coordination._successors(ranked, inst, inst.dist.tolist())
+    unservable, first, last = coordination._chain_ends(levels, succ, late)
     levels = [[o for o in options if not o[0] & unservable] for options in levels]
     if not all(levels):
         return ranked, unservable, None
-    _, _, fewest_first, fewest_last = coordination._chain_ends(levels, succ)
-    return ranked, unservable, (fewest_first[0], fewest_last[0])
+    return ranked, unservable, (coordination._fewest(levels, first)[0],
+                                coordination._fewest(levels, last)[0])
 
 
 def check_against_reference(routes, results, inst, node_budget, transfer_depletes):
@@ -318,17 +317,19 @@ class TestIncrementalSearch:
         check_against_reference(routes, results, inst, node_budget, transfer_depletes)
 
     @pytest.mark.parametrize("transfer_depletes", [True, False])
-    def test_one_truck_search_visits_every_leaf(self, transfer_depletes):
-        """The first leaf finds two trucks. None of the 8 remaining pattern
-        combinations fits one truck, and the one-truck search visits each of
-        them, as the reference does: a one-truck leaf costs at most one node
-        per duty and one more, so no bound prunes it ahead of `_assign_exact`."""
+    def test_chain_end_floor_stops_at_the_first_leaf(self, transfer_depletes):
+        """The first leaf finds two trucks, and the reference goes on to the
+        8 remaining pattern combinations, none of which fits one truck.
+        Every combination holds two duties that only a chain's first duty
+        can be, so the floor is 2 before the search starts, and the search
+        stops after the first leaf with the reference's plan."""
         inst = generate_instance(10, seed=161, P=900.0)
         routes = [make_route(0, [10, 3], inst),
                   make_route(1, [1, 6, 2, 9, 4, 7, 8, 5], inst)]
         results = [bdp.enumerate_patterns(r, inst) for r in routes]
         assert [len(res.patterns) for res in results] == [3, 8]
-        assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 0
+        assert chain_end_counts(routes, results, inst)[2] == (2, 1)
+        assert check_against_reference(routes, results, inst, 5000, transfer_depletes) == 8
         leaves, expect = reference_exact(routes, results, inst, 5000, transfer_depletes)
         assert [max_mct for _, _, max_mct, _ in leaves] == [10] + [1] * 8
         out = coordinate_exact(routes, results, inst, node_budget=5000,
@@ -352,7 +353,7 @@ def charged_duties(routes, inst):
 
 
 class TestSuccessors:
-    """The successor table and `_unservable`'s late test agree with
+    """The successor table and the late duties of `_successors` agree with
     `_try_serve` on when a truck arrives in time."""
 
     @settings(max_examples=60, deadline=None)
@@ -372,18 +373,16 @@ class TestSuccessors:
         inst = generate_instance(n, seed=seed, P=P)
         duties = charged_duties(random_routes(inst, rng, max_routes), inst)
         rows = inst.dist.tolist()
-        succ = coordination._successors(duties, inst, rows)
+        succ, late = coordination._successors(duties, inst, rows)
         assert len(succ) == len(duties)
         for i, a in enumerate(duties):
-            after = coordination._TruckState(a.head, a.end, math.inf, a.head == inst.depot_end)
+            after = coordination._TruckState(a.head, a.end, math.inf)
             expect = 0
             for j in range(i + 1, len(duties)):
                 nxt = coordination._try_serve(after, duties[j], inst, rows, transfer_depletes)
                 expect |= (nxt is not None) << j
             assert succ[i] == expect
-        # with no successors nothing is preceded, so every late duty is unservable
-        late = coordination._unservable([], duties, [0] * len(duties), rows)
-        fresh = coordination._TruckState(0, 0.0, math.inf, False)
+        fresh = coordination._TruckState(0, 0.0, math.inf)
         assert late == sum(1 << r for r, d in enumerate(duties)
                            if coordination._try_serve(fresh, d, inst, rows,
                                                       transfer_depletes) is None)
@@ -413,11 +412,11 @@ class TestSuccessors:
         a = ChargingDuty(0, 0, 0, 1, 0.0, 2.0, 2.0, 1.0)
         b = ChargingDuty(1, 1, 2, 3, 10.0, 15.0, 5.0, 1.0)
         rows = inst.dist.tolist()
-        assert coordination._successors([a, b], inst, rows) == [0 if past else 2, 0]
-        after_a = coordination._TruckState(1, 2.0, math.inf, False)
+        assert coordination._successors([a, b], inst, rows) == ([0 if past else 2, 0],
+                                                                2 if past else 0)
+        after_a = coordination._TruckState(1, 2.0, math.inf)
         assert (coordination._try_serve(after_a, b, inst, rows, True) is None) == past
-        assert coordination._unservable([], [a, b], [0, 0], rows) == (2 if past else 0)
-        fresh = coordination._TruckState(0, 0.0, math.inf, False)
+        fresh = coordination._TruckState(0, 0.0, math.inf)
         assert (coordination._try_serve(fresh, b, inst, rows, True) is None) == past
 
 
@@ -555,19 +554,34 @@ class TestCertified:
         assert out.plan.certified
 
     def test_exhausted_node_budget_is_uncertified(self):
-        # the first leaf finds 2 trucks only through the greedy fallback and
-        # a later leaf runs out of budget looking for 1, so 2 is not proven
-        inst, routes = overlapping_pair_case()
-        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        # one route whose patterns charge edges {0, 1} and {0, 2, 3}, with a
+        # floor of 1: at a node budget of 1 the 2 trucks come from the greedy
+        # fallback and are not proven minimal; the full search proves them
+        inst = generate_instance(3, 2, P=700.0, B=4000.0)
+        routes = [Route(0, [0, 3, 1, 2, 4])]
+        results = [bdp.enumerate_patterns(routes[0], inst)]
+        assert results[0].patterns == [3, 13]
+        assert chain_end_counts(routes, results, inst)[2] == (1, 1)
         out = coordinate_exact(routes, results, inst, node_budget=1)
         assert out.plan.mct_count == 2
         assert not out.plan.certified
+        out = coordinate_exact(routes, results, inst)
+        assert out.plan.mct_count == 2
+        assert out.plan.certified
 
     def test_count_at_the_floor_is_certified_despite_budget(self):
         inst, route = chainable_two_duty_case()
         results = [bdp.enumerate_patterns(route, inst)]
         out = coordinate_exact([route], results, inst, node_budget=1)
         assert out.plan.mct_count == 1
+        assert out.plan.certified
+        # two duties that no truck can chain: each starts a chain, so the
+        # floor is 2 and the greedy fallback's 2 trucks meet it
+        inst, routes = overlapping_pair_case()
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        assert chain_end_counts(routes, results, inst)[2] == (2, 2)
+        out = coordinate_exact(routes, results, inst, node_budget=1)
+        assert out.plan.mct_count == 2
         assert out.plan.certified
 
     def test_fallback_route_above_the_floor_is_uncertified(self):
