@@ -311,7 +311,7 @@ class CountTables:
         self.inst = inst
         self.lengths = lengths
         self.cons = cons = [inst.rho_t * c for c in lengths]
-        self.gain = None       # charging gains, once a count above 0 is needed
+        self.gain = [inst.gamma * c for c in lengths]
         self.length = sum(lengths)
         self.tol = margin(inst, self.length)
         m = len(cons)
@@ -332,8 +332,6 @@ class CountTables:
 
     def _grow(self) -> None:
         """Add the next charge count to both tables."""
-        if self.gain is None:
-            self.gain = [self.inst.gamma * c for c in self.lengths]
         cons, gain, P, tol = self.cons, self.gain, self.inst.P, self.tol
         m = len(cons)
         below = self.levels[-1]
@@ -364,10 +362,8 @@ class CountTables:
         """``min_charge_count`` of the route itself: `_screen`, then the
         first terminal count."""
         cons, P = self.cons, self.inst.P
-        if sum(cons) <= P:      # the screen's test, before any gain is computed
+        if sum(cons) <= P:      # the screen's test
             return 0
-        if self.gain is None:
-            self.gain = [self.inst.gamma * c for c in self.lengths]
         if _hopeless(cons, self.gain, P):
             return None
         found = self._first_terminal()

@@ -34,8 +34,9 @@ none can only come last. So a plan needs as many trucks as it has of
 either kind, and a prefix needs those it chose plus, per remaining route,
 its fewest. A duty that a fresh truck reaches late and that nothing
 precedes can be served by no truck at all, and every pattern that charges
-it is dropped. All of these bounds, and the floor the search stops at,
-are set before the search starts.
+it is dropped; the chain ends are then counted again on the patterns
+left. All of these bounds, and the floor the search stops at, are set
+before the search starts.
 
 `_try_serve` and `_gets_home` hold all of the truck arithmetic: deadhead
 legs, arrival times and battery levels. `_successors` holds the only
@@ -236,25 +237,31 @@ def _chain_ends(levels, succ: list[int], late: int) -> tuple[int, int, int]:
     duties of `_successors`.
 
     Duty a precedes duty b when b is a successor of a and the two can share
-    a plan: they belong to different routes, or some option of their
-    route's level in `levels` adds both. A truck serves every duty of its
-    chain but the first straight after one that precedes it, so a duty that
-    nothing precedes can only come first, and one that precedes nothing can
-    only come last. Returns (unservable, first, last): the rank bits of the
-    late duties that nothing precedes, which no truck can serve, and of the
-    two kinds of chain ends. A plan needs at least as many trucks as it has
-    of either kind. Dropping options only removes plans, so the bits stay
-    sound for any subset of `levels`.
+    a plan: some option in `levels` adds each, and they belong to different
+    routes or some option of their route's level adds both. A truck serves
+    every duty of its chain but the first straight after one that precedes
+    it, so a duty that nothing precedes can only come first, and one that
+    precedes nothing can only come last. Returns (unservable, first, last):
+    the rank bits of the late duties that nothing precedes, which no truck
+    can serve, and of the two kinds of chain ends. A plan needs at least as
+    many trucks as it has of either kind. Dropping options only removes
+    plans, so the bits stay sound for any subset of `levels`; marked on the
+    subset, they count more chain ends.
     """
-    partners = [0] * len(succ)      # per duty: the duties that can share its plan
+    unions = []                     # per level: the duties some option adds
+    offered = 0
     for options in levels:
         union = 0
         for added, _ in options:
             union |= added
+        unions.append(union)
+        offered |= union
+    partners = [0] * len(succ)      # per duty: the duties that can share its plan
+    for options, union in zip(levels, unions):
         duties = union
         while duties:
             low = duties & -duties
-            partners[low.bit_length() - 1] = ~union
+            partners[low.bit_length() - 1] = offered & ~union
             duties ^= low
         for added, _ in options:
             duties = added
@@ -419,14 +426,15 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     successor table once (`_successors`).
 
     Before the search, `_chain_ends` marks the chain ends and the duties no
-    truck can serve, every pattern that charges one of the latter is
-    dropped, and the bounds below are fixed. A prefix is pruned when its
-    truck bound reaches the best truck count found so far (or exceeds
-    `inst.max_mct`), and each leaf's assignment search looks only for
-    strictly fewer trucks, from the leaf's bound on. The bound is the
-    largest of the interval bound of the prefix's duties, read from the
-    segment counters, and the two chain-end counts: the first (or last)
-    duties the prefix chose plus, per remaining route, the fewest its
+    truck can serve; when it marks some, every pattern that charges one is
+    dropped and the chain ends are marked again on the patterns left, which
+    precede fewer duties. Then the bounds below are fixed. A prefix is
+    pruned when its truck bound reaches the best truck count found so far
+    (or exceeds `inst.max_mct`), and each leaf's assignment search looks
+    only for strictly fewer trucks, from the leaf's bound on. The bound is
+    the largest of the interval bound of the prefix's duties, read from
+    the segment counters, and the two chain-end counts: the first (or
+    last) duties the prefix chose plus, per remaining route, the fewest its
     patterns add (`_fewest`). Every pruned prefix holds only leaves that
     cannot beat the best count, so the plan is the one the search would
     keep without these bounds. The search stops at the floor: the larger of
@@ -457,11 +465,14 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
         rows = inst.dist.tolist()
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]   # may charge
     ranked, levels = _search_levels(arcs, pattern_sets, branching)
-    unservable, first, last = _chain_ends(levels, *_successors(ranked, inst, rows))
-    if unservable:
+    succ, late = _successors(ranked, inst, rows)
+    unservable, first, last = _chain_ends(levels, succ, late)
+    if unservable:     # some pattern charges each of these, so the filter drops some
         levels = [[o for o in options if not o[0] & unservable] for options in levels]
         if not all(levels):
             return None
+        # fewer options precede fewer duties: more chain ends
+        _, first, last = _chain_ends(levels, succ, late)
     fewest_first, fewest_last = _fewest(levels, first), _fewest(levels, last)
     floor = 1 if any(options[0][0] for options in levels) else 0
     fallback = any(bdp_results[r_idx].fallback for r_idx in branching)
@@ -525,9 +536,8 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
     Starts from the fewest-charging-arcs pattern of every route and assigns
     duties greedily; when a duty cannot be served, the offending route falls
     back to its next pattern in `BdpResult` order (cardinality, then mask
-    value), with a bounded number of retries. A retry changes one route's
-    pattern, so only that route's duties are selected again. `fixed`,
-    `arcs` and `rows` are as in `coordinate_exact`.
+    value), with a bounded number of retries. `fixed`, `arcs` and `rows`
+    are as in `coordinate_exact`.
     """
     ordered = [res.patterns for res in bdp_results]
     if any(not s for s in ordered):
@@ -540,13 +550,9 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         rows = inst.dist.tolist()
     idx = [0] * len(routes)
 
-    def chosen_duties(r: int) -> list[ChargingDuty]:
-        mask = ordered[r][idx[r]]
-        return [d for d in arcs[r] if mask >> d.edge & 1]
-
-    per_route = [chosen_duties(r) for r in range(len(routes))]
     for _ in range(max_retries + 1):
-        duties = sorted((d for lst in per_route for d in lst), key=duty_order)
+        duties = sorted((d for r, lst in enumerate(arcs) for d in lst
+                         if ordered[r][idx[r]] >> d.edge & 1), key=duty_order)
         assignment, failed_route = _assign_greedy(duties, inst, rows, inst.max_mct,
                                                   transfer_depletes)
         if assignment is not None:
@@ -555,7 +561,6 @@ def coordinate_heuristic(routes: list[Route], bdp_results: list[BdpResult],
         if idx[failed_route] + 1 >= len(ordered[failed_route]):
             return None
         idx[failed_route] += 1
-        per_route[failed_route] = chosen_duties(failed_route)
     return None
 
 

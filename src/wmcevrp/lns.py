@@ -39,6 +39,10 @@ COORDINATION_MEMO_SIZE = 16
 # distinct routes whose records a run keeps
 ROUTE_RECORDS = 200_000
 
+# the one pattern of every route that fits the battery: charge nothing;
+# shared by all of them, so nothing may mutate it
+CHARGE_FREE = bdp.BdpResult(bdp.RouteClass.TRIVIAL_NO_CHARGE, [0])
+
 
 @dataclass
 class OperatorStats:
@@ -136,7 +140,9 @@ class _Context:
     first `ROUTE_RECORDS` of them: its arrival times, summed edge by edge
     from `d` as `Instance.route_distance` sums them, its patterns, the mask
     of the edges some pattern charges, and per route index the duties of
-    those edges, built when first needed.
+    those edges, built when first needed. `_coordinate_routes` asks for
+    records only of routes that may charge: one that `bdp.fits` the battery
+    gets none.
 
     `coordinated` maps the last `COORDINATION_MEMO_SIZE` distinct keys of
     `_coordinate_routes` to their plan, or None when the key's routes are
@@ -332,12 +338,12 @@ def _shaw_removal(routes, ctx, rng, k):
     pick is the served customer left that is most related to a random
     removed one, the anchor: the first customer still left in the anchor's
     `_Context.shaw_order` row."""
-    if ctx.shaw_related is None:
-        ctx.shaw_related = _relatedness(ctx.inst, ctx.cfg)
-    order = ctx.shaw_order
     served = sorted(u for nodes in routes for u in nodes[1:-1])
     if not served:
         return [list(r) for r in routes], []
+    if ctx.shaw_related is None:
+        ctx.shaw_related = _relatedness(ctx.inst, ctx.cfg)
+    order = ctx.shaw_order
     k = min(k, len(served))
     seed = served[int(rng.integers(len(served)))]
     removed = [seed]
@@ -612,36 +618,30 @@ def _charge_insertion(routes, removed, ctx, rng):
 
     A route that `bdp.fits` the battery after the insertion has count 0, so
     the increase is 0 whatever the route's own count; the route's length is
-    summed as `_route_distance` sums it, again after each insertion. Other
-    counts come from the route's `bdp.CountTables`, built when first needed
-    and dropped when an insertion changes the route; its own count is the
-    one its last insertion was priced at, or read from the tables.
+    summed as `_route_distance` sums it, at every pricing. Other counts
+    come from the route's `bdp.CountTables`, built when first needed and
+    dropped when an insertion changes the route, and so does its own count.
     """
     inst, d = ctx.inst, ctx.d
     fleet = _Fleet(routes, ctx)
-    # per route index; a count is math.inf for a route no pattern makes feasible
-    tables, counts, lengths = {}, {}, {}
+    tables = {}     # per route index
 
     def priced(u, option):
         delta, r_idx, pos = option
         nodes = fleet.routes[r_idx]
-        length = lengths.get(r_idx)
-        if length is None:
-            length = lengths[r_idx] = _route_distance(nodes, d)
         prev, nxt = nodes[pos - 1], nodes[pos]
         dropped, c1, c2 = d[prev][nxt], d[prev][u], d[u][nxt]
-        if bdp.fits(inst, length - dropped + c1 + c2, dropped):
-            return 0.0, 2, delta, r_idx, pos, 0
+        if bdp.fits(inst, _route_distance(nodes, d) - dropped + c1 + c2, dropped):
+            return 0.0, 2, delta, r_idx, pos
         table = tables.get(r_idx)
         if table is None:
             table = tables[r_idx] = bdp.CountTables(_route_lengths(nodes, d), inst)
-        before = counts.get(r_idx)
-        if before is None:
-            before = counts[r_idx] = _count_or_inf(table.route_count())
+        # math.inf for a route no pattern makes feasible
+        before = _count_or_inf(table.route_count())
         after = _count_or_inf(table.insertion_count(pos, c1, c2))
         increase = max(0.0, after - before) if after != math.inf else math.inf
         keep_existing = 1 if (increase > 0 and r_idx == fleet.opening) else 2
-        return increase, keep_existing, delta, r_idx, pos, after
+        return increase, keep_existing, delta, r_idx, pos
 
     for u in removed:
         options = fleet.options(u)
@@ -654,11 +654,9 @@ def _charge_insertion(routes, removed, ctx, rng):
                 ranked.append(priced(u, option))
                 if ranked[-1][0] == 0:
                     break
-        increase, _, delta, r_idx, pos, after = min(ranked, key=lambda o: o[:5])
+        increase, _, delta, r_idx, pos = min(ranked)
         if increase == math.inf:
             return None
-        counts[r_idx] = after
-        del lengths[r_idx]
         tables.pop(r_idx, None)
         fleet.insert(u, r_idx, pos)
     return fleet.served()
@@ -845,49 +843,62 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
 def _coordinate_routes(routes: list[Route], ctx: _Context):
     """Pattern enumeration plus truck coordination; None when uncoordinatable.
 
-    Every route's record is looked up once; a pattern-infeasible route makes
-    the candidate uncoordinatable. The plan is keyed in `ctx.coordinated` by
-    the routes that may charge, with their indices: a candidate whose key is
-    among the run's last `COORDINATION_MEMO_SIZE` distinct ones takes the
-    remembered plan. Any other candidate is coordinated afresh from its
-    records, exhaustively while the combination count and the minimum duty
-    count stay small, greedily otherwise to keep iterations cheap. The cost
-    is the candidate's own routing cost plus the plan's trucks.
+    Every route's length is summed once, as `_route_distance` sums it, for
+    the routing cost. A route that `bdp.fits` the battery charges nothing:
+    its one pattern is `CHARGE_FREE`, it has no duties and it is left out
+    of the key, and it gets no record. `_screen` calls such a route
+    trivial, so the record would hold the same. Every other route's record
+    is looked up once; a pattern-infeasible route makes the candidate
+    uncoordinatable. The plan is keyed in `ctx.coordinated` by the routes
+    that may charge, with their indices: a candidate whose key is among the
+    run's last `COORDINATION_MEMO_SIZE` distinct ones takes the remembered
+    plan. Any other candidate is coordinated afresh from its records,
+    exhaustively while the combination count and the minimum duty count
+    stay small, greedily otherwise to keep iterations cheap. The cost is
+    the candidate's own routing cost plus the plan's trucks.
     """
-    inst, cfg = ctx.inst, ctx.cfg
-    records = [ctx.patterns(r.nodes) for r in routes]
-    if any(not rec.result.feasible for rec in records):
-        return None
-    key = tuple((i, tuple(r.nodes)) for i, (r, rec) in enumerate(zip(routes, records))
-                if rec.charged)
+    inst, cfg, d = ctx.inst, ctx.cfg, ctx.d
+    results = []
+    charging = []               # (index, record) of each route that may charge
     # summed as `routing_cost` sums it
     total = 0.0
     used = 0
-    for r, rec in zip(routes, records):
-        total += inst.rho_t * rec.times[-1]
+    for i, r in enumerate(routes):
+        length = _route_distance(r.nodes, d)
+        total += inst.rho_t * length
         if r.serves_customers():
             used += 1
+        if bdp.fits(inst, length):
+            results.append(CHARGE_FREE)
+            continue
+        rec = ctx.patterns(r.nodes)
+        if not rec.result.feasible:
+            return None
+        results.append(rec.result)
+        if rec.charged:
+            charging.append((i, rec))
     fixed = total + inst.rho_e * used
+    key = tuple((i, tuple(routes[i].nodes)) for i, _ in charging)
     memo = ctx.coordinated
     if key in memo:
         memo.move_to_end(key)
         plan = memo[key]
     else:
-        results = [rec.result for rec in records]
-        arcs = [_record_arcs(rec, i, route, inst)
-                for i, (route, rec) in enumerate(zip(routes, records))]
+        arcs = [[] for _ in routes]
+        for i, rec in charging:
+            arcs[i] = _record_arcs(rec, i, routes[i], inst)
         combos = math.prod(len(res.patterns) for res in results)
         duties = sum(res.min_cardinality() for res in results)
         if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
             outcome = coordination.coordinate_exact(
                 routes, results, inst, node_budget=cfg.assign_node_budget,
                 transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs,
-                rows=ctx.d)
+                rows=d)
         else:
             outcome = coordination.coordinate_heuristic(
                 routes, results, inst, max_retries=cfg.heuristic_retries,
                 transfer_depletes=cfg.mct_transfer_depletes, fixed=fixed, arcs=arcs,
-                rows=ctx.d)
+                rows=d)
         plan = memo[key] = outcome.plan if outcome is not None else None
         if len(memo) > COORDINATION_MEMO_SIZE:
             memo.popitem(last=False)
@@ -900,8 +911,6 @@ def _record_arcs(rec: _RouteRecord, r_idx: int, route: Route,
                  inst: Instance) -> list[ChargingDuty]:
     """The duties of every edge a pattern of the route charges, as route
     r_idx; built once per record and index."""
-    if not rec.charged:
-        return []
     arcs = rec.arcs.get(r_idx)
     if arcs is None:
         arcs = rec.arcs[r_idx] = route_duties(r_idx, route, rec.times, rec.charged, inst)

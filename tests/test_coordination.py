@@ -244,7 +244,8 @@ def chain_end_counts(routes, results, inst):
     """What `coordinate_exact` sets up before its search: the duties in rank
     order, the rank bits of the unservable ones and, unless some route has
     no pattern left without them, the chain-end floor's two sums over all
-    routes (fewest first duties, fewest last duties)."""
+    routes (fewest first duties, fewest last duties), the chain ends marked
+    on the patterns left."""
     arcs = coordination._charging_arcs(routes, results, inst)
     branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]
     ranked, levels = coordination._search_levels(arcs, [res.patterns for res in results],
@@ -254,6 +255,7 @@ def chain_end_counts(routes, results, inst):
     levels = [[o for o in options if not o[0] & unservable] for options in levels]
     if not all(levels):
         return ranked, unservable, None
+    _, first, last = coordination._chain_ends(levels, succ, late)
     return ranked, unservable, (coordination._fewest(levels, first)[0],
                                 coordination._fewest(levels, last)[0])
 
@@ -812,6 +814,36 @@ class TestChainEnds:
         inst = generate_instance(n, seed=seed, P=P)
         routes = random_routes(inst, rng, max_routes)
         self.check_sound(routes, random_pattern_sets(routes, rng), inst)
+
+
+class TestFilteredChainEnds:
+    def test_chain_ends_are_marked_again_on_the_patterns_left(self):
+        """A call of a small_exact-shaped run (n = 20): three routes branch,
+        with 6, 7 and 2 patterns over 15 duties, and two duties no truck can
+        serve. Chain starts marked on every pattern sum to 1 over the
+        patterns left; marked again on those, they sum to 2, the plan's
+        count, so the plan is certified even where a node budget of 3 cuts
+        an assignment search short."""
+        inst = generate_instance(20, 1004)
+        nodes = [[0, 13, 3, 6, 15, 4, 21], [0, 7, 14, 8, 5, 10, 2, 21],
+                 [0, 19, 20, 11, 9, 12, 21], [0, 17, 18, 1, 21], [0, 16, 21]]
+        routes = [Route(r_idx, r_nodes) for r_idx, r_nodes in enumerate(nodes)]
+        results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        assert [res.patterns for res in results] == [
+            [0], [2, 4, 8, 16, 32, 65], [1, 6, 10, 12, 18, 20, 36], [0], [1, 2]]
+        arcs = coordination._charging_arcs(routes, results, inst)
+        ranked, levels = coordination._search_levels(
+            arcs, [res.patterns for res in results], [1, 2, 4])
+        succ, late = coordination._successors(ranked, inst, inst.dist.tolist())
+        unservable, first, _ = coordination._chain_ends(levels, succ, late)
+        left = [[o for o in options if not o[0] & unservable] for options in levels]
+        assert len(ranked) == 15 and unservable.bit_count() == 2
+        assert [len(options) for options in left] == [4, 7, 2]
+        assert coordination._fewest(left, first)[0] == 1
+        assert chain_end_counts(routes, results, inst)[2] == (2, 0)
+        for node_budget in (1, 3, SolverConfig.assign_node_budget):
+            out = coordinate_exact(routes, results, inst, node_budget=node_budget)
+            assert out.plan.mct_count == 2 and out.plan.certified
 
 
 class TestLoneRoutes:

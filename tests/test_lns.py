@@ -1073,6 +1073,19 @@ class TestRun:
         assert not res.coordination.plan.certified
         assert res.feasible
 
+    @pytest.mark.parametrize("max_mtev", [0, 2])
+    def test_zero_customers(self, max_mtev):
+        """Nobody to serve: each run keeps the empty solution at the cost the
+        oracle proves optimal, 0.0, and Shaw removal, drawn in every run,
+        removes nobody."""
+        inst = build_instance([[0]], [], max_mtev=max_mtev, max_mct=max_mtev)
+        assert solve_exact(inst).cost == 0.0
+        for seed in range(5):
+            res = lns.run(inst, SolverConfig(iterations=50), rng=harness.run_seed(seed, 0))
+            assert res.feasible and res.best_cost == 0.0
+            assert check_feasibility(res.best, inst).passed
+            assert "shaw_removal" in {row[1] for row in res.log}
+
     def test_time_limit_respected(self):
         inst = generate_instance(15, seed=50)
         cfg = SolverConfig(iterations=10**6, time_limit=0.5)
@@ -1316,3 +1329,58 @@ class TestCoordinationMemo:
         plain = lns.run(inst, cfg, rng=harness.run_seed(seed, 0))
         assert memo.log == plain.log
         assert memo.best.to_json_str() == plain.best.to_json_str()
+
+
+# ---------------------------------------------------------------------------
+# routes that fit the battery
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestChargeFreeShortcut:
+    """A route that `bdp.fits` the battery charges nothing, so
+    `_coordinate_routes` gives it `CHARGE_FREE` without a record, and
+    `_charge_insertion` prices it without count tables. With `fits` always
+    False, both take the long way, and a run makes the same moves."""
+
+    @pytest.mark.parametrize("make, seed", [
+        (lambda seed: generate_instance(20, seed=seed, P=15000.0), 71),   # charge-free
+        (lambda seed: generate_instance(20, seed=seed, P=1500.0), 72),    # mixed
+        (lambda seed: generate_instance(15, seed=seed, P=900.0), 73),     # mixed
+        (lambda seed: tied_instance(12, seed, 5, 8.0, 10.0), 74),         # boundary
+        (lambda seed: tied_instance(12, seed, 4, 15.0, 10.0), 75),        # boundary
+    ])
+    def test_run_is_unchanged_without_the_shortcut(self, monkeypatch, make, seed):
+        inst = make(seed)
+        cfg = SolverConfig(iterations=150)
+        ties, fits = [], bdp.fits
+
+        def spy(inst, length, dropped=0.0):
+            ties.append(inst.rho_t * length == inst.P)
+            return fits(inst, length, dropped)
+
+        monkeypatch.setattr(bdp, "fits", spy)
+        fast = lns.run(inst, cfg, rng=harness.run_seed(seed, 0))
+        monkeypatch.setattr(bdp, "fits", lambda *args: False)
+        slow = lns.run(inst, cfg, rng=harness.run_seed(seed, 0))
+        assert fast.log == slow.log
+        assert fast.best.to_json_str() == slow.best.to_json_str()
+        if inst.P < 100.0:      # a boundary case meets routes that use the whole battery
+            assert any(ties)
+
+    @pytest.mark.parametrize("P", [900.0, 1500.0, 15000.0])
+    def test_records_only_for_routes_that_may_charge(self, P):
+        inst = generate_instance(20, seed=76, P=P)
+        cfg = SolverConfig()
+        for seed in range(4):
+            routes = lns.initial_solution(inst, rng_at(seed)).mtev_routes
+            ctx = lns._Context(inst, cfg)
+            got = lns._coordinate_routes(routes, ctx)
+            want, _ = ref_coordinate(routes, inst, cfg)
+            assert outcome_summary(got) == outcome_summary(want)
+            fit = [bdp.fits(inst, inst.route_distance(r.nodes)) for r in routes]
+            assert set(ctx._records) == {tuple(r.nodes) for r, f in zip(routes, fit) if not f}
+            for r, f in zip(routes, fit):
+                if f:
+                    assert bdp.enumerate_patterns(r, inst) == lns.CHARGE_FREE
+            if P == 15000.0:
+                assert ctx._records == {} and got.plan.mct_count == 0
