@@ -125,8 +125,7 @@ def cmd_solve(args) -> int:
         print("no feasible solution within budget", file=sys.stderr)
         return EXIT_NO_SOLUTION
     if not result.feasible:
-        report = check_feasibility(result.best, inst, cfg.mct_transfer_depletes)
-        print(f"best solution fails the checker: {report}", file=sys.stderr)
+        print(f"best solution fails the checker: {result.report}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     if args.out:
         with _writing(args.out):

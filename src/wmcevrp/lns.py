@@ -23,6 +23,7 @@ from . import bdp, coordination
 from .config import SolverConfig
 from .model import (
     ChargingDuty,
+    FeasibilityReport,
     InfeasibleInstanceError,
     Instance,
     Route,
@@ -108,6 +109,7 @@ class RunResult:
     destroy_stats: OperatorStats | None = None
     repair_stats: OperatorStats | None = None
     coordination: "coordination.CoordinationResult | None" = None
+    report: FeasibilityReport | None = None     # the checker's verdict on `best`
 
     @property
     def mtev_used(self) -> int:
@@ -402,10 +404,11 @@ class _Fleet:
     adds the vehicle's `rho_e`. Its index, after every other route's, ranks
     its option after each option of equal cost.
 
-    An edge table holds one (d[prev] row, nxt, d[prev][nxt], pos) entry per
-    edge of a route, all that pricing an insertion on the edge reads, pos
-    being the position the inserted customer would take. It is built when
-    the route is first priced and dropped when an insertion changes it.
+    An edge table holds one (d[prev] row, nxt, d[prev][nxt], route_idx, pos)
+    entry per edge of a route, all that pricing an insertion on the edge
+    reads, pos being the position the inserted customer would take. It is
+    built when the route is first priced and dropped when an insertion
+    changes it. Tables of several routes may be joined into one.
     """
 
     __slots__ = ("inst", "d", "end", "routes", "loads", "edges", "opening")
@@ -437,41 +440,38 @@ class _Fleet:
         table = self.edges.get(r_idx)
         if table is None:
             nodes, d = self.routes[r_idx], self.d
-            table = self.edges[r_idx] = [(d[prev], nxt, d[prev][nxt], pos)
+            table = self.edges[r_idx] = [(d[prev], nxt, d[prev][nxt], r_idx, pos)
                                          for pos, (prev, nxt) in enumerate(zip(nodes, nodes[1:]),
                                                                            start=1)]
         return table
 
     def price(self, u, tables, depth=0):
         """(delta_cost, route_idx, pos) of inserting u on each edge of each
-        (route_idx, table) pair, the table being `table(route_idx)`, or ()
-        for a route without room: all in one list at depth 0, else per route
-        its `depth` cheapest, sorted ([] for a route without room)."""
+        of `tables`, None standing for the empty route: all in one list at
+        depth 0, else per table its `depth` cheapest, sorted."""
         inst, d = self.inst, self.d
         du, rho_t = d[u], inst.rho_t
         priced = []
-        for r_idx, table in tables:
-            if table:
-                options = [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
-                           for dprev, nxt, dprev_nxt, pos in table]
-                if not depth:
-                    priced += options
-                elif depth == 1:
-                    priced.append([min(options)])
-                else:
-                    options.sort()
-                    priced.append(options[:depth])
-            elif table is None:     # the empty route
-                option = (rho_t * (d[0][u] + du[self.end]) + inst.rho_e, r_idx, 1)
+        for table in tables:
+            if table is None:
+                option = (rho_t * (d[0][u] + du[self.end]) + inst.rho_e, self.opening, 1)
                 priced.append([option] if depth else option)
-            elif depth:
-                priced.append([])
+                continue
+            options = [(rho_t * (dprev[u] + du[nxt] - dprev_nxt), r_idx, pos)
+                       for dprev, nxt, dprev_nxt, r_idx, pos in table]
+            if not depth:
+                priced += options
+            elif depth == 1:
+                priced.append([min(options)])
+            else:
+                options.sort()
+                priced.append(options[:depth])
         return priced
 
     def options(self, u):
         """All capacity-feasible positions for u, as (delta_cost, route_idx, pos)."""
         du, Q, edges, table = self.inst.demand[u - 1], self.inst.Q, self.edges, self.table
-        return self.price(u, [(r_idx, edges.get(r_idx) or table(r_idx))
+        return self.price(u, [edges.get(r_idx) or table(r_idx)
                               for r_idx, load in enumerate(self.loads) if load + du <= Q])
 
     def insert(self, u, r_idx, pos):
@@ -507,13 +507,20 @@ def _greedy_insertion(routes, removed, ctx, rng):
     return _regret_insertion(routes, removed, ctx, rng, 1)
 
 
-def _rank_head(per_route, depth):
-    """The `depth` cheapest of a customer's per-route option lists."""
-    options = [o for opts in per_route for o in opts]
-    if depth == 1:
-        return [min(options)] if options else []
-    options.sort()
-    return options[:depth]
+def _rerank(ranked, changed, depth):
+    """The `depth` cheapest of a customer's options: the lists of the routes
+    in `changed` and the first `depth` entries of its sorted first pricing
+    `ranked` on the other routes."""
+    head = [option for options in changed.values() for option in options]
+    left = depth
+    for option in ranked:
+        if option[1] not in changed:
+            head.append(option)
+            left -= 1
+            if not left:
+                break
+    head.sort()
+    return head[:depth]
 
 
 def _merge_head(head, new, depth):
@@ -528,14 +535,18 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     and therefore go first. At depth 1 every regret is 0, so the cheapest
     insertion goes first: greedy insertion.
 
-    Every pending customer keeps, per route, its `depth` cheapest positions,
-    and a head: its `depth` cheapest positions over all routes. An insertion
-    changes one route, so only that route is priced again. A head is ranked
-    again from the per-route lists only when it held an option of that
-    route, that is when the route's old cheapest option does not come after
-    the head's last one; otherwise the route's new options are merged in. A
-    score changes only with the head, so only those customers are scored
-    again.
+    Every pending customer is priced once on every edge of every route it
+    fits, the empty route's included, in one call over a per-demand table
+    joined from all of them, and keeps the result sorted, and a head: its
+    `depth` cheapest positions. An insertion changes one route, so only that
+    route is priced again; each customer keeps the route's `depth` cheapest
+    positions in a dict of its changed routes, where the sorted list's
+    entries on the route are stale. A head that held an option of the route
+    is ranked again from the first `depth` sorted entries on unchanged
+    routes and the changed routes' lists, which is exact: the unchanged
+    entries are still current, and each changed list is its route's own
+    cheapest. Any other head merges the route's new options in. A score
+    changes only with the head, so only those customers are scored again.
     """
     inst = ctx.inst
     Q = inst.Q
@@ -543,11 +554,19 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
     pending = list(removed)
     demand = {u: inst.demand[u - 1] for u in pending}
 
-    # per demand, every route with its edge table; () where the demand does not fit
-    rooms = {du: [(r_idx, fleet.table(r_idx) if load + du <= Q else ())
-                  for r_idx, load in enumerate(fleet.loads)] for du in set(demand.values())}
-    cached = {u: fleet.price(u, rooms[demand[u]], depth) for u in pending}
-    heads = {u: _rank_head(cached[u], depth) for u in pending}
+    # per demand, every edge of every route it fits in one table, and the
+    # empty route (None) when it fits that
+    rooms = {}
+    for du in set(demand.values()):
+        joined = [edge for r_idx, load in enumerate(fleet.loads)
+                  if r_idx != fleet.opening and load + du <= Q for edge in fleet.table(r_idx)]
+        rooms[du] = [joined, None] if fleet.opening is not None and du <= Q else [joined]
+    ranked = {}
+    for u in pending:
+        ranked[u] = options = fleet.price(u, rooms[demand[u]])
+        options.sort()
+    heads = {u: ranked[u][:depth] for u in pending}
+    changed = {u: {} for u in pending}
     # (-regret, cheapest delta, u, r_idx, pos) of each customer with an option
     scores = {}
 
@@ -556,11 +575,14 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         if not options:
             scores.pop(u, None)
             return
+        cheapest = options[0]
         if len(options) < depth:
             regret = math.inf
         else:
-            regret = sum(options[i][0] - options[0][0] for i in range(1, depth))
-        scores[u] = (-regret, options[0][0], u, options[0][1], options[0][2])
+            regret = 0.0
+            for option in options[1:]:
+                regret += option[0] - cheapest[0]
+        scores[u] = (-regret, cheapest[0], u, cheapest[1], cheapest[2])
 
     for u in pending:
         score(u)
@@ -571,7 +593,7 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         opened = r_idx == fleet.opening
         fleet.insert(u, r_idx, pos)
         pending.remove(u)
-        del cached[u], heads[u], scores[u]
+        del ranked[u], heads[u], changed[u], scores[u]
         # opening route r_idx leaves the next one, if any, empty at the end of
         # every list; its option costs what r_idx's did, so it can enter a
         # head only when that one left it, by a re-rank
@@ -579,25 +601,26 @@ def _regret_insertion(routes, removed, ctx, rng, depth):
         load = fleet.loads[r_idx]
         table = None
         for v in pending:
-            per_route = cached[v]
+            routes_v = changed[v]
             if empty is not None:
-                per_route += fleet.price(
-                    v, [(empty, fleet.table(empty) if demand[v] <= Q else ())], depth)
+                routes_v[empty] = fleet.price(v, [None], depth)[0] if demand[v] <= Q else []
             if load + demand[v] <= Q:
                 if table is None:
-                    table = [(r_idx, fleet.table(r_idx))]
+                    table = [fleet.table(r_idx)]
                 new, = fleet.price(v, table, depth)
             else:
                 new = []
-            old = per_route[r_idx]
-            per_route[r_idx] = new
+            routes_v[r_idx] = new
             head = heads[v]
-            if old and old[0] <= head[-1]:
-                heads[v] = _rank_head(per_route, depth)
-            elif new and (len(head) < depth or new[0] < head[-1]):
-                heads[v] = _merge_head(head, new, depth)
+            for option in head:
+                if option[1] == r_idx:
+                    heads[v] = _rerank(ranked[v], routes_v, depth)
+                    break
             else:
-                continue
+                if new and (len(head) < depth or new[0] < head[-1]):
+                    heads[v] = _merge_head(head, new, depth)
+                else:
+                    continue
             score(v)
     return fleet.served()
 
@@ -1005,4 +1028,4 @@ def run(inst: Instance, config: SolverConfig | None = None,
                                               cfg.mct_transfer_depletes)
     report = check_feasibility(solution, inst, cfg.mct_transfer_depletes)
     return RunResult(solution, solution.total_cost, report.passed, iters_done,
-                     runtime, initial_cost, log, d_stats, r_stats, outcome)
+                     runtime, initial_cost, log, d_stats, r_stats, outcome, report)

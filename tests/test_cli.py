@@ -102,8 +102,14 @@ class TestSolve:
     def test_best_solution_failing_the_checker_exits_3(self, instance_file, tmp_path,
                                                        capsys, monkeypatch):
         report = FeasibilityReport([Violation("sync", "mct:0", "late", 1.0)])
+        checks = []
+
+        def check(*args):
+            checks.append(args)
+            return report
+
         for owner in (cli, cli.lns):
-            monkeypatch.setattr(owner, "check_feasibility", lambda *args: report)
+            monkeypatch.setattr(owner, "check_feasibility", check)
         out, log = tmp_path / "s.json", tmp_path / "log.csv"
         assert run_cli("solve", "--instance", instance_file, "--iters", 5,
                        "--out", out, "--log", log) == 3
@@ -111,6 +117,7 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("best solution fails the checker: 1 violation(s):")
         assert not out.exists() and not log.exists()
+        assert len(checks) == 1, "the checker ran more than once for one solve"
 
 
 class TestOracle:

@@ -450,7 +450,7 @@ class TestFleet:
             opening = [o for o in fleet.options(u) if o[1] == fleet.opening]
             assert [(o[0].hex(), o[2]) for o in opening] == [(want.hex(), 1)]
             for depth in (1, 2):
-                priced = fleet.price(u, [(fleet.opening, fleet.table(fleet.opening))], depth)
+                priced = fleet.price(u, [fleet.table(fleet.opening)], depth)
                 assert [[(o[0].hex(), o[1], o[2]) for o in opts] for opts in priced] == \
                     [[(want.hex(), fleet.opening, 1)]]
 
@@ -713,22 +713,47 @@ class TestRegretHeads:
         compare_operators(dataclasses.replace(inst, rho_e=rho_e), full, partial, removed, set())
 
     def test_every_head_update_is_exercised(self, monkeypatch):
-        calls = {"_rank_head": 0, "_merge_head": 0}
-        for name in calls:
-            def counted(*args, name=name, helper=getattr(lns, name)):
-                calls[name] += 1
-                return helper(*args)
-            monkeypatch.setattr(lns, name, counted)
+        seen = set()
+        inserted = []   # per insertion of one call: the route it changed
+        reranked = {}   # id of a customer's changed-route dict -> len(inserted) at its last re-rank
+        rerank, merge = lns._rerank, lns._merge_head
+
+        def spy_rerank(ranked, changed, depth):
+            scanned, left = 0, depth
+            for option in ranked:
+                scanned += 1
+                if option[1] not in changed:
+                    left -= 1
+                    if not left:
+                        break
+            if any(option[1] in changed for option in ranked[:scanned]):
+                seen.add("skipped_stale")
+            if any(changed.values()):
+                seen.add("read_changed")
+            if left:
+                seen.add("few_unchanged")
+            since = inserted[reranked.get(id(changed), 0):]
+            if any(since.count(r_idx) > 1 for r_idx in changed):
+                seen.add("changed_twice")
+            reranked[id(changed)] = len(inserted)
+            return rerank(ranked, changed, depth)
+
+        def spy_merge(head, new, depth):
+            seen.add("merged")
+            return merge(head, new, depth)
+
         opens = []   # per insertion of one call: (opens a route, fills the fleet)
         insert = lns._Fleet.insert
 
-        def spy(fleet, u, r_idx, pos):
+        def spy_insert(fleet, u, r_idx, pos):
             opened = r_idx == fleet.opening
             insert(fleet, u, r_idx, pos)
+            inserted.append(r_idx)
             opens.append((opened, opened and fleet.opening is None))
 
-        monkeypatch.setattr(lns._Fleet, "insert", spy)
-        seen = set()
+        monkeypatch.setattr(lns, "_rerank", spy_rerank)
+        monkeypatch.setattr(lns, "_merge_head", spy_merge)
+        monkeypatch.setattr(lns._Fleet, "insert", spy_insert)
         for seed in range(40):
             inst, _, partial, removed = operator_case(
                 3 + seed % 28, seed, (2.0, 3.0, 4.0, 6.0, 10.0)[seed % 5],
@@ -736,8 +761,9 @@ class TestRegretHeads:
             ctx = lns._Context(inst, SolverConfig())
             for depth in (1, 2, 3):
                 want = ref_regret_insertion(partial, removed, inst, depth, set())
-                calls["_rank_head"] -= len(removed)   # every customer's first head
                 opens.clear()
+                inserted.clear()
+                reranked.clear()
                 got = lns._regret_insertion([list(r) for r in partial], list(removed),
                                             ctx, None, depth)
                 assert got == want
@@ -747,9 +773,8 @@ class TestRegretHeads:
                         seen.add("opened")
                     if filled:
                         seen.add("fleet_filled")
-        assert calls["_rank_head"] > 0, "no head was ranked again"
-        assert calls["_merge_head"] > 0, "no route's options were merged into a head"
-        assert seen == {"opened", "fleet_filled"}
+        assert seen == {"skipped_stale", "read_changed", "few_unchanged", "changed_twice",
+                        "merged", "opened", "fleet_filled"}
 
 
 # ---------------------------------------------------------------------------
