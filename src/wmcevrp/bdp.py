@@ -11,14 +11,18 @@ live mask prefixes depth first, in O(m) memory.
 
 `CountTables` is the polynomial DP over charge counts, in one table: per
 count, the highest battery level before each edge (forward), and what
-finishing the route needs after it (backward). A route's fewest charges is
-the first count whose level meets the uncharged need after some edge;
-`min_charge_count` reads it from the forward rows, and so does the long-route
-fallback of `enumerate_patterns`, which reads its witness back from the same
-rows. Inserting a customer is priced by joining the forward levels with the
-backward needs; within `margin` of a tie, where rounding could set the join
-and the DP apart, the DP on the trial route decides. Both tables move over an
-edge by the one transition `_step`.
+finishing the route needs after it (backward). The sweep and the tables
+share one screen, `_screen`, one builder of the per-edge consumption and
+gain, `_energy`, and one list of uncharged completion needs,
+`_uncharged_needs`, which is the tables' ``needs[0]`` and the sweep's
+terminal thresholds. A route's fewest charges is the first count whose level
+meets the uncharged need after some edge; `min_charge_count` reads it from
+the forward rows, and so does the long-route fallback of
+`enumerate_patterns`, which takes its witness read back from the same rows
+by `CountTables.witness`. Inserting a customer is priced by joining the
+forward levels with the backward needs; within `margin` of a tie, where
+rounding could set the join and the DP apart, the DP on the trial route
+decides. Both tables move over an edge by the one transition `_step`.
 """
 
 from __future__ import annotations
@@ -73,23 +77,21 @@ class BdpResult:
         return self.classification is not RouteClass.INFEASIBLE
 
 
-def _edge_consumption(route: Route, inst: Instance):
+def _edge_lengths(route: Route, inst: Instance) -> list[float]:
+    return [float(inst.dist[i, j]) for i, j in route.edges()]
+
+
+def _energy(lengths, inst: Instance):
     """Per-edge consumption rho_t*c and charging gain gamma*c."""
-    lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
-    cons = [inst.rho_t * c for c in lengths]
-    gain = [inst.gamma * c for c in lengths]
-    return cons, gain
+    return [inst.rho_t * c for c in lengths], [inst.gamma * c for c in lengths]
 
 
-def _suffix_sums(cons) -> list[float]:
-    """Energy needed to finish the route after each edge with no further charging."""
-    m = len(cons)
-    req = [0.0] * m
-    acc = 0.0
-    for e in range(m - 1, 0, -1):
-        acc += cons[e]
-        req[e - 1] = acc
-    return req
+def _uncharged_needs(cons) -> list[float]:
+    """Energy needed to finish the route uncharged from before each edge
+    (and 0 after the last), summed from the route's end."""
+    needs = list(accumulate(reversed(cons), add, initial=0.0))
+    needs.reverse()
+    return needs
 
 
 def preprocess_route(route: Route, inst: Instance) -> RouteClass:
@@ -100,19 +102,15 @@ def preprocess_route(route: Route, inst: Instance) -> RouteClass:
     whose net drain exceeds a full battery even while charging kills the
     route outright.
     """
-    return _screen(*_edge_consumption(route, inst), inst.P)
+    return _screen(*_energy(_edge_lengths(route, inst), inst), inst.P)
 
 
 def _screen(cons, gain, P: float) -> RouteClass:
     if sum(cons) <= P:      # the sum of one edge is its consumption
         return RouteClass.TRIVIAL_NO_CHARGE
-    return RouteClass.INFEASIBLE if _hopeless(cons, gain, P) else RouteClass.NEEDS_BDP
-
-
-def _hopeless(cons, gain, P: float) -> bool:
-    """Whether a route that exceeds the battery is one edge, or has an edge
-    that drains more than P even while charging."""
-    return len(cons) == 1 or any(ce - ge > P for ce, ge in zip(cons, gain))
+    if len(cons) == 1 or any(ce - ge > P for ce, ge in zip(cons, gain)):
+        return RouteClass.INFEASIBLE
+    return RouteClass.NEEDS_BDP
 
 
 def _minimal_masks(masks) -> list[int]:
@@ -140,9 +138,7 @@ def _result(patterns, cls: RouteClass = RouteClass.ENUMERATED,
             fallback: bool = False) -> BdpResult:
     """``patterns``, already in (cardinality, mask) order; INFEASIBLE when
     there are none."""
-    if not patterns:
-        return BdpResult(RouteClass.INFEASIBLE, [], fallback)
-    return BdpResult(cls, patterns, fallback)
+    return BdpResult(cls if patterns else RouteClass.INFEASIBLE, patterns, fallback)
 
 
 def _witness(levels, cons, end) -> int:
@@ -162,7 +158,7 @@ def _witness(levels, cons, end) -> int:
     return mask
 
 
-def _sweep(cons, gain, req, P: float) -> set[int]:
+def _sweep(cons, gain, need, P: float) -> set[int]:
     """Every terminal mask: a prefix of charging decisions whose battery,
     after the edge it ends at, covers the rest of the route uncharged.
 
@@ -170,14 +166,14 @@ def _sweep(cons, gain, req, P: float) -> set[int]:
     nothing is stored per mask and memory is O(m). Over edge e a prefix at
     ``base`` has a plain child at base - cons[e] and a charging child at
     base - cons[e] + gain[e], capped at P. A child below 0 is dead; one at
-    or above req[e] is terminal and not extended. `enumerate_patterns`
-    calls it for m >= 2 only.
+    or above need[e + 1], the uncharged need after edge e, is terminal and
+    not extended. `enumerate_patterns` calls it for m >= 2 only.
     """
     terminal: set[int] = set()
     stack = [(0, 0, P)]
     while stack:
         e, mask, base = stack.pop()
-        r_e = req[e]
+        r_e = need[e + 1]
         plain = base - cons[e]
         child = plain + gain[e]
         if child > P:
@@ -198,29 +194,27 @@ def enumerate_patterns(route: Route, inst: Instance,
                        lengths: list[float] | None = None) -> BdpResult:
     """Minimal feasible charging patterns for one route.
 
-    Trivial and hopeless routes are classified without any search, as
-    `_screen` does, the trivial ones before any gain is computed. Routes longer
-    than ``max_edges`` get the charge-count DP's minimum-count witness as
-    their single pattern instead of the exponential sweep (flagged via
-    ``fallback``). ``lengths``, when given, must be the route's edge lengths
-    as read from ``inst.dist``; they spare the numpy look-ups.
+    Trivial and hopeless routes are classified without any search by
+    `_screen`, the screen `CountTables` applies too. Routes longer than
+    ``max_edges`` get the charge-count DP's minimum-count witness as their
+    single pattern instead of the exponential sweep (flagged via
+    ``fallback``). The sweep's terminal thresholds are the uncharged
+    completion needs of ``CountTables.needs[0]``, from edge 1 on.
+    ``lengths``, when given, must be the route's edge lengths as read from
+    ``inst.dist``; they spare the numpy look-ups.
     """
     if lengths is None:
-        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
-    cons = [inst.rho_t * c for c in lengths]
-    if sum(cons) <= inst.P:
-        return _result([0], RouteClass.TRIVIAL_NO_CHARGE)
-    gain = [inst.gamma * c for c in lengths]
-    if _hopeless(cons, gain, inst.P):
-        return BdpResult(RouteClass.INFEASIBLE, [])
+        lengths = _edge_lengths(route, inst)
+    cons, gain = _energy(lengths, inst)
+    cls = _screen(cons, gain, inst.P)
+    if cls is not RouteClass.NEEDS_BDP:
+        return _result([0] if cls is RouteClass.TRIVIAL_NO_CHARGE else [], cls)
     if len(cons) > max_edges:
-        tables = CountTables(lengths, inst)
-        found = tables._first_terminal()
-        witness = [_witness(tables.levels, tables.cons, found[1])] if found else []
-        return _result(witness, fallback=True)
+        witness = CountTables(lengths, inst).witness()
+        return _result([] if witness is None else [witness], fallback=True)
     # charging never lowers a level, so feasibility is upward-closed and the
     # minimal terminal masks are the minimal feasible patterns
-    return _result(_minimal_masks(_sweep(cons, gain, _suffix_sums(cons), inst.P)))
+    return _result(_minimal_masks(_sweep(cons, gain, _uncharged_needs(cons), inst.P)))
 
 
 def min_charge_count(route: Route, inst: Instance,
@@ -234,7 +228,7 @@ def min_charge_count(route: Route, inst: Instance,
     as in ``enumerate_patterns``.
     """
     if lengths is None:
-        lengths = [float(inst.dist[i, j]) for i, j in route.edges()]
+        lengths = _edge_lengths(route, inst)
     return CountTables(lengths, inst).route_count()
 
 
@@ -295,13 +289,13 @@ class CountTables:
     with at most j charged edges from e on (inf: none); charging edge e
     lowers the need after it by ``gain[e] - cons[e]``, down to 0, if that
     need is at most P. ``needs[0][e + 1]`` is what finishing the route
-    uncharged after edge e needs. An inserted route's count t is feasible
-    where some ``levels[k]``, carried over the new edges, reaches
-    ``needs[t - k]``. Both tables grow one count at a time, as far as the
-    smallest feasible count (0 for a route that fits the battery). The DP
-    runs on the trial route when a pair is within `margin`, or the tables
-    hold a level rounding may have killed or a need within the margin of P,
-    where the cap decides what the DP compares next.
+    uncharged after edge e needs, the sweep's threshold there. An inserted
+    route's count t is feasible where some ``levels[k]``, carried over the
+    new edges, reaches ``needs[t - k]``. Both tables grow one count at a
+    time, as far as the smallest feasible count (0 for a route that fits the
+    battery). The DP runs on the trial route when a pair is within `margin`,
+    or the tables hold a level rounding may have killed or a need within the
+    margin of P, where the cap decides what the DP compares next.
     """
 
     __slots__ = ("inst", "lengths", "cons", "gain", "length", "tol", "levels", "needs",
@@ -310,8 +304,8 @@ class CountTables:
     def __init__(self, lengths: list[float], inst: Instance):
         self.inst = inst
         self.lengths = lengths
-        self.cons = cons = [inst.rho_t * c for c in lengths]
-        self.gain = [inst.gamma * c for c in lengths]
+        cons, self.gain = _energy(lengths, inst)
+        self.cons = cons
         self.length = sum(lengths)
         self.tol = margin(inst, self.length)
         m = len(cons)
@@ -325,10 +319,8 @@ class CountTables:
                 self.tie_levels = dead
                 dead += 1
             levels[dead:] = [-math.inf] * (m + 1 - dead)
-        needs = list(accumulate(reversed(cons), add, initial=0.0))
-        needs.reverse()
         self.levels = [levels]
-        self.needs = [needs]
+        self.needs = [_uncharged_needs(cons)]
 
     def _grow(self) -> None:
         """Add the next charge count to both tables."""
@@ -361,13 +353,17 @@ class CountTables:
     def route_count(self) -> int | None:
         """``min_charge_count`` of the route itself: `_screen`, then the
         first terminal count."""
-        cons, P = self.cons, self.inst.P
-        if sum(cons) <= P:      # the screen's test
-            return 0
-        if _hopeless(cons, self.gain, P):
-            return None
+        cls = _screen(self.cons, self.gain, self.inst.P)
+        if cls is not RouteClass.NEEDS_BDP:
+            return 0 if cls is RouteClass.TRIVIAL_NO_CHARGE else None
         found = self._first_terminal()
         return None if found is None else found[0]
+
+    def witness(self) -> int | None:
+        """A pattern of the route with the fewest charges, read back from
+        the rows by `_witness`; None when no count is terminal."""
+        found = self._first_terminal()
+        return None if found is None else _witness(self.levels, self.cons, found[1])
 
     def _first_terminal(self) -> tuple[int, tuple[int, int, int]] | None:
         """(fewest charges, end) of the route's terminal states: the first
@@ -438,12 +434,10 @@ def brute_force_patterns(route: Route, inst: Instance) -> BdpResult:
     battery tie inside `margin`, the float replay can drop a pattern that
     the sweep keeps.
     """
-    cons, gain = _edge_consumption(route, inst)
+    cons, gain = _energy(_edge_lengths(route, inst), inst)
     cls = _screen(cons, gain, inst.P)
-    if cls is RouteClass.TRIVIAL_NO_CHARGE:
-        return _result([0], cls)
-    if cls is RouteClass.INFEASIBLE:
-        return BdpResult(RouteClass.INFEASIBLE, [])
+    if cls is not RouteClass.NEEDS_BDP:
+        return _result([0] if cls is RouteClass.TRIVIAL_NO_CHARGE else [], cls)
     m = len(cons)
     size = 1 << m
     masks = np.arange(size, dtype=np.int64)

@@ -176,21 +176,7 @@ class Instance:
             )
 
     def to_json(self) -> dict:
-        return {
-            "n": int(self.n),
-            "dist": [[float(x) for x in row] for row in self.dist],
-            "demand": list(self.demand),
-            "P": float(self.P),
-            "B": float(self.B),
-            "Q": float(self.Q),
-            "rho_t": float(self.rho_t),
-            "rho_e": float(self.rho_e),
-            "rho_c": float(self.rho_c),
-            "gamma": float(self.gamma),
-            "phi": float(self.phi),
-            "max_mtev": int(self.max_mtev),
-            "max_mct": int(self.max_mct),
-        }
+        return {f.name: _JSON_CASTS[f.type](getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Instance":
@@ -212,6 +198,9 @@ class Instance:
 
 
 INSTANCE_FIELDS = tuple(f.name for f in fields(Instance))
+# plain JSON value of an instance field, by its annotation
+_JSON_CASTS = {"int": int, "float": float, "list[int]": lambda v: [int(x) for x in v],
+               "np.ndarray": np.ndarray.tolist}
 
 
 @dataclass

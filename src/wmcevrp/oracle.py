@@ -75,7 +75,7 @@ def solve_exact(inst: Instance, max_customers: int = 6) -> OracleResult:
             results.append(res)
         counts["coordinated"] += 1
         outcome = coordination.coordinate_exact(routes, results, inst, node_budget=10**9,
-                                                rows=rows)
+                                                rows=rows, fixed=fixed)
         if outcome is None:
             return
         if best[0] is None or outcome.cost < best[0][0] - 1e-9:

@@ -99,35 +99,82 @@ def assert_sweep_matches_brute_force(seed: int, m_hi: int) -> None:
         assert_never_runs_dry(a, route, inst)
 
 
+def assert_screened(costs, cls, **params):
+    """`preprocess_route` gives the path of these edge lengths class ``cls``.
+    A trivial or infeasible one gets the same class from the sweep (also
+    with every route sent to the witness) and from brute force, with
+    pattern 0 or none, and count 0 or None from the count tables."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # gamma <= rho_t warns
+        inst, route = edge_instance(costs, **params)
+    assert preprocess_route(route, inst) is cls
+    if cls is RouteClass.NEEDS_BDP:
+        return inst, route
+    patterns = [0] if cls is RouteClass.TRIVIAL_NO_CHARGE else []
+    for res in (enumerate_patterns(route, inst), enumerate_patterns(route, inst, max_edges=0),
+                brute_force_patterns(route, inst)):
+        assert res == BdpResult(cls, patterns)
+    assert bdp.CountTables([float(c) for c in costs], inst).route_count() == (
+        0 if patterns else None)
+    return inst, route
+
+
 class TestPreprocess:
     def test_single_edge_within_capacity(self):
-        inst, route = edge_instance([8.0], P=10.0)
-        assert preprocess_route(route, inst) is RouteClass.TRIVIAL_NO_CHARGE
+        for c in (8.0, 10.0, 0.5):
+            assert_screened([c], RouteClass.TRIVIAL_NO_CHARGE, P=10.0)
 
     def test_single_edge_over_capacity_is_hopeless(self):
         # one-edge routes never charge, whatever gamma could deliver
-        inst, route = edge_instance([12.0], P=10.0, gamma=1.5)
-        assert preprocess_route(route, inst) is RouteClass.INFEASIBLE
+        for c, gamma in ((12.0, 1.5), (10.5, 3.0), (40.0, 0.5)):
+            assert_screened([c], RouteClass.INFEASIBLE, P=10.0, gamma=gamma)
 
     def test_total_within_capacity_skips_search(self):
-        inst, route = edge_instance([4, 4, 4], P=12.0)
-        assert preprocess_route(route, inst) is RouteClass.TRIVIAL_NO_CHARGE
+        for costs, P in (([4, 4, 4], 12.0), ([4, 4, 4], 20.0), ([1, 2, 3, 4], 10.0),
+                         ([9, 1], 10.0)):
+            assert_screened(costs, RouteClass.TRIVIAL_NO_CHARGE, P=P)
+        # a route that fits is trivial even where charging gains less than it drains
+        assert_screened([6, 3], RouteClass.TRIVIAL_NO_CHARGE, P=10.0, gamma=0.5)
 
     def test_needs_search(self):
-        inst, route = edge_instance([4, 4, 4], P=10.0)
-        assert preprocess_route(route, inst) is RouteClass.NEEDS_BDP
+        for costs, P, gamma in (([4, 4, 4], 10.0, 2.0), ([4, 4, 4], 4.0, 2.0),
+                                ([1, 2, 3, 4], 9.5, 2.0), ([9, 2], 10.0, 2.0),
+                                # a net drain of exactly P while charging
+                                ([4, 20, 4], 10.0, 0.5)):
+            assert_screened(costs, RouteClass.NEEDS_BDP, P=P, gamma=gamma)
 
     def test_hopeless_edge_despite_charging(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inst, route = edge_instance([30, 5, 30], P=10.0, gamma=0.5)
-        assert preprocess_route(route, inst) is RouteClass.INFEASIBLE
+        for costs in ([30, 5, 30], [5, 30], [4, 21, 4], [30, 30, 30]):
+            assert_screened(costs, RouteClass.INFEASIBLE, P=10.0, gamma=0.5)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    @pytest.mark.parametrize("costs, rho_t", [
+        ([7.0], 0.7), ([0.1, 0.2, 0.3], 1.0), ([0.1, 0.1, 0.3, 0.7, 1.1], 1.3),
+        ([3.3, 0.2, 5.1, 0.7], 0.7)])
+    def test_battery_at_the_screens_sum(self, costs, rho_t, nudge):
+        # P is the screen's own sum(cons), or the float on either side of it:
+        # at and above it the route is trivial, below it a single edge is
+        # hopeless and a longer route goes to the search, where the sweep
+        # and the count tables find the same fewest charges
+        P = sum([rho_t * c for c in costs])
+        if nudge:
+            P = math.nextafter(P, math.copysign(math.inf, nudge))
+        cls = (RouteClass.TRIVIAL_NO_CHARGE if nudge >= 0 else
+               RouteClass.INFEASIBLE if len(costs) == 1 else RouteClass.NEEDS_BDP)
+        inst, route = assert_screened(costs, cls, P=P, rho_t=rho_t, gamma=2.0)
+        if cls is RouteClass.NEEDS_BDP:
+            count = min_charge_count(route, inst)
+            assert count is not None
+            assert enumerate_patterns(route, inst).min_cardinality() == count
 
 
 class TestSuffixRequirements:
     @staticmethod
     def requirements(route, inst):
-        return bdp._suffix_sums(bdp._edge_consumption(route, inst)[0])
+        """What finishing the route uncharged needs after each edge: the
+        sweep's thresholds, ``CountTables.needs[0]`` from edge 1 on."""
+        cons = bdp._energy(bdp._edge_lengths(route, inst), inst)[0]
+        return bdp._uncharged_needs(cons)[1:]
 
     def test_three_edges(self):
         inst, route = edge_instance([4, 4, 4], P=10.0)
@@ -221,8 +268,8 @@ class TestEnumerate:
         inst.gamma = gamma
         if preprocess_route(route, inst) is not RouteClass.NEEDS_BDP:
             return
-        cons, gain = bdp._edge_consumption(route, inst)
-        terminal = bdp._sweep(cons, gain, bdp._suffix_sums(cons), inst.P)
+        cons, gain = bdp._energy(bdp._edge_lengths(route, inst), inst)
+        terminal = bdp._sweep(cons, gain, bdp._uncharged_needs(cons), inst.P)
         pruned = prune_supersets(terminal)
         assert enumerate_patterns(route, inst).patterns == \
             sorted(pruned, key=lambda p: (p.bit_count(), p))
@@ -474,8 +521,8 @@ def reference_count(lengths, rho_t, gamma, P):
     """(count, end, witness) of the inline DP; None when no mask is terminal."""
     cons = [rho_t * c for c in lengths]
     history = []
-    found = inline_count_sweep(cons, [gamma * c for c in lengths], bdp._suffix_sums(cons),
-                               P, history)
+    found = inline_count_sweep(cons, [gamma * c for c in lengths],
+                               bdp._uncharged_needs(cons)[1:], P, history)
     return None if found is None else (*found, edge_major_witness(history, cons, found[1]))
 
 
@@ -492,8 +539,8 @@ def assert_same_as_references(lengths, rho_t, gamma, P):
     `CountTables` gives the inline DP's (count, end) and witness."""
     cons = [rho_t * c for c in lengths]
     gain = [gamma * c for c in lengths]
-    req = bdp._suffix_sums(cons)
-    assert bdp._sweep(cons, gain, req, P) == table_sweep(cons, gain, req, P)
+    need = bdp._uncharged_needs(cons)
+    assert bdp._sweep(cons, gain, need, P) == table_sweep(cons, gain, need[1:], P)
     tables = bdp.CountTables(lengths, battery_instance(P, rho_t, gamma))
     assert scanned_count(tables) == reference_count(lengths, rho_t, gamma, P)
 
@@ -526,7 +573,8 @@ class TestSameAsTableSweep:
              "integer": lambda: float(data.draw(st.integers(1, 8))),
              "edge": lambda: max(cons) * data.draw(st.sampled_from([1.0, 1.5])),
              "suffix": lambda: math.nextafter(
-                 data.draw(st.sampled_from(bdp._suffix_sums(cons))), -math.inf)}[battery]()
+                 data.draw(st.sampled_from(bdp._uncharged_needs(cons)[1:])),
+                 -math.inf)}[battery]()
         assume(P > 0.0)
         assert_same_as_references(lengths, rho_t, rho_t if gamma is None else gamma, P)
 
@@ -542,7 +590,7 @@ class TestSameAsTableSweep:
         draw = EDGE_LENGTHS[kind]
         lengths = data.draw(st.lists(draw, min_size=m, max_size=m))
         gamma = rho_t if gamma is None else gamma
-        P = data.draw(st.sampled_from(bdp._suffix_sums([rho_t * c for c in lengths])))
+        P = data.draw(st.sampled_from(bdp._uncharged_needs([rho_t * c for c in lengths])[1:]))
         for _ in range(abs(nudge)):
             P = math.nextafter(P, math.copysign(math.inf, nudge))
         assume(P > 0.0)
@@ -743,7 +791,7 @@ class TestFits:
                 warnings.simplefilter("ignore")          # gamma <= rho_t warns
                 path_inst, route = edge_instance(path, P=P, rho_t=rho_t, gamma=gamma)
             res = enumerate_patterns(route, path_inst)
-            # the trivial test before the gains classifies as the screen does
+            # the sweep classifies by the screen
             assert (res.classification is RouteClass.TRIVIAL_NO_CHARGE) == (
                 preprocess_route(route, path_inst) is RouteClass.TRIVIAL_NO_CHARGE)
             if bdp.fits(path_inst, summed(path)):

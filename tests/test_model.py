@@ -12,6 +12,7 @@ from wmcevrp.config import SolverConfig
 from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     CONSTRAINT_FAMILIES,
+    INSTANCE_FIELDS,
     Instance,
     Route,
     RouteStructureError,
@@ -100,6 +101,23 @@ class TestInstance:
         assert again.to_json() == inst.to_json()
         assert [type(again.to_json()[k]) for k in ("n", "max_mtev", "max_mct")] == [int] * 3
         assert again.demand == [3]
+
+    def test_to_json_writes_the_fields_as_plain_json(self):
+        # numpy scalars in, exactly the instance fields as Python ints,
+        # floats and lists out
+        doc = generate_instance(4, seed=2).to_json()
+        doc.update(n=np.int64(4), max_mtev=np.int32(3), P=np.float32(900), gamma=np.float64(2.5),
+                   demand=np.array(doc["demand"], dtype=np.int64), dist=np.array(doc["dist"]))
+        inst = Instance.from_json(doc)
+        data = inst.to_json()
+        assert tuple(data) == INSTANCE_FIELDS
+        assert [type(data[k]) for k in ("n", "max_mtev", "max_mct")] == [int] * 3
+        assert {type(data[k]) for k in ("P", "B", "Q", "rho_t", "rho_e", "rho_c", "gamma",
+                                        "phi")} == {float}
+        assert {type(d) for d in data["demand"]} == {int}
+        assert {type(x) for row in data["dist"] for x in row} == {float}
+        assert data["dist"] == inst.dist.tolist() and data["P"] == 900.0
+        assert json.loads(json.dumps(data)) == data
 
     def test_rejects_asymmetric_matrix(self):
         dist = np.zeros((3, 3))
