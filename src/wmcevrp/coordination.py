@@ -435,9 +435,13 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
     the largest of the interval bound of the prefix's duties, read from
     the segment counters, and the two chain-end counts: the first (or
     last) duties the prefix chose plus, per remaining route, the fewest its
-    patterns add (`_fewest`). Every pruned prefix holds only leaves that
-    cannot beat the best count, so the plan is the one the search would
-    keep without these bounds. The search stops at the floor: the larger of
+    patterns add (`_fewest`). The chain-end counts are compared first, one
+    popcount each; only an option they leave standing grows the segment
+    counters, and an option that adds no duty is held to its parent's
+    bound instead, which a sibling's leaf may since have met. Every pruned
+    prefix holds only leaves that cannot beat the best count, so the plan
+    is the one the search would keep without these bounds. The search
+    stops at the floor: the larger of
     one truck when some route cannot avoid charging, else none, and, when
     no branching route is a `fallback`, the two chain-end counts summed
     over all routes. The first plan found at the final count is kept;
@@ -499,17 +503,21 @@ def coordinate_exact(routes: list[Route], bdp_results: list[BdpResult],
                 beat[0], assignment = found
                 best[0] = (leaf, assignment)
             return
+        after_first, after_last = fewest_first[level + 1], fewest_last[level + 1]
         for added, cover in levels[level]:
             if beat[0] <= floor:
                 return
-            grown, grown_bound = depth, bound
+            chosen = selected | added
+            grown_bound = max((chosen & first).bit_count() + after_first,
+                              (chosen & last).bit_count() + after_last)
+            if grown_bound >= beat[0]:
+                continue
+            grown = depth
             if added:
                 grown = _deepen(depth, cover)
-                grown_bound = max(len(grown), 1)
-            chosen = selected | added
-            grown_bound = max(grown_bound,
-                              (chosen & first).bit_count() + fewest_first[level + 1],
-                              (chosen & last).bit_count() + fewest_last[level + 1])
+                grown_bound = max(grown_bound, len(grown), 1)
+            else:       # a sibling may have lowered beat[0] to the parent's bound
+                grown_bound = max(grown_bound, bound)
             if grown_bound >= beat[0]:
                 continue
             dfs(level + 1, chosen, grown, grown_bound)

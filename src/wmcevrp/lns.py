@@ -44,6 +44,9 @@ ROUTE_RECORDS = 200_000
 # shared by all of them, so nothing may mutate it
 CHARGE_FREE = bdp.BdpResult(bdp.RouteClass.TRIVIAL_NO_CHARGE, [0])
 
+# what `_Context.coordinated` gives for a key it does not hold; None is a plan
+_UNSEEN = object()
+
 
 @dataclass
 class OperatorStats:
@@ -866,52 +869,66 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
 def _coordinate_routes(routes: list[Route], ctx: _Context):
     """Pattern enumeration plus truck coordination; None when uncoordinatable.
 
-    Every route's length is summed once, as `_route_distance` sums it, for
-    the routing cost. A route that `bdp.fits` the battery charges nothing:
-    its one pattern is `CHARGE_FREE`, it has no duties and it is left out
-    of the key, and it gets no record. `_screen` calls such a route
-    trivial, so the record would hold the same. Every other route's record
-    is looked up once; a pattern-infeasible route makes the candidate
-    uncoordinatable. The plan is keyed in `ctx.coordinated` by the routes
-    that may charge, with their indices: a candidate whose key is among the
-    run's last `COORDINATION_MEMO_SIZE` distinct ones takes the remembered
-    plan. Any other candidate is coordinated afresh from its records,
-    exhaustively while the combination count and the minimum duty count
-    stay small, greedily otherwise to keep iterations cheap. The cost is
-    the candidate's own routing cost plus the plan's trucks.
+    One pass over the routes does all the per-route work. It sums each
+    route's length edge by edge, as `_route_distance` sums it, for the
+    routing cost, and counts the route's vehicle as used when it serves a
+    customer. A route that `bdp.fits` the battery charges nothing: its one
+    pattern is `CHARGE_FREE`, it has no duties and it is left out of the
+    key, and it gets no record. `_screen` calls such a route trivial, so
+    the record would hold the same. Every other route's record is looked
+    up once; a pattern-infeasible route makes the candidate
+    uncoordinatable. Over the routes that may charge, the pass also
+    multiplies the pattern counts and adds the fewest charged edges of
+    each, the two figures of the exact gate below; a route that never
+    charges has one pattern with none, so leaving it out changes neither.
+    The plan is keyed in `ctx.coordinated` by the routes that may charge,
+    with their indices: a candidate whose key is among the run's last
+    `COORDINATION_MEMO_SIZE` distinct ones takes the remembered plan. Any
+    other candidate is coordinated afresh from its records, exhaustively
+    while the combination count and the minimum duty count stay small,
+    greedily otherwise to keep iterations cheap. The cost is the
+    candidate's own routing cost plus the plan's trucks.
     """
     inst, cfg, d = ctx.inst, ctx.cfg, ctx.d
+    rho_t, fits = inst.rho_t, bdp.fits
     results = []
     charging = []               # (index, record) of each route that may charge
+    combos, duties = 1, 0       # the exact gate's figures
     # summed as `routing_cost` sums it
     total = 0.0
     used = 0
     for i, r in enumerate(routes):
-        length = _route_distance(r.nodes, d)
-        total += inst.rho_t * length
-        if r.serves_customers():
+        nodes = r.nodes
+        length = 0.0
+        prev = nodes[0]
+        for node in nodes[1:]:
+            length += d[prev][node]
+            prev = node
+        total += rho_t * length
+        if len(nodes) > 2:
             used += 1
-        if bdp.fits(inst, length):
+        if fits(inst, length):
             results.append(CHARGE_FREE)
             continue
-        rec = ctx.patterns(r.nodes)
-        if not rec.result.feasible:
+        rec = ctx.patterns(nodes)
+        res = rec.result
+        if not res.feasible:
             return None
-        results.append(rec.result)
+        results.append(res)
         if rec.charged:
             charging.append((i, rec))
+            combos *= len(res.patterns)
+            duties += res.patterns[0].bit_count()
     fixed = total + inst.rho_e * used
     key = tuple((i, tuple(routes[i].nodes)) for i, _ in charging)
     memo = ctx.coordinated
-    if key in memo:
+    plan = memo.get(key, _UNSEEN)
+    if plan is not _UNSEEN:
         memo.move_to_end(key)
-        plan = memo[key]
     else:
         arcs = [[] for _ in routes]
         for i, rec in charging:
             arcs[i] = _record_arcs(rec, i, routes[i], inst)
-        combos = math.prod(len(res.patterns) for res in results)
-        duties = sum(res.min_cardinality() for res in results)
         if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
             outcome = coordination.coordinate_exact(
                 routes, results, inst, node_budget=cfg.assign_node_budget,

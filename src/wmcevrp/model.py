@@ -27,6 +27,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -451,25 +452,27 @@ class ChargingDuty(NamedTuple):
     transfer: float      # energy delivered while co-traveling
 
 
-def duty_order(duty: ChargingDuty) -> tuple[float, int, int]:
-    """The order in which a truck serves its duties."""
-    return duty.start, duty.mtev, duty.edge
+# The order in which a truck serves its duties: the key (start, mtev, edge),
+# read in C, so sorting calls no Python function per duty.
+duty_order = attrgetter("start", "mtev", "edge")
 
 
 def route_duties(r_idx: int, route: Route, times: list[float], mask: int,
                  inst: Instance) -> list[ChargingDuty]:
     """The duties of the edges set in route r_idx's charge mask, in edge
     order; `times` are the MTEV's arrival times at the route's nodes. Mask
-    bits past the last edge add nothing."""
+    bits past the last edge are masked off first and add nothing; the loop
+    visits the set bits alone, lowest first."""
+    nodes, dist, gamma = route.nodes, inst.dist, inst.gamma
+    mask &= (1 << max(len(nodes) - 1, 0)) - 1
     duties = []
-    for e, (i, j) in enumerate(route.edges()):
-        if (mask >> e) & 1:
-            c = float(inst.dist[i, j])
-            duties.append(ChargingDuty(
-                mtev=r_idx, edge=e, tail=i, head=j,
-                start=times[e], end=times[e + 1],
-                distance=c, transfer=inst.gamma * c,
-            ))
+    while mask:
+        low = mask & -mask
+        e = low.bit_length() - 1
+        i, j = nodes[e], nodes[e + 1]
+        c = float(dist[i, j])
+        duties.append(ChargingDuty(r_idx, e, i, j, times[e], times[e + 1], c, gamma * c))
+        mask ^= low
     return duties
 
 

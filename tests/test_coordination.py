@@ -341,6 +341,158 @@ class TestIncrementalSearch:
                 plan.certified) == expect
 
 
+def ref_coordinate_exact(routes, results, inst, node_budget, transfer_depletes):
+    """`coordinate_exact` as it was when each option grew its segment
+    counters before any bound was compared. Calls `_assign_exact` through
+    the module, so a spy on it sees these leaves too."""
+    pattern_sets = [res.patterns for res in results]
+    if any(not s for s in pattern_sets):
+        return None
+    fixed = routing_cost(routes, inst)
+    arcs = coordination._charging_arcs(routes, results, inst)
+    rows = inst.dist.tolist()
+    branching = [r_idx for r_idx in range(len(routes)) if arcs[r_idx]]
+    ranked, levels = coordination._search_levels(arcs, pattern_sets, branching)
+    succ, late = coordination._successors(ranked, inst, rows)
+    unservable, first, last = coordination._chain_ends(levels, succ, late)
+    if unservable:
+        levels = [[o for o in options if not o[0] & unservable] for options in levels]
+        if not all(levels):
+            return None
+        _, first, last = coordination._chain_ends(levels, succ, late)
+    fewest_first = coordination._fewest(levels, first)
+    fewest_last = coordination._fewest(levels, last)
+    floor = 1 if any(options[0][0] for options in levels) else 0
+    fallback = any(results[r_idx].fallback for r_idx in branching)
+    if not fallback:
+        floor = max(floor, fewest_first[0], fewest_last[0])
+    beat, best, complete = [inst.max_mct + 1], [None], [True]
+
+    def dfs(level, selected, depth, bound):
+        if level == len(levels):
+            leaf = [ranked[r] for r in range(len(ranked)) if selected >> r & 1]
+            found, done = coordination._assign_exact(leaf, inst, rows, beat[0] - 1,
+                                                     transfer_depletes, node_budget, bound)
+            complete[0] = complete[0] and done
+            if found is not None:
+                beat[0], assignment = found
+                best[0] = (leaf, assignment)
+            return
+        for added, cover in levels[level]:
+            if beat[0] <= floor:
+                return
+            grown, grown_bound = depth, bound
+            if added:
+                grown = coordination._deepen(depth, cover)
+                grown_bound = max(len(grown), 1)
+            chosen = selected | added
+            grown_bound = max(grown_bound,
+                              (chosen & first).bit_count() + fewest_first[level + 1],
+                              (chosen & last).bit_count() + fewest_last[level + 1])
+            if grown_bound >= beat[0]:
+                continue
+            dfs(level + 1, chosen, grown, grown_bound)
+
+    if floor < beat[0]:
+        dfs(0, 0, (), 0)
+    if best[0] is None:
+        return None
+    plan = CoordinationPlan(*best[0], certified=(complete[0] and not fallback)
+                            or beat[0] == floor)
+    return CoordinationResult(plan, fixed + inst.rho_c * beat[0])
+
+
+def compare_with_reference(routes, results, inst, node_budget, transfer_depletes):
+    """`coordinate_exact` and `ref_coordinate_exact` give the same plan,
+    `certified` and cost, through the same `_assign_exact` leaves (duties,
+    cap and floor, in order). Returns the number of leaves."""
+    leaves, assign = [], coordination._assign_exact
+
+    def leaf(duties, inst, rows, max_mct, transfer_depletes, node_budget, floor):
+        leaves[-1].append((list(duties), max_mct, floor))
+        return assign(duties, inst, rows, max_mct, transfer_depletes, node_budget, floor)
+
+    outs = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(coordination, "_assign_exact", leaf)
+        for coordinate in (coordinate_exact, ref_coordinate_exact):
+            leaves.append([])
+            outs.append(outcome_of(coordinate(routes, results, inst, node_budget=node_budget,
+                                              transfer_depletes=transfer_depletes)))
+    assert outs[0] == outs[1]
+    assert leaves[0] == leaves[1]
+    return len(leaves[0])
+
+
+def with_empty_option(results, rng):
+    """`results` with the empty pattern inserted at a random place into the
+    pattern list of some routes. The sweep never offers it beside another
+    pattern, but coordination takes any list, and this places an option that
+    adds no duty after siblings that add some."""
+    out = []
+    for res in results:
+        patterns = list(res.patterns)
+        if patterns and 0 not in patterns and rng.random() < 0.5:
+            patterns.insert(int(rng.integers(len(patterns) + 1)), 0)
+        out.append(bdp.BdpResult(res.classification, patterns, res.fallback))
+    return out
+
+
+class TestExactAgainstReference:
+    """The search that compares the chain-end bounds before it grows the
+    segment counters visits the leaves of the one that grew them first."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 10),
+           P=st.sampled_from([300.0, 600.0, 900.0]), max_routes=st.integers(1, 4),
+           node_budget=st.sampled_from([1, 2, 3, SolverConfig.assign_node_budget]),
+           transfer_depletes=st.booleans(),
+           patterns=st.sampled_from(["enumerated", "random", "empty_option"]))
+    def test_drawn_candidates(self, seed, n, P, max_routes, node_budget,
+                              transfer_depletes, patterns):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(n, seed=seed, P=P)
+        routes = random_routes(inst, rng, max_routes)
+        if patterns == "enumerated":
+            results = [bdp.enumerate_patterns(r, inst) for r in routes]
+        else:
+            results = random_pattern_sets(routes, rng)
+            if patterns == "empty_option":
+                results = with_empty_option(results, rng)
+        compare_with_reference(routes, results, inst, node_budget, transfer_depletes)
+
+    @pytest.mark.parametrize("node_budget", [1, 2, 3, SolverConfig.assign_node_budget])
+    def test_initial_solutions_of_twenty_customers(self, node_budget):
+        compared = leaves = 0
+        for seed in range(12):
+            inst = generate_instance(20, seed=300 + seed, P=float([900, 1500, 3000][seed % 3]))
+            routes = lns.initial_solution(inst, run_seed(seed, 0)).mtev_routes
+            results = [bdp.enumerate_patterns(r, inst) for r in routes]
+            if not all(res.feasible for res in results):
+                continue
+            compared += 1
+            leaves += compare_with_reference(routes, results, inst, node_budget, True)
+        assert compared >= 8 and leaves >= compared
+
+    def test_empty_option_after_the_parent_bound_is_met(self):
+        """The duties of routes 0 and 1 overlap, so the prefix that charges
+        both has a clique bound of 2, above the chain-end floor of 1. Route
+        2's first option leads to a leaf of 2 trucks; its second option adds
+        no duty, and its chain-end bounds stay at 1, but the parent's bound
+        now meets the best count, so it is pruned: one leaf in all."""
+        inst = generate_instance(6, seed=606, P=300.0)
+        routes = [Route(r_idx, nodes)
+                  for r_idx, nodes in enumerate([[0, 6, 7], [0, 5, 4, 7], [0, 1, 2, 3, 7]])]
+        results = [bdp.BdpResult(bdp.RouteClass.ENUMERATED, patterns)
+                   for patterns in ([2], [2, 3], [2, 0])]
+        prefix = duties_from_choice(routes[:2], [2, 2], inst)
+        assert mct_lower_bound(prefix) == 2
+        assert chain_end_counts(routes, results, inst)[2] == (1, 1)
+        assert compare_with_reference(routes, results, inst, 5000, True) == 1
+        out = coordinate_exact(routes, results, inst)
+        assert out.plan.mct_count == 2 and plan_masks(out.plan, 3) == [2, 2, 2]
+
+
 def charged_duties(routes, inst):
     """The duties of every edge that some pattern of its route charges, in
     `duty_order`: what `coordinate_exact` ranks."""

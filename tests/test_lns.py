@@ -1356,6 +1356,43 @@ class TestCoordinationMemo:
         assert memo.best.to_json_str() == plain.best.to_json_str()
 
 
+class TestExactGate:
+    """`_coordinate_routes` gathers the exact gate's two figures in its one
+    pass over the routes, over the routes that may charge alone. Every
+    coordination call of a run goes where the gate evaluated on the call's
+    own pattern results sends it."""
+
+    @staticmethod
+    def gate(results, cfg):
+        return (math.prod(len(r.patterns) for r in results) <= cfg.lns_exact_combos
+                and sum(r.min_cardinality() for r in results) <= cfg.lns_exact_duties)
+
+    @pytest.mark.parametrize("n, iterations, overrides", [
+        (20, 300, {}),
+        (100, 100, {}),
+        (20, 300, {"lns_exact_combos": 6, "lns_exact_duties": 3}),
+    ])
+    def test_calls_go_where_the_gate_sends_them(self, monkeypatch, n, iterations, overrides):
+        cfg = SolverConfig(iterations=iterations, **overrides)
+        calls = []
+
+        def spy(kind, coordinate):
+            def wrapper(routes, results, inst, **kwargs):
+                calls.append((kind, self.gate(results, cfg)))
+                return coordinate(routes, results, inst, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(coordination, "coordinate_exact",
+                            spy("exact", coordination.coordinate_exact))
+        monkeypatch.setattr(coordination, "coordinate_heuristic",
+                            spy("heuristic", coordination.coordinate_heuristic))
+        inst = generate_instance(n, seed=81, P=1500.0)
+        lns.run(inst, cfg, rng=harness.run_seed(81, 0))
+        assert all((kind == "exact") == exact for kind, exact in calls)
+        # each run takes both sides of the gate
+        assert {kind for kind, _ in calls} == {"exact", "heuristic"}
+
+
 # ---------------------------------------------------------------------------
 # routes that fit the battery
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from wmcevrp.generator import generate_instance
 from wmcevrp.model import (
     CONSTRAINT_FAMILIES,
     INSTANCE_FIELDS,
+    ChargingDuty,
     Instance,
     Route,
     RouteStructureError,
@@ -20,10 +21,12 @@ from wmcevrp.model import (
     _duties_per_mct,
     build_schedule,
     check_feasibility,
+    duty_order,
     evaluate_cost,
     finalize_solution,
     make_route,
     mtev_arrival_times,
+    route_duties,
     route_energy_profile,
     routing_cost,
 )
@@ -329,6 +332,65 @@ class TestEnergyProfile:
         want = replay_profile(cap, 1.0, gain, costs_eff, pattern + [0])
         assert got == want
         assert max(got) <= cap
+
+
+# ---------------------------------------------------------------------------
+# charging duties
+# ---------------------------------------------------------------------------
+
+def ref_route_duties(r_idx, route, times, mask, inst):
+    """`route_duties` as it was when it scanned every edge of the route and
+    built each duty by keyword."""
+    duties = []
+    for e, (i, j) in enumerate(route.edges()):
+        if (mask >> e) & 1:
+            c = float(inst.dist[i, j])
+            duties.append(ChargingDuty(
+                mtev=r_idx, edge=e, tail=i, head=j,
+                start=times[e], end=times[e + 1],
+                distance=c, transfer=inst.gamma * c,
+            ))
+    return duties
+
+
+def float_bits(value):
+    """A field as a value that compares equal only when the two floats have
+    the same bits: -0.0 differs from 0.0."""
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestRouteDuties:
+    @pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), gamma=st.floats(0.1, 10.0), r_idx=st.integers(0, 5),
+           data=st.data())
+    def test_same_duties_as_the_edge_scan(self, seed, gamma, r_idx, data):
+        """Routes of 0 to 9 edges over any nodes, and masks that may set
+        bits past the last edge: the set-bit builder gives the scan's duties,
+        every field equal and every float the same bits."""
+        inst = generate_instance(9, seed=seed, gamma=gamma)
+        nodes = data.draw(st.lists(st.integers(0, inst.depot_end), min_size=1, max_size=10))
+        route = Route(r_idx, nodes)
+        times = data.draw(st.lists(st.floats(-1e4, 1e4), min_size=len(nodes),
+                                   max_size=len(nodes)))
+        mask = data.draw(st.integers(0, (1 << 12) - 1))
+        got = route_duties(r_idx, route, times, mask, inst)
+        want = ref_route_duties(r_idx, route, times, mask, inst)
+        assert [tuple(map(float_bits, d)) for d in got] == \
+            [tuple(map(float_bits, d)) for d in want]
+        assert all(type(d) is ChargingDuty for d in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.5, 2.0, 1e-7]),
+                                   st.integers(0, 3), st.integers(0, 3)), max_size=12))
+    def test_order_is_the_key_tuple(self, keys):
+        """Sorting by `duty_order` equals sorting by (start, mtev, edge)
+        tuples, ties included; the other fields tell tied duties apart."""
+        duties = [ChargingDuty(mtev, edge, k, k + 1, start, start + 1.0, 1.0, 2.0)
+                  for k, (start, mtev, edge) in enumerate(keys)]
+        assert [duty_order(d) for d in duties] == keys
+        assert sorted(duties, key=duty_order) == \
+            sorted(duties, key=lambda d: (d.start, d.mtev, d.edge))
 
 
 # ---------------------------------------------------------------------------
