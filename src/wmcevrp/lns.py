@@ -125,12 +125,12 @@ class RunResult:
 
 @dataclass(slots=True)
 class _RouteRecord:
-    """What a run computes once about one distinct route."""
+    """What a run computes once about one distinct route. The route may
+    charge exactly when `result.patterns[0]` is not 0."""
 
     times: list[float]           # arrival times; the last is `Instance.route_distance`
     result: bdp.BdpResult
-    charged: int                 # `result.charged()`: 0 when the route never charges
-    arcs: dict[int, list[ChargingDuty]]   # route index -> duties of the charged edges
+    arcs: dict[int, list[ChargingDuty]]   # route index -> duties of `result.charged()`
 
 
 class _Context:
@@ -143,9 +143,9 @@ class _Context:
 
     `patterns` keeps one `_RouteRecord` per distinct node list, for the
     first `ROUTE_RECORDS` of them: its arrival times, summed edge by edge
-    from `d` as `Instance.route_distance` sums them, its patterns, the mask
-    of the edges some pattern charges, and per route index the duties of
-    those edges, built when first needed. `_coordinate_routes` asks for
+    from `d` as `Instance.route_distance` sums them, its patterns, and per
+    route index the duties of the edges some pattern charges, built by the
+    first fresh coordination that needs them. `_coordinate_routes` asks for
     records only of routes that may charge: one that `bdp.fits` the battery
     gets none.
 
@@ -184,8 +184,7 @@ class _Context:
             lengths = _route_lengths(key, self.d)
             result = bdp.enumerate_patterns(Route(0, list(nodes)), self.inst,
                                             max_edges=self.cfg.bdp_max_edges, lengths=lengths)
-            rec = _RouteRecord(list(accumulate(lengths, initial=0.0)), result,
-                               result.charged(), {})
+            rec = _RouteRecord(list(accumulate(lengths, initial=0.0)), result, {})
             if len(self._records) < ROUTE_RECORDS:
                 self._records[key] = rec
         return rec
@@ -722,7 +721,7 @@ def repair(op_id: str, partial: Solution, removed: list[int], inst: Instance,
 # ---------------------------------------------------------------------------
 
 def initial_solution(inst: Instance, rng: np.random.Generator,
-                     d: list[list[float]] | None = None) -> Solution:
+                     d: list[list[float]] | None = None) -> Solution | None:
     """Nearest-neighbor construction from the depot.
 
     Every route starts at one of the few depot-closest unserved customers
@@ -738,7 +737,9 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     basins; repair operators merge routes far more readily than they split
     them, so some runs must start on the split side.
     Raises when even a dedicated vehicle cannot serve someone, or when
-    there are customers and no vehicle.
+    there are customers and no vehicle; None when the vehicles run out,
+    which proves nothing. The charge-free gate never holds the last
+    vehicle the cap allows.
 
     One pass: the open route keeps its length, summed as
     `Instance.route_distance` sums it, and the level of its all-charge
@@ -752,7 +753,7 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     """
     if inst.n and inst.max_mtev < 1:
         raise InfeasibleInstanceError("no MTEV may be deployed but there are customers")
-    charge_free_gate = rng.random() < 0.5
+    charge_free_gate = rng.random() < 0.5 and inst.max_mtev > 1
     if d is None:
         d = inst.dist.tolist()
     n, end = inst.n, inst.depot_end
@@ -857,8 +858,9 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
             serve(lone)
             current = [0, lone]
         routes.append(current + [end])
-        if len(routes) >= inst.max_mtev and unserved:
-            raise InfeasibleInstanceError("vehicle cap reached with customers unserved")
+        if len(routes) == inst.max_mtev and unserved:
+            return None
+        charge_free_gate = charge_free_gate and len(routes) < inst.max_mtev - 1
         current = [0]
         load, length, level = 0, 0.0, P
     if len(current) > 1:
@@ -866,8 +868,9 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     return Solution.from_routes([Route(i, nodes) for i, nodes in enumerate(routes)])
 
 
-def _coordinate_routes(routes: list[Route], ctx: _Context):
-    """Pattern enumeration plus truck coordination; None when uncoordinatable.
+def _coordinate_routes(routes: list[list[int]], ctx: _Context):
+    """Pattern enumeration plus truck coordination of the candidate whose
+    route i visits `routes[i]`, which it only reads; None when uncoordinatable.
 
     One pass over the routes does all the per-route work. It sums each
     route's length edge by edge, as `_route_distance` sums it, for the
@@ -884,10 +887,11 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
     The plan is keyed in `ctx.coordinated` by the routes that may charge,
     with their indices: a candidate whose key is among the run's last
     `COORDINATION_MEMO_SIZE` distinct ones takes the remembered plan. Any
-    other candidate is coordinated afresh from its records, exhaustively
-    while the combination count and the minimum duty count stay small,
-    greedily otherwise to keep iterations cheap. The cost is the
-    candidate's own routing cost plus the plan's trucks.
+    other candidate is built as `Route` objects, gets any duties its
+    records lack, and is coordinated afresh, exhaustively while the
+    combination count and the minimum duty count stay small, greedily
+    otherwise to keep iterations cheap. The cost is the candidate's own
+    routing cost plus the plan's trucks.
     """
     inst, cfg, d = ctx.inst, ctx.cfg, ctx.d
     rho_t, fits = inst.rho_t, bdp.fits
@@ -897,8 +901,7 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
     # summed as `routing_cost` sums it
     total = 0.0
     used = 0
-    for i, r in enumerate(routes):
-        nodes = r.nodes
+    for i, nodes in enumerate(routes):
         length = 0.0
         prev = nodes[0]
         for node in nodes[1:]:
@@ -915,20 +918,23 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
         if not res.feasible:
             return None
         results.append(res)
-        if rec.charged:
+        if res.patterns[0]:     # an antichain that holds 0 holds only 0
             charging.append((i, rec))
             combos *= len(res.patterns)
             duties += res.patterns[0].bit_count()
     fixed = total + inst.rho_e * used
-    key = tuple((i, tuple(routes[i].nodes)) for i, _ in charging)
+    key = tuple((i, tuple(routes[i])) for i, _ in charging)
     memo = ctx.coordinated
     plan = memo.get(key, _UNSEEN)
     if plan is not _UNSEEN:
         memo.move_to_end(key)
     else:
+        routes = [Route(i, nodes) for i, nodes in enumerate(routes)]
         arcs = [[] for _ in routes]
         for i, rec in charging:
-            arcs[i] = _record_arcs(rec, i, routes[i], inst)
+            if i not in rec.arcs:
+                rec.arcs[i] = route_duties(i, routes[i], rec.times, rec.result.charged(), inst)
+            arcs[i] = rec.arcs[i]
         if combos <= cfg.lns_exact_combos and duties <= cfg.lns_exact_duties:
             outcome = coordination.coordinate_exact(
                 routes, results, inst, node_budget=cfg.assign_node_budget,
@@ -947,19 +953,11 @@ def _coordinate_routes(routes: list[Route], ctx: _Context):
     return coordination.CoordinationResult(plan, fixed + inst.rho_c * plan.mct_count)
 
 
-def _record_arcs(rec: _RouteRecord, r_idx: int, route: Route,
-                 inst: Instance) -> list[ChargingDuty]:
-    """The duties of every edge a pattern of the route charges, as route
-    r_idx; built once per record and index."""
-    arcs = rec.arcs.get(r_idx)
-    if arcs is None:
-        arcs = rec.arcs[r_idx] = route_duties(r_idx, route, rec.times, rec.charged, inst)
-    return arcs
-
-
 def run(inst: Instance, config: SolverConfig | None = None,
         rng: np.random.Generator | None = None) -> RunResult:
-    """Full hybrid search; returns the best coordinated solution found."""
+    """Full hybrid search; returns the best coordinated solution found, if
+    any: none when the construction runs out of vehicles. The incumbent, each
+    candidate and the best are node lists, which no operator changes."""
     cfg = config or SolverConfig()
     if rng is None:
         rng = np.random.default_rng(0)
@@ -967,15 +965,17 @@ def run(inst: Instance, config: SolverConfig | None = None,
     ctx = _Context(inst, cfg)
 
     shell = initial_solution(inst, rng, ctx.d)
-    inc_routes = [r.copy() for r in shell.mtev_routes]
-    outcome = _coordinate_routes(inc_routes, ctx)
+    if shell is None:
+        return RunResult(None, math.inf, False, 0, time.perf_counter() - started, math.inf)
+    inc = [r.nodes for r in shell.mtev_routes]
+    outcome = _coordinate_routes(inc, ctx)
     if outcome is None:
         inc_cost = math.inf
-        best_pack = None
-        temp = cfg.init_temp_factor * routing_cost(inc_routes, inst)
+        best = None
+        temp = cfg.init_temp_factor * routing_cost(shell.mtev_routes, inst)
     else:
         inc_cost = outcome.cost
-        best_pack = ([r.copy() for r in inc_routes], outcome)
+        best = (inc, outcome)
         temp = cfg.init_temp_factor * outcome.cost
     initial_cost = inc_cost
     best_cost = inc_cost
@@ -999,23 +999,21 @@ def run(inst: Instance, config: SolverConfig | None = None,
         r_idx = r_stats.select(rng)
         k = int(rng.integers(k_lo, k_hi + 1))
 
-        routes_now = [list(r.nodes) for r in inc_routes]
-        new_routes, removed = _DESTROY_FUNCS[DESTROY_OPS[d_idx]](routes_now, ctx, rng, k)
+        partial, removed = _DESTROY_FUNCS[DESTROY_OPS[d_idx]](inc, ctx, rng, k)
         score = 0.0
         cand_cost = math.inf
         accepted = False
         if removed:
-            rebuilt = _REPAIR_FUNCS[REPAIR_OPS[r_idx]](_drop_empty(new_routes), removed, ctx, rng)
-            if rebuilt is not None:
-                cand_routes = [Route(i, nodes) for i, nodes in enumerate(rebuilt)]
-                outcome = _coordinate_routes(cand_routes, ctx)
+            cand = _REPAIR_FUNCS[REPAIR_OPS[r_idx]](_drop_empty(partial), removed, ctx, rng)
+            if cand is not None:
+                outcome = _coordinate_routes(cand, ctx)
                 if outcome is not None:
                     cand_cost = outcome.cost
                     if cand_cost < best_cost - 1e-9:
                         score = cfg.score_best
                         accepted = True
                         best_cost = cand_cost
-                        best_pack = ([r.copy() for r in cand_routes], outcome)
+                        best = (cand, outcome)
                     elif cand_cost < inc_cost - 1e-9:
                         score = cfg.score_improve
                         accepted = True
@@ -1026,7 +1024,7 @@ def run(inst: Instance, config: SolverConfig | None = None,
                             score = cfg.score_accept_worse
                             accepted = True
                     if accepted:
-                        inc_routes = cand_routes
+                        inc = cand
                         inc_cost = cand_cost
         d_stats.record(d_idx, score)
         r_stats.record(r_idx, score)
@@ -1037,12 +1035,12 @@ def run(inst: Instance, config: SolverConfig | None = None,
             r_stats.end_segment(cfg.reaction, cfg.weight_floor)
 
     runtime = time.perf_counter() - started
-    if best_pack is None:
+    if best is None:
         return RunResult(None, math.inf, False, iters_done, runtime, initial_cost,
                          log, d_stats, r_stats)
-    routes, outcome = best_pack
-    solution = coordination.assemble_solution(routes, outcome, inst,
-                                              cfg.mct_transfer_depletes)
+    routes, outcome = best
+    solution = coordination.assemble_solution([Route(i, nodes) for i, nodes in enumerate(routes)],
+                                              outcome, inst, cfg.mct_transfer_depletes)
     report = check_feasibility(solution, inst, cfg.mct_transfer_depletes)
     return RunResult(solution, solution.total_cost, report.passed, iters_done,
                      runtime, initial_cost, log, d_stats, r_stats, outcome, report)

@@ -99,6 +99,26 @@ class TestSolve:
         inst.save(path)
         assert run_cli("solve", "--instance", path, "--iters", 5) == 3
 
+    def test_fleet_cap_is_no_proof_of_infeasibility(self, tmp_path, capsys):
+        # the oracle solves this instance with one vehicle; on seeds 2 and 3,
+        # a construction that held its last vehicle to the charge-free gate
+        # would run out of vehicles
+        path = tmp_path / "cap3.json"
+        assert run_cli("gen", "--n", 6, "--seed", 1, "--max-mtev", 3, "--out", path) == 0
+        assert run_cli("oracle", "--instance", path) == 0
+        for seed in range(8):
+            assert run_cli("solve", "--instance", path, "--iters", 20, "--seed", seed) == 0
+
+    def test_running_out_of_vehicles_exits_3(self, tmp_path, capsys):
+        # the oracle serves this instance with both vehicles; the construction
+        # from seed 2 runs out of them, which proves nothing: no solution found
+        path = tmp_path / "cap2.json"
+        assert run_cli("gen", "--n", 6, "--seed", 99, "--max-mtev", 2, "--out", path) == 0
+        assert run_cli("oracle", "--instance", path) == 0
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", path, "--iters", 20, "--seed", 2) == 3
+        assert capsys.readouterr().err == "no feasible solution within budget\n"
+
     def test_best_solution_failing_the_checker_exits_3(self, instance_file, tmp_path,
                                                        capsys, monkeypatch):
         report = FeasibilityReport([Violation("sync", "mct:0", "late", 1.0)])

@@ -67,6 +67,50 @@ class TestInitialSolution:
             sol = lns.initial_solution(inst, rng_at(seed))
             assert served_customers(sol) == list(inst.customers)
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_last_vehicle_is_not_held_to_the_charge_free_gate(self, seed):
+        # both seeds draw the charge-free gate; held to it, the third and
+        # last vehicle closed with customers left
+        inst = generate_instance(6, 1, max_mtev=3)
+        rng = harness.run_seed(seed, 0)
+        assert rng.random() < 0.5
+        sol = lns.initial_solution(inst, harness.run_seed(seed, 0))
+        assert served_customers(sol) == list(inst.customers)
+        assert len(sol.mtev_routes) <= 3
+
+    def test_running_out_of_vehicles_is_no_solution(self):
+        # the oracle serves this instance with two vehicles; the construction
+        # from this seed runs out of them, which proves nothing
+        inst = generate_instance(6, 99, max_mtev=2)
+        assert solve_exact(inst).mtev_used == 2
+        assert lns.initial_solution(inst, harness.run_seed(2, 0)) is None
+        res = lns.run(inst, SolverConfig(iterations=20), rng=harness.run_seed(2, 0))
+        assert res.best is None and not res.feasible
+        assert res.iterations == 0 and res.best_cost == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestFleetCap:
+    """Under a vehicle cap, `lns.run` raises `InfeasibleInstanceError` only
+    on instances the oracle finds no solution for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 10**6), cap=st.integers(1, 3),
+           P=st.sampled_from([300.0, 900.0, 1500.0]), Q=st.sampled_from([2.0, 4.0, 10.0]),
+           gamma=st.sampled_from([0.5, 2.0]))
+    @example(n=6, seed=1, cap=3, P=1500.0, Q=10.0, gamma=2.0)     # ran out of vehicles
+    @example(n=3, seed=0, cap=3, P=1500.0, Q=2.0, gamma=2.0)      # demand 3 > Q
+    def test_raises_only_without_a_solution(self, n, seed, cap, P, Q, gamma):
+        inst = generate_instance(n, seed, P=P, Q=Q, gamma=gamma, max_mtev=cap)
+        for run_seed in range(4):
+            try:
+                res = lns.run(inst, SolverConfig(iterations=10),
+                              rng=harness.run_seed(run_seed, 0))
+            except InfeasibleInstanceError:
+                assert solve_exact(inst).solution is None
+                continue
+            assert res.best is None or res.feasible
+
 
 # ---------------------------------------------------------------------------
 # removal operators
@@ -516,7 +560,9 @@ def compare_charge_insertion(n, seed, Q, P, slack, gamma, seen, calls, top=None)
 
 
 def ref_initial_solution(inst, rng):
-    """The construction with a keyed sort of the unserved customers per step."""
+    """The construction with a keyed sort of the unserved customers per step;
+    None when the vehicles run out. The charge-free gate, drawn for every
+    run, holds for all but the last route the vehicle cap allows."""
     charge_free_gate = rng.random() < 0.5
     unserved = set(inst.customers)
     routes, current, load = [], [0], 0
@@ -525,7 +571,7 @@ def ref_initial_solution(inst, rng):
         return bdp.min_charge_count(make_route(0, nodes[1:-1], inst), inst) is not None
 
     def battery_ok(nodes):
-        if charge_free_gate:
+        if charge_free_gate and len(routes) < inst.max_mtev - 1:
             return inst.rho_t * inst.route_distance(nodes) <= inst.P
         return chargeable(nodes)
 
@@ -552,7 +598,7 @@ def ref_initial_solution(inst, rng):
                 current = [0, lone]
             routes.append(current + [inst.depot_end])
             if len(routes) >= inst.max_mtev and unserved:
-                raise InfeasibleInstanceError("vehicle cap reached")
+                return None
             current, load = [0], 0
     if len(current) > 1:
         routes.append(current + [inst.depot_end])
@@ -577,7 +623,8 @@ def gate_seed(charge_free, start):
 
 def compare_constructions(inst, rng_start):
     """Both gates' constructions equal the reference's, RNG states included;
-    the charge-free reference's routes, or None when it raises."""
+    the charge-free reference's routes, or None when it raises or runs out
+    of vehicles."""
     charge_free_routes = None
     for charge_free in (True, False):
         rng_seed = gate_seed(charge_free, rng_start)
@@ -589,7 +636,7 @@ def compare_constructions(inst, rng_start):
                 lns.initial_solution(inst, rng)
             continue
         got = lns.initial_solution(inst, rng)
-        assert [r.nodes for r in got.mtev_routes] == want
+        assert (None if got is None else [r.nodes for r in got.mtev_routes]) == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if charge_free:
             charge_free_routes = want
@@ -674,6 +721,9 @@ class TestLazyPricing:
            top=st.integers(1, 6), P=st.sampled_from([4.0, 8.0, 15.0, 100.0]),
            Q=st.sampled_from([3.0, 5.0, 10.0]), rng_start=st.integers(0, 10**6),
            cap=st.integers(1, 25), pick=st.integers(0, 10**6), tenths=st.booleans())
+    # held to the charge-free gate, the last of the two vehicles would close
+    # with customers left
+    @example(n=3, seed=0, top=6, P=4.0, Q=5.0, rng_start=0, cap=2, pick=0, tenths=False)
     def test_initial_solution_same_as_keyed_sort(self, n, seed, top, P, Q, rng_start, cap, pick,
                                                  tenths):
         # a vehicle cap below n makes some constructions run out of vehicles
@@ -1243,8 +1293,11 @@ def random_partition(inst, rng):
 class TestRouteRecords:
     @staticmethod
     def check_records(inst, cfg, routes):
-        """Every record holds what the model and bdp compute for its route."""
+        """Every record holds what the model and bdp compute for its route,
+        and a fresh coordination gives each record of a route that may
+        charge the duties of its index, once."""
         ctx = lns._Context(inst, cfg)
+        unions = []
         for r_idx, nodes in enumerate(routes):
             route = Route(r_idx, nodes)
             rec = ctx.patterns(nodes)
@@ -1257,12 +1310,26 @@ class TestRouteRecords:
             union = 0
             for p in res.patterns:
                 union |= p
-            assert rec.charged == union
-            assert bool(rec.charged) == (len(res.patterns) > 1 or union != 0)
-            arcs = lns._record_arcs(rec, r_idx, route, inst)
-            assert arcs == route_duties(r_idx, route, times, union, inst)
-            if union:     # built once per record and index
-                assert lns._record_arcs(rec, r_idx, route, inst) is arcs
+            unions.append(union)
+            if res.feasible:
+                # the first pattern charges exactly when some pattern does
+                assert bool(res.patterns[0]) == bool(union) == (res.patterns != [0])
+            assert rec.arcs == {}
+        if lns._coordinate_routes(routes, ctx) is None and not ctx.coordinated:
+            return      # some route has no pattern: no coordination ran
+        built = {}
+        for r_idx, (nodes, union) in enumerate(zip(routes, unions)):
+            rec = ctx.patterns(nodes)
+            if not union or bdp.fits(inst, inst.route_distance(nodes)):
+                assert r_idx not in rec.arcs
+                continue
+            route = Route(r_idx, nodes)
+            assert rec.arcs[r_idx] == route_duties(r_idx, route, rec.times, union, inst)
+            built[r_idx] = rec.arcs[r_idx]
+        ctx.coordinated.clear()
+        lns._coordinate_routes(routes, ctx)
+        for r_idx, arcs in built.items():      # built once per record and index
+            assert ctx.patterns(routes[r_idx]).arcs[r_idx] is arcs
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
@@ -1281,6 +1348,41 @@ class TestRouteRecords:
         inst = tied_instance(n, seed, top, P, 10.0)
         routes = random_partition(inst, np.random.default_rng(seed))
         self.check_records(inst, SolverConfig(bdp_max_edges=max_edges), routes)
+
+
+@pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+class TestInputsUnchanged:
+    """`lns.run` holds the incumbent, each candidate and the best as node
+    lists and copies none of them: every destroy operator, every repair
+    operator and `_coordinate_routes` leave the lists they are given as
+    they were."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+           P=st.sampled_from([300.0, 900.0, 1500.0, 15000.0]),
+           Q=st.sampled_from([3.0, 10.0]), cap=st.integers(1, 14), k=st.integers(1, 14))
+    def test_operators_and_coordination_leave_their_input(self, n, seed, P, Q, cap, k):
+        rng = np.random.default_rng(seed)
+        inst = generate_instance(n, seed=seed % 10**6, P=P, Q=Q)
+        routes = random_partition(inst, rng)
+        inst = dataclasses.replace(inst, max_mtev=max(cap, len(routes)))
+        ctx = lns._Context(inst, SolverConfig())
+        frozen = [list(nodes) for nodes in routes]
+        for _ in range(2):      # a fresh coordination, then a memo hit
+            lns._coordinate_routes(routes, ctx)
+            assert routes == frozen
+        for d_op in lns.DESTROY_OPS:
+            partial, removed = lns._DESTROY_FUNCS[d_op](routes, ctx, rng, k)
+            assert routes == frozen
+            partial = lns._drop_empty(partial)
+            kept, taken = [list(nodes) for nodes in partial], list(removed)
+            for r_op in lns.REPAIR_OPS:
+                rebuilt = lns._REPAIR_FUNCS[r_op](partial, removed, ctx, rng)
+                assert partial == kept and removed == taken
+                if rebuilt is not None:
+                    cand = [list(nodes) for nodes in rebuilt]
+                    lns._coordinate_routes(rebuilt, ctx)
+                    assert rebuilt == cand
 
 
 def memo_key(cand, inst, cfg):
@@ -1310,13 +1412,13 @@ class TestCoordinationMemo:
             ctx = lns._Context(inst, cfg)
             last_key = None
             for made, cand in candidate_sequence(inst, cfg, seed=case, steps=30):
-                routes = [Route(i, list(nodes)) for i, nodes in enumerate(cand)]
                 key = memo_key(cand, inst, cfg)
                 hit = key is not None and key in ctx.coordinated
                 if made == "charge_free" and key is not None and key == last_key:
                     # the latest candidate had the same routes that may charge
                     assert hit
-                got = lns._coordinate_routes(routes, ctx)
+                got = lns._coordinate_routes(cand, ctx)
+                routes = [Route(i, list(nodes)) for i, nodes in enumerate(cand)]
                 want, kind = ref_coordinate(routes, inst, cfg)
                 assert outcome_summary(got) == outcome_summary(want)
                 assert len(ctx.coordinated) <= lns.COORDINATION_MEMO_SIZE
@@ -1436,7 +1538,7 @@ class TestChargeFreeShortcut:
         for seed in range(4):
             routes = lns.initial_solution(inst, rng_at(seed)).mtev_routes
             ctx = lns._Context(inst, cfg)
-            got = lns._coordinate_routes(routes, ctx)
+            got = lns._coordinate_routes([r.nodes for r in routes], ctx)
             want, _ = ref_coordinate(routes, inst, cfg)
             assert outcome_summary(got) == outcome_summary(want)
             fit = [bdp.fits(inst, inst.route_distance(r.nodes)) for r in routes]
