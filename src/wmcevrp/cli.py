@@ -1,6 +1,7 @@
 """Command-line front end: gen / solve / oracle / bench / sweep / check.
 
-Exit codes: 0 success, 2 provably infeasible input (or, for `check`, a
+Exit codes: 0 success, 2 provably infeasible input (a demand above Q, or
+customers and no vehicle; for `oracle`, no solution at all; for `check`, a
 solution that fails the checker), 3 budget exhausted without a feasible
 solution (for `solve`, also a best solution that fails the checker), 4
 rejected input: a missing or unreadable file, an instance, solution,
@@ -176,6 +177,8 @@ def cmd_bench(args) -> int:
             status = f"FAILED ({row.status_reason})"
         else:
             status = f"W_best={row.w_best:.2f} W_avg={row.w_avg:.2f} E={row.e} C={row.c}"
+            if row.status_reason:
+                status += f" ({row.status}: {row.status_reason})"
         print(f"{row.instance}: {status}")
     return EXIT_OK
 

@@ -1,7 +1,8 @@
 """Benchmark and sweep harness: repeated seeded runs, CSV emission, gap math.
 
 Every run draws its RNG from a (seed, run_index) seed sequence so the
-10-run protocol reproduces bit for bit on any platform.
+10-run protocol reproduces bit for bit on any platform, in this process or
+over one process pool per benchmark or sweep.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +34,14 @@ class BenchmarkRow:
     w_avg: float = float("nan")
     e: int = 0
     c: int = 0
-    runtime_s: float = 0.0
+    runtime_s: float = 0.0            # summed over the instance's runs
     gap_pct: float | None = None
-    failed: bool = False
-    status_reason: str = ""           # "<ExceptionType>: <text>" of a failed row
+    status: str = "ok"                # "partial": some runs found no solution; or "failed"
+    status_reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "failed"
 
 
 @dataclass
@@ -69,48 +73,59 @@ def solve_once(inst: Instance, config: SolverConfig, seed: int, run_index: int) 
     return lns.run(inst, config, rng=run_seed(seed, run_index))
 
 
-def _bench_one(name: str, inst: Instance, runs: int, config: SolverConfig,
-               seed: int, reference: dict | None) -> BenchmarkRow:
+def _run(task: tuple) -> tuple:
+    """(cost, MTEVs, MCTs, solved, exception text, seconds) of a `solve_once` task."""
     started = time.perf_counter()
     try:
-        results = [solve_once(inst, config, seed, r) for r in range(runs)]
-        costs = [r.best_cost for r in results]
-        if any(r.best is None or not r.feasible for r in results):
-            raise RuntimeError("run produced no feasible solution")
-        best_idx = int(np.argmin(costs))
-        best = results[best_idx]
-        row = BenchmarkRow(
-            instance=name,
-            w_best=float(min(costs)),
-            w_avg=float(sum(costs) / len(costs)),
-            e=best.mtev_used,
-            c=best.mct_used,
-            runtime_s=time.perf_counter() - started,
-        )
-        if reference and name in reference:
-            row.gap_pct = gap_percent(row.w_best, float(reference[name]))
-        return row
+        res = solve_once(*task)
+        out = (float(res.best_cost), res.mtev_used, res.mct_used, res.feasible, "")
     except Exception as exc:
-        return BenchmarkRow(instance=name, runtime_s=time.perf_counter() - started,
-                            failed=True, status_reason=f"{type(exc).__name__}: {exc}")
+        out = (math.inf, 0, 0, False, f"{type(exc).__name__}: {exc}")
+    return out + (time.perf_counter() - started,)
+
+
+def _run_all(instances: list[Instance], runs, config, seed, jobs) -> list[list[tuple]]:
+    """Per instance, the records of its runs in run order: run here, through
+    the module-global `solve_once`, or over one pool of up to `jobs` workers."""
+    tasks = [(inst, config, seed, r) for inst in instances for r in range(runs)]
+    if min(jobs, len(tasks)) > 1:
+        from concurrent.futures import ProcessPoolExecutor     # loaded only when used
+        with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+            records = list(pool.map(_run, tasks))
+    else:
+        records = list(map(_run, tasks))
+    return [records[i:i + runs] for i in range(0, len(records), runs)]
+
+
+def _row(name: str, records: list[tuple], reference: dict | None = None) -> BenchmarkRow:
+    """Failed when a run raised (its text the reason) or none solved the instance;
+    else from the solved runs, and partial when some run found no solution."""
+    row = BenchmarkRow(name, runtime_s=sum(rec[5] for rec in records))
+    errors = [rec[4] for rec in records if rec[4]]
+    solved = [rec for rec in records if rec[3]]
+    if errors or not solved:
+        row.status = "failed"
+        row.status_reason = errors[0] if errors else "no run found a feasible solution"
+        return row
+    row.w_best, row.e, row.c = min(solved, key=lambda rec: rec[0])[:3]     # the first best
+    row.w_avg = sum(rec[0] for rec in solved) / len(solved)
+    if len(solved) < len(records):
+        row.status = "partial"
+        row.status_reason = f"{len(records) - len(solved)} of {len(records)} runs found no solution"
+    if reference and name in reference:
+        row.gap_pct = gap_percent(row.w_best, float(reference[name]))
+    return row
 
 
 def run_benchmark(instances: list[tuple[str, Instance]], runs: int = 10,
                   config: SolverConfig | None = None, seed: int = 0,
                   reference: dict | None = None, jobs: int = 1) -> list[BenchmarkRow]:
     """Per instance: `runs` independent seeded searches; best/average costs,
-    fleet sizes of the best run, wall time, optional gap against a reference."""
-    config = config or SolverConfig()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_bench_one, name, inst, runs, config, seed, reference)
-                       for name, inst in instances]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_bench_one(name, inst, runs, config, seed, reference)
-                for name, inst in instances]
-    rows.sort(key=lambda r: r.instance)
-    return rows
+    fleet sizes of the best run, summed run time, optional gap against a
+    reference."""
+    records = _run_all([inst for _, inst in instances], runs, config or SolverConfig(), seed, jobs)
+    rows = [_row(name, recs, reference) for (name, _), recs in zip(instances, records)]
+    return sorted(rows, key=lambda r: r.instance)
 
 
 def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
@@ -118,17 +133,9 @@ def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
         writer = csv.writer(f)
         writer.writerow(BENCH_HEADER)
         for r in rows:
-            writer.writerow([
-                r.instance,
-                "failed" if r.failed else "ok",
-                "" if r.failed else repr(r.w_best),
-                "" if r.failed else repr(r.w_avg),
-                "" if r.failed else r.e,
-                "" if r.failed else r.c,
-                repr(round(r.runtime_s, 3)),
-                "" if r.gap_pct is None else f"{r.gap_pct:.4f}",
-                r.status_reason,
-            ])
+            numbers = ("",) * 4 if r.failed else (repr(r.w_best), repr(r.w_avg), r.e, r.c)
+            writer.writerow([r.instance, r.status, *numbers, repr(round(r.runtime_s, 3)),
+                             "" if r.gap_pct is None else f"{r.gap_pct:.4f}", r.status_reason])
 
 
 def apply_param(inst: Instance, param: str, value: float) -> Instance:
@@ -140,26 +147,19 @@ def apply_param(inst: Instance, param: str, value: float) -> Instance:
 def run_sweep(spec: SweepSpec, config: SolverConfig | None = None,
               seed: int = 0, jobs: int = 1) -> list[dict]:
     """One benchmark per parameter value over overridden copies of the base
-    instances; emits per-value means of W_best, deployed MTEVs and MCTs."""
+    instances; emits per-value means of W_best, deployed MTEVs and MCTs over
+    the instances not failed (NaN when every one failed)."""
     spec.validate()
-    config = config or SolverConfig()
-    out = []
-    for value in spec.values:
-        overridden = [(name, apply_param(inst, spec.param, value))
-                      for name, inst in spec.instances]
-        rows = run_benchmark(overridden, runs=spec.runs, config=config,
-                             seed=seed, jobs=jobs)
-        good = [r for r in rows if not r.failed]
-        if good:
-            out.append({
-                "value": value,
-                "w_best": float(np.mean([r.w_best for r in good])),
-                "e": float(np.mean([r.e for r in good])),
-                "c": float(np.mean([r.c for r in good])),
-            })
-        else:
-            out.append({"value": value, "w_best": float("nan"),
-                        "e": float("nan"), "c": float("nan")})
+    records = _run_all([apply_param(inst, spec.param, value) for value in spec.values
+                        for _, inst in spec.instances], spec.runs,
+                       config or SolverConfig(), seed, jobs)
+    out, k = [], len(spec.instances)
+    for j, value in enumerate(spec.values):
+        rows = [_row(name, recs) for (name, _), recs in zip(spec.instances, records[j * k:])]
+        good = sorted((r for r in rows if not r.failed), key=lambda r: r.instance)
+        out.append(dict(zip(SWEEP_HEADER, [value] + [
+            float(np.mean([getattr(r, f) for r in good])) if good else float("nan")
+            for f in SWEEP_HEADER[1:]])))
     return out
 
 
@@ -168,7 +168,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
         writer = csv.writer(f)
         writer.writerow(SWEEP_HEADER)
         for r in rows:
-            writer.writerow([repr(r["value"]), repr(r["w_best"]), repr(r["e"]), repr(r["c"])])
+            writer.writerow([repr(r[key]) for key in SWEEP_HEADER])
 
 
 def _reference_cost(name: str, value, text: bool = False) -> float:

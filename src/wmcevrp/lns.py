@@ -736,10 +736,10 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     seeds make independent runs explore both charge-heavy and charge-light
     basins; repair operators merge routes far more readily than they split
     them, so some runs must start on the split side.
-    Raises when even a dedicated vehicle cannot serve someone, or when
-    there are customers and no vehicle; None when the vehicles run out,
-    which proves nothing. The charge-free gate never holds the last
-    vehicle the cap allows.
+    Raises when a demand exceeds Q, or when there are customers and no
+    vehicle; None when the vehicles run out or no dedicated vehicle reaches
+    a customer on battery, which on non-metric distances proves nothing.
+    The charge-free gate never holds the last vehicle the cap allows.
 
     One pass: the open route keeps its length, summed as
     `Instance.route_distance` sums it, and the level of its all-charge
@@ -753,6 +753,10 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
     """
     if inst.n and inst.max_mtev < 1:
         raise InfeasibleInstanceError("no MTEV may be deployed but there are customers")
+    heavy = next((u for u in inst.customers if inst.demand_of(u) > inst.Q), None)
+    if heavy is not None:
+        raise InfeasibleInstanceError(
+            f"customer {heavy} cannot be served even by a dedicated vehicle")
     charge_free_gate = rng.random() < 0.5 and inst.max_mtev > 1
     if d is None:
         d = inst.dist.tolist()
@@ -849,12 +853,9 @@ def initial_solution(inst: Instance, rng: np.random.Generator,
             # serviceable customer a dedicated, possibly charged, vehicle
             order = shortlist + [u for u in nearest[0]
                                  if u in unserved and u not in shortlist]
-            lone = next((u for u in order
-                         if demand[u] <= Q and chargeable([0, u, end])), None)
+            lone = next((u for u in order if chargeable([0, u, end])), None)
             if lone is None:
-                raise InfeasibleInstanceError(
-                    f"customer {order[0]} cannot be served even by a dedicated vehicle"
-                )
+                return None
             serve(lone)
             current = [0, lone]
         routes.append(current + [end])
@@ -956,7 +957,7 @@ def _coordinate_routes(routes: list[list[int]], ctx: _Context):
 def run(inst: Instance, config: SolverConfig | None = None,
         rng: np.random.Generator | None = None) -> RunResult:
     """Full hybrid search; returns the best coordinated solution found, if
-    any: none when the construction runs out of vehicles. The incumbent, each
+    any: none when the construction stops without one. The incumbent, each
     candidate and the best are node lists, which no operator changes."""
     cfg = config or SolverConfig()
     if rng is None:

@@ -92,6 +92,30 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("infeasible: ")
         assert run_cli("oracle", "--instance", path) == 2
 
+    @pytest.mark.filterwarnings("ignore:gamma <= rho_t")
+    def test_customer_no_lone_route_reaches_is_no_proof(self, tmp_path, capsys):
+        # no lone route [0, u, 3] serves either customer on battery, yet the
+        # oracle serves both on [0, 2, 1, 3]: the distances are not metric
+        path = tmp_path / "nonmetric.json"
+        assert run_cli("gen", "--n", 2, "--seed", 64340, "--P", 900, "--Q", 4, "--gamma", 0.5,
+                       "--max-mtev", 2, "--out", path) == 0
+        assert run_cli("solve", "--instance", path, "--seed", 2) == 3
+        assert run_cli("oracle", "--instance", path) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "E=1 C=1 cost=4573.98"
+
+    def test_bench_prints_a_partial_row(self, tmp_path, capsys):
+        # runs 0 and 3 of seed 2 run out of the two vehicles
+        d = tmp_path / "one"
+        d.mkdir()
+        assert run_cli("gen", "--n", 6, "--seed", 99, "--max-mtev", 2,
+                       "--out", d / "capped.json") == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 20}))
+        assert run_cli("bench", "--dir", d, "--runs", 6, "--seed", 2, "--config", cfg,
+                       "--out", tmp_path / "bench.csv") == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            " (partial: 2 of 6 runs found no solution)")
+
     def test_no_solution_exit_code(self, tmp_path):
         # the one customer needs in-motion charging but trucks are banned
         inst = build_instance([[0, 900], [0, 0]], [1], P=1000.0, max_mct=0)

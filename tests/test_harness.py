@@ -1,5 +1,10 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,11 @@ FAST = SolverConfig(iterations=25)
 
 def tiny_instances(count=2, n=5):
     return [(f"inst{k}", generate_instance(n, seed=400 + k)) for k in range(count)]
+
+
+def timeless(rows):
+    """Rows without their run times, which differ between any two calls."""
+    return [dataclasses.replace(r, runtime_s=0.0) for r in rows]
 
 
 class TestGap:
@@ -84,6 +94,44 @@ class TestRunBenchmark:
         assert [(r.instance, r.w_best) for r in serial] == \
                [(r.instance, r.w_best) for r in pooled]
 
+    def test_runs_of_one_instance_share_the_pool(self):
+        serial = run_benchmark(tiny_instances(1), runs=3, config=FAST, seed=5)
+        pooled = run_benchmark(tiny_instances(1), runs=3, config=FAST, seed=5, jobs=2)
+        assert timeless(pooled) == timeless(serial)
+
+    def test_serial_runs_load_no_process_pool(self):
+        code = ("import sys\n"
+                "from wmcevrp import harness\n"
+                "from wmcevrp.config import SolverConfig\n"
+                "from wmcevrp.generator import generate_instance\n"
+                "rows = harness.run_benchmark([('a', generate_instance(4, seed=1))], runs=2,\n"
+                "                             config=SolverConfig(iterations=5), jobs=1)\n"
+                "assert rows[0].status == 'ok', rows\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
+    def test_runs_without_a_solution_make_the_row_partial(self, tmp_path):
+        # the construction runs out of the two vehicles from runs 0 and 3
+        inst = generate_instance(6, 99, max_mtev=2)
+        cfg = SolverConfig(iterations=20)
+        costs = [harness.solve_once(inst, cfg, 2, r).best_cost for r in range(6)]
+        solved = [c for c in costs if c < float("inf")]
+        assert len(solved) == 4
+        [row] = run_benchmark([("capped", inst)], runs=6, config=cfg, seed=2)
+        assert row.status == "partial" and not row.failed
+        assert row.status_reason == "2 of 6 runs found no solution"
+        assert row.w_best == min(solved) and row.w_avg == sum(solved) / 4
+        assert row.e == 2
+        out = tmp_path / "bench.csv"
+        write_benchmark_csv([row], out)
+        parsed = dict(zip(BENCH_HEADER, list(csv.reader(out.read_text().splitlines()))[1]))
+        assert parsed["status"] == "partial" and float(parsed["w_best"]) == row.w_best
+        [lone] = run_benchmark([("capped", inst)], runs=1, config=cfg, seed=2)
+        assert lone.failed and lone.status_reason == "no run found a feasible solution"
+
     def test_csv_schema(self, tmp_path):
         rows = run_benchmark(tiny_instances(1), runs=1, config=FAST, seed=1)
         out = tmp_path / "bench.csv"
@@ -118,6 +166,11 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0]["w_best"] == pytest.approx(
             sum(r.w_best for r in bench) / len(bench))
+
+    def test_worker_pool_matches_serial(self):
+        spec = SweepSpec(param="P", values=[900.0, 1500.0], instances=tiny_instances(1), runs=2)
+        serial = run_sweep(spec, config=FAST, seed=4)
+        assert run_sweep(spec, config=FAST, seed=4, jobs=2) == serial
 
     def test_spec_validation(self):
         insts = tiny_instances(1)

@@ -100,6 +100,7 @@ class TestFleetCap:
            gamma=st.sampled_from([0.5, 2.0]))
     @example(n=6, seed=1, cap=3, P=1500.0, Q=10.0, gamma=2.0)     # ran out of vehicles
     @example(n=3, seed=0, cap=3, P=1500.0, Q=2.0, gamma=2.0)      # demand 3 > Q
+    @example(n=2, seed=64340, cap=2, P=900.0, Q=4.0, gamma=0.5)   # no lone route on battery
     def test_raises_only_without_a_solution(self, n, seed, cap, P, Q, gamma):
         inst = generate_instance(n, seed, P=P, Q=Q, gamma=gamma, max_mtev=cap)
         for run_seed in range(4):
@@ -561,8 +562,11 @@ def compare_charge_insertion(n, seed, Q, P, slack, gamma, seen, calls, top=None)
 
 def ref_initial_solution(inst, rng):
     """The construction with a keyed sort of the unserved customers per step;
-    None when the vehicles run out. The charge-free gate, drawn for every
-    run, holds for all but the last route the vehicle cap allows."""
+    None when the vehicles run out or no lone route serves anyone on
+    battery. The charge-free gate, drawn for every run, holds for all but
+    the last route the vehicle cap allows."""
+    if any(q > inst.Q for q in inst.demand):
+        raise InfeasibleInstanceError("a demand exceeds Q")
     charge_free_gate = rng.random() < 0.5
     unserved = set(inst.customers)
     routes, current, load = [], [0], 0
@@ -590,10 +594,10 @@ def ref_initial_solution(inst, rng):
                 break
         else:
             if len(current) == 1:
-                lone = next((u for u in candidates if inst.demand_of(u) <= inst.Q
-                             and chargeable([0, u, inst.depot_end])), None)
+                lone = next((u for u in candidates
+                             if chargeable([0, u, inst.depot_end])), None)
                 if lone is None:
-                    raise InfeasibleInstanceError(f"customer {candidates[0]} unservable")
+                    return None
                 unserved.remove(lone)
                 current = [0, lone]
             routes.append(current + [inst.depot_end])
